@@ -23,7 +23,7 @@ from .literals import (LiteralError, parse_base_formula, parse_piecewise,
                        parse_rat, parse_set)
 from .localize import essential_range, essential_range_at, test_weak_null_at
 from .points import ExtPoint
-from .problemfile import ProblemError, ProblemFile, parse_problem_text
+from .problemfile import TASKS, ProblemError, ProblemFile, parse_problem_text
 from .reporting import (Report, render_human, render_machine, verdict_to_dict)
 from .restriction import (CompositeFA, FilterBaseMeasure,
                           OracleConsistencyError, UnsupportedOracleError,
@@ -32,10 +32,23 @@ from .sets import Domain, SetAlgebraError
 from .engine import DEFAULT_STRATEGIES
 
 
+# Largest accepted budgets.  Both bound loops of the engine, so a larger
+# value could run for hours instead of failing fast.
+MAX_BUDGET_J = 64
+MAX_BUDGET_K = 1024
+
+
+def _budget(problem: ProblemFile, key: str, default: int, cap: int) -> int:
+    value = problem.get_int(key, default)
+    if not 1 <= value <= cap:
+        raise ProblemError(f"{key} must lie in [1, {cap}], got {value}")
+    return value
+
+
 def _policy_from(problem: ProblemFile) -> Policy:
     policy = Policy()
-    policy.j_max = problem.get_int("budget-j", policy.j_max)
-    policy.k_max = problem.get_int("budget-k", policy.k_max)
+    policy.j_max = _budget(problem, "budget-j", policy.j_max, MAX_BUDGET_J)
+    policy.k_max = _budget(problem, "budget-k", policy.k_max, MAX_BUDGET_K)
     grid = problem.get_rats("alpha-grid")
     if grid is not None:
         bad = [a for a in grid if a <= 0]
@@ -290,6 +303,9 @@ def main(argv=None) -> int:
         for key, flag in (("budget-j", args.budget_J), ("budget-k", args.budget_k),
                           ("alpha-grid", args.alpha_grid), ("subseq", args.subseq)):
             if flag is not None:
+                if key not in TASKS[problem.task]:
+                    raise ProblemError(f"field {key!r} is not valid for task "
+                                       f"{problem.task!r}")
                 problem.fields[key] = str(flag)
         report = run(problem)
     except (ProblemError, LiteralError, FileNotFoundError, KeyError,

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 from .enclosure import RatInterval, sin_of_pi_multiple
@@ -171,12 +172,45 @@ def intersection_measure(family: SequenceFamily, subseq: Sequence[int],
     for k in subseq[:J]:
         s = family.term(k).superlevel(alpha)
         inter = s if inter is None else inter.intersect(s)
+    return _identity_checked(inter, v_inf(family, subseq, J), alpha)
+
+
+def _identity_checked(inter: IntervalSet, vj: PiecewiseFn, alpha: Fraction):
+    """The measure of the superlevel intersection, after checking that it
+    equals the measure of { v_J > alpha } computed from v_J."""
     direct = inter.measure()
-    via_v = v_inf(family, subseq, J).superlevel(alpha).measure()
+    via_v = vj.superlevel(alpha).measure()
     if direct != via_v:
         raise EngineError(
             f"criterion identity violated: sets give {direct}, v_J gives {via_v}")
     return direct
+
+
+def _walk(family: SequenceFamily, subseq: Sequence[int], alpha: Fraction,
+          minima: dict):
+    """Yield (J, intersection measure) for J = 1, 2, ... along subseq.
+
+    The subsequence is walked once: the superlevel intersection of step J is
+    the one of step J-1 intersected with A_alpha(u_kJ), and v_J is
+    min(v_{J-1}, |u_kJ|).  `minima` maps subsequence prefixes to their v_J;
+    it belongs to one engine call and is shared by every alpha and every
+    subsequence of that call.  Each cell is checked against the criterion
+    identity as in `intersection_measure`.
+    """
+    if subseq:
+        _check_subseq(subseq, 1)
+    inter = None
+    for J, k in enumerate(subseq, start=1):
+        s = family.term(k).superlevel(alpha)
+        inter = s if inter is None else inter.intersect(s)
+        prefix = tuple(subseq[:J])
+        vj = minima.get(prefix)
+        if vj is None:
+            vj = family.term(k).abs_fn()
+            if J > 1:
+                vj = min_of([minima[prefix[:-1]], vj])
+            minima[prefix] = vj
+        yield J, _identity_checked(inter, vj, alpha)
 
 
 def _check_subseq(subseq, J):
@@ -376,13 +410,15 @@ def _try_kernel_witness(family, policy, reports):
     if not certs:
         return None
     cert = certs[0]
+    checked = dict(_walk(family, list(range(1, min(policy.j_max, 12) + 1)),
+                         cert.alpha, {}))
     table = []
     for J in range(1, policy.j_max + 1):
         k_J = J
         ker_m = cert.kernel(k_J).measure()
         row = {"J": J, "k_J": k_J, "kernel_measure": ker_m}
-        if J <= min(policy.j_max, 12):
-            inter = intersection_measure(family, list(range(1, J + 1)), cert.alpha, J)
+        if J in checked:
+            inter = checked[J]
             row["intersection_measure"] = inter
             if inter != POS_INF and inter < ker_m:
                 raise EngineError("kernel exceeds the intersection it certifies")
@@ -421,23 +457,34 @@ def _try_monotone_nonnull(family, policy, reports):
 
 
 def _inconclusive(family, policy, reports):
+    """The exact evidence table over the (alpha, subsequence, J) cells.
+
+    Each subsequence is walked once per alpha (see `_walk`): every cell
+    extends the previous cell's intersection by one set, and v_J is built
+    once per subsequence prefix for all alphas.  The criterion identity
+    (sets against v_J) is still checked on every cell.  A row ends at the
+    first null intersection or, for strategies, at the first index beyond
+    k_max.
+    """
     alphas = _spot_alphas(family, policy)
+    minima: dict = {}
     table = []
     for alpha in alphas:
         for name, strat in policy.resolved_strategies():
-            for J in range(1, policy.j_max + 1):
-                subseq = [strat(j) for j in range(1, J + 1)]
-                if subseq[-1] > policy.k_max:
+            subseq = []
+            for j in range(1, policy.j_max + 1):
+                k = strat(j)
+                if k > policy.k_max:
                     break
-                m = intersection_measure(family, subseq, alpha, J)
+                subseq.append(k)
+            for J, m in _walk(family, subseq, alpha, minima):
                 table.append({"alpha": alpha, "subsequence": name, "J": J,
                               "measure": m})
                 if m == 0:
                     break
     for subseq in policy.extra_subsequences:
         for alpha in alphas:
-            for J in range(1, min(policy.j_max, len(subseq)) + 1):
-                m = intersection_measure(family, subseq, alpha, J)
+            for J, m in islice(_walk(family, subseq, alpha, minima), policy.j_max):
                 table.append({"alpha": alpha, "subsequence": str(subseq), "J": J,
                               "measure": m})
                 if m == 0:

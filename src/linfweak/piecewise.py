@@ -7,6 +7,15 @@ functions and polynomial composition with step functions, and superlevel
 sets { |u| > alpha } are exact interval sets.  Functions are identified
 almost everywhere; point evaluation uses literal piece membership with a
 left-piece fallback at breakpoints that fall in measure-zero gaps.
+
+Results of ``min_of`` are canonical: no two touching pieces (one closed and
+one open end at the same point) share slope and intercept, so each maximal
+affine run is one piece.  Merging such pieces changes no point value.  Other
+constructors keep the pieces they are given, since family terms feed
+``piece_value_candidates`` and breakpoint spans piece by piece.
+
+Binary operations walk the two sorted piece lists once, advancing whichever
+piece ends first, so each costs time linear in the pieces of its operands.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .sets import (Domain, Interval, IntervalSet, POS_INF, SetAlgebraError,
-                   _intersect_intervals, is_finite, ivl, rat)
+                   _ends_before, _intersect_intervals, is_finite, ivl, rat)
 
 
 class UnsupportedOperationError(ValueError):
@@ -178,14 +187,23 @@ class PiecewiseFn:
     # -- combination helpers ---------------------------------------------------
 
     def _cells_with(self, other: "PiecewiseFn"):
-        """Common refinement: yields (interval, (a1,b1), (a2,b2))."""
-        for p in self.pieces:
-            for q in other.pieces:
-                if q.interval.lo > p.interval.hi:
-                    break
-                cell = _intersect_intervals(p.interval, q.interval)
-                if cell is not None:
-                    yield cell, (p.slope, p.intercept), (q.slope, q.intercept)
+        """Common refinement: yields (interval, (a1,b1), (a2,b2)) from left to
+        right, sweeping both piece lists and advancing whichever piece ends
+        first."""
+        ps, qs = self.pieces, other.pieces
+        i = j = 0
+        while i < len(ps) and j < len(qs):
+            p, q = ps[i], qs[j]
+            cell = _intersect_intervals(p.interval, q.interval)
+            if cell is not None:
+                yield cell, (p.slope, p.intercept), (q.slope, q.intercept)
+            if _ends_before(p.interval, q.interval):
+                i += 1
+            elif _ends_before(q.interval, p.interval):
+                j += 1
+            else:
+                i += 1
+                j += 1
 
     def _same_domain(self, other: "PiecewiseFn"):
         if self.domain.carrier != other.domain.carrier:
@@ -364,10 +382,14 @@ def _linear_lt(p: Piece, c: Fraction) -> list[Interval]:
 
 
 def min_of(fns: Sequence[PiecewiseFn]) -> PiecewiseFn:
-    """Exact pointwise minimum; breakpoints appear at crossing abscissae."""
+    """Exact pointwise minimum in canonical form; breakpoints appear at
+    crossing abscissae."""
     if not fns:
         raise ValueError("min_of needs at least one function")
     out = fns[0]
+    if len(fns) == 1:
+        pieces = _coalesced(out.pieces)
+        return out if len(pieces) == len(out.pieces) else PiecewiseFn(out.domain, pieces)
     for f in fns[1:]:
         out = _min2(out, f)
     return out
@@ -375,13 +397,13 @@ def min_of(fns: Sequence[PiecewiseFn]) -> PiecewiseFn:
 
 def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
     u._same_domain(v)
-    triples = []
+    pieces = []
     for cell, (a1, b1), (a2, b2) in u._cells_with(v):
         if a1 == a2:
             if b1 <= b2:
-                triples.append((cell, a1, b1))
+                pieces.append(Piece(cell, a1, b1))
             else:
-                triples.append((cell, a2, b2))
+                pieces.append(Piece(cell, a2, b2))
             continue
         x0 = (b2 - b1) / (a1 - a2)
         segments = []
@@ -394,10 +416,27 @@ def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
         for seg in segments:
             mid = _interior_sample(seg)
             if a1 * mid + b1 <= a2 * mid + b2:
-                triples.append((seg, a1, b1))
+                pieces.append(Piece(seg, a1, b1))
             else:
-                triples.append((seg, a2, b2))
-    return PiecewiseFn.from_pieces(u.domain, triples)
+                pieces.append(Piece(seg, a2, b2))
+    return PiecewiseFn(u.domain, _coalesced(pieces))
+
+
+def _coalesced(pieces: Sequence[Piece]) -> tuple[Piece, ...]:
+    """Merge each run of touching pieces (one end closed, the other open, at
+    the same point) that share slope and intercept; point values stay."""
+    out: list[Piece] = []
+    for p in pieces:
+        if out:
+            last = out[-1]
+            lv, iv = last.interval, p.interval
+            if (lv.hi == iv.lo and lv.hi_closed != iv.lo_closed
+                    and last.slope == p.slope and last.intercept == p.intercept):
+                out[-1] = Piece(Interval(lv.lo, iv.hi, lv.lo_closed, iv.hi_closed),
+                                p.slope, p.intercept)
+                continue
+        out.append(p)
+    return tuple(out)
 
 
 def linear_combo(coeffs: Sequence, fns: Sequence[PiecewiseFn]) -> PiecewiseFn:

@@ -179,21 +179,9 @@ def _intersect_intervals(a: Interval, b: Interval) -> "Interval | None":
     return Interval(lo, hi, lo_closed, hi_closed)
 
 
-def _subtract_intervals(a: Interval, b: Interval) -> list[Interval]:
-    """a minus b, as 0..2 intervals."""
-    mid = _intersect_intervals(a, b)
-    if mid is None:
-        return [a]
-    out = []
-    left = ivl(a.lo, mid.lo, a.lo_closed, not mid.lo_closed) \
-        if (a.lo < mid.lo or (a.lo == mid.lo and a.lo_closed and not mid.lo_closed)) else None
-    right = ivl(mid.hi, a.hi, not mid.hi_closed, a.hi_closed) \
-        if (mid.hi < a.hi or (mid.hi == a.hi and a.hi_closed and not mid.hi_closed)) else None
-    if left is not None:
-        out.append(left)
-    if right is not None:
-        out.append(right)
-    return out
+def _ends_before(a: Interval, b: Interval) -> bool:
+    """a stops strictly left of b's right end (same end: a open, b closed)."""
+    return a.hi < b.hi or (a.hi == b.hi and b.hi_closed and not a.hi_closed)
 
 
 def _mergeable(cur: Interval, nxt: Interval) -> bool:
@@ -308,24 +296,47 @@ class IntervalSet:
         return IntervalSet(_normalize(self.parts + other.parts))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        # Sweep both sorted part lists, advancing whichever part ends first.
+        # Intersections of the parts of two normalized sets are disjoint and
+        # non-adjacent, so the output is normalized as it comes.
+        a, b = self.parts, other.parts
         out = []
-        for a in self.parts:
-            for b in other.parts:
-                if b.lo > a.hi:
-                    break
-                got = _intersect_intervals(a, b)
-                if got is not None:
-                    out.append(got)
-        return IntervalSet(_normalize(out))
+        i = j = 0
+        while i < len(a) and j < len(b):
+            got = _intersect_intervals(a[i], b[j])
+            if got is not None:
+                out.append(got)
+            if _ends_before(a[i], b[j]):
+                i += 1
+            elif _ends_before(b[j], a[i]):
+                j += 1
+            else:
+                i += 1
+                j += 1
+        return IntervalSet(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        remaining = list(self.parts)
-        for b in other.parts:
-            nxt: list[Interval] = []
-            for a in remaining:
-                nxt.extend(_subtract_intervals(a, b))
-            remaining = nxt
-        return IntervalSet(_normalize(remaining))
+        # One sweep: a part of `other` that ends before the remainder `cur`
+        # cuts it and is done; one that reaches past it may cut later parts.
+        cuts = other.parts
+        out = []
+        j = 0
+        for cur in self.parts:
+            while cur is not None and j < len(cuts):
+                mid = _intersect_intervals(cur, cuts[j])
+                reaches_past = not _ends_before(cuts[j], cur)
+                if mid is not None:
+                    left = ivl(cur.lo, mid.lo, cur.lo_closed, not mid.lo_closed)
+                    if left is not None:
+                        out.append(left)
+                    cur = None if reaches_past else ivl(mid.hi, cur.hi, not mid.hi_closed,
+                                                        cur.hi_closed)
+                if reaches_past:
+                    break
+                j += 1
+            if cur is not None:
+                out.append(cur)
+        return IntervalSet(tuple(out))
 
     # -- topology ----------------------------------------------------------------
 

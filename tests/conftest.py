@@ -2,7 +2,8 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from linfweak.sets import IntervalSet, ivl
+from linfweak.piecewise import PiecewiseFn
+from linfweak.sets import Domain, IntervalSet, closed, ivl, point
 
 settings.register_profile(
     "default", deadline=None,
@@ -49,3 +50,40 @@ def grid_points(*sets: IntervalSet, density=4):
         probes.add(pts[0] - 1)
         probes.add(pts[-1] + 1)
     return sorted(probes)
+
+
+ORACLE_DOMAIN = Domain(IntervalSet.of(closed(-4, 4)))
+# few laws, so that neighbouring pieces often share one
+SLOPES = (Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
+INTERCEPTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
+
+
+@st.composite
+def piecewise_fns(draw, step=False, max_cuts=5):
+    """Random piecewise-linear functions on ORACLE_DOMAIN = [-4, 4].  Each
+    interior breakpoint is owned by the left piece, the right piece, a point
+    piece of its own, or no piece (a null gap)."""
+    drawn = draw(st.lists(rationals(lo=-4, hi=4, max_den=6), max_size=max_cuts))
+    cuts = sorted({c for c in drawn if -4 < c < 4})
+    ends = [Fraction(-4)] + cuts + [Fraction(4)]
+    slopes = st.just(Fraction(0)) if step else st.sampled_from(SLOPES)
+    laws = st.tuples(slopes, st.sampled_from(INTERCEPTS))
+    triples = []
+    lo_closed = True
+    for a, b in zip(ends, ends[1:]):
+        owner = "left" if b == 4 else draw(st.sampled_from(
+            ("left", "right", "point", "gap")))
+        triples.append((ivl(a, b, lo_closed, owner == "left"), *draw(laws)))
+        if owner == "point":
+            triples.append((point(b), *draw(laws)))
+        lo_closed = owner == "right"
+    return PiecewiseFn.from_pieces(ORACLE_DOMAIN, triples)
+
+
+def function_probes(*fns):
+    """grid_points over every breakpoint of the given functions, keeping the
+    points that lie in a piece of each of them (gap points are evaluated by
+    convention, not by a piece)."""
+    sets = [IntervalSet.of(p.interval) for f in fns for p in f.pieces]
+    return [x for x in grid_points(*sets)
+            if all(any(p.interval.contains(x) for p in f.pieces) for f in fns)]

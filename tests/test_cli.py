@@ -180,3 +180,46 @@ class TestReplay:
         code, out, _ = invoke(["weaknull", cfg, "--budget-J", "3",
                                "--format", "machine"])
         assert code == 0 and "problem.2 = budget-j = 3" in out
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("flag,value", [
+        ("--budget-J", "-3"), ("--budget-J", "0"), ("--budget-J", "65"),
+        ("--budget-k", "-5"), ("--budget-k", "0"), ("--budget-k", "1025"),
+    ])
+    def test_out_of_range_flag_is_input_error(self, tmp_path, flag, value):
+        cfg = write(tmp_path, "p.cfg", "task = weaknull\nfamily = tents\n")
+        code, out, err = invoke(["weaknull", cfg, f"{flag}={value}"])
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and value in err
+
+    def test_out_of_range_field_is_input_error(self, tmp_path):
+        cfg = write(tmp_path, "p.cfg",
+                    "task = weaknull-at\nfamily = tents\npoint = 0\nbudget-j = 0\n")
+        code, _, err = invoke(["weaknull-at", cfg])
+        assert code == 2 and "budget-j must lie in [1, 64]" in err
+
+    def test_huge_budget_rejected_before_the_engine(self, tmp_path, monkeypatch):
+        import linfweak.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the engine ran on a rejected budget")
+        monkeypatch.setattr(cli, "test_weak_null", never)
+        monkeypatch.setattr(cli, "test_weak_null_at", never)
+        cfg = write(tmp_path, "p.cfg", "task = weaknull\nfamily = tents\n")
+        code, _, err = invoke(["weaknull", cfg, "--budget-J=100000000"])
+        assert code == 2 and "budget-j must lie in [1, 64]" in err
+
+    def test_budget_flag_for_a_task_without_budgets(self):
+        # corpus takes no budgets; echoing one would break the replay
+        code, out, err = invoke(["corpus", "--budget-J=-3"])
+        assert code == 2 and out == ""
+        assert "'budget-j' is not valid for task 'corpus'" in err
+
+    def test_largest_budgets_accepted(self, tmp_path):
+        from linfweak.cli import MAX_BUDGET_J, MAX_BUDGET_K
+        cfg = write(tmp_path, "p.cfg",
+                    "task = weaknull\nfamily = dyadic-indicators\n")
+        code, out, _ = invoke(["weaknull", cfg, f"--budget-J={MAX_BUDGET_J}",
+                               f"--budget-k={MAX_BUDGET_K}", "--format", "machine"])
+        assert code == 0 and "result.kind = null-certified" in out

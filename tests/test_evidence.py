@@ -1,0 +1,135 @@
+"""The evidence table and the kernel-witness rows walk each subsequence once.
+
+These tests rebuild the same rows cell by cell with the public
+`intersection_measure` (which recomputes v_J and the set intersection from
+scratch for every cell) and check that corrupting either side of the
+criterion identity is still caught on the evidence path.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from linfweak import engine
+from linfweak.corpus import family_by_name
+from linfweak.engine import (INCONCLUSIVE, EngineError, Policy,
+                             default_alpha_grid, intersection_measure,
+                             test_weak_null)
+from linfweak.families import SequenceFamily
+from linfweak.piecewise import PiecewiseFn
+
+BARE = ("tents", "escape-translates", "summable-disjoint")
+
+
+def bare(name):
+    """The named corpus family without certificates, so that every scheme
+    declines and the engine builds the evidence table."""
+    inner = family_by_name(name)
+
+    class Bare(SequenceFamily):
+        def _term(self, k):
+            return inner.term(k)
+
+    return Bare(inner.domain, f"bare-{name}", inner.norm_bound, ())
+
+
+def rebuilt_table(family, policy):
+    """The evidence table, one `intersection_measure` call per cell."""
+    alphas = policy.alpha_grid or default_alpha_grid(family, min(policy.k_max, 12))
+    rows = []
+    for alpha in alphas:
+        for name, strat in policy.resolved_strategies():
+            for J in range(1, policy.j_max + 1):
+                subseq = [strat(j) for j in range(1, J + 1)]
+                if subseq[-1] > policy.k_max:
+                    break
+                m = intersection_measure(family, subseq, alpha, J)
+                rows.append({"alpha": alpha, "subsequence": name, "J": J,
+                             "measure": m})
+                if m == 0:
+                    break
+    for subseq in policy.extra_subsequences:
+        for alpha in alphas:
+            for J in range(1, min(policy.j_max, len(subseq)) + 1):
+                m = intersection_measure(family, subseq, alpha, J)
+                rows.append({"alpha": alpha, "subsequence": str(subseq), "J": J,
+                             "measure": m})
+                if m == 0:
+                    break
+    return rows
+
+
+POLICIES = [
+    Policy(j_max=6, extra_subsequences=[[2, 3, 5, 8, 13]]),
+    Policy(j_max=8, k_max=9, alpha_grid=[F(1, 3), F(1, 2), F(3, 4)],
+           extra_subsequences=[[1, 4, 6], [3, 5, 7, 9, 11, 13, 15, 17, 19]]),
+]
+
+
+class TestEvidenceTable:
+    @pytest.mark.parametrize("name", BARE)
+    @pytest.mark.parametrize("policy", POLICIES, ids=("default-grid", "small-k"))
+    def test_equals_cell_by_cell_rebuild(self, name, policy):
+        verdict = test_weak_null(bare(name), policy)
+        assert verdict.kind == INCONCLUSIVE
+        assert verdict.evidence["table"] == rebuilt_table(bare(name), policy)
+
+    @staticmethod
+    def _row_lengths(name, policy):
+        lengths = {}
+        for row in test_weak_null(bare(name), policy).evidence["table"]:
+            lengths[row["subsequence"]] = row["J"]
+        return lengths
+
+    def test_rows_stop_beyond_k_max(self):
+        policy = Policy(j_max=8, k_max=9, alpha_grid=[F(1, 2)])
+        # odd reaches 9; even stops before 10, dyadic before 16
+        assert self._row_lengths("tents", policy) == {
+            "identity": 8, "even": 4, "odd": 5, "dyadic": 3}
+
+    def test_rows_stop_at_the_first_null_intersection(self):
+        policy = Policy(j_max=8, alpha_grid=[F(1, 8)])
+        # the layers are disjoint in k, so two indices give a null set
+        assert self._row_lengths("summable-disjoint", policy) == {
+            "identity": 2, "even": 2, "odd": 2, "dyadic": 2}
+
+    def test_kernel_witness_rows_match_intersection_measure(self):
+        tents = family_by_name("tents")
+        verdict = test_weak_null(tents, Policy(j_max=14))
+        alpha = verdict.witness.alpha
+        rows = verdict.witness.table
+        assert [row["J"] for row in rows] == list(range(1, 15))
+        for row in rows:
+            if row["J"] <= 12:
+                want = intersection_measure(tents, list(range(1, row["J"] + 1)),
+                                            alpha, row["J"])
+                assert row["intersection_measure"] == want
+            else:
+                assert "intersection_measure" not in row
+
+
+def _first_term_only(fns):
+    return fns[0]
+
+
+class TestIdentityGuard:
+    """A wrong v_J must be caught by the identity check on the evidence
+    path; the set side is computed without v_J, so it cannot follow."""
+
+    @pytest.mark.parametrize("name", BARE)
+    def test_corrupted_min_of(self, name, monkeypatch):
+        monkeypatch.setattr(engine, "min_of", _first_term_only)
+        with pytest.raises(EngineError, match="criterion identity violated"):
+            test_weak_null(bare(name), Policy(j_max=4))
+
+    @pytest.mark.parametrize("name", BARE)
+    def test_corrupted_abs(self, name, monkeypatch):
+        abs_fn = PiecewiseFn.abs_fn
+        monkeypatch.setattr(PiecewiseFn, "abs_fn", lambda u: abs_fn(u).add_const(1))
+        with pytest.raises(EngineError, match="criterion identity violated"):
+            test_weak_null(bare(name), Policy(j_max=4))
+
+    def test_corrupted_min_of_on_the_kernel_path(self, monkeypatch):
+        monkeypatch.setattr(engine, "min_of", _first_term_only)
+        with pytest.raises(EngineError, match="criterion identity violated"):
+            test_weak_null(family_by_name("tents"))

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import grid_points, interval_sets, rationals
+from conftest import (function_probes, grid_points, interval_sets,
+                      piecewise_fns, rationals)
 from linfweak.piecewise import (EvaluationError, PiecewiseFn,
                                 UnsupportedOperationError, linear_combo, min_of)
 from linfweak.families import TentFamily
@@ -191,3 +192,46 @@ class TestProperties:
         v = u.translate(3)
         for x in grid_points(s):
             assert v.eval(x - 3) == u.eval(x)
+
+
+class TestGridOracles:
+    """The sweep-based kernels against pointwise evaluation at every probe
+    of the refined breakpoint grid."""
+
+    @given(piecewise_fns(), piecewise_fns())
+    def test_add(self, u, v):
+        w = u.add(v)
+        for x in function_probes(u, v, w):
+            assert w.eval(x) == u.eval(x) + v.eval(x)
+
+    @given(piecewise_fns(step=True), piecewise_fns())
+    def test_product_with_a_step(self, s, u):
+        for w in (s.product(u), u.product(s)):
+            for x in function_probes(s, u, w):
+                assert w.eval(x) == s.eval(x) * u.eval(x)
+
+    @given(st.lists(piecewise_fns(), min_size=1, max_size=4))
+    def test_min_of(self, fns):
+        m = min_of(fns)
+        for x in function_probes(m, *fns):
+            assert m.eval(x) == min(f.eval(x) for f in fns)
+
+    @given(st.lists(piecewise_fns(), min_size=1, max_size=4))
+    def test_min_of_is_canonical(self, fns):
+        pieces = min_of(fns).pieces
+        for p, q in zip(pieces, pieces[1:]):
+            touching = (p.interval.hi == q.interval.lo
+                        and p.interval.hi_closed != q.interval.lo_closed)
+            assert not (touching and (p.slope, p.intercept) == (q.slope, q.intercept))
+
+    def test_min_of_tents_is_one_piece_per_run(self):
+        # v_32 of the tents has 7 maximal affine runs: 0, ramp, 1, 0, 1, ramp, 0
+        t = TentFamily()
+        m = min_of([t.term(k).abs_fn() for k in range(1, 33)])
+        assert len(m.pieces) == 7
+
+    def test_min_of_keeps_a_puncture_of_the_carrier(self):
+        # equal laws on both sides of a missing point are not touching pieces
+        dom = Domain(IntervalSet.of(opened(-1, 0), opened(0, 1)))
+        m = min_of([PiecewiseFn.constant(dom, 1), PiecewiseFn.constant(dom, 2)])
+        assert [str(p.interval) for p in m.pieces] == ["(-1,0)", "(0,1)"]

@@ -1,12 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from conftest import grid_points, interval_sets
+from conftest import grid_points, interval_sets, rationals
 from linfweak.sets import (Domain, IntervalSet, SetAlgebraError, closed,
                            complement, ico, intersect, is_compact_subset,
-                           ivl, measure, opened, point, union, POS_INF)
+                           ivl, measure, opened, point, union, NEG_INF, POS_INF)
 
 
 def S(*parts):
@@ -147,3 +147,39 @@ class TestProperties:
     def test_interior_closure_sandwich(self, s):
         assert s.interior().is_subset(s)
         assert s.is_subset(s.closure())
+
+
+@st.composite
+def sets_with_rays(draw):
+    """interval_sets, sometimes with a left and/or a right ray added."""
+    s = draw(interval_sets(max_parts=5))
+    if draw(st.booleans()):
+        s = s.union(S(ivl(NEG_INF, draw(rationals()), False, draw(st.booleans()))))
+    if draw(st.booleans()):
+        s = s.union(S(ivl(draw(rationals()), POS_INF, draw(st.booleans()), False)))
+    return s
+
+
+class TestSweepOracles:
+    """intersect and difference against membership at every probe point;
+    both build their parts in order, so the result must already be in
+    normal form."""
+
+    @given(sets_with_rays(), sets_with_rays())
+    def test_intersect_membership(self, a, b):
+        got = a.intersect(b)
+        assert IntervalSet.of(*got.parts) == got
+        for x in grid_points(a, b):
+            assert got.contains(x) == (a.contains(x) and b.contains(x))
+
+    @given(sets_with_rays(), sets_with_rays())
+    def test_difference_membership(self, a, b):
+        got = a.difference(b)
+        assert IntervalSet.of(*got.parts) == got
+        for x in grid_points(a, b):
+            assert got.contains(x) == (a.contains(x) and not b.contains(x))
+
+    def test_difference_one_part_cuts_many(self):
+        a = S(closed(0, 1), closed(2, 3), point(4))
+        got = a.difference(S(opened(F(1, 2), 4)))
+        assert got == S(closed(0, F(1, 2)), point(4))
