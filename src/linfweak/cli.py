@@ -32,10 +32,12 @@ from .sets import Domain, SetAlgebraError
 from .engine import DEFAULT_STRATEGIES
 
 
-# Largest accepted budgets.  Both bound loops of the engine, so a larger
-# value could run for hours instead of failing fast.
+# Largest accepted budgets.  Each bounds loops of the engine or of the
+# localized schemes, so a larger value could run for hours instead of
+# failing fast.
 MAX_BUDGET_J = 64
 MAX_BUDGET_K = 1024
+MAX_ELL = 64
 
 
 def _budget(problem: ProblemFile, key: str, default: int, cap: int) -> int:
@@ -88,7 +90,7 @@ def _run_weaknull(problem: ProblemFile) -> dict:
 def _run_weaknull_at(problem: ProblemFile) -> dict:
     family = corpus_mod.family_by_name(problem.get("family"))
     x0 = ExtPoint.parse(problem.get("point"))
-    ell_max = problem.get_int("ell-max", 6)
+    ell_max = _budget(problem, "ell-max", 6, MAX_ELL)
     verdict = test_weak_null_at(family, x0, _policy_from(problem), ell_max)
     return verdict_to_dict(verdict)
 

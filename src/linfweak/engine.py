@@ -10,18 +10,23 @@ alpha, so the engine certifies nullity only through one of the schemes below
 certifies non-nullity through a kernel or norm-floor witness.  Everything
 else is reported as Inconclusive together with the exact evidence table.
 
-Schemes:
-  (a) disjoint-supports      any two indices already give a null intersection
-  (b) escape-bound           a translate family whose profile vanishes at
-                             infinity; counting forces v_J below each eps
-  (c) norm-limit             ||u_k|| -> 0 is strong convergence (with a
-                             monotone envelope this is the Dini-type
-                             equivalence, and limit c > 0 refutes nullity)
-  (d) summable-disjoint      finitely many disjoint indicator layers force
-                             v_J = 0 once J exceeds the layer count
-  (e) eventual-constant      explicit lists that repeat their last term
-  (w) divisibility witness   sin(1/(kx)): certified norm floors at
-                             number-theoretic points refute nullity
+Schemes, tried in `_SCHEMES` order; the first verdict wins:
+  eventual-constant      explicit lists that repeat their last term
+  summable-disjoint      finitely many disjoint indicator layers force
+                         v_J = 0 once J exceeds the layer count
+  disjoint-supports      any two indices already give a null intersection
+  escape-bound           a translate family whose profile vanishes at
+                         infinity; counting forces v_J below each eps
+  norm-limit             ||u_k|| -> 0 is strong convergence
+  superlevel-kernel      nested positive-measure kernels inside the
+                         superlevel sets refute nullity
+  monotone-norm-floor    a monotone envelope with ||u_k|| -> c > 0 (the
+                         Dini-type equivalence) refutes nullity
+The last two can only certify non-nullity.  A null verdict is checked
+against each of them, and a family on which one of them also gives a
+verdict is rejected as inconsistent.  Evaluable families (sin(1/(kx))) take
+the divisibility witness instead: certified norm floors at number-theoretic
+points refute nullity.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .families import (CertificateError, CertReport, DisjointSupports,
                        EscapeBound, ExplicitListFamily, MonotoneEnvelope,
                        NormLimit, SequenceFamily, SinReciprocalFamily,
                        SummableDisjointFamily, SuperlevelKernel,
-                       TranslateFamily, verify_certificate, verify_norm_bound)
+                       verify_certificate, verify_norm_bound)
 from .numtheory import dyadic_divisibility_subsequence, nested_midpoint
 from .piecewise import PiecewiseFn, min_of
 from .points import WitnessPoint
@@ -175,11 +180,14 @@ def intersection_measure(family: SequenceFamily, subseq: Sequence[int],
     return _identity_checked(inter, v_inf(family, subseq, J), alpha)
 
 
-def _identity_checked(inter: IntervalSet, vj: PiecewiseFn, alpha: Fraction):
+def _identity_checked(inter: IntervalSet, vj: PiecewiseFn, alpha: Fraction,
+                      window: Optional[IntervalSet] = None):
     """The measure of the superlevel intersection, after checking that it
-    equals the measure of { v_J > alpha } computed from v_J."""
+    equals the measure of { v_J > alpha } computed from v_J (both inside the
+    window, when one is given)."""
     direct = inter.measure()
-    via_v = vj.superlevel(alpha).measure()
+    above = vj.superlevel(alpha)
+    via_v = (above if window is None else above.intersect(window)).measure()
     if direct != via_v:
         raise EngineError(
             f"criterion identity violated: sets give {direct}, v_J gives {via_v}")
@@ -187,19 +195,22 @@ def _identity_checked(inter: IntervalSet, vj: PiecewiseFn, alpha: Fraction):
 
 
 def _walk(family: SequenceFamily, subseq: Sequence[int], alpha: Fraction,
-          minima: dict):
+          minima: dict, window: Optional[IntervalSet] = None):
     """Yield (J, intersection measure) for J = 1, 2, ... along subseq.
 
     The subsequence is walked once: the superlevel intersection of step J is
     the one of step J-1 intersected with A_alpha(u_kJ), and v_J is
     min(v_{J-1}, |u_kJ|).  `minima` maps subsequence prefixes to their v_J;
     it belongs to one engine call and is shared by every alpha and every
-    subsequence of that call.  Each cell is checked against the criterion
-    identity as in `intersection_measure`.
+    subsequence of that call.  With a window, the intersection starts from
+    the window and both sides of the identity are measured inside it; v_J
+    depends on neither, so one `minima` serves every (window, alpha).  Each
+    cell is checked against the criterion identity as in
+    `intersection_measure`.
     """
     if subseq:
         _check_subseq(subseq, 1)
-    inter = None
+    inter = window
     for J, k in enumerate(subseq, start=1):
         s = family.term(k).superlevel(alpha)
         inter = s if inter is None else inter.intersect(s)
@@ -210,7 +221,7 @@ def _walk(family: SequenceFamily, subseq: Sequence[int], alpha: Fraction,
             if J > 1:
                 vj = min_of([minima[prefix[:-1]], vj])
             minima[prefix] = vj
-        yield J, _identity_checked(inter, vj, alpha)
+        yield J, _identity_checked(inter, vj, alpha, window)
 
 
 def _check_subseq(subseq, J):
@@ -245,21 +256,22 @@ def test_weak_null(family: SequenceFamily, policy: Optional[Policy] = None) -> V
                 f"certificate {rep.certificate} failed: {rep.detail}",
                 k=rep.counterexample_k, witness=rep.witness)
 
-    verdict = (_try_eventual_constant(family, policy, reports)
-               or _try_summable_disjoint(family, policy, reports)
-               or _try_disjoint_supports(family, policy, reports)
-               or _try_escape_bound(family, policy, reports)
-               or _try_norm_limit_null(family, policy, reports))
-    if verdict is not None:
-        _guard_exclusive(family, policy, verdict)
-        return verdict
-
-    verdict = (_try_kernel_witness(family, policy, reports)
-               or _try_monotone_nonnull(family, policy, reports))
-    if verdict is not None:
-        return verdict
-
-    return _inconclusive(family, policy, reports)
+    for scheme in _SCHEMES:
+        verdict = scheme(family, policy)
+        if verdict is not None:
+            break
+    else:
+        verdict = _inconclusive(family, policy)
+    if verdict.is_null:
+        for rival in _NONNULL_SCHEMES:
+            refuted = rival(family, policy)
+            if refuted is not None:
+                raise EngineError(
+                    f"inconsistent family {family.name}: scheme {verdict.scheme} "
+                    f"certifies nullity but {refuted.scheme} certifies "
+                    f"non-nullity")
+    verdict.cert_reports = reports
+    return verdict
 
 
 test_weak_null.__test__ = False  # not a pytest case
@@ -271,22 +283,12 @@ def _trust_note(policy: Policy) -> str:
             f"through the certified scheme")
 
 
-def _guard_exclusive(family, policy, verdict):
-    """A null verdict must not coexist with a verifying kernel witness."""
-    for cert in family.certificates_of(SuperlevelKernel):
-        rep = verify_certificate(family, cert, min(4, policy.cert_budget))
-        if rep.passed:
-            raise EngineError(
-                f"inconsistent family {family.name}: scheme {verdict.scheme} "
-                f"certifies nullity but a superlevel kernel also verifies")
-
-
 def _spot_alphas(family, policy):
     grid = policy.alpha_grid or default_alpha_grid(family, min(policy.k_max, 12))
     return grid
 
 
-def _try_eventual_constant(family, policy, reports):
+def _try_eventual_constant(family, policy):
     if not isinstance(family, ExplicitListFamily) or family.tail_constant() is None:
         return None
     tail = family.tail_constant()
@@ -295,8 +297,7 @@ def _try_eventual_constant(family, policy, reports):
     if c == 0:
         return Verdict(family.name, NULL, scheme="eventual-constant",
                        evidence={"tail_norm": c, "list_length": start},
-                       trust="exact: the repeated tail term vanishes a.e.",
-                       cert_reports=reports)
+                       trust="exact: the repeated tail term vanishes a.e.")
     alpha = c / 2
     kernel_set = tail.superlevel(alpha)
     table = [{"J": J, "k_J": start + J, "kernel_measure": kernel_set.measure()}
@@ -305,11 +306,10 @@ def _try_eventual_constant(family, policy, reports):
     return Verdict(family.name, NONNULL, scheme="eventual-constant", witness=wit,
                    evidence={"tail_norm": c},
                    trust="exact: along the repeated tail every intersection "
-                         "equals a fixed positive-measure superlevel set",
-                   cert_reports=reports)
+                         "equals a fixed positive-measure superlevel set")
 
 
-def _try_summable_disjoint(family, policy, reports):
+def _try_summable_disjoint(family, policy):
     if not isinstance(family, SummableDisjointFamily):
         return None
     budget = policy.cert_budget
@@ -339,11 +339,10 @@ def _try_summable_disjoint(family, policy, reports):
     return Verdict(family.name, NULL, scheme="summable-disjoint", evidence=ev,
                    trust="pigeonhole over the disjoint layers: any J > layer "
                          "count makes v_J vanish identically, for every "
-                         "subsequence; " + _trust_note(policy),
-                   cert_reports=reports)
+                         "subsequence; " + _trust_note(policy))
 
 
-def _try_disjoint_supports(family, policy, reports):
+def _try_disjoint_supports(family, policy):
     if not family.certificates_of(DisjointSupports):
         return None
     alphas = _spot_alphas(family, policy)
@@ -360,13 +359,12 @@ def _try_disjoint_supports(family, policy, reports):
                    evidence={"pair_measures": {n: str(v) for n, v in spot.items()},
                              "alpha_spot": alphas[0]},
                    trust="any two distinct indices give a null superlevel "
-                         "intersection for every alpha; " + _trust_note(policy),
-                   cert_reports=reports)
+                         "intersection for every alpha; " + _trust_note(policy))
 
 
-def _try_escape_bound(family, policy, reports):
+def _try_escape_bound(family, policy):
     certs = family.certificates_of(EscapeBound)
-    if not certs or not isinstance(family, TranslateFamily):
+    if not certs:
         return None
     cert = certs[0]
     step = family.step
@@ -386,11 +384,10 @@ def _try_escape_bound(family, policy, reports):
                    evidence={"table": table, "step": step},
                    trust="for each eps at most floor(2K/step)+1 translates "
                          "meet the window, so any J >= floor(2K/step)+2 "
-                         "indices force v_J <= eps; " + _trust_note(policy),
-                   cert_reports=reports)
+                         "indices force v_J <= eps; " + _trust_note(policy))
 
 
-def _try_norm_limit_null(family, policy, reports):
+def _try_norm_limit_null(family, policy):
     for cert in family.certificates_of(NormLimit):
         if cert.limit == 0:
             norms = {k: family.term(k).ess_sup_norm()
@@ -400,12 +397,11 @@ def _try_norm_limit_null(family, policy, reports):
                                      "norm_samples": {k: str(v) for k, v in norms.items()}},
                            trust="strong convergence: v_J <= |u_kJ| so every "
                                  "subsequence inherits the vanishing norms; "
-                                 + _trust_note(policy),
-                           cert_reports=reports)
+                                 + _trust_note(policy))
     return None
 
 
-def _try_kernel_witness(family, policy, reports):
+def _try_kernel_witness(family, policy):
     certs = family.certificates_of(SuperlevelKernel)
     if not certs:
         return None
@@ -428,11 +424,10 @@ def _try_kernel_witness(family, policy, reports):
                    evidence={"alpha": cert.alpha},
                    trust="kernel(k_J) is nested inside every A_alpha(u_kj), "
                          "j <= J, with positive measure, so no J nullifies "
-                         "the intersection; " + _trust_note(policy),
-                   cert_reports=reports)
+                         "the intersection; " + _trust_note(policy))
 
 
-def _try_monotone_nonnull(family, policy, reports):
+def _try_monotone_nonnull(family, policy):
     monotone = family.certificates_of(MonotoneEnvelope)
     limits = [c for c in family.certificates_of(NormLimit) if c.limit > 0]
     if not monotone or not limits:
@@ -452,11 +447,20 @@ def _try_monotone_nonnull(family, policy, reports):
                    trust="|u_k| is non-increasing, so the J-fold intersection "
                          "equals A_alpha(u_kJ), which keeps positive measure "
                          "since ||u_k|| -> " + str(cert.limit) + "; "
-                         + _trust_note(policy),
-                   cert_reports=reports)
+                         + _trust_note(policy))
 
 
-def _inconclusive(family, policy, reports):
+# Schemes that can only certify non-nullity; a null verdict is checked
+# against each of them.
+_NONNULL_SCHEMES = (_try_kernel_witness, _try_monotone_nonnull)
+
+# Tried in order; the first verdict wins.
+_SCHEMES = (_try_eventual_constant, _try_summable_disjoint,
+            _try_disjoint_supports, _try_escape_bound,
+            _try_norm_limit_null) + _NONNULL_SCHEMES
+
+
+def _inconclusive(family, policy):
     """The exact evidence table over the (alpha, subsequence, J) cells.
 
     Each subsequence is walked once per alpha (see `_walk`): every cell
@@ -493,8 +497,7 @@ def _inconclusive(family, policy, reports):
                    evidence={"table": table},
                    trust="no certificate scheme applied; the table shows exact "
                          "measures for the tested (alpha, subsequence, J) cells "
-                         "only and decides nothing beyond them",
-                   cert_reports=reports)
+                         "only and decides nothing beyond them")
 
 
 # ---------------------------------------------------------------------------

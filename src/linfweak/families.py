@@ -2,9 +2,10 @@
 
 A family produces its k-th term on demand.  Certificates are declarations
 about the whole family (disjoint supports, superlevel kernels, escape
-windows, monotone envelopes, norm limits, support envelopes) that the
-verdict engine first spot-checks exactly for k up to a verification budget
-and then trusts beyond it; every verdict records that trust boundary.
+windows, monotone envelopes, norm limits, support envelopes).  Each one
+spot-checks its own claim exactly for k up to a verification budget
+(`verify`); the verdict engine runs those checks first and trusts the claim
+beyond the budget, and every verdict records that trust boundary.
 """
 
 from __future__ import annotations
@@ -32,11 +33,37 @@ class CertificateError(ValueError):
 # certificates
 
 
+@dataclass
+class CertReport:
+    """The outcome of one certificate check up to a budget."""
+
+    certificate: str
+    passed: bool
+    checked_upto: int
+    detail: str = ""
+    counterexample_k: Optional[int] = None
+    witness: Optional[object] = None
+
+
+_EPS_PROBE = [Fraction(1, 2 ** n) for n in range(0, 7)]
+
+
 @dataclass(frozen=True)
 class DisjointSupports:
     """The supports of distinct terms intersect in lambda-null sets."""
     note: str = ""
     name = "disjoint-supports"
+
+    def verify(self, family, budget) -> CertReport:
+        supports = [family.term(k).support() for k in range(1, budget + 1)]
+        for i in range(budget):
+            for j in range(i + 1, budget):
+                overlap = supports[i].intersect(supports[j])
+                if not overlap.is_null():
+                    return CertReport(self.name, False, budget,
+                                      f"supports of u_{i+1} and u_{j+1} overlap",
+                                      counterexample_k=j + 1, witness=overlap)
+        return CertReport(self.name, True, budget)
 
 
 @dataclass(frozen=True)
@@ -50,6 +77,25 @@ class SuperlevelKernel:
     note: str = ""
     name = "superlevel-kernel"
 
+    def verify(self, family, budget) -> CertReport:
+        prev = None
+        for k in range(1, budget + 1):
+            ker = self.kernel(k)
+            if ker.measure() <= 0:
+                return CertReport(self.name, False, budget, f"kernel({k}) is null",
+                                  counterexample_k=k, witness=ker)
+            sup = family.term(k).superlevel(self.alpha)
+            if not ker.subset_up_to_null(sup):
+                return CertReport(self.name, False, budget,
+                                  f"kernel({k}) escapes the superlevel set",
+                                  counterexample_k=k, witness=ker.difference(sup))
+            if prev is not None and not ker.subset_up_to_null(prev):
+                return CertReport(self.name, False, budget,
+                                  f"kernel({k}) is not nested in kernel({k-1})",
+                                  counterexample_k=k, witness=ker.difference(prev))
+            prev = ker
+        return CertReport(self.name, True, budget)
+
 
 @dataclass(frozen=True)
 class EscapeBound:
@@ -58,12 +104,42 @@ class EscapeBound:
     note: str = ""
     name = "escape-bound"
 
+    def verify(self, family, budget) -> CertReport:
+        if not isinstance(family, TranslateFamily):
+            return CertReport(self.name, False, 0,
+                              "escape bounds apply to translate families only")
+        profile = family.profile
+        for eps in _EPS_PROBE:
+            w = rat(self.window(eps))
+            window = IntervalSet.of(ivl(-w, w, True, True))
+            outside = profile.domain.carrier.difference(window)
+            if outside.is_empty():
+                continue
+            tail_sup = profile.restrict(outside).ess_sup_norm()
+            if tail_sup >= eps:
+                return CertReport(self.name, False, budget,
+                                  f"|profile| reaches {tail_sup} >= {eps} outside the window",
+                                  witness=eps)
+        return CertReport(self.name, True, budget)
+
 
 @dataclass(frozen=True)
 class MonotoneEnvelope:
     """|u_{k+1}| <= |u_k| almost everywhere."""
     note: str = ""
     name = "monotone-envelope"
+
+    def verify(self, family, budget) -> CertReport:
+        prev = family.term(1).abs_fn()
+        for k in range(2, budget + 1):
+            cur = family.term(k).abs_fn()
+            bad = cur.sub(prev).gt_set(0)
+            if not bad.is_null():
+                return CertReport(self.name, False, budget,
+                                  f"|u_{k}| exceeds |u_{k-1}| on a positive set",
+                                  counterexample_k=k, witness=bad)
+            prev = cur
+        return CertReport(self.name, True, budget)
 
 
 @dataclass(frozen=True)
@@ -75,6 +151,19 @@ class NormLimit:
     note: str = ""
     name = "norm-limit"
 
+    def verify(self, family, budget) -> CertReport:
+        for k in range(1, budget + 1):
+            dev = rat(self.deviation(k))
+            if dev < 0:
+                return CertReport(self.name, False, budget, "negative deviation bound",
+                                  counterexample_k=k)
+            norm = family.term(k).ess_sup_norm()
+            if abs(norm - self.limit) > dev:
+                return CertReport(self.name, False, budget,
+                                  f"||u_{k}|| = {norm} deviates from {self.limit} by more "
+                                  f"than {dev}", counterexample_k=k, witness=norm)
+        return CertReport(self.name, True, budget)
+
 
 @dataclass(frozen=True)
 class SupportEnvelope:
@@ -85,6 +174,21 @@ class SupportEnvelope:
     accumulation: ExtPoint
     note: str = ""
     name = "support-envelope"
+
+    def verify(self, family, budget) -> CertReport:
+        prev = None
+        for k in range(1, budget + 1):
+            env = self.envelope(k)
+            supp = family.term(k).support()
+            if not supp.subset_up_to_null(env):
+                return CertReport(self.name, False, budget,
+                                  f"supp(u_{k}) escapes envelope({k})",
+                                  counterexample_k=k, witness=supp.difference(env))
+            if prev is not None and not env.subset_up_to_null(prev):
+                return CertReport(self.name, False, budget,
+                                  f"envelope({k}) not nested", counterexample_k=k)
+            prev = env
+        return CertReport(self.name, True, budget)
 
 
 Certificate = object
@@ -367,130 +471,14 @@ class SinReciprocalFamily(SequenceFamily):
 # certificate verification
 
 
-@dataclass
-class CertReport:
-    certificate: str
-    passed: bool
-    checked_upto: int
-    detail: str = ""
-    counterexample_k: Optional[int] = None
-    witness: Optional[object] = None
-
-
 def verify_certificate(family: SequenceFamily, cert, budget: int) -> CertReport:
     """Exact spot-check of a certificate's claim for indices up to budget.
     Returns a failing report with a concrete counterexample instead of
     raising; the engine turns failures into CertificateError."""
-    if isinstance(cert, DisjointSupports):
-        return _verify_disjoint(family, cert, budget)
-    if isinstance(cert, SuperlevelKernel):
-        return _verify_kernel(family, cert, budget)
-    if isinstance(cert, EscapeBound):
-        return _verify_escape(family, cert, budget)
-    if isinstance(cert, MonotoneEnvelope):
-        return _verify_monotone(family, cert, budget)
-    if isinstance(cert, NormLimit):
-        return _verify_norm_limit(family, cert, budget)
-    if isinstance(cert, SupportEnvelope):
-        return _verify_support_envelope(family, cert, budget)
-    raise TypeError(f"unknown certificate {cert!r}")
-
-
-def _verify_disjoint(family, cert, budget):
-    supports = [family.term(k).support() for k in range(1, budget + 1)]
-    for i in range(budget):
-        for j in range(i + 1, budget):
-            overlap = supports[i].intersect(supports[j])
-            if not overlap.is_null():
-                return CertReport(cert.name, False, budget,
-                                  f"supports of u_{i+1} and u_{j+1} overlap",
-                                  counterexample_k=j + 1, witness=overlap)
-    return CertReport(cert.name, True, budget)
-
-
-def _verify_kernel(family, cert, budget):
-    prev = None
-    for k in range(1, budget + 1):
-        ker = cert.kernel(k)
-        if ker.measure() <= 0:
-            return CertReport(cert.name, False, budget, f"kernel({k}) is null",
-                              counterexample_k=k, witness=ker)
-        sup = family.term(k).superlevel(cert.alpha)
-        if not ker.subset_up_to_null(sup):
-            return CertReport(cert.name, False, budget,
-                              f"kernel({k}) escapes the superlevel set",
-                              counterexample_k=k, witness=ker.difference(sup))
-        if prev is not None and not ker.subset_up_to_null(prev):
-            return CertReport(cert.name, False, budget,
-                              f"kernel({k}) is not nested in kernel({k-1})",
-                              counterexample_k=k, witness=ker.difference(prev))
-        prev = ker
-    return CertReport(cert.name, True, budget)
-
-
-_EPS_PROBE = [Fraction(1, 2 ** n) for n in range(0, 7)]
-
-
-def _verify_escape(family, cert, budget):
-    if not isinstance(family, TranslateFamily):
-        return CertReport(cert.name, False, 0,
-                          "escape bounds apply to translate families only")
-    profile = family.profile
-    for eps in _EPS_PROBE:
-        w = rat(cert.window(eps))
-        window = IntervalSet.of(ivl(-w, w, True, True))
-        outside = profile.domain.carrier.difference(window)
-        if outside.is_empty():
-            continue
-        tail_sup = profile.restrict(outside).ess_sup_norm()
-        if tail_sup >= eps:
-            return CertReport(cert.name, False, budget,
-                              f"|profile| reaches {tail_sup} >= {eps} outside the window",
-                              witness=eps)
-    return CertReport(cert.name, True, budget)
-
-
-def _verify_monotone(family, cert, budget):
-    prev = family.term(1).abs_fn()
-    for k in range(2, budget + 1):
-        cur = family.term(k).abs_fn()
-        bad = cur.sub(prev).gt_set(0)
-        if not bad.is_null():
-            return CertReport(cert.name, False, budget,
-                              f"|u_{k}| exceeds |u_{k-1}| on a positive set",
-                              counterexample_k=k, witness=bad)
-        prev = cur
-    return CertReport(cert.name, True, budget)
-
-
-def _verify_norm_limit(family, cert, budget):
-    for k in range(1, budget + 1):
-        dev = rat(cert.deviation(k))
-        if dev < 0:
-            return CertReport(cert.name, False, budget, "negative deviation bound",
-                              counterexample_k=k)
-        norm = family.term(k).ess_sup_norm()
-        if abs(norm - cert.limit) > dev:
-            return CertReport(cert.name, False, budget,
-                              f"||u_{k}|| = {norm} deviates from {cert.limit} by more "
-                              f"than {dev}", counterexample_k=k, witness=norm)
-    return CertReport(cert.name, True, budget)
-
-
-def _verify_support_envelope(family, cert, budget):
-    prev = None
-    for k in range(1, budget + 1):
-        env = cert.envelope(k)
-        supp = family.term(k).support()
-        if not supp.subset_up_to_null(env):
-            return CertReport(cert.name, False, budget,
-                              f"supp(u_{k}) escapes envelope({k})",
-                              counterexample_k=k, witness=supp.difference(env))
-        if prev is not None and not env.subset_up_to_null(prev):
-            return CertReport(cert.name, False, budget,
-                              f"envelope({k}) not nested", counterexample_k=k)
-        prev = env
-    return CertReport(cert.name, True, budget)
+    verify = getattr(cert, "verify", None)
+    if verify is None:
+        raise TypeError(f"unknown certificate {cert!r}")
+    return verify(family, budget)
 
 
 def verify_norm_bound(family: SequenceFamily, budget: int) -> CertReport:

@@ -9,6 +9,11 @@ infinity.  The criterion is monotone in the neighborhood (smaller windows
 only weaken it), so certificates valid on every sufficiently small window
 decide the localized verdict.
 
+A local evidence cell is therefore a global cell measured inside a window:
+when no local scheme applies, the evidence table is the engine's evidence
+walk (`engine._walk`) run inside each canonical neighborhood, with the
+criterion identity checked on every cell.
+
 Finite points are allowed anywhere in the closure of the carrier: localizing
 at a boundary point not in X means localizing along that single escape
 route, which is strictly finer than the point at infinity (the latter glues
@@ -21,12 +26,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy, Verdict,
-                     Witness, test_weak_null)
+                     Witness, _walk, test_weak_null)
 from .families import (ExplicitListFamily, SequenceFamily, SuperlevelKernel,
                        SupportEnvelope, TranslateFamily)
 from .piecewise import PiecewiseFn
 from .points import ExtPoint
-from .sets import Domain, IntervalSet, closed, is_finite, ivl, opened
+from .sets import Domain, IntervalSet, closed, is_finite, opened
 
 __all__ = ["ExtPoint", "neighborhood", "compact_exhaustion", "escape_points",
            "accumulates_at", "essential_range", "essential_range_in",
@@ -39,15 +44,7 @@ def compact_exhaustion(carrier: IntervalSet, ell: int) -> IntervalSet:
     cut at +-l.  Closed endpoints belong to the space and stay."""
     if ell < 1:
         raise ValueError("ell >= 1")
-    eps = Fraction(1, ell)
-    out = []
-    for p in carrier.parts:
-        lo = p.lo if (is_finite(p.lo) and p.lo_closed) else \
-            (p.lo + eps if is_finite(p.lo) else Fraction(-ell))
-        hi = p.hi if (is_finite(p.hi) and p.hi_closed) else \
-            (p.hi - eps if is_finite(p.hi) else Fraction(ell))
-        out.append(ivl(lo, hi, True, True))
-    return IntervalSet.of(*out)
+    return carrier.compact_core(Fraction(1, ell), ell)
 
 
 def neighborhood(domain: Domain, x0: ExtPoint, ell: int) -> IntervalSet:
@@ -163,10 +160,15 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
     """Weak nullity of the family at a point of the one-point compactification.
 
     Globally null families are null at every point (the restricted criterion
-    is weaker).  Otherwise the verdict comes from exact local analysis of the
-    family's structure: translate tail limits, support envelopes away from
-    their accumulation point, kernels accumulating at x0.
+    is weaker).  Otherwise the local schemes are tried in `_LOCAL_SCHEMES`
+    order and the first verdict wins: translate tail limits, support
+    envelopes away from their accumulation point, kernels accumulating at
+    x0, repeated tails, monotone envelopes.  ell_max (at least 1) is the
+    number of canonical neighborhoods the schemes and the evidence table
+    look at.
     """
+    if ell_max < 1:
+        raise EngineError(f"ell_max must be at least 1, got {ell_max}")
     policy = policy or Policy()
     _validate_point(family.domain, x0)
     if family.evaluable:
@@ -182,13 +184,10 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
                     cert_reports=global_verdict.cert_reports)
         return v
 
-    local = (_local_translate(family, x0, policy, ell_max)
-             or _local_support_envelope(family, x0, policy, ell_max)
-             or _local_kernel(family, x0, policy, ell_max)
-             or _local_eventual_constant(family, x0, policy, ell_max)
-             or _local_monotone(family, x0, policy, ell_max))
-    if local is not None:
-        return local
+    for scheme in _LOCAL_SCHEMES:
+        verdict = scheme(family, x0, policy, ell_max)
+        if verdict is not None:
+            return verdict
     return _local_inconclusive(family, x0, policy, ell_max)
 
 
@@ -444,22 +443,27 @@ def _local_evaluable(family, x0, policy, ell_max):
                    trust="no scheme applied")
 
 
+# Tried in order after the global verdict; the first verdict wins.
+_LOCAL_SCHEMES = (_local_translate, _local_support_envelope, _local_kernel,
+                  _local_eventual_constant, _local_monotone)
+
+
 def _local_inconclusive(family, x0, policy, ell_max):
+    """Exact restricted measures for the (ell, alpha, J) cells along the
+    identity subsequence: the global evidence walk inside each window, so
+    every cell is checked against the criterion identity."""
     rows = []
     alphas = (policy.alpha_grid or
               [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
+    subseq = list(range(1, min(policy.j_max, 6) + 1))
+    minima: dict = {}
     for ell in range(1, ell_max + 1):
         w = neighborhood(family.domain, x0, ell)
         if w.is_empty():
             continue
         for alpha in alphas[:3]:
-            for J in range(1, min(policy.j_max, 6) + 1):
-                inter = None
-                for k in range(1, J + 1):
-                    s = family.term(k).superlevel(alpha).intersect(w)
-                    inter = s if inter is None else inter.intersect(s)
-                rows.append({"ell": ell, "alpha": alpha, "J": J,
-                             "measure": inter.measure()})
+            for J, m in _walk(family, subseq, alpha, minima, w):
+                rows.append({"ell": ell, "alpha": alpha, "J": J, "measure": m})
     return Verdict(family.name, INCONCLUSIVE, evidence={"x0": str(x0), "table": rows},
                    trust="no local scheme applied; exact restricted measures "
                          "for the tested cells only")

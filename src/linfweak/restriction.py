@@ -443,19 +443,10 @@ def relative_interior_open(s: IntervalSet, carrier: IntervalSet) -> bool:
 
 def _inner_compacts(b: IntervalSet, budget: int) -> list[IntervalSet]:
     """An increasing family of compacts inside b (open finite endpoints move
-    in by 1/2^m, unbounded ends are clipped)."""
+    in by 1/2^m, unbounded ends are clipped at +-2^m)."""
     out = []
     for m in range(1, budget + 1):
-        eps = Fraction(1, 2 ** m)
-        bound = Fraction(2 ** m)
-        parts = []
-        for p in b.parts:
-            lo = p.lo if (is_finite(p.lo) and p.lo_closed) else \
-                (p.lo + eps if is_finite(p.lo) else -bound)
-            hi = p.hi if (is_finite(p.hi) and p.hi_closed) else \
-                (p.hi - eps if is_finite(p.hi) else bound)
-            parts.append(ivl(lo, hi, True, True))
-        k = IntervalSet.of(*parts)
+        k = b.compact_core(Fraction(1, 2 ** m), 2 ** m)
         if not k.is_empty():
             out.append(k)
     if b.is_compact() and not b.is_empty():

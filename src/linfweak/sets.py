@@ -371,16 +371,17 @@ class IntervalSet:
             out.append(ivl(lo, hi, False, False))
         return IntervalSet.of(*out)
 
-    def inset(self, eps) -> "IntervalSet":
-        """Closed shrink: each bounded part [lo+eps, hi-eps]; unbounded sides stay."""
-        eps = rat(eps)
+    def compact_core(self, eps, bound) -> "IntervalSet":
+        """A compact subset: open finite endpoints move inward by eps, closed
+        endpoints stay, unbounded ends are cut at -bound / +bound."""
+        eps, bound = rat(eps), rat(bound)
         if eps <= 0:
-            raise SetAlgebraError("inset needs eps > 0")
+            raise SetAlgebraError("compact_core needs eps > 0")
         out = []
         for p in self.parts:
-            lo = p.lo + eps if is_finite(p.lo) else p.lo
-            hi = p.hi - eps if is_finite(p.hi) else p.hi
-            out.append(ivl(lo, hi, is_finite(lo), is_finite(hi)))
+            lo = p.lo if p.lo_closed else (p.lo + eps if is_finite(p.lo) else -bound)
+            hi = p.hi if p.hi_closed else (p.hi - eps if is_finite(p.hi) else bound)
+            out.append(ivl(lo, hi, True, True))
         return IntervalSet.of(*out)
 
     def endpoints(self) -> list[Fraction]:

@@ -80,10 +80,10 @@ def piecewise_fns(draw, step=False, max_cuts=5):
     return PiecewiseFn.from_pieces(ORACLE_DOMAIN, triples)
 
 
-def function_probes(*fns):
-    """grid_points over every breakpoint of the given functions, keeping the
-    points that lie in a piece of each of them (gap points are evaluated by
-    convention, not by a piece)."""
+def function_probes(*fns, extra=()):
+    """grid_points over every breakpoint of the given functions (and every
+    endpoint of the `extra` sets), keeping the points that lie in a piece of
+    each function (gap points are evaluated by convention, not by a piece)."""
     sets = [IntervalSet.of(p.interval) for f in fns for p in f.pieces]
-    return [x for x in grid_points(*sets)
+    return [x for x in grid_points(*sets, *extra)
             if all(any(p.interval.contains(x) for p in f.pieces) for f in fns)]

@@ -210,6 +210,29 @@ class TestBudgets:
         code, _, err = invoke(["weaknull", cfg, "--budget-J=100000000"])
         assert code == 2 and "budget-j must lie in [1, 64]" in err
 
+    @pytest.mark.parametrize("value", ["-3", "0", "65", "100000000"])
+    def test_out_of_range_ell_max_rejected_before_the_engine(
+            self, tmp_path, monkeypatch, value):
+        import linfweak.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the engine ran on a rejected ell-max")
+        monkeypatch.setattr(cli, "test_weak_null_at", never)
+        cfg = write(tmp_path, "p.cfg",
+                    "task = weaknull-at\nfamily = dyadic-indicators-plus\n"
+                    f"point = 0\nell-max = {value}\n")
+        code, out, err = invoke(["weaknull-at", cfg])
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ell-max must lie in [1, 64]")
+
+    def test_largest_ell_max_accepted(self, tmp_path):
+        from linfweak.cli import MAX_ELL
+        cfg = write(tmp_path, "p.cfg",
+                    "task = weaknull-at\nfamily = dyadic-indicators-plus\n"
+                    f"point = 0\nell-max = {MAX_ELL}\n")
+        code, out, _ = invoke(["weaknull-at", cfg, "--format", "machine"])
+        assert code == 0 and "result.kind = nonnull-certified" in out
+
     def test_budget_flag_for_a_task_without_budgets(self):
         # corpus takes no budgets; echoing one would break the replay
         code, out, err = invoke(["corpus", "--budget-J=-3"])

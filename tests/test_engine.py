@@ -10,8 +10,8 @@ from linfweak.engine import (EngineError, NONNULL, INCONCLUSIVE, Policy,
                              witness_lower_bound)
 from linfweak.enclosure import sin_of_pi_multiple
 from linfweak.families import (CertificateError, ExplicitListFamily,
-                               IndicatorFamily, MappedStepFamily,
-                               SinReciprocalFamily)
+                               IndicatorFamily, MappedStepFamily, NormLimit,
+                               SinReciprocalFamily, SuperlevelKernel)
 from linfweak.numtheory import (dyadic_divisibility_subsequence, lcm_list,
                                 nested_midpoint, prime_power_nondivisor)
 from linfweak.piecewise import PiecewiseFn
@@ -105,6 +105,41 @@ class TestVerdicts:
     def test_verdicts_carry_cert_reports(self):
         v = test_weak_null(tents())
         assert any(r.certificate == "superlevel-kernel" for r in v.cert_reports)
+
+
+class TestExclusivityGuard:
+    """A null verdict is checked against every scheme that can only certify
+    non-nullity; non-null verdicts are not checked against anything."""
+
+    def test_constant_block_with_a_kernel_is_consistent(self):
+        block = IntervalSet.of(opened(0, F(1, 2)))
+        fam = ExplicitListFamily(
+            DOM, [PiecewiseFn.indicator(DOM, block)],
+            certificates=(SuperlevelKernel(F(1, 2), lambda k: block),))
+        v = test_weak_null(fam)
+        assert (v.kind, v.scheme) == (NONNULL, "eventual-constant")
+        assert [r.certificate for r in v.cert_reports] == ["superlevel-kernel"]
+
+    def test_null_verdict_with_a_verifying_kernel_is_rejected(self):
+        dini = family_by_name("dini-null")
+        block = IntervalSet.of(opened(0, F(1, 2)))
+        # |u_k| = 1/k on the block, so this kernel verifies up to k = 99
+        kernel = SuperlevelKernel(F(1, 100), lambda k: block)
+        fam = type(dini)(dini.domain, "dini-null", dini.norm_bound,
+                         dini.certificates + (kernel,))
+        with pytest.raises(EngineError, match="inconsistent family dini-null: "
+                           "scheme norm-limit certifies nullity but "
+                           "superlevel-kernel certifies non-nullity"):
+            test_weak_null(fam)
+
+    def test_null_verdict_is_checked_against_the_monotone_floor(self):
+        dini = family_by_name("dini-null")
+        # | 1/k - 1/2 | <= 1/2 for every k, so this second limit verifies too
+        loose = NormLimit(F(1, 2), lambda k: F(1, 2))
+        fam = type(dini)(dini.domain, "dini-null", dini.norm_bound,
+                         dini.certificates + (loose,))
+        with pytest.raises(EngineError):
+            test_weak_null(fam)
 
 
 class TestAbsEquivalence:

@@ -2,21 +2,24 @@
 
 These tests rebuild the same rows cell by cell with the public
 `intersection_measure` (which recomputes v_J and the set intersection from
-scratch for every cell) and check that corrupting either side of the
-criterion identity is still caught on the evidence path.
+scratch for every cell), rebuild the local table inside each window from the
+sets alone, and check that corrupting either side of the criterion identity
+is still caught on the global and on the local evidence path.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-from linfweak import engine
+from linfweak import engine, localize
 from linfweak.corpus import family_by_name
 from linfweak.engine import (INCONCLUSIVE, EngineError, Policy,
                              default_alpha_grid, intersection_measure,
                              test_weak_null)
 from linfweak.families import SequenceFamily
+from linfweak.localize import neighborhood, test_weak_null_at
 from linfweak.piecewise import PiecewiseFn
+from linfweak.points import ExtPoint
 
 BARE = ("tents", "escape-translates", "summable-disjoint")
 
@@ -108,26 +111,82 @@ class TestEvidenceTable:
                 assert "intersection_measure" not in row
 
 
+def rebuilt_local_table(family, x0, policy, ell_max):
+    """The local evidence table, each cell rebuilt from the sets alone: the
+    measure of A_alpha(u_1) n ... n A_alpha(u_J) n window."""
+    alphas = policy.alpha_grid or [F(1, 2), F(1, 4), F(1, 8)]
+    rows = []
+    for ell in range(1, ell_max + 1):
+        w = neighborhood(family.domain, x0, ell)
+        if w.is_empty():
+            continue
+        for alpha in alphas[:3]:
+            for J in range(1, min(policy.j_max, 6) + 1):
+                inter = w
+                for k in range(1, J + 1):
+                    inter = inter.intersect(family.term(k).superlevel(alpha))
+                rows.append({"ell": ell, "alpha": alpha, "J": J,
+                             "measure": inter.measure()})
+    return rows
+
+
+class TestLocalEvidenceTable:
+    @pytest.mark.parametrize("name", BARE)
+    @pytest.mark.parametrize("point", ("0", "1/2", "inf"))
+    @pytest.mark.parametrize("policy,ell_max", [
+        (Policy(), 6),
+        (Policy(j_max=4, alpha_grid=[F(1, 3), F(1, 2), F(3, 4), F(7, 8)]), 3),
+    ], ids=("default", "small"))
+    def test_equals_windowed_rebuild(self, name, point, policy, ell_max):
+        x0 = ExtPoint.parse(point)
+        verdict = test_weak_null_at(bare(name), x0, policy, ell_max)
+        assert verdict.kind == INCONCLUSIVE
+        table = verdict.evidence["table"]
+        assert table and table == rebuilt_local_table(bare(name), x0, policy,
+                                                      ell_max)
+
+
 def _first_term_only(fns):
     return fns[0]
+
+
+def _global_case(name):
+    def prepare(monkeypatch):
+        return lambda: test_weak_null(bare(name), Policy(j_max=4))
+    return prepare
+
+
+def _local_tents_at_0(monkeypatch):
+    """Only the local table can catch the corruption: the global verdict is
+    computed before it and handed to `test_weak_null_at` as is."""
+    family = bare("tents")
+    found = test_weak_null(family, Policy(j_max=4))
+    monkeypatch.setattr(localize, "test_weak_null", lambda fam, policy: found)
+    return lambda: test_weak_null_at(family, ExtPoint.at(0), Policy(j_max=4))
+
+
+GUARDED = {**{name: _global_case(name) for name in BARE},
+           "tents-at-0": _local_tents_at_0}
 
 
 class TestIdentityGuard:
     """A wrong v_J must be caught by the identity check on the evidence
     path; the set side is computed without v_J, so it cannot follow."""
 
-    @pytest.mark.parametrize("name", BARE)
-    def test_corrupted_min_of(self, name, monkeypatch):
+    @pytest.mark.parametrize("case", GUARDED)
+    def test_corrupted_min_of(self, case, monkeypatch):
+        run = GUARDED[case](monkeypatch)
         monkeypatch.setattr(engine, "min_of", _first_term_only)
         with pytest.raises(EngineError, match="criterion identity violated"):
-            test_weak_null(bare(name), Policy(j_max=4))
+            run()
 
-    @pytest.mark.parametrize("name", BARE)
-    def test_corrupted_abs(self, name, monkeypatch):
+    @pytest.mark.parametrize("case", GUARDED)
+    def test_corrupted_abs(self, case, monkeypatch):
+        run = GUARDED[case](monkeypatch)
         abs_fn = PiecewiseFn.abs_fn
         monkeypatch.setattr(PiecewiseFn, "abs_fn", lambda u: abs_fn(u).add_const(1))
         with pytest.raises(EngineError, match="criterion identity violated"):
-            test_weak_null(bare(name), Policy(j_max=4))
+            run()
 
     def test_corrupted_min_of_on_the_kernel_path(self, monkeypatch):
         monkeypatch.setattr(engine, "min_of", _first_term_only)

@@ -92,6 +92,10 @@ class TestCertificates:
         rep = verify_certificate(fam, EscapeBound(lambda eps: F(1)), budget=4)
         assert not rep.passed
 
+    def test_unknown_certificate_rejected(self):
+        with pytest.raises(TypeError, match="unknown certificate"):
+            verify_certificate(tents(), object(), budget=3)
+
     def test_escape_bound_pass(self):
         fam = escape_translates()
         rep = verify_certificate(fam, fam.certificates[0], budget=10)

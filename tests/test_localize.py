@@ -183,6 +183,14 @@ class TestLocalVerdicts:
                 assert NONNULL in kinds, f"{item.family}: {kinds}"
 
 
+class TestEllMax:
+    @pytest.mark.parametrize("ell_max", [0, -3])
+    def test_ell_max_below_one_rejected(self, ell_max):
+        with pytest.raises(EngineError, match="ell_max must be at least 1"):
+            test_weak_null_at(dyadic_indicators_plus(), ExtPoint.at(0),
+                              ell_max=ell_max)
+
+
 class TestNecessufRegression:
     """1-D shadow of the disjoint-segments example: globally null rings whose
     essential range inside every fixed neighborhood of 0 stays {0, 1} for all

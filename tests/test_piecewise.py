@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import (function_probes, grid_points, interval_sets,
                       piecewise_fns, rationals)
@@ -223,6 +223,23 @@ class TestGridOracles:
             touching = (p.interval.hi == q.interval.lo
                         and p.interval.hi_closed != q.interval.lo_closed)
             assert not (touching and (p.slope, p.intercept) == (q.slope, q.intercept))
+
+    @given(piecewise_fns(), st.integers(1, 12).map(lambda n: F(n, 4)))
+    def test_superlevel(self, u, alpha):
+        s = u.superlevel(alpha)
+        for x in function_probes(u, extra=(s,)):
+            assert s.contains(x) == (abs(u.eval(x)) > alpha)
+
+    @given(piecewise_fns(), interval_sets(max_parts=3))
+    def test_restrict(self, u, window):
+        assume(not u.domain.carrier.intersect(window).is_empty())
+        r = u.restrict(window)
+        assert r.domain.carrier == u.domain.carrier.intersect(window)
+        for x in function_probes(u, extra=(window,)):
+            in_piece = any(p.interval.contains(x) for p in r.pieces)
+            assert in_piece == window.contains(x)
+            if in_piece:
+                assert r.eval(x) == u.eval(x)
 
     def test_min_of_tents_is_one_piece_per_run(self):
         # v_32 of the tents has 7 maximal affine runs: 0, ramp, 1, 0, 1, ramp, 0

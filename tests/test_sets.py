@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from conftest import grid_points, interval_sets, rationals
 from linfweak.sets import (Domain, IntervalSet, SetAlgebraError, closed,
                            complement, ico, intersect, is_compact_subset,
-                           ivl, measure, opened, point, union, NEG_INF, POS_INF)
+                           is_finite, ivl, measure, opened, point, union,
+                           NEG_INF, POS_INF)
 
 
 def S(*parts):
@@ -183,3 +184,25 @@ class TestSweepOracles:
         a = S(closed(0, 1), closed(2, 3), point(4))
         got = a.difference(S(opened(F(1, 2), 4)))
         assert got == S(closed(0, F(1, 2)), point(4))
+
+
+class TestCompactCore:
+    @given(sets_with_rays(), st.integers(1, 12).map(lambda n: F(n, 6)),
+           st.integers(1, 20).map(lambda n: F(n, 2)))
+    def test_compact_subset_keeping_the_inner_probes(self, s, eps, bound):
+        core = s.compact_core(eps, bound)
+        assert core.is_compact() and core.is_subset(s)
+        open_ends = [e for p in s.parts
+                     for e, shut in ((p.lo, p.lo_closed), (p.hi, p.hi_closed))
+                     if is_finite(e) and not shut]
+        for x in grid_points(s, core, S(closed(-bound, bound))):
+            if (s.contains(x) and -bound <= x <= bound
+                    and all(abs(x - e) >= eps for e in open_ends)):
+                assert core.contains(x)
+
+    def test_closed_ends_stay_open_ends_move_rays_are_cut(self):
+        s = S(ivl(NEG_INF, -2, False, True), ico(0, 1), ivl(3, POS_INF, False, False))
+        assert s.compact_core(F(1, 4), 5) == S(closed(-5, -2), closed(0, F(3, 4)),
+                                                closed(F(13, 4), 5))
+        with pytest.raises(SetAlgebraError):
+            s.compact_core(0, 5)
