@@ -13,9 +13,10 @@ import time
 from fractions import Fraction
 
 from . import corpus as corpus_mod
-from .engine import (CertificateError, EngineError, Policy, test_weak_null)
-from .families import CertificateError as FamilyCertificateError
-from .finitemodel import (FAVector, FiniteSpace, enumerate_zero_one_measures,
+from .engine import (DEFAULT_STRATEGIES, CertificateError, EngineError, Policy,
+                     test_weak_null)
+from .finitemodel import (MAX_LIVE_POINTS, FAVector, FiniteSpace,
+                          enumerate_zero_one_measures,
                           essential_range_bruteforce, extreme_points_unit_ball,
                           integrate, jordan, rainwater_check,
                           ultrafilter_roundtrip)
@@ -29,7 +30,6 @@ from .restriction import (CompositeFA, FilterBaseMeasure,
                           OracleConsistencyError, UnsupportedOracleError,
                           fa_query, hat, minimax_value, singularity_witness)
 from .sets import Domain, SetAlgebraError
-from .engine import DEFAULT_STRATEGIES
 
 
 # Largest accepted budgets.  Each bounds loops of the engine or of the
@@ -38,6 +38,9 @@ from .engine import DEFAULT_STRATEGIES
 MAX_BUDGET_J = 64
 MAX_BUDGET_K = 1024
 MAX_ELL = 64
+# Largest finite model: the ultrafilter checks enumerate all 2^n subsets, and
+# vertex enumeration takes at most MAX_LIVE_POINTS positive weights.
+MAX_POINTS = 8
 
 
 def _budget(problem: ProblemFile, key: str, default: int, cap: int) -> int:
@@ -87,9 +90,17 @@ def _run_weaknull(problem: ProblemFile) -> dict:
     return verdict_to_dict(verdict)
 
 
+def _point(problem: ProblemFile) -> ExtPoint:
+    text = problem.get("point")
+    try:
+        return ExtPoint.parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ProblemError(f"point must be a rational or inf, got {text!r}")
+
+
 def _run_weaknull_at(problem: ProblemFile) -> dict:
     family = corpus_mod.family_by_name(problem.get("family"))
-    x0 = ExtPoint.parse(problem.get("point"))
+    x0 = _point(problem)
     ell_max = _budget(problem, "ell-max", 6, MAX_ELL)
     verdict = test_weak_null_at(family, x0, _policy_from(problem), ell_max)
     return verdict_to_dict(verdict)
@@ -109,14 +120,34 @@ def _run_essrange(problem: ProblemFile) -> dict:
 
 def _run_essrange_at(problem: ProblemFile) -> dict:
     _, fn = _parse_domain_fn(problem)
-    x0 = ExtPoint.parse(problem.get("point"))
+    x0 = _point(problem)
     return {"kind": "essential-range-at", "point": str(x0),
             "range": essential_range_at(fn, x0)}
 
 
+def _per_point(key: str, text: str, n: int) -> list[Fraction]:
+    """One rational per point of an n-point model, comma-separated."""
+    values = [parse_rat(x.strip()) for x in text.split(",")]
+    if len(values) != n:
+        raise ProblemError(f"{key} need one value per point: {n} points, "
+                           f"got {len(values)} values")
+    return values
+
+
 def _run_finite_model(problem: ProblemFile) -> dict:
-    weights = [parse_rat(w.strip()) for w in problem.get("weights").split(",")]
+    weights = problem.get_rats("weights")
+    live = sum(1 for w in weights if w > 0)
+    if len(weights) > MAX_POINTS or live > MAX_LIVE_POINTS:
+        raise ProblemError(f"weights: at most {MAX_POINTS} points with at most "
+                           f"{MAX_LIVE_POINTS} positive, got {len(weights)} "
+                           f"with {live} positive")
+    if any(w < 0 for w in weights):
+        raise ProblemError("weights must be nonnegative")
     space = FiniteSpace(tuple(weights))
+    masses, vectors = problem.get("masses"), problem.get("vectors")
+    nu = FAVector(tuple(_per_point("masses", masses, space.n))) if masses else None
+    vecs = [_per_point("vectors", chunk, space.n)
+            for chunk in vectors.split(";")] if vectors else []
     omegas = enumerate_zero_one_measures(space)
     out: dict = {
         "kind": "finite-model",
@@ -126,16 +157,12 @@ def _run_finite_model(problem: ProblemFile) -> dict:
                                for w in omegas],
         "extreme_points": [list(v.masses) for v in extreme_points_unit_ball(space)],
     }
-    if problem.get("masses"):
-        nu = FAVector(tuple(parse_rat(m.strip())
-                            for m in problem.get("masses").split(",")))
+    if nu is not None:
         dec = jordan(nu, space)
         out["jordan"] = {"positive": list(dec.positive.masses),
                          "negative": list(dec.negative.masses),
                          "total_variation": dec.total_variation}
-    if problem.get("vectors"):
-        vecs = [[parse_rat(x.strip()) for x in chunk.split(",")]
-                for chunk in problem.get("vectors").split(";")]
+    if vecs:
         out["essential_ranges"] = [sorted(essential_range_bruteforce(v, space))
                                    for v in vecs]
         out["integrals_at_extremes"] = [
@@ -166,7 +193,10 @@ def _run_restrict(problem: ProblemFile) -> dict:
     density = None
     if problem.get("density"):
         density = parse_piecewise(problem.get("density"), domain)
-    nu = CompositeFA(atoms, density, domain)
+    try:
+        nu = CompositeFA(atoms, density, domain)
+    except ValueError as exc:  # its checks of the coefficients and the density
+        raise ProblemError(str(exc))
     rb = hat(nu)
     out: dict = {
         "kind": "restrict",
@@ -186,6 +216,8 @@ def _run_restrict(problem: ProblemFile) -> dict:
                           "hat_value": rb.measure_of(e)}
     if problem.get("alpha"):
         alpha = parse_rat(problem.get("alpha"))
+        if alpha <= 0:
+            raise ProblemError(f"alpha must be positive, got {alpha}")
         wit = singularity_witness(nu, alpha)
         if wit is None:
             out["singularity"] = {"found": False, "alpha": alpha}
@@ -314,8 +346,8 @@ def main(argv=None) -> int:
             SetAlgebraError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (EngineError, CertificateError, FamilyCertificateError,
-            UnsupportedOracleError, OracleConsistencyError) as exc:
+    except (EngineError, CertificateError, UnsupportedOracleError,
+            OracleConsistencyError) as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return 4
     text_out = render_machine(report) if args.format == "machine" \

@@ -35,9 +35,6 @@ class RatInterval:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-    def overlaps(self, other: "RatInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def __neg__(self) -> "RatInterval":
         return RatInterval(-self.hi, -self.lo)
 

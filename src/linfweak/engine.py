@@ -194,33 +194,46 @@ def _identity_checked(inter: IntervalSet, vj: PiecewiseFn, alpha: Fraction,
     return direct
 
 
+def _prefix_minima(family: SequenceFamily, subseq: Sequence[int],
+                   minima: dict):
+    """Yield v_1, v_2, ... along subseq, each v_J as min(v_{J-1}, |u_kJ|).
+
+    `minima` maps subsequence prefixes to their v_J.  It belongs to one
+    engine call (never to the module), so a prefix is built once per call
+    however many alphas, windows, rows or subsequences share it.
+    """
+    if subseq:
+        _check_subseq(subseq, 1)
+    vj = None
+    for J, k in enumerate(subseq, start=1):
+        prefix = tuple(subseq[:J])
+        cached = minima.get(prefix)
+        if cached is None:
+            cached = family.term(k).abs_fn()
+            if vj is not None:
+                cached = min_of([vj, cached])
+            minima[prefix] = cached
+        vj = cached
+        yield vj
+
+
 def _walk(family: SequenceFamily, subseq: Sequence[int], alpha: Fraction,
           minima: dict, window: Optional[IntervalSet] = None):
     """Yield (J, intersection measure) for J = 1, 2, ... along subseq.
 
     The subsequence is walked once: the superlevel intersection of step J is
-    the one of step J-1 intersected with A_alpha(u_kJ), and v_J is
-    min(v_{J-1}, |u_kJ|).  `minima` maps subsequence prefixes to their v_J;
-    it belongs to one engine call and is shared by every alpha and every
-    subsequence of that call.  With a window, the intersection starts from
-    the window and both sides of the identity are measured inside it; v_J
-    depends on neither, so one `minima` serves every (window, alpha).  Each
-    cell is checked against the criterion identity as in
-    `intersection_measure`.
+    the one of step J-1 intersected with A_alpha(u_kJ), and v_J comes from
+    `_prefix_minima`.  With a window, the intersection starts from the
+    window and both sides of the identity are measured inside it; v_J
+    depends on neither alpha nor the window, so one `minima` serves every
+    (window, alpha).  Each cell is checked against the criterion identity
+    as in `intersection_measure`.
     """
-    if subseq:
-        _check_subseq(subseq, 1)
     inter = window
-    for J, k in enumerate(subseq, start=1):
+    for J, (k, vj) in enumerate(zip(subseq, _prefix_minima(family, subseq, minima)),
+                                start=1):
         s = family.term(k).superlevel(alpha)
         inter = s if inter is None else inter.intersect(s)
-        prefix = tuple(subseq[:J])
-        vj = minima.get(prefix)
-        if vj is None:
-            vj = family.term(k).abs_fn()
-            if J > 1:
-                vj = min_of([minima[prefix[:-1]], vj])
-            minima[prefix] = vj
         yield J, _identity_checked(inter, vj, alpha, window)
 
 
@@ -284,8 +297,7 @@ def _trust_note(policy: Policy) -> str:
 
 
 def _spot_alphas(family, policy):
-    grid = policy.alpha_grid or default_alpha_grid(family, min(policy.k_max, 12))
-    return grid
+    return policy.alpha_grid or default_alpha_grid(family, min(policy.k_max, 12))
 
 
 def _try_eventual_constant(family, policy):
@@ -324,11 +336,12 @@ def _try_summable_disjoint(family, policy):
                         witness=sets[i].intersect(sets[j]))
     j_zero = len(family.layers) + 1
     checks = {}
+    minima: dict = {}
     for name, strat in policy.resolved_strategies():
         subseq = [strat(j) for j in range(1, j_zero + 1)]
         if subseq[-1] > policy.k_max:
             continue
-        vj = v_inf(family, subseq, j_zero)
+        *_, vj = _prefix_minima(family, subseq, minima)
         checks[name] = vj.ess_sup_norm()
         if checks[name] != 0:
             raise EngineError(f"summable-disjoint pigeonhole violated on {name}")
@@ -369,13 +382,13 @@ def _try_escape_bound(family, policy):
     cert = certs[0]
     step = family.step
     table = []
+    minima: dict = {}
     for eps in [Fraction(1, 2 ** n) for n in range(0, 7)]:
         w = rat(cert.window(eps))
         j_bound = math.floor(2 * w / step) + 2
         row = {"eps": eps, "window": w, "J_bound": j_bound}
         if j_bound <= policy.j_max + 4:
-            subseq = list(range(1, j_bound + 1))
-            vj = v_inf(family, subseq, j_bound)
+            *_, vj = _prefix_minima(family, range(1, j_bound + 1), minima)
             row["identity_norm"] = vj.ess_sup_norm()
             if row["identity_norm"] > eps:
                 raise EngineError("escape counting bound violated on identity")
@@ -461,43 +474,47 @@ _SCHEMES = (_try_eventual_constant, _try_summable_disjoint,
 
 
 def _inconclusive(family, policy):
-    """The exact evidence table over the (alpha, subsequence, J) cells.
-
-    Each subsequence is walked once per alpha (see `_walk`): every cell
-    extends the previous cell's intersection by one set, and v_J is built
-    once per subsequence prefix for all alphas.  The criterion identity
-    (sets against v_J) is still checked on every cell.  A row ends at the
-    first null intersection or, for strategies, at the first index beyond
-    k_max.
-    """
-    alphas = _spot_alphas(family, policy)
-    minima: dict = {}
-    table = []
-    for alpha in alphas:
-        for name, strat in policy.resolved_strategies():
-            subseq = []
-            for j in range(1, policy.j_max + 1):
-                k = strat(j)
-                if k > policy.k_max:
-                    break
-                subseq.append(k)
-            for J, m in _walk(family, subseq, alpha, minima):
-                table.append({"alpha": alpha, "subsequence": name, "J": J,
-                              "measure": m})
-                if m == 0:
-                    break
-    for subseq in policy.extra_subsequences:
-        for alpha in alphas:
-            for J, m in islice(_walk(family, subseq, alpha, minima), policy.j_max):
-                table.append({"alpha": alpha, "subsequence": str(subseq), "J": J,
-                              "measure": m})
-                if m == 0:
-                    break
     return Verdict(family.name, INCONCLUSIVE, scheme=None,
-                   evidence={"table": table},
+                   evidence={"table": _evidence_table(family, policy, {})},
                    trust="no certificate scheme applied; the table shows exact "
                          "measures for the tested (alpha, subsequence, J) cells "
                          "only and decides nothing beyond them")
+
+
+def _evidence_table(family, policy, minima, window=None):
+    """The exact evidence table over the (alpha, subsequence, J) cells.
+
+    The cells are every alpha of the grid, every strategy (indices up to
+    k_max) and every extra subsequence, with J <= j_max; a row ends at its
+    first null intersection.  Each subsequence is walked once per alpha
+    (see `_walk`), so every cell extends the previous cell's intersection by
+    one set and v_J comes from `minima`; the criterion identity (sets
+    against v_J) is still checked on every cell.  With a window every cell
+    is measured inside it: the localized table is this one, per window.
+    """
+    alphas = _spot_alphas(family, policy)
+    strategies = []
+    for name, strat in policy.resolved_strategies():
+        subseq = []
+        for j in range(1, policy.j_max + 1):
+            k = strat(j)
+            if k > policy.k_max:
+                break
+            subseq.append(k)
+        strategies.append((name, subseq))
+    rows = [(name, subseq, alpha) for alpha in alphas
+            for name, subseq in strategies]
+    rows += [(str(subseq), subseq, alpha)
+             for subseq in policy.extra_subsequences for alpha in alphas]
+    table = []
+    for label, subseq, alpha in rows:
+        for J, m in islice(_walk(family, subseq, alpha, minima, window),
+                           policy.j_max):
+            table.append({"alpha": alpha, "subsequence": label, "J": J,
+                          "measure": m})
+            if m == 0:
+                break
+    return table
 
 
 # ---------------------------------------------------------------------------

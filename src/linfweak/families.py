@@ -391,10 +391,9 @@ class SummableDisjointFamily(SequenceFamily):
         return linear_combo([c for c, _ in self.layers], fns)
 
     def abs_mapped(self):
-        mapped = SummableDisjointFamily(
+        return SummableDisjointFamily(
             self.domain, [(abs(c), gen) for c, gen in self.layers],
-            f"abs({self.name})", self.tail_bound)
-        return mapped
+            f"abs({self.name})", self.tail_bound, self.certificates)
 
 
 class MappedStepFamily(SequenceFamily):

@@ -24,6 +24,11 @@ class FiniteModelError(ValueError):
     pass
 
 
+# Vertex enumeration of the dual unit ball is limited to this many points of
+# positive weight (2^d halfspaces in dimension d).
+MAX_LIVE_POINTS = 6
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """n atom-points with nonnegative weights (the measure of each point)."""
@@ -94,9 +99,6 @@ class FAVector:
 
     def total_variation(self) -> Fraction:
         return sum(abs(m) for m in self.masses)
-
-    def vanishes_on_nulls(self, space: FiniteSpace) -> bool:
-        return all(m == 0 for m, w in zip(self.masses, space.weights) if w == 0)
 
     def scale(self, c: Fraction) -> "FAVector":
         return FAVector(tuple(c * m for m in self.masses))
@@ -354,8 +356,9 @@ def extreme_points_unit_ball(space: FiniteSpace) -> list[FAVector]:
     d = len(pos)
     if d == 0:
         return []
-    if d > 6:
-        raise FiniteModelError("vertex enumeration is limited to 6 live points")
+    if d > MAX_LIVE_POINTS:
+        raise FiniteModelError(f"vertex enumeration is limited to "
+                               f"{MAX_LIVE_POINTS} live points")
     constraints = []
     for signs in product((1, -1), repeat=d):
         constraints.append((tuple(Fraction(s) for s in signs), Fraction(1)))

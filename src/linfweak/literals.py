@@ -159,15 +159,6 @@ def format_set(s: IntervalSet) -> str:
     return str(s)
 
 
-def parse_interval(text: str) -> Interval:
-    sc = _Scanner(text)
-    out = _parse_item(sc)
-    sc.done()
-    if out is None:
-        raise LiteralError("interval is empty", 0)
-    return out
-
-
 def parse_piecewise(text: str, domain: Domain) -> PiecewiseFn:
     sc = _Scanner(text)
     triples = []

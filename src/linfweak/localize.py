@@ -10,9 +10,10 @@ only weaken it), so certificates valid on every sufficiently small window
 decide the localized verdict.
 
 A local evidence cell is therefore a global cell measured inside a window:
-when no local scheme applies, the evidence table is the engine's evidence
-walk (`engine._walk`) run inside each canonical neighborhood, with the
-criterion identity checked on every cell.
+when no local scheme applies, the evidence table is the engine's global
+table (`engine._evidence_table`, same alphas, subsequences and J) run inside
+each canonical neighborhood, with the criterion identity checked on every
+cell.
 
 Finite points are allowed anywhere in the closure of the carrier: localizing
 at a boundary point not in X means localizing along that single escape
@@ -26,12 +27,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy, Verdict,
-                     Witness, _walk, test_weak_null)
+                     Witness, _evidence_table, test_weak_null)
 from .families import (ExplicitListFamily, SequenceFamily, SuperlevelKernel,
                        SupportEnvelope, TranslateFamily)
 from .piecewise import PiecewiseFn
 from .points import ExtPoint
-from .sets import Domain, IntervalSet, closed, is_finite, opened
+from .sets import (Domain, Interval, IntervalSet, closed, is_finite, opened,
+                   point)
 
 __all__ = ["ExtPoint", "neighborhood", "compact_exhaustion", "escape_points",
            "accumulates_at", "essential_range", "essential_range_in",
@@ -79,20 +81,19 @@ def escape_points(carrier: IntervalSet) -> tuple[list[Fraction], bool, bool]:
     return sorted(set(finite)), to_neg, to_pos
 
 
+def _reaches(part: Interval, x0: ExtPoint, carrier: IntervalSet) -> bool:
+    """Does the closure of this part reach x0 in X_inf?  The point at
+    infinity is reached by an unbounded part or through an escape point of
+    the carrier."""
+    if not x0.is_infinite:
+        return part.lo <= x0.x <= part.hi
+    return (not part.is_bounded() or
+            any(part.lo <= q <= part.hi for q in escape_points(carrier)[0]))
+
+
 def accumulates_at(s: IntervalSet, x0: ExtPoint, carrier: IntervalSet) -> bool:
     """Exact test: does s have positive measure in every neighborhood of x0?"""
-    if x0.is_infinite:
-        pts, to_neg, to_pos = escape_points(carrier)
-        for p in s.parts:
-            if p.is_point():
-                continue
-            if not is_finite(p.lo) or not is_finite(p.hi):
-                return True
-            if any(p.lo <= q <= p.hi for q in pts):
-                return True
-        return False
-    x = x0.x
-    return any((not p.is_point()) and p.lo <= x <= p.hi for p in s.parts)
+    return any(not p.is_point() and _reaches(p, x0, carrier) for p in s.parts)
 
 
 def _validate_point(domain: Domain, x0: ExtPoint):
@@ -130,25 +131,16 @@ def essential_range_at(u: PiecewiseFn, x0: ExtPoint) -> IntervalSet:
     whose closure reaches x0 (through the carrier's escape routes, for the
     point at infinity) contribute, each with its limit value there."""
     _validate_point(u.domain, x0)
+    pts = escape_points(u.domain.carrier)[0] if x0.is_infinite else [x0.x]
     vals: list[Fraction] = []
-    if x0.is_infinite:
-        pts, _, _ = escape_points(u.domain.carrier)
-        for p in u.pieces:
-            if p.is_null():
-                continue
-            iv = p.interval
-            if not is_finite(iv.lo) or not is_finite(iv.hi):
-                vals.append(p.intercept)  # unbounded pieces have slope 0
-            for q in pts:
-                if iv.lo <= q <= iv.hi:
-                    vals.append(p.value(q))
-    else:
-        x = x0.x
-        for p in u.pieces:
-            if not p.is_null() and p.interval.lo <= x <= p.interval.hi:
-                vals.append(p.value(x))
-    from .sets import point as _pt
-    return IntervalSet.of(*[_pt(v) for v in vals])
+    for p in u.pieces:
+        if p.is_null():
+            continue
+        iv = p.interval
+        if x0.is_infinite and not iv.is_bounded():
+            vals.append(p.intercept)  # unbounded pieces have slope 0
+        vals += [p.value(q) for q in pts if iv.lo <= q <= iv.hi]
+    return IntervalSet.of(*[point(v) for v in vals])
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +221,10 @@ def _local_translate(family, x0, policy, ell_max):
     # finite point: far translates are identically the right tail value on a ball
     x = x0.x
     radius = Fraction(1, 1)
+    window = neighborhood(family.domain, x0, 1)
     thresh = _ceil_div(hi_bp - (x - radius), step) + 1
     thresh = max(thresh, 1)
     if l_pos == 0:
-        window = IntervalSet.of(opened(x - radius, x + radius)).intersect(
-            family.domain.carrier)
         restricted_norm = family.term(thresh).restrict(window).ess_sup_norm() \
             if not window.is_empty() else Fraction(0)
         if restricted_norm != 0:
@@ -246,8 +237,6 @@ def _local_translate(family, x0, policy, ell_max):
                              f"shifted window), so v_J vanishes there for "
                              f"J >= {thresh} along every subsequence; exact")
     alpha = abs(l_pos) / 2
-    window = IntervalSet.of(opened(x - radius, x + radius)).intersect(
-        family.domain.carrier)
     def kernel(k, _w=window):
         return _w
     table = [{"J": J, "k_J": thresh + J, "kernel_measure": window.measure()}
@@ -297,15 +286,8 @@ def _separating_window(domain, x0, accum: ExtPoint, ell_max):
         w = neighborhood(domain, x0, ell)
         if w.is_empty():
             return None
-        if accum.is_infinite:
-            if w.is_bounded():
-                cls = w.closure()
-                pts, _, _ = escape_points(domain.carrier)
-                if all(not cls.contains(q) for q in pts):
-                    return w, ell
-        else:
-            if not w.closure().contains(accum.x):
-                return w, ell
+        if not any(_reaches(p, accum, domain.carrier) for p in w.parts):
+            return w, ell
     return None
 
 
@@ -349,6 +331,12 @@ def _local_kernel(family, x0, policy, ell_max):
     return None
 
 
+def _top_limit(u: PiecewiseFn, x0: ExtPoint) -> Fraction:
+    """The largest limit value of |u| at x0 (0 when there is none)."""
+    rng = essential_range_at(u.abs_fn(), x0)
+    return max((p.hi for p in rng.parts), default=Fraction(0))
+
+
 def _local_eventual_constant(family, x0, policy, ell_max):
     if not isinstance(family, ExplicitListFamily):
         return None
@@ -357,8 +345,7 @@ def _local_eventual_constant(family, x0, policy, ell_max):
         return None
     # the tail repeats forever, so nullity at x0 is decided by the essential
     # range of |tail| at x0: any positive limit value yields a kernel there
-    local_range = essential_range_at(tail.abs_fn(), x0)
-    top = max((p.hi for p in local_range.parts), default=Fraction(0))
+    top = _top_limit(tail, x0)
     start = len(family.terms)
     if top == 0:
         return Verdict(family.name, NULL, scheme="local-eventual-constant",
@@ -385,10 +372,7 @@ def _local_monotone(family, x0, policy, ell_max):
     if not family.certificates_of(MonotoneEnvelope):
         return None
     budget = policy.cert_budget
-    tops = []
-    for k in range(1, budget + 1):
-        rng = essential_range_at(family.term(k).abs_fn(), x0)
-        tops.append(max((p.hi for p in rng.parts), default=Fraction(0)))
+    tops = [_top_limit(family.term(k), x0) for k in range(1, budget + 1)]
     if tops[-1] == 0:
         k0 = next(k for k, t in enumerate(tops, start=1) if t == 0)
         return Verdict(family.name, NULL, scheme="local-monotone-vanishing",
@@ -449,21 +433,15 @@ _LOCAL_SCHEMES = (_local_translate, _local_support_envelope, _local_kernel,
 
 
 def _local_inconclusive(family, x0, policy, ell_max):
-    """Exact restricted measures for the (ell, alpha, J) cells along the
-    identity subsequence: the global evidence walk inside each window, so
-    every cell is checked against the criterion identity."""
+    """The global evidence table inside each non-empty canonical
+    neighborhood, its rows tagged with ell; v_J is shared by every window."""
     rows = []
-    alphas = (policy.alpha_grid or
-              [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
-    subseq = list(range(1, min(policy.j_max, 6) + 1))
     minima: dict = {}
     for ell in range(1, ell_max + 1):
         w = neighborhood(family.domain, x0, ell)
-        if w.is_empty():
-            continue
-        for alpha in alphas[:3]:
-            for J, m in _walk(family, subseq, alpha, minima, w):
-                rows.append({"ell": ell, "alpha": alpha, "J": J, "measure": m})
+        if not w.is_empty():
+            rows += [{"ell": ell, **row}
+                     for row in _evidence_table(family, policy, minima, w)]
     return Verdict(family.name, INCONCLUSIVE, evidence={"x0": str(x0), "table": rows},
                    trust="no local scheme applied; exact restricted measures "
                          "for the tested cells only")

@@ -329,9 +329,6 @@ class PiecewiseFn:
     def ae_equal(self, other: "PiecewiseFn") -> bool:
         return self.ne_set(other).is_null()
 
-    def ae_leq(self, other: "PiecewiseFn") -> bool:
-        return self.sub(other).gt_set(0).is_null()
-
     def __str__(self) -> str:
         bits = ", ".join(f"{p.interval}: {p.slope}*x+{p.intercept}" for p in self.pieces)
         return f"piecewise[{bits}]"

@@ -54,9 +54,6 @@ class ProblemFile:
             lines.append(f"{key} = {self.fields[key]}")
         return lines
 
-    def canonical_text(self) -> str:
-        return "\n".join(self.canonical_lines()) + "\n"
-
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.fields.get(key, default)
 

@@ -81,14 +81,6 @@ class BasePart:
         return BasePart(EndFn(rat(lo_c), rat(lo_inv)), EndFn(rat(hi_c), rat(hi_inv)),
                         lo_closed, hi_closed)
 
-    @staticmethod
-    def left_ray(hi: EndFn, hi_closed=False) -> "BasePart":
-        return BasePart(None, hi, False, hi_closed)
-
-    @staticmethod
-    def right_ray(lo: EndFn, lo_closed=False) -> "BasePart":
-        return BasePart(lo, None, lo_closed, False)
-
     def at(self, ell: int) -> Optional[Interval]:
         lo = self.lo.at(ell) if self.lo is not None else NEG_INF
         hi = self.hi.at(ell) if self.hi is not None else POS_INF
@@ -169,9 +161,9 @@ class FilterBaseMeasure:
             if prev is not None and not b.is_subset(prev):
                 raise SetAlgebraError(f"B_{ell} is not nested inside B_{ell-1}")
             prev = b
-        self._check_tail_nested(check_budget)
+        self._check_tail_nested()
 
-    def _check_tail_nested(self, budget):
+    def _check_tail_nested(self):
         for p in self.formula.parts:
             if p.lo is not None and not (p.lo.lin > 0 or (p.lo.lin == 0 and p.lo.inv <= 0)):
                 raise UnsupportedOracleError(

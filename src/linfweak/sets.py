@@ -254,10 +254,6 @@ class IntervalSet:
     def is_bounded(self) -> bool:
         return all(p.is_bounded() for p in self.parts)
 
-    def is_open(self) -> bool:
-        """Open as a subset of the real line."""
-        return all(not p.lo_closed and not p.hi_closed for p in self.parts)
-
     def is_closed(self) -> bool:
         """Closed as a subset of the real line (infinite ends qualify)."""
         return all((not is_finite(p.lo) or p.lo_closed) and

@@ -246,3 +246,47 @@ class TestBudgets:
         code, out, _ = invoke(["weaknull", cfg, f"--budget-J={MAX_BUDGET_J}",
                                f"--budget-k={MAX_BUDGET_K}", "--format", "machine"])
         assert code == 0 and "result.kind = null-certified" in out
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a rejected finite model was enumerated")
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("text", [
+        "task = finite-model\nweights = 1, -1, 2\n",
+        "task = finite-model\nweights = 1, 1, 1, 1, 1, 1, 1\n",
+        "task = finite-model\nweights = " + ", ".join(["1"] * 16) + "\n",
+        "task = finite-model\nweights = " + ", ".join(["0"] * 9) + "\n",
+        "task = finite-model\nweights = 1, 1\nvectors = 1,2,3\n",
+        "task = finite-model\nweights = 1, 1\nmasses = 1\n",
+        "task = restrict\ndomain = (0,1)\natoms = -1 * (0,1/l)\n",
+        "task = restrict\ndomain = (0,1)\ndensity = (0,1) 0 -1\n",
+        "task = restrict\ndomain = (0,1)\natoms = 1 * (0,1/l)\nalpha = 0\n",
+        "task = weaknull-at\nfamily = tents\npoint = abc\n",
+        "task = essrange-at\ndomain = (-1,1)\nfunction = (-1,1) 0 1\n"
+        "point = 1/0\n",
+    ], ids=("negative-weight", "seven-positive-weights", "sixteen-weights",
+            "nine-weights", "vector-length", "masses-length", "negative-atom",
+            "negative-density", "zero-alpha", "point-abc", "point-1/0"))
+    def test_exits_two_before_any_enumeration(self, tmp_path, monkeypatch, text):
+        import linfweak.cli as cli
+        for name in ("enumerate_zero_one_measures", "extreme_points_unit_ball"):
+            monkeypatch.setattr(cli, name, _never)
+        task = text.split("\n")[0].split(" = ")[1]
+        code, out, err = invoke([task, write(tmp_path, "p.cfg", text)])
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "Traceback" not in err
+
+    def test_largest_finite_model_accepted(self, tmp_path, monkeypatch):
+        import linfweak.cli as cli
+        from linfweak.cli import MAX_POINTS
+        from linfweak.finitemodel import MAX_LIVE_POINTS
+        # the bounds are inclusive; vertex enumeration at MAX_LIVE_POINTS
+        # takes seconds and is not what this checks
+        monkeypatch.setattr(cli, "extreme_points_unit_ball", lambda space: [])
+        weights = ["1"] * MAX_LIVE_POINTS + ["0"] * (MAX_POINTS - MAX_LIVE_POINTS)
+        cfg = write(tmp_path, "p.cfg",
+                    f"task = finite-model\nweights = {', '.join(weights)}\n")
+        code, out, _ = invoke(["finite-model", cfg, "--format", "machine"])
+        assert code == 0 and f"result.n = {MAX_POINTS}" in out

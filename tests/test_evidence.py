@@ -2,9 +2,10 @@
 
 These tests rebuild the same rows cell by cell with the public
 `intersection_measure` (which recomputes v_J and the set intersection from
-scratch for every cell), rebuild the local table inside each window from the
-sets alone, and check that corrupting either side of the criterion identity
-is still caught on the global and on the local evidence path.
+scratch for every cell), rebuild the local table as the same cells inside
+each window from the sets alone, and check that corrupting either side of
+the criterion identity is still caught on the global and on the local
+evidence path.
 """
 
 from fractions import Fraction as F
@@ -36,8 +37,21 @@ def bare(name):
     return Bare(inner.domain, f"bare-{name}", inner.norm_bound, ())
 
 
-def rebuilt_table(family, policy):
-    """The evidence table, one `intersection_measure` call per cell."""
+def _cell(family, subseq, alpha, J, window):
+    """One cell from scratch: `intersection_measure` globally, and inside a
+    window the measure of window n A_alpha(u_k1) n ... n A_alpha(u_kJ),
+    built from the sets alone."""
+    if window is None:
+        return intersection_measure(family, subseq, alpha, J)
+    inter = window
+    for k in subseq[:J]:
+        inter = inter.intersect(family.term(k).superlevel(alpha))
+    return inter.measure()
+
+
+def rebuilt_table(family, policy, window=None):
+    """The evidence table (inside the window, when one is given), one
+    from-scratch computation per cell."""
     alphas = policy.alpha_grid or default_alpha_grid(family, min(policy.k_max, 12))
     rows = []
     for alpha in alphas:
@@ -46,7 +60,7 @@ def rebuilt_table(family, policy):
                 subseq = [strat(j) for j in range(1, J + 1)]
                 if subseq[-1] > policy.k_max:
                     break
-                m = intersection_measure(family, subseq, alpha, J)
+                m = _cell(family, subseq, alpha, J, window)
                 rows.append({"alpha": alpha, "subsequence": name, "J": J,
                              "measure": m})
                 if m == 0:
@@ -54,7 +68,7 @@ def rebuilt_table(family, policy):
     for subseq in policy.extra_subsequences:
         for alpha in alphas:
             for J in range(1, min(policy.j_max, len(subseq)) + 1):
-                m = intersection_measure(family, subseq, alpha, J)
+                m = _cell(family, subseq, alpha, J, window)
                 rows.append({"alpha": alpha, "subsequence": str(subseq), "J": J,
                              "measure": m})
                 if m == 0:
@@ -111,25 +125,6 @@ class TestEvidenceTable:
                 assert "intersection_measure" not in row
 
 
-def rebuilt_local_table(family, x0, policy, ell_max):
-    """The local evidence table, each cell rebuilt from the sets alone: the
-    measure of A_alpha(u_1) n ... n A_alpha(u_J) n window."""
-    alphas = policy.alpha_grid or [F(1, 2), F(1, 4), F(1, 8)]
-    rows = []
-    for ell in range(1, ell_max + 1):
-        w = neighborhood(family.domain, x0, ell)
-        if w.is_empty():
-            continue
-        for alpha in alphas[:3]:
-            for J in range(1, min(policy.j_max, 6) + 1):
-                inter = w
-                for k in range(1, J + 1):
-                    inter = inter.intersect(family.term(k).superlevel(alpha))
-                rows.append({"ell": ell, "alpha": alpha, "J": J,
-                             "measure": inter.measure()})
-    return rows
-
-
 class TestLocalEvidenceTable:
     @pytest.mark.parametrize("name", BARE)
     @pytest.mark.parametrize("point", ("0", "1/2", "inf"))
@@ -138,12 +133,25 @@ class TestLocalEvidenceTable:
         (Policy(j_max=4, alpha_grid=[F(1, 3), F(1, 2), F(3, 4), F(7, 8)]), 3),
     ], ids=("default", "small"))
     def test_equals_windowed_rebuild(self, name, point, policy, ell_max):
+        family = bare(name)
         x0 = ExtPoint.parse(point)
-        verdict = test_weak_null_at(bare(name), x0, policy, ell_max)
+        verdict = test_weak_null_at(family, x0, policy, ell_max)
         assert verdict.kind == INCONCLUSIVE
-        table = verdict.evidence["table"]
-        assert table and table == rebuilt_local_table(bare(name), x0, policy,
-                                                      ell_max)
+        windows = [(ell, neighborhood(family.domain, x0, ell))
+                   for ell in range(1, ell_max + 1)]
+        rebuilt = [{"ell": ell, **row} for ell, w in windows if not w.is_empty()
+                   for row in rebuilt_table(family, policy, w)]
+        assert verdict.evidence["table"] and verdict.evidence["table"] == rebuilt
+
+    def test_honours_the_alpha_grid_and_extra_subsequences(self):
+        grid = [F(1, 8), F(1, 4), F(1, 2), F(3, 4)]
+        policy = Policy(alpha_grid=grid, extra_subsequences=[[2, 3, 5]])
+        table = test_weak_null_at(bare("tents"), ExtPoint.at(0),
+                                  policy).evidence["table"]
+        assert {row["alpha"] for row in table} == set(grid)
+        extra = [row for row in table if row["subsequence"] == "[2, 3, 5]"]
+        assert {row["alpha"] for row in extra} == set(grid)
+        assert {row["ell"] for row in extra} == set(range(1, 7))
 
 
 def _first_term_only(fns):

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from linfweak.corpus import (dyadic_indicators, dyadic_indicators_plus,
-                             escape_translates, sided_translates,
+from linfweak.corpus import (FAMILIES, dyadic_indicators,
+                             dyadic_indicators_plus, escape_translates,
+                             family_by_name, sided_translates,
                              summable_disjoint, tents)
 from linfweak.families import (DisjointSupports, ExplicitListFamily,
                                IndicatorFamily, MonotoneEnvelope, NormLimit,
@@ -14,6 +15,7 @@ from linfweak.piecewise import PiecewiseFn
 from linfweak.sets import Domain, IntervalSet, ico
 
 DOM = Domain.open_interval(-1, 1)
+PIECEWISE = [name for name in FAMILIES if not family_by_name(name).evaluable]
 
 
 class TestTerms:
@@ -116,10 +118,11 @@ class TestStructure:
         shifted = fam.profile.superlevel(alpha).shift(-k * fam.step)
         assert fam.term(k).superlevel(alpha) == shifted
 
-    def test_abs_mapped_keeps_certificates(self):
-        fam = tents()
+    @pytest.mark.parametrize("name", PIECEWISE)
+    def test_abs_mapped_keeps_certificates(self, name):
+        fam = family_by_name(name)
         mapped = fam.abs_mapped()
-        assert len(mapped.certificates) == len(fam.certificates)
+        assert mapped.certificates == fam.certificates
         assert mapped.term(4).ae_equal(fam.term(4).abs_fn())
 
     def test_summable_terms_are_layer_sums(self):

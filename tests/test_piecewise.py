@@ -241,6 +241,27 @@ class TestGridOracles:
             if in_piece:
                 assert r.eval(x) == u.eval(x)
 
+    @given(piecewise_fns())
+    def test_abs_fn(self, u):
+        a = u.abs_fn()
+        for x in function_probes(u, a):
+            assert a.eval(x) == abs(u.eval(x))
+
+    @given(piecewise_fns(step=True),
+           st.lists(rationals(lo=-3, hi=3, max_den=4), max_size=4))
+    def test_compose_poly(self, s, coeffs):
+        p = s.compose_poly(coeffs)
+        for x in function_probes(s, p):
+            assert p.eval(x) == sum(c * s.eval(x) ** i for i, c in enumerate(coeffs))
+
+    @given(piecewise_fns(), rationals())
+    def test_translate(self, u, d):
+        t = u.translate(d)
+        assert t.domain.carrier == u.domain.carrier.shift(-d)
+        for x in function_probes(u):
+            assert any(p.interval.contains(x - d) for p in t.pieces)
+            assert t.eval(x - d) == u.eval(x)
+
     def test_min_of_tents_is_one_piece_per_run(self):
         # v_32 of the tents has 7 maximal affine runs: 0, ramp, 1, 0, 1, ramp, 0
         t = TentFamily()
