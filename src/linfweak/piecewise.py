@@ -16,6 +16,19 @@ constructors keep the pieces they are given, since family terms feed
 
 Binary operations walk the two sorted piece lists once, advancing whichever
 piece ends first, so each costs time linear in the pieces of its operands.
+Where two laws cross (in ``min_of``), where a law changes sign (in
+``abs_fn``) and where it crosses a level (in ``superlevel`` and ``gt_set``),
+the side each law wins on follows from the sign of a slope, since
+a x + b - c = a (x - x0); no point is sampled.
+
+Every ``PiecewiseFn`` is validated when it is built, internal results
+included, in one walk over its pieces and the carrier parts, without
+sorting: inside each carrier part the pieces must form one run that starts
+at the part's start and ends at its end, each piece starting where the one
+before it ends (two touching ends may not both be closed); a part that
+holds no piece must be a single point, and a piece with nonzero slope must
+be bounded.  So the pieces are in order and disjoint, their union lies in
+the carrier, and the carrier minus that union is Lebesgue-null.
 """
 
 from __future__ import annotations
@@ -24,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .sets import (Domain, Interval, IntervalSet, POS_INF, SetAlgebraError,
-                   _ends_before, _intersect_intervals, is_finite, ivl, rat)
+from .sets import (Domain, Interval, IntervalSet, SetAlgebraError,
+                   _ends_before, _intersect_intervals, is_finite, rat)
 
 
 class UnsupportedOperationError(ValueError):
@@ -57,17 +70,47 @@ class Piece:
         return (min(va, vb), max(va, vb))
 
 
-def _interior_sample(iv: Interval) -> Fraction:
-    """Some rational point strictly inside iv (or the point itself)."""
-    if iv.is_point():
-        return iv.lo
-    if is_finite(iv.lo) and is_finite(iv.hi):
-        return (iv.lo + iv.hi) / 2
-    if is_finite(iv.lo):
-        return iv.lo + 1
-    if is_finite(iv.hi):
-        return iv.hi - 1
-    return Fraction(0)
+def _left_of(a: Interval, b: Interval) -> bool:
+    """a ends before b starts: the two share no point and b does not reach
+    left of a's end."""
+    if a.hi_closed and b.lo_closed:
+        return a.hi < b.lo
+    return a.hi <= b.lo
+
+
+_EXCEEDS = "pieces exceed the domain carrier"
+_GAP = "pieces leave a non-null gap in the carrier"
+
+
+def _place(parts, j: int, run: bool, full: bool, iv: Interval, touching: bool):
+    """One step of the carrier walk in `PiecewiseFn.__post_init__`: place the
+    piece iv (touching: it starts where the latest piece ends) and return the
+    new (j, run, full).  run: parts[j] holds the latest piece; full: that
+    piece reaches the end of parts[j].  Inside a part the pieces form one run
+    from the part's start, each starting where the one before it ends."""
+    if run and not full and not touching:
+        raise SetAlgebraError(_GAP)
+    if run and full and not (touching and iv.lo_closed and parts[j].hi_closed):
+        j, run = j + 1, False
+    if not run:
+        # iv opens the run of a later part: the parts it passes hold no
+        # piece, and it must start where its own part starts
+        while j < len(parts) and _left_of(parts[j], iv):
+            if parts[j].lo != parts[j].hi:
+                raise SetAlgebraError(_GAP)
+            j += 1
+        if j == len(parts):
+            raise SetAlgebraError(_EXCEEDS)
+        if iv.lo != parts[j].lo:
+            raise SetAlgebraError(_EXCEEDS if iv.lo < parts[j].lo else _GAP)
+        if iv.lo_closed and not parts[j].lo_closed:
+            raise SetAlgebraError(_EXCEEDS)
+    part = parts[j]
+    if iv.hi < part.hi:
+        return j, True, False
+    if iv.hi == part.hi and (part.hi_closed or not iv.hi_closed):
+        return j, True, True
+    raise SetAlgebraError(_EXCEEDS)
 
 
 @dataclass(frozen=True)
@@ -76,19 +119,37 @@ class PiecewiseFn:
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
-        ivs = [p.interval for p in self.pieces]
-        for i in range(1, len(ivs)):
-            prev, cur = ivs[i - 1], ivs[i]
-            if cur.lo < prev.hi or (cur.lo == prev.hi and cur.lo_closed and prev.hi_closed):
-                raise SetAlgebraError(f"overlapping pieces near {cur.lo}")
-        covered = IntervalSet.of(*ivs)
-        if not covered.is_subset(self.domain.carrier):
-            raise SetAlgebraError("pieces exceed the domain carrier")
-        if not self.domain.carrier.difference(covered).is_null():
-            raise SetAlgebraError("pieces leave a non-null gap in the carrier")
+        # One walk over the pieces and the sorted, disjoint carrier parts.
+        # Order is checked on every piece; the first coverage fault is
+        # raised after the walk, so that pieces out of order are reported
+        # as such and not as the gap they leave.
+        parts = self.domain.carrier.parts
+        j, run, full = 0, False, False
+        fault = None
+        last = None
         for p in self.pieces:
-            if p.slope != 0 and not p.interval.is_bounded():
+            iv = p.interval
+            touching = last is not None and iv.lo == last.hi
+            if last is not None and (iv.lo_closed and last.hi_closed if touching
+                                     else iv.lo < last.hi):
+                raise SetAlgebraError(f"overlapping pieces near {iv.lo}")
+            if fault is None:
+                try:
+                    j, run, full = _place(parts, j, run, full, iv, touching)
+                except SetAlgebraError as exc:
+                    fault = exc
+            if p.slope != 0 and not iv.is_bounded():
                 raise SetAlgebraError("unbounded piece with nonzero slope is unbounded")
+            last = iv
+        if fault is not None:
+            raise fault
+        if run:
+            if not full:
+                raise SetAlgebraError(_GAP)
+            j += 1
+        for part in parts[j:]:
+            if part.lo != part.hi:
+                raise SetAlgebraError(_GAP)
 
     # -- constructors ---------------------------------------------------------
 
@@ -234,10 +295,10 @@ class PiecewiseFn:
         return self.add(other.negate())
 
     def abs_fn(self) -> "PiecewiseFn":
-        triples = []
+        pieces = []
         for p in self.pieces:
-            triples.extend(_abs_piece(p))
-        return PiecewiseFn.from_pieces(self.domain, triples)
+            pieces.extend(_abs_piece(p))
+        return PiecewiseFn(self.domain, tuple(pieces))
 
     def product(self, other: "PiecewiseFn") -> "PiecewiseFn":
         """Pointwise product; one factor must be a step function so the result
@@ -294,10 +355,7 @@ class PiecewiseFn:
     def gt_set(self, c) -> IntervalSet:
         """{ x : u(x) > c }, exact with strict-inequality endpoint flags."""
         c = rat(c)
-        parts = []
-        for p in self.pieces:
-            parts.extend(_linear_gt(p, c))
-        return IntervalSet.of(*parts)
+        return IntervalSet.of(*[_linear_gt(p, c) for p in self.pieces])
 
     def superlevel(self, alpha) -> IntervalSet:
         """A_alpha(u) = { x : |u(x)| > alpha }, alpha > 0."""
@@ -306,8 +364,8 @@ class PiecewiseFn:
             raise ValueError("superlevel requires alpha > 0")
         parts = []
         for p in self.pieces:
-            parts.extend(_linear_gt(p, alpha))
-            parts.extend(_linear_lt(p, -alpha))
+            parts.append(_linear_gt(p, alpha))
+            parts.append(_linear_lt(p, -alpha))
         return IntervalSet.of(*parts)
 
     def support(self) -> IntervalSet:
@@ -318,8 +376,8 @@ class PiecewiseFn:
                 if p.intercept != 0:
                     parts.append(p.interval)
             else:
-                parts.extend(_linear_gt(p, Fraction(0)))
-                parts.extend(_linear_lt(p, Fraction(0)))
+                parts.append(_linear_gt(p, Fraction(0)))
+                parts.append(_linear_lt(p, Fraction(0)))
         return IntervalSet.of(*parts)
 
     def ne_set(self, other: "PiecewiseFn") -> IntervalSet:
@@ -334,48 +392,57 @@ class PiecewiseFn:
         return f"piecewise[{bits}]"
 
 
-def _abs_piece(p: Piece) -> list[tuple]:
-    if p.slope == 0:
-        return [(p.interval, Fraction(0), abs(p.intercept))]
-    root = -p.intercept / p.slope
-    iv = p.interval
-    if iv.contains(root) and not iv.is_point():
-        left = ivl(iv.lo, root, iv.lo_closed, True)
-        right = ivl(root, iv.hi, False, iv.hi_closed)
-        out = []
-        for piece_iv in (left, right):
-            if piece_iv is None:
-                continue
-            mid = _interior_sample(piece_iv)
-            if p.value(mid) >= 0:
-                out.append((piece_iv, p.slope, p.intercept))
-            else:
-                out.append((piece_iv, -p.slope, -p.intercept))
-        return out
-    mid = _interior_sample(iv)
-    if p.value(mid) >= 0:
-        return [(iv, p.slope, p.intercept)]
-    return [(iv, -p.slope, -p.intercept)]
+def _abs_piece(p: Piece) -> list[Piece]:
+    """|u| on one piece.  u = a (x - root), so |u| is u right of the root and
+    -u left of it when a > 0, and the other way round when a < 0."""
+    a, b, iv = p.slope, p.intercept, p.interval
+    if a == 0:
+        return [Piece(iv, a, abs(b))]
+    root = -b / a
+    left, right = ((-a, -b), (a, b)) if a > 0 else ((a, b), (-a, -b))
+    if not iv.lo < root:
+        # right of the root; a point piece at the root, where u = 0, keeps u
+        return [Piece(iv, *(right if iv.lo != iv.hi or root != iv.lo else (a, b)))]
+    if not root < iv.hi:
+        return [Piece(iv, *left)]
+    return [Piece(Interval(iv.lo, root, iv.lo_closed, True), *left),
+            Piece(Interval(root, iv.hi, False, iv.hi_closed), *right)]
 
 
-def _linear_gt(p: Piece, c: Fraction) -> list[Interval]:
-    """{x in piece : a x + b > c} as 0..1 interval."""
-    iv = p.interval
+def _above(iv: Interval, x0: Fraction) -> "Interval | None":
+    """iv n (x0, +inf)."""
+    if x0 < iv.lo:
+        return iv
+    if x0 < iv.hi:
+        return Interval(x0, iv.hi, False, iv.hi_closed)
+    return None
+
+
+def _below(iv: Interval, x0: Fraction) -> "Interval | None":
+    """iv n (-inf, x0)."""
+    if iv.hi < x0:
+        return iv
+    if iv.lo < x0:
+        return Interval(iv.lo, x0, iv.lo_closed, False)
+    return None
+
+
+def _linear_gt(p: Piece, c: Fraction) -> "Interval | None":
+    """{x in piece : a x + b > c}.  a x + b - c = a (x - x0), so a sloped
+    piece (always bounded) keeps its part right of x0 when a > 0 and its
+    part left of x0 when a < 0."""
     if p.slope == 0:
-        return [iv] if p.intercept > c else []
+        return p.interval if p.intercept > c else None
     x0 = (c - p.intercept) / p.slope
-    if p.slope > 0:
-        ray = ivl(x0, POS_INF, False, False)
-    else:
-        ray = ivl(-POS_INF, x0, False, False)
-    if ray is None:
-        return []
-    got = _intersect_intervals(iv, ray)
-    return [got] if got is not None else []
+    return _above(p.interval, x0) if p.slope > 0 else _below(p.interval, x0)
 
 
-def _linear_lt(p: Piece, c: Fraction) -> list[Interval]:
-    return _linear_gt(Piece(p.interval, -p.slope, -p.intercept), -c)
+def _linear_lt(p: Piece, c: Fraction) -> "Interval | None":
+    """{x in piece : a x + b < c}, the mirror of `_linear_gt`."""
+    if p.slope == 0:
+        return p.interval if p.intercept < c else None
+    x0 = (c - p.intercept) / p.slope
+    return _below(p.interval, x0) if p.slope > 0 else _above(p.interval, x0)
 
 
 def min_of(fns: Sequence[PiecewiseFn]) -> PiecewiseFn:
@@ -402,20 +469,19 @@ def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
             else:
                 pieces.append(Piece(cell, a2, b2))
             continue
+        # u - v = (a1 - a2)(x - x0): u is the lower law left of the
+        # crossing x0 when a1 > a2 and right of it when a1 < a2
         x0 = (b2 - b1) / (a1 - a2)
-        segments = []
-        if cell.contains(x0) and not cell.is_point():
-            left = ivl(cell.lo, x0, cell.lo_closed, True)
-            right = ivl(x0, cell.hi, False, cell.hi_closed)
-            segments = [s for s in (left, right) if s is not None]
+        left, right = ((a1, b1), (a2, b2)) if a1 > a2 else ((a2, b2), (a1, b1))
+        if not cell.lo < x0:
+            # right of x0; on the point cell x0 the two laws tie: keep u's
+            law = right if cell.lo != cell.hi or x0 != cell.lo else (a1, b1)
+            pieces.append(Piece(cell, *law))
+        elif not x0 < cell.hi:
+            pieces.append(Piece(cell, *left))
         else:
-            segments = [cell]
-        for seg in segments:
-            mid = _interior_sample(seg)
-            if a1 * mid + b1 <= a2 * mid + b2:
-                pieces.append(Piece(seg, a1, b1))
-            else:
-                pieces.append(Piece(seg, a2, b2))
+            pieces.append(Piece(Interval(cell.lo, x0, cell.lo_closed, True), *left))
+            pieces.append(Piece(Interval(x0, cell.hi, False, cell.hi_closed), *right))
     return PiecewiseFn(u.domain, _coalesced(pieces))
 
 

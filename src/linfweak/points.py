@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .literals import parse_rat
 from .sets import rat
 
 
@@ -33,10 +34,12 @@ class ExtPoint:
 
     @staticmethod
     def parse(text: str) -> "ExtPoint":
+        """'inf' (or '+inf', 'infinity'), else a rational in the literal
+        grammar: ['-'] digits ['/' digits]."""
         text = text.strip()
         if text in ("inf", "+inf", "infinity"):
             return ExtPoint.infinity()
-        return ExtPoint.at(Fraction(text))
+        return ExtPoint.at(parse_rat(text))
 
 
 @dataclass(frozen=True)

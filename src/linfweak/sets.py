@@ -7,10 +7,16 @@ complement, and Lebesgue measure on it is exact rational arithmetic.  It is
 the carrier for every set-level computation in this package: superlevel sets,
 neighborhood bases, filter bases, compact/open test families.
 
-Endpoints are ``fractions.Fraction`` values; the two infinities are the
-floats ``math.inf`` / ``-math.inf`` (which compare correctly against
-``Fraction``).  Measure is a ``Fraction``, or ``math.inf`` for unbounded
-sets.
+Endpoints are ``fractions.Fraction`` values (plain ``int`` is accepted
+too); the two infinities are the floats ``math.inf`` / ``-math.inf``, which
+compare correctly against ``Fraction``.  An endpoint is finite exactly when
+its type is ``Fraction`` or ``int`` (never ``bool``): :func:`is_finite`
+tests the type itself, not ``isinstance``, because ``Fraction`` is a
+``numbers.Rational`` and every ``isinstance`` against it goes through ABC
+dispatch.  :class:`Interval` compares its two ends only when both are
+finite; an infinite end is checked by float equality with ``-inf``/``inf``.
+Comparisons of two ``Fraction`` ends still go through ``Fraction``'s own
+operators.  Measure is a ``Fraction``, or ``math.inf`` for unbounded sets.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ def rat(x) -> Fraction:
 
 
 def is_finite(e: Endpoint) -> bool:
-    return isinstance(e, Fraction) or (isinstance(e, int) and not isinstance(e, bool))
+    t = type(e)
+    return t is Fraction or t is int
 
 
 def _as_endpoint(x) -> Endpoint:
@@ -66,19 +73,22 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        if not is_finite(self.lo) and self.lo != NEG_INF:
-            raise SetAlgebraError(f"bad lower endpoint {self.lo!r}")
-        if not is_finite(self.hi) and self.hi != POS_INF:
-            raise SetAlgebraError(f"bad upper endpoint {self.hi!r}")
-        if self.lo > self.hi:
-            raise SetAlgebraError(f"empty interval: lo={self.lo} > hi={self.hi}")
-        if self.lo == self.hi:
+        lo, hi = self.lo, self.hi
+        lo_finite, hi_finite = is_finite(lo), is_finite(hi)
+        if not lo_finite and lo != NEG_INF:
+            raise SetAlgebraError(f"bad lower endpoint {lo!r}")
+        if not hi_finite and hi != POS_INF:
+            raise SetAlgebraError(f"bad upper endpoint {hi!r}")
+        # -inf < every finite end < +inf, so only two finite ends can clash
+        if lo_finite and hi_finite and lo >= hi:
+            if lo > hi:
+                raise SetAlgebraError(f"empty interval: lo={lo} > hi={hi}")
             if not (self.lo_closed and self.hi_closed):
                 raise SetAlgebraError("degenerate interval must be closed; empty "
                                       "intervals are normalized away")
-        if not is_finite(self.lo) and self.lo_closed:
+        if not lo_finite and self.lo_closed:
             raise SetAlgebraError("-inf endpoint cannot be closed")
-        if not is_finite(self.hi) and self.hi_closed:
+        if not hi_finite and self.hi_closed:
             raise SetAlgebraError("+inf endpoint cannot be closed")
 
     # -- queries ------------------------------------------------------------
@@ -166,15 +176,15 @@ def point(a):
 
 
 def _intersect_intervals(a: Interval, b: Interval) -> "Interval | None":
-    lo, lo_closed = (a.lo, a.lo_closed) if a.lo > b.lo else (b.lo, b.lo_closed)
     if a.lo == b.lo:
         lo, lo_closed = a.lo, a.lo_closed and b.lo_closed
-    hi, hi_closed = (a.hi, a.hi_closed) if a.hi < b.hi else (b.hi, b.hi_closed)
+    else:
+        lo, lo_closed = (a.lo, a.lo_closed) if a.lo > b.lo else (b.lo, b.lo_closed)
     if a.hi == b.hi:
         hi, hi_closed = a.hi, a.hi_closed and b.hi_closed
-    if lo > hi:
-        return None
-    if lo == hi and not (lo_closed and hi_closed):
+    else:
+        hi, hi_closed = (a.hi, a.hi_closed) if a.hi < b.hi else (b.hi, b.hi_closed)
+    if lo >= hi and (lo > hi or not (lo_closed and hi_closed)):
         return None
     return Interval(lo, hi, lo_closed, hi_closed)
 

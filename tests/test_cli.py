@@ -266,9 +266,13 @@ class TestInputErrors:
         "task = weaknull-at\nfamily = tents\npoint = abc\n",
         "task = essrange-at\ndomain = (-1,1)\nfunction = (-1,1) 0 1\n"
         "point = 1/0\n",
+        # rationals follow the literal grammar ['-'] digits ['/' digits]
+        "task = weaknull-at\nfamily = tents\npoint = 1e400000\n",
+        "task = weaknull-at\nfamily = tents\npoint = 0.5e0\n",
     ], ids=("negative-weight", "seven-positive-weights", "sixteen-weights",
             "nine-weights", "vector-length", "masses-length", "negative-atom",
-            "negative-density", "zero-alpha", "point-abc", "point-1/0"))
+            "negative-density", "zero-alpha", "point-abc", "point-1/0",
+            "point-huge-exponent", "point-decimal-exponent"))
     def test_exits_two_before_any_enumeration(self, tmp_path, monkeypatch, text):
         import linfweak.cli as cli
         for name in ("enumerate_zero_one_measures", "extreme_points_unit_ball"):

@@ -5,10 +5,11 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import (function_probes, grid_points, interval_sets,
                       piecewise_fns, rationals)
-from linfweak.piecewise import (EvaluationError, PiecewiseFn,
+from linfweak.piecewise import (EvaluationError, Piece, PiecewiseFn,
                                 UnsupportedOperationError, linear_combo, min_of)
 from linfweak.families import TentFamily
-from linfweak.sets import Domain, IntervalSet, closed, ico, ivl, opened, point
+from linfweak.sets import (NEG_INF, POS_INF, Domain, IntervalSet, SetAlgebraError,
+                           closed, ico, ioc, ivl, opened, point)
 
 DOM01 = Domain(IntervalSet.of(ico(0, 1)))
 
@@ -194,6 +195,14 @@ class TestProperties:
             assert v.eval(x - 3) == u.eval(x)
 
 
+def _assert_canonical(pieces):
+    """No two touching pieces share slope and intercept."""
+    for p, q in zip(pieces, pieces[1:]):
+        touching = (p.interval.hi == q.interval.lo
+                    and p.interval.hi_closed != q.interval.lo_closed)
+        assert not (touching and (p.slope, p.intercept) == (q.slope, q.intercept))
+
+
 class TestGridOracles:
     """The sweep-based kernels against pointwise evaluation at every probe
     of the refined breakpoint grid."""
@@ -218,11 +227,7 @@ class TestGridOracles:
 
     @given(st.lists(piecewise_fns(), min_size=1, max_size=4))
     def test_min_of_is_canonical(self, fns):
-        pieces = min_of(fns).pieces
-        for p, q in zip(pieces, pieces[1:]):
-            touching = (p.interval.hi == q.interval.lo
-                        and p.interval.hi_closed != q.interval.lo_closed)
-            assert not (touching and (p.slope, p.intercept) == (q.slope, q.intercept))
+        _assert_canonical(min_of(fns).pieces)
 
     @given(piecewise_fns(), st.integers(1, 12).map(lambda n: F(n, 4)))
     def test_superlevel(self, u, alpha):
@@ -273,3 +278,145 @@ class TestGridOracles:
         dom = Domain(IntervalSet.of(opened(-1, 0), opened(0, 1)))
         m = min_of([PiecewiseFn.constant(dom, 1), PiecewiseFn.constant(dom, 2)])
         assert [str(p.interval) for p in m.pieces] == ["(-1,0)", "(0,1)"]
+
+
+def _pieces(*triples):
+    return tuple(Piece(iv, F(a), F(b)) for iv, a, b in triples)
+
+
+TWO_PARTS = Domain(IntervalSet.of(ico(0, 1), ico(2, 3)))
+
+
+class TestValidation:
+    """Every construction checks its pieces against the carrier; the raw
+    constructor takes the pieces in the order given."""
+
+    @pytest.mark.parametrize("domain, triples, message", [
+        (DOM01, [(closed(0, F(1, 2)), 0, 1), (ico(F(1, 4), 1), 0, 2)], "overlapping"),
+        (DOM01, [(opened(F(1, 2), 1), 0, 1), (closed(0, F(1, 2)), 0, 2)], "overlapping"),
+        (DOM01, [(closed(0, F(1, 2)), 0, 1), (ico(F(1, 2), 1), 0, 2)], "overlapping"),
+        (DOM01, [(ico(0, F(1, 4)), 0, 1), (ico(F(1, 2), 1), 0, 2)], "non-null gap"),
+        (DOM01, [(ico(F(1, 4), 1), 0, 1)], "non-null gap"),
+        (DOM01, [(ico(0, F(1, 2)), 0, 1)], "non-null gap"),
+        (TWO_PARTS, [(ico(0, 1), 0, 1)], "non-null gap"),
+        (DOM01, [(ico(0, 1), 0, 1), (ico(1, 2), 0, 2)], "exceed"),
+        (DOM01, [(closed(0, 1), 0, 1)], "exceed"),
+        (Domain(IntervalSet.of(opened(0, 1))), [(ico(0, 1), 0, 1)], "exceed"),
+        (TWO_PARTS, [(ico(0, 1), 0, 1), (point(F(3, 2)), 0, 1), (ico(2, 3), 0, 1)],
+         "exceed"),
+        (Domain.real_line(), [(opened(NEG_INF, POS_INF), 1, 0)],
+         "unbounded piece with nonzero slope"),
+    ], ids=("overlapping", "out-of-order", "closed-ends-touch", "gap",
+            "gap-at-start", "gap-at-end", "part-without-piece", "outside-carrier",
+            "closed-end-past-open-carrier-end", "closed-start-at-open-carrier-start",
+            "piece-in-carrier-hole", "unbounded-slope"))
+    def test_rejects(self, domain, triples, message):
+        with pytest.raises(SetAlgebraError, match=message):
+            PiecewiseFn(domain, _pieces(*triples))
+
+    @pytest.mark.parametrize("domain, triples", [
+        # a missing point between two open ends is a null gap
+        (DOM01, [(ico(0, F(1, 2)), 0, 1), (opened(F(1, 2), 1), 0, 2)]),
+        # an isolated point of the carrier may hold no piece
+        (Domain(IntervalSet.of(ico(0, 1), point(2))), [(ico(0, 1), 0, 1)]),
+        # a point piece between two pieces that leave it out
+        (DOM01, [(ico(0, F(1, 2)), 1, 0), (point(F(1, 2)), 0, 7),
+                 (opened(F(1, 2), 1), 0, 2)]),
+        (Domain.real_line(), [(opened(NEG_INF, 0), 0, 1), (closed(0, 1), 1, 0),
+                              (opened(1, POS_INF), 0, 1)]),
+    ], ids=("punctured", "isolated-carrier-point", "point-piece", "real-line"))
+    def test_accepts_null_gaps(self, domain, triples):
+        PiecewiseFn(domain, _pieces(*triples))
+
+
+def _assert_pointwise(fn, oracle, *fns, ties=()):
+    """fn equals the oracle at every probe of the breakpoint grid of fn and
+    fns, with the tie points added to the grid."""
+    extra = [IntervalSet.of(point(x)) for x in ties]
+    probes = function_probes(fn, *fns, extra=extra)
+    assert {x for x in ties if fn.domain.carrier.contains(x)} <= set(probes)
+    for x in probes:
+        assert fn.eval(x) == oracle(x)
+
+
+DOM11 = Domain(IntervalSet.of(closed(-1, 1)))
+X = PiecewiseFn.from_pieces(DOM11, [(closed(-1, 1), 1, 0)])
+
+
+class TestTies:
+    """Crossings, roots and level hits that fall on a cell end or inside a
+    point cell, where the side each law wins on is decided by the sign of a
+    slope difference."""
+
+    @pytest.mark.parametrize("triples", [
+        # -x crosses x at 0, the closed left end of the cell [0, 1]
+        [(ico(-1, 0), 0, 5), (closed(0, 1), -1, 0)],
+        # ... at 0, the open left end of (0, 1]
+        [(closed(-1, 0), 0, 5), (ioc(0, 1), -1, 0)],
+        # ... at 0, the closed right end of [-1, 0]
+        [(closed(-1, 0), -1, 0), (ioc(0, 1), 0, 5)],
+        # ... inside the point cell {0}, and beside it
+        [(ico(-1, 0), 0, 5), (point(0), -1, 0), (ioc(0, 1), 0, 5)],
+        [(ico(-1, 0), 0, -5), (point(0), -1, 0), (ioc(0, 1), 0, -5)],
+        [(ico(-1, F(1, 2)), 0, 5), (point(F(1, 2)), -1, 0), (ioc(F(1, 2), 1), 0, 5)],
+    ], ids=("closed-cell-end", "open-cell-end", "closed-right-end", "point-cell",
+            "point-cell-below", "point-cell-off-crossing"))
+    def test_min_of_crossing_on_a_cell_end(self, triples):
+        v = PiecewiseFn.from_pieces(DOM11, triples)
+        for fns in ([X, v], [v, X]):
+            m = min_of(fns)
+            _assert_pointwise(m, lambda x: min(f.eval(x) for f in fns), *fns,
+                              ties=(F(0),))
+            _assert_canonical(m.pieces)
+
+    def test_min_of_crossing_at_a_closed_cell_end_adds_no_point_piece(self):
+        v = PiecewiseFn.from_pieces(DOM11, [(ico(-1, 0), 0, 5), (closed(0, 1), -1, 0)])
+        m = min_of([X, v])
+        assert [str(p.interval) for p in m.pieces] == ["[-1,0)", "[0,1]"]
+        assert [(p.slope, p.intercept) for p in m.pieces] == [(1, 0), (-1, 0)]
+
+    @pytest.mark.parametrize("triples, root", [
+        ([(closed(0, 1), 1, 0)], F(0)),                # root at a closed left end
+        ([(ioc(0, 1), -1, 0)], F(0)),                  # ... at an open left end
+        ([(closed(0, 1), 1, -1)], F(1)),               # ... at a closed right end
+        ([(ico(0, 1), -1, 1)], F(1)),                  # ... at an open right end
+        ([(ico(-1, 0), 0, 2), (point(0), -1, 0), (ioc(0, 1), 0, -2)], F(0)),
+        ([(ico(-1, 0), 2, 0), (closed(0, 1), -2, 0)], F(0)),
+    ], ids=("closed-left", "open-left", "closed-right", "open-right", "point-piece",
+            "root-at-breakpoint"))
+    def test_abs_fn_root_at_a_piece_end(self, triples, root):
+        carrier = IntervalSet.of(*[iv for iv, _, _ in triples])
+        u = PiecewiseFn.from_pieces(Domain(carrier), triples)
+        a = u.abs_fn()
+        _assert_pointwise(a, lambda x: abs(u.eval(x)), u, ties=(root,))
+
+    def test_abs_fn_root_at_a_closed_end_adds_no_point_piece(self):
+        u = PiecewiseFn.from_pieces(DOM11, [(ico(-1, 0), 2, 0), (closed(0, 1), -2, 0)])
+        a = u.abs_fn()
+        assert [str(p.interval) for p in a.pieces] == ["[-1,0)", "[0,1]"]
+        assert [(p.slope, p.intercept) for p in a.pieces] == [(-2, 0), (2, 0)]
+
+    # ramps whose end values are 0, 1 and -1
+    RAMPS = PiecewiseFn.from_pieces(Domain(IntervalSet.of(closed(-2, 2))), [
+        (ico(-2, -1), 1, 2), (closed(-1, 0), -1, 0), (opened(0, 1), 2, -1),
+        (closed(1, 2), -2, 3)])
+
+    @pytest.mark.parametrize("c", [F(-1), F(0), F(1), F(1, 2)])
+    def test_gt_set_at_end_values(self, c):
+        u = self.RAMPS
+        s = u.gt_set(c)
+        for x in function_probes(u, extra=(s,)):
+            assert s.contains(x) == (u.eval(x) > c)
+
+    @pytest.mark.parametrize("alpha", [F(1), F(1, 2), F(3)])
+    def test_superlevel_at_end_values(self, alpha):
+        u = self.RAMPS
+        s = u.superlevel(alpha)
+        for x in function_probes(u, extra=(s,)):
+            assert s.contains(x) == (abs(u.eval(x)) > alpha)
+
+    def test_level_sets_at_end_values(self):
+        # |u| reaches 1 only at piece ends, where 1 > 1 is false
+        assert self.RAMPS.superlevel(1).is_empty()
+        assert self.RAMPS.gt_set(0) == IntervalSet.of(opened(-2, 0), opened(F(1, 2), F(3, 2)))
+        assert self.RAMPS.gt_set(-1) == IntervalSet.of(ico(-2, 2))

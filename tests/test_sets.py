@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import grid_points, interval_sets, rationals
-from linfweak.sets import (Domain, IntervalSet, SetAlgebraError, closed,
+from linfweak.sets import (Domain, Interval, IntervalSet, SetAlgebraError, closed,
                            complement, ico, intersect, is_compact_subset,
                            is_finite, ivl, measure, opened, point, union,
                            NEG_INF, POS_INF)
@@ -206,3 +206,38 @@ class TestCompactCore:
                                                 closed(F(13, 4), 5))
         with pytest.raises(SetAlgebraError):
             s.compact_core(0, 5)
+
+
+class TestIntervalValidation:
+    """Every Interval checks its ends on construction; an end is finite
+    exactly when its type is Fraction or int (never bool)."""
+
+    @pytest.mark.parametrize("lo, hi, lo_closed, hi_closed, message", [
+        (0.5, F(1), True, True, "bad lower endpoint"),
+        (F(0), 0.5, True, True, "bad upper endpoint"),
+        ("0", F(1), True, True, "bad lower endpoint"),
+        (F(0), "1", True, True, "bad upper endpoint"),
+        (True, F(2), True, True, "bad lower endpoint"),
+        (POS_INF, NEG_INF, False, False, "bad lower endpoint"),
+        (NEG_INF, F(0), True, False, "-inf endpoint cannot be closed"),
+        (F(0), POS_INF, False, True, r"\+inf endpoint cannot be closed"),
+        (F(1), F(0), True, True, "empty interval"),
+        (F(1), F(1), False, True, "degenerate interval must be closed"),
+        (F(1), F(1), True, False, "degenerate interval must be closed"),
+    ], ids=("float-lo", "float-hi", "string-lo", "string-hi", "bool-lo",
+            "inverted-infinities", "closed-neg-inf", "closed-pos-inf", "lo-above-hi",
+            "open-degenerate", "half-open-degenerate"))
+    def test_rejects(self, lo, hi, lo_closed, hi_closed, message):
+        with pytest.raises(SetAlgebraError, match=message):
+            Interval(lo, hi, lo_closed, hi_closed)
+
+    def test_accepts(self):
+        Interval(NEG_INF, POS_INF, False, False)
+        Interval(NEG_INF, F(0), False, True)
+        Interval(F(0), POS_INF, True, False)
+        Interval(0, F(1, 2), True, False)
+        Interval(F(1), F(1), True, True)
+
+    def test_is_finite_by_type(self):
+        assert is_finite(F(1, 2)) and is_finite(3)
+        assert not any(is_finite(e) for e in (True, POS_INF, NEG_INF, 0.5, "1"))
