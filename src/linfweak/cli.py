@@ -15,14 +15,14 @@ from fractions import Fraction
 from . import corpus as corpus_mod
 from .engine import (DEFAULT_STRATEGIES, CertificateError, EngineError, Policy,
                      test_weak_null)
-from .finitemodel import (MAX_LIVE_POINTS, FAVector, FiniteSpace,
-                          enumerate_zero_one_measures,
+from .finitemodel import (FAVector, FiniteSpace, enumerate_zero_one_measures,
                           essential_range_bruteforce, extreme_points_unit_ball,
                           integrate, jordan, rainwater_check,
                           ultrafilter_roundtrip)
 from .literals import (LiteralError, parse_base_formula, parse_piecewise,
                        parse_rat, parse_set)
-from .localize import essential_range, essential_range_at, test_weak_null_at
+from .localize import (essential_range, essential_range_at, in_closure,
+                       test_weak_null_at)
 from .points import ExtPoint
 from .problemfile import TASKS, ProblemError, ProblemFile, parse_problem_text
 from .reporting import (Report, render_human, render_machine, verdict_to_dict)
@@ -39,7 +39,7 @@ MAX_BUDGET_J = 64
 MAX_BUDGET_K = 1024
 MAX_ELL = 64
 # Largest finite model: the ultrafilter checks enumerate all 2^n subsets, and
-# vertex enumeration takes at most MAX_LIVE_POINTS positive weights.
+# vertex enumeration cuts 2^d halfspaces for d positive weights.
 MAX_POINTS = 8
 
 
@@ -90,17 +90,22 @@ def _run_weaknull(problem: ProblemFile) -> dict:
     return verdict_to_dict(verdict)
 
 
-def _point(problem: ProblemFile) -> ExtPoint:
+def _point(problem: ProblemFile, domain: Domain) -> ExtPoint:
+    """The localization point, which must lie in the closure of the domain."""
     text = problem.get("point")
     try:
-        return ExtPoint.parse(text)
+        x0 = ExtPoint.parse(text)
     except (ValueError, ZeroDivisionError):
         raise ProblemError(f"point must be a rational or inf, got {text!r}")
+    if not in_closure(domain, x0):
+        raise ProblemError(f"point {x0} is not in the closure of the domain "
+                           f"{domain.carrier}")
+    return x0
 
 
 def _run_weaknull_at(problem: ProblemFile) -> dict:
     family = corpus_mod.family_by_name(problem.get("family"))
-    x0 = _point(problem)
+    x0 = _point(problem, family.domain)
     ell_max = _budget(problem, "ell-max", 6, MAX_ELL)
     verdict = test_weak_null_at(family, x0, _policy_from(problem), ell_max)
     return verdict_to_dict(verdict)
@@ -119,8 +124,8 @@ def _run_essrange(problem: ProblemFile) -> dict:
 
 
 def _run_essrange_at(problem: ProblemFile) -> dict:
-    _, fn = _parse_domain_fn(problem)
-    x0 = _point(problem)
+    domain, fn = _parse_domain_fn(problem)
+    x0 = _point(problem, domain)
     return {"kind": "essential-range-at", "point": str(x0),
             "range": essential_range_at(fn, x0)}
 
@@ -136,11 +141,9 @@ def _per_point(key: str, text: str, n: int) -> list[Fraction]:
 
 def _run_finite_model(problem: ProblemFile) -> dict:
     weights = problem.get_rats("weights")
-    live = sum(1 for w in weights if w > 0)
-    if len(weights) > MAX_POINTS or live > MAX_LIVE_POINTS:
-        raise ProblemError(f"weights: at most {MAX_POINTS} points with at most "
-                           f"{MAX_LIVE_POINTS} positive, got {len(weights)} "
-                           f"with {live} positive")
+    if len(weights) > MAX_POINTS:
+        raise ProblemError(f"weights: at most {MAX_POINTS} points, "
+                           f"got {len(weights)}")
     if any(w < 0 for w in weights):
         raise ProblemError("weights must be nonnegative")
     space = FiniteSpace(tuple(weights))

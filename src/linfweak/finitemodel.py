@@ -16,17 +16,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .polytope import vertex_enumeration
+from .polytope import _bits, vertex_enumeration
 from .sets import rat
 
 
 class FiniteModelError(ValueError):
     pass
-
-
-# Vertex enumeration of the dual unit ball is limited to this many points of
-# positive weight (2^d halfspaces in dimension d).
-MAX_LIVE_POINTS = 6
 
 
 @dataclass(frozen=True)
@@ -64,15 +59,6 @@ class FiniteSpace:
 
     def positive_points(self) -> list[int]:
         return [i for i, w in enumerate(self.weights) if w > 0]
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 def mask_of(points: Sequence[int], n: int) -> int:
@@ -356,9 +342,6 @@ def extreme_points_unit_ball(space: FiniteSpace) -> list[FAVector]:
     d = len(pos)
     if d == 0:
         return []
-    if d > MAX_LIVE_POINTS:
-        raise FiniteModelError(f"vertex enumeration is limited to "
-                               f"{MAX_LIVE_POINTS} live points")
     constraints = []
     for signs in product((1, -1), repeat=d):
         constraints.append((tuple(Fraction(s) for s in signs), Fraction(1)))

@@ -36,7 +36,7 @@ from .sets import (Domain, Interval, IntervalSet, closed, is_finite, opened,
                    point)
 
 __all__ = ["ExtPoint", "neighborhood", "compact_exhaustion", "escape_points",
-           "accumulates_at", "essential_range", "essential_range_in",
+           "accumulates_at", "in_closure", "essential_range", "essential_range_in",
            "essential_range_at", "test_weak_null_at"]
 
 
@@ -96,10 +96,14 @@ def accumulates_at(s: IntervalSet, x0: ExtPoint, carrier: IntervalSet) -> bool:
     return any(not p.is_point() and _reaches(p, x0, carrier) for p in s.parts)
 
 
+def in_closure(domain: Domain, x0: ExtPoint) -> bool:
+    """Is x0 a point of the closure of the carrier in X_inf?  The point at
+    infinity always is."""
+    return x0.is_infinite or domain.carrier.closure().contains(x0.x)
+
+
 def _validate_point(domain: Domain, x0: ExtPoint):
-    if x0.is_infinite:
-        return
-    if not domain.carrier.closure().contains(x0.x):
+    if not in_closure(domain, x0):
         raise EngineError(f"{x0} is not in the closure of the domain")
 
 

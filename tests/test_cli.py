@@ -249,13 +249,12 @@ class TestBudgets:
 
 
 def _never(*args, **kwargs):
-    raise AssertionError("a rejected finite model was enumerated")
+    raise AssertionError("the engine ran on rejected input")
 
 
 class TestInputErrors:
     @pytest.mark.parametrize("text", [
         "task = finite-model\nweights = 1, -1, 2\n",
-        "task = finite-model\nweights = 1, 1, 1, 1, 1, 1, 1\n",
         "task = finite-model\nweights = " + ", ".join(["1"] * 16) + "\n",
         "task = finite-model\nweights = " + ", ".join(["0"] * 9) + "\n",
         "task = finite-model\nweights = 1, 1\nvectors = 1,2,3\n",
@@ -269,13 +268,21 @@ class TestInputErrors:
         # rationals follow the literal grammar ['-'] digits ['/' digits]
         "task = weaknull-at\nfamily = tents\npoint = 1e400000\n",
         "task = weaknull-at\nfamily = tents\npoint = 0.5e0\n",
-    ], ids=("negative-weight", "seven-positive-weights", "sixteen-weights",
-            "nine-weights", "vector-length", "masses-length", "negative-atom",
+        # a point outside the closure of the domain
+        "task = weaknull-at\nfamily = dini-null\npoint = -1\n",
+        "task = essrange-at\ndomain = (0,1)\nfunction = (0,1) 0 1\npoint = 5\n",
+        "task = weaknull-at\nfamily = tents\npoint = " + "7" * 2000 + "/"
+        + "3" * 2000 + "\n",
+    ], ids=("negative-weight", "sixteen-weights", "nine-weights",
+            "vector-length", "masses-length", "negative-atom",
             "negative-density", "zero-alpha", "point-abc", "point-1/0",
-            "point-huge-exponent", "point-decimal-exponent"))
+            "point-huge-exponent", "point-decimal-exponent",
+            "point-outside-dini-domain", "point-outside-essrange-domain",
+            "point-4000-digits-outside-tents-domain"))
     def test_exits_two_before_any_enumeration(self, tmp_path, monkeypatch, text):
         import linfweak.cli as cli
-        for name in ("enumerate_zero_one_measures", "extreme_points_unit_ball"):
+        for name in ("enumerate_zero_one_measures", "extreme_points_unit_ball",
+                     "test_weak_null_at", "essential_range_at"):
             monkeypatch.setattr(cli, name, _never)
         task = text.split("\n")[0].split(" = ")[1]
         code, out, err = invoke([task, write(tmp_path, "p.cfg", text)])
@@ -285,11 +292,10 @@ class TestInputErrors:
     def test_largest_finite_model_accepted(self, tmp_path, monkeypatch):
         import linfweak.cli as cli
         from linfweak.cli import MAX_POINTS
-        from linfweak.finitemodel import MAX_LIVE_POINTS
-        # the bounds are inclusive; vertex enumeration at MAX_LIVE_POINTS
-        # takes seconds and is not what this checks
+        # the bound is inclusive and every weight may be positive; vertex
+        # enumeration is tested in tests/test_finitemodel.py
         monkeypatch.setattr(cli, "extreme_points_unit_ball", lambda space: [])
-        weights = ["1"] * MAX_LIVE_POINTS + ["0"] * (MAX_POINTS - MAX_LIVE_POINTS)
+        weights = ["1"] * MAX_POINTS
         cfg = write(tmp_path, "p.cfg",
                     f"task = finite-model\nweights = {', '.join(weights)}\n")
         code, out, _ = invoke(["finite-model", cfg, "--format", "machine"])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -166,6 +167,15 @@ class TestExtremePoints:
         verts = extreme_points_unit_ball(FiniteSpace.of(1, 1, 1))
         assert len(verts) == 6
 
+    def test_seven_live_points(self):
+        space = FiniteSpace.of(1, 2, F(1, 3), 0, 1, 1, 5, 1)
+        verts = extreme_points_unit_ball(space)
+        live = [0, 1, 2, 4, 5, 6, 7]
+        assert len(verts) == 14
+        assert {v.masses for v in verts} == {
+            tuple(F(sign * (i == p)) for i in range(8))
+            for p in live for sign in (1, -1)}
+
     def test_matches_plus_minus_g(self):
         space = FiniteSpace.of(F(1, 2), 1, 0, 2)
         verts = set(extreme_points_unit_ball(space))
@@ -182,21 +192,68 @@ class TestVertexEnumeration:
         verts = vertex_enumeration(cons)
         assert len(verts) == 4
 
-    def test_cross_polytope_3d(self):
-        from itertools import product
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_cross_polytope(self, d):
         cons = [(tuple(F(s) for s in signs), F(1))
-                for signs in product((1, -1), repeat=3)]
-        verts = vertex_enumeration(cons)
-        assert sorted(verts) == sorted(
-            tuple(F(1) if i == j else F(0) for i in range(3)) for j in range(3)
-        ) + sorted(tuple(F(-1) if i == j else F(0) for i in range(3))
-                   for j in range(3)) or len(verts) == 6
+                for signs in product((1, -1), repeat=d)]
+        units = [tuple(F(sign * (i == j)) for i in range(d))
+                 for j in range(d) for sign in (1, -1)]
+        assert vertex_enumeration(cons) == sorted(units)
 
     def test_degenerate_cut(self):
         # a triangle: x >= 0, y >= 0, x + y <= 1
         cons = [((-1, 0), F(0)), ((0, -1), F(0)), ((1, 1), F(1))]
         verts = vertex_enumeration(cons)
         assert sorted(verts) == [(F(0), F(0)), (F(0), F(1)), (F(1), F(0))]
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return F(1)
+    return sum((-1) ** c * rows[0][c] * _det([r[:c] + r[c + 1:] for r in rows[1:]])
+               for c in range(len(rows)) if rows[0][c])
+
+
+def brute_force_vertices(cons, d):
+    """Every d-subset of the constraints with a unique solution, solved by
+    Cramer's rule, kept when it satisfies every constraint."""
+    found = set()
+    for subset in combinations(cons, d):
+        rows = [list(a) for a, _ in subset]
+        det = _det(rows)
+        if det == 0:
+            continue
+        x = tuple(_det([r[:i] + [b] + r[i + 1:] for r, (_, b) in zip(rows, subset)]) / det
+                  for i in range(d))
+        if all(sum(ai * xi for ai, xi in zip(a, x)) <= b for a, b in cons):
+            found.add(x)
+    return sorted(found)
+
+
+@st.composite
+def cut_unit_cubes(draw):
+    """[-1, 1]^d (d <= 3) cut by integer halfspaces; repeated, redundant,
+    degenerate (several cuts through one vertex) and infeasible cuts all
+    occur."""
+    d = draw(st.integers(1, 3))
+    cuts = [(tuple(F(sign * (j == i)) for j in range(d)), F(1))
+            for i in range(d) for sign in (1, -1)]
+    for _ in range(draw(st.integers(0, 5))):
+        cuts.append((tuple(F(draw(st.integers(-3, 3))) for _ in range(d)),
+                     F(draw(st.integers(-3, 3)))))
+    cons = []
+    for a, b in cuts:
+        # a scaled copy is a second constraint with the same hyperplane
+        for scale in draw(st.sampled_from([(1,), (1,), (1, 1), (1, 2)])):
+            cons.append((tuple(scale * x for x in a), scale * b))
+    return d, draw(st.permutations(cons))
+
+
+@given(cut_unit_cubes())
+def test_vertex_enumeration_matches_brute_force(case):
+    d, cons = case
+    assert vertex_enumeration(cons) == brute_force_vertices(cons, d)
 
 
 class TestRainwater:

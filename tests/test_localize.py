@@ -8,8 +8,8 @@ from linfweak.corpus import (CORPUS, LOCAL_CORPUS, center_segment,
 from linfweak.engine import EngineError, NONNULL, NULL, Policy, test_weak_null
 from linfweak.localize import (accumulates_at, compact_exhaustion,
                                essential_range, essential_range_at,
-                               essential_range_in, escape_points, neighborhood,
-                               test_weak_null_at)
+                               essential_range_in, escape_points, in_closure,
+                               neighborhood, test_weak_null_at)
 from linfweak.piecewise import PiecewiseFn
 from linfweak.points import ExtPoint
 from linfweak.sets import Domain, IntervalSet, closed, ico, ivl, opened, point
@@ -143,6 +143,16 @@ class TestLocalVerdicts:
         verdict = test_weak_null_at(family_by_name(name), ExtPoint.parse(pt),
                                     Policy())
         assert verdict.kind == expected
+
+    def test_point_outside_closure_is_an_engine_error(self):
+        # the CLI rejects such a point as input; API callers get EngineError
+        with pytest.raises(EngineError, match="not in the closure"):
+            test_weak_null_at(family_by_name("dini-null"), ExtPoint.at(-1))
+
+    def test_closure_membership(self):
+        assert in_closure(X, ExtPoint.at(1)) and in_closure(X, ExtPoint.at(-1))
+        assert in_closure(X, ExtPoint.infinity())
+        assert not in_closure(X, ExtPoint.at(F(-3, 2)))
 
     def test_sided_translates_20_point_sample(self):
         fam = sided_translates()
