@@ -301,7 +301,7 @@ def _spot_alphas(family, policy):
 
 
 def _try_eventual_constant(family, policy):
-    if not isinstance(family, ExplicitListFamily) or family.tail_constant() is None:
+    if not isinstance(family, ExplicitListFamily):
         return None
     tail = family.tail_constant()
     c = tail.ess_sup_norm()

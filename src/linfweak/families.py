@@ -246,33 +246,27 @@ class _AbsMapped(SequenceFamily):
 
 
 class ExplicitListFamily(SequenceFamily):
-    """A finite list of terms; by default the last one repeats forever."""
+    """A finite list of terms; the last one repeats forever."""
 
     def __init__(self, domain: Domain, terms: Sequence[PiecewiseFn],
-                 name="explicit", norm_bound=None, certificates=(),
-                 repeat_last: bool = True):
+                 name="explicit", norm_bound=None, certificates=()):
         if not terms:
             raise ValueError("an explicit family needs at least one term")
         if norm_bound is None:
             norm_bound = max(t.ess_sup_norm() for t in terms)
         super().__init__(domain, name, norm_bound, certificates)
         self.terms = tuple(terms)
-        self.repeat_last = repeat_last
 
     def _term(self, k):
-        if k <= len(self.terms):
-            return self.terms[k - 1]
-        if self.repeat_last:
-            return self.terms[-1]
-        raise ValueError(f"term {k} beyond the explicit list")
+        return self.terms[k - 1] if k <= len(self.terms) else self.terms[-1]
 
-    def tail_constant(self) -> Optional[PiecewiseFn]:
-        return self.terms[-1] if self.repeat_last else None
+    def tail_constant(self) -> PiecewiseFn:
+        return self.terms[-1]
 
     def abs_mapped(self):
         return ExplicitListFamily(self.domain, [t.abs_fn() for t in self.terms],
                                   f"abs({self.name})", self.norm_bound,
-                                  self.certificates, self.repeat_last)
+                                  self.certificates)
 
 
 class IndicatorFamily(SequenceFamily):

@@ -352,15 +352,18 @@ def extreme_points_unit_ball(space: FiniteSpace) -> list[FAVector]:
         for coord, p in zip(v, pos):
             masses[p] = coord
         out.append(FAVector(tuple(masses)))
-    expected = set()
-    for w in enumerate_zero_one_measures(space):
-        expected.add(w.to_vector(space.n))
-        expected.add(-w.to_vector(space.n))
-    if set(out) != expected:
+    expected = _signed_zero_one_measures(space)
+    if set(out) != set(expected):
         raise FiniteModelError(
             f"extreme points {sorted(v.masses for v in out)} differ from the "
             f"0-1 measures {sorted(v.masses for v in expected)}")
     return sorted(out, key=lambda v: v.masses)
+
+
+def _signed_zero_one_measures(space: FiniteSpace) -> list[FAVector]:
+    """The plus and minus 0-1 measures, sorted by their masses."""
+    units = [w.to_vector(space.n) for w in enumerate_zero_one_measures(space)]
+    return sorted(units + [-v for v in units], key=lambda v: v.masses)
 
 
 @dataclass
@@ -385,7 +388,9 @@ def rainwater_check(space: FiniteSpace, vectors: Sequence[Sequence]) -> Rainwate
     if len(vectors) < 4:
         raise FiniteModelError("need a few terms to talk about convergence")
     us = [[rat(x) for x in u] for u in vectors]
-    extremes = extreme_points_unit_ball(space)
+    # the extreme points of the unit ball, as extreme_points_unit_ball
+    # asserts against its vertex enumeration
+    extremes = _signed_zero_one_measures(space)
     if not extremes:
         return RainwaterReport(True, True)
     samples: list[FAVector] = list(extremes)

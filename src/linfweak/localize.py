@@ -23,13 +23,14 @@ all escape routes together).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
 from .engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy, Verdict,
                      Witness, _evidence_table, test_weak_null)
-from .families import (ExplicitListFamily, SequenceFamily, SuperlevelKernel,
-                       SupportEnvelope, TranslateFamily)
+from .families import (ExplicitListFamily, MonotoneEnvelope, SequenceFamily,
+                       SuperlevelKernel, SupportEnvelope, TranslateFamily)
 from .piecewise import PiecewiseFn
 from .points import ExtPoint
 from .sets import (Domain, Interval, IntervalSet, closed, is_finite, opened,
@@ -226,7 +227,7 @@ def _local_translate(family, x0, policy, ell_max):
     x = x0.x
     radius = Fraction(1, 1)
     window = neighborhood(family.domain, x0, 1)
-    thresh = _ceil_div(hi_bp - (x - radius), step) + 1
+    thresh = math.ceil((hi_bp - (x - radius)) / step) + 1
     thresh = max(thresh, 1)
     if l_pos == 0:
         restricted_norm = family.term(thresh).restrict(window).ess_sup_norm() \
@@ -251,11 +252,6 @@ def _local_translate(family, x0, policy, ell_max):
                    evidence={"x0": str(x0), "tail_value": l_pos},
                    trust=f"u_k is identically {l_pos} on the window for every "
                          f"k >= {thresh}; exact")
-
-
-def _ceil_div(a: Fraction, b: Fraction) -> int:
-    q = a / b
-    return -((-q.numerator) // q.denominator)
 
 
 def _local_support_envelope(family, x0, policy, ell_max):
@@ -345,8 +341,6 @@ def _local_eventual_constant(family, x0, policy, ell_max):
     if not isinstance(family, ExplicitListFamily):
         return None
     tail = family.tail_constant()
-    if tail is None:
-        return None
     # the tail repeats forever, so nullity at x0 is decided by the essential
     # range of |tail| at x0: any positive limit value yields a kernel there
     top = _top_limit(tail, x0)
@@ -372,7 +366,6 @@ def _local_monotone(family, x0, policy, ell_max):
     largest limit value of |u_k| at x0.  Once that tops out at 0 the terms
     vanish essentially on small windows forever after (|u_k| only decreases);
     a positive floor across the budget yields a witness, trusted beyond."""
-    from .families import MonotoneEnvelope
     if not family.certificates_of(MonotoneEnvelope):
         return None
     budget = policy.cert_budget

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .literals import parse_rat
 from .sets import rat
 
 
@@ -36,6 +35,8 @@ class ExtPoint:
     def parse(text: str) -> "ExtPoint":
         """'inf' (or '+inf', 'infinity'), else a rational in the literal
         grammar: ['-'] digits ['/' digits]."""
+        # imported here: literals imports restriction, which imports points
+        from .literals import parse_rat
         text = text.strip()
         if text in ("inf", "+inf", "infinity"):
             return ExtPoint.infinity()

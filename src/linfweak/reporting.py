@@ -26,21 +26,9 @@ class Report:
     elapsed_ms: Optional[float] = None
 
     def exit_code(self) -> int:
-        kind = _deep_get(self.result, "kind")
-        if kind == "inconclusive":
+        if self.result["kind"] == "inconclusive":
             return 3
         return 0
-
-
-def _deep_get(d, key):
-    if isinstance(d, dict):
-        if key in d:
-            return d[key]
-        for v in d.values():
-            got = _deep_get(v, key)
-            if got is not None:
-                return got
-    return None
 
 
 def render_value(v) -> str:

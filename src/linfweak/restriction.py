@@ -15,11 +15,17 @@ B_l \\ E and B_l n E are exact functions a + b/l + c*l, determined by
 interpolation and consistency checks.  That makes the three-valued query
 total: 'undetermined' is a theorem about every l, not a budget artifact.
 
-The Borel measure representing the restriction to C_0(X) is computed from
-the forced answers alone (so it is the same for every extension of the
-base): an atom whose base shrinks to a point of X contributes a Dirac mass
-there; an atom escaping every compact (through a lost boundary point or to
-infinity) contributes nothing; the sigma-additive density passes through.
+Each base is read once, when built, as the point of the one-point
+compactification X_inf = X u {inf} where it concentrates (a 0-1 measure is
+an ultrafilter).  An escape from every compact of X, through a lost
+boundary point or to +-inf, is the point at infinity here (`weaknull-at` at
+such a boundary point localizes along that single route instead); a part
+keeping positive length, or limits on both sides of the carrier's edge,
+leave the base unresolved.  The Borel measure representing the restriction
+to C_0(X) is computed from the forced answers and these limits alone (so
+it is the same for every extension of the base): an atom whose base shrinks
+to a point of X contributes a Dirac mass there; an atom at infinity
+contributes nothing; the sigma-additive density passes through.
 """
 
 from __future__ import annotations
@@ -30,12 +36,17 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .piecewise import PiecewiseFn
+from .points import ExtPoint
 from .sets import (Domain, Interval, IntervalSet, NEG_INF, POS_INF,
                    SetAlgebraError, is_finite, ivl, rat)
 
 ONE = "one"
 ZERO = "zero"
 UNDETERMINED = "undetermined"
+
+CHECK_LEVELS = 8    # levels checked one by one when a base is built
+COMPACT_SCAN = 64   # members searched for a compact closure in the carrier
+MINIMAX_BUDGET = 8  # dyadic steps of the minimax compacts and opens
 
 
 class UnsupportedOracleError(ValueError):
@@ -136,32 +147,35 @@ class BaseFormula:
         return max(worst, self.index_shift + 1)
 
 
-@dataclass(frozen=True)
-class AtomLimit:
-    kind: str  # "point" | "escape" | "unsupported"
-    location: Optional[Fraction] = None
-    detail: str = ""
-
-
 class FilterBaseMeasure:
-    """A 0-1 finitely additive measure pinned down by omega(B_l) = 1."""
+    """A 0-1 finitely additive measure pinned down by omega(B_l) = 1.
 
-    def __init__(self, formula: BaseFormula, domain: Domain, check_budget: int = 8):
+    `limit` is the point of X_inf where the base concentrates: a point of
+    the carrier, or infinity when every limit of the base falls outside the
+    carrier.  It is None when the base has no single limit, and
+    `limit_detail` then says why."""
+
+    def __init__(self, formula: BaseFormula, domain: Domain):
         self.formula = formula
         self.domain = domain
         carrier = domain.carrier
-        prev = None
-        for ell in range(1, check_budget + 1):
+        # past raw level `frozen` no endpoint order changes, so positive
+        # measure there is positive measure at every later level
+        frozen = formula.raw_threshold([]) + 1
+        levels = (*range(1, CHECK_LEVELS + 1),
+                  max(frozen - formula.index_shift, CHECK_LEVELS))
+        for i, ell in enumerate(levels):
             b = formula.at(ell)
             if not b.is_subset(carrier):
                 raise SetAlgebraError(f"B_{ell} leaves the carrier")
             if b.measure() == 0:
                 raise SetAlgebraError(f"B_{ell} is lambda-null; filter bases "
                                       "need positive measure at every level")
-            if prev is not None and not b.is_subset(prev):
-                raise SetAlgebraError(f"B_{ell} is not nested inside B_{ell-1}")
+            if i and not b.is_subset(prev):
+                raise SetAlgebraError(f"B_{ell} is not nested inside B_{levels[i-1]}")
             prev = b
         self._check_tail_nested()
+        self.limit, self.limit_detail = _base_limit(formula, frozen, carrier)
 
     def _check_tail_nested(self):
         for p in self.formula.parts:
@@ -218,43 +232,38 @@ class FilterBaseMeasure:
                                          "form a + b/m + c*m; threshold too small")
         return a == 0 and b == 0 and c == 0
 
-    # -- accumulation analysis ------------------------------------------------
 
-    def limit_analysis(self) -> AtomLimit:
-        """Where does the base concentrate?  A single point of X (Dirac), an
-        escape through lost boundary points or infinity (zero), or something
-        this oracle class cannot resolve."""
-        probe = self.formula.raw_threshold([]) + 1
-        carrier = self.domain.carrier
-        points: set[Union[Fraction, float]] = set()
-        for p in self.formula.parts:
-            if p.at(probe) is None and p.at(probe + 1) is None:
-                continue  # the part died before the tail
-            lo_lim = p.lo.limit() if p.lo is not None else NEG_INF
-            hi_lim = p.hi.limit() if p.hi is not None else POS_INF
-            if lo_lim == hi_lim and is_finite(lo_lim):
-                points.add(lo_lim)
-                continue
-            if lo_lim == POS_INF or hi_lim == NEG_INF:
-                # the part slides away whole
-                points.add(POS_INF if lo_lim == POS_INF else NEG_INF)
-                continue
-            return AtomLimit("unsupported",
-                             detail=f"a base part keeps positive length in the "
-                                    f"limit ([{lo_lim}, {hi_lim}])")
-        finite_pts = sorted(q for q in points if is_finite(q))
-        infinite = [q for q in points if not is_finite(q)]
-        in_carrier = [q for q in finite_pts if carrier.contains(q)]
-        if len(in_carrier) == 1 and len(finite_pts) == 1 and not infinite:
-            return AtomLimit("point", location=in_carrier[0])
-        if not in_carrier:
-            return AtomLimit("escape",
-                             detail=f"limits {finite_pts + infinite} all fall "
-                                    f"outside the carrier")
-        return AtomLimit("unsupported",
-                         detail=f"base oscillates between {finite_pts + infinite}, "
-                                f"of which {in_carrier} lie in the carrier; the "
-                                f"extension is not pinned down")
+def _base_limit(formula: BaseFormula, probe: int,
+                carrier: IntervalSet) -> tuple[Optional[ExtPoint], str]:
+    """Where the base concentrates, read from the endpoint limits of the
+    parts alive past the raw level `probe`: a single point of the carrier,
+    infinity when every limit falls outside the carrier, or None with the
+    reason when a part keeps positive length or the limits straddle the
+    carrier's edge."""
+    points: set[Union[Fraction, float]] = set()
+    for p in formula.parts:
+        if p.at(probe) is None and p.at(probe + 1) is None:
+            continue  # the part died before the tail
+        lo_lim = p.lo.limit() if p.lo is not None else NEG_INF
+        hi_lim = p.hi.limit() if p.hi is not None else POS_INF
+        if lo_lim == hi_lim and is_finite(lo_lim):
+            points.add(lo_lim)
+        elif lo_lim == POS_INF or hi_lim == NEG_INF:
+            # the part slides away whole
+            points.add(POS_INF if lo_lim == POS_INF else NEG_INF)
+        else:
+            return None, (f"a base part keeps positive length in the limit "
+                          f"([{lo_lim}, {hi_lim}])")
+    finite_pts = sorted(q for q in points if is_finite(q))
+    infinite = [q for q in points if not is_finite(q)]
+    in_carrier = [q for q in finite_pts if carrier.contains(q)]
+    if not in_carrier:
+        return ExtPoint.infinity(), ""
+    if len(finite_pts) == 1 and not infinite:
+        return ExtPoint.at(in_carrier[0]), ""
+    return None, (f"base oscillates between {finite_pts + infinite}, of which "
+                  f"{in_carrier} lie in the carrier; the extension is not "
+                  f"pinned down")
 
 
 def _fit_abc(p1, p2, p3) -> tuple[Fraction, Fraction, Fraction]:
@@ -317,17 +326,19 @@ class CompositeFA:
         self.density = density
 
     def density_integral(self, e: IntervalSet) -> Fraction:
-        e = e.intersect(self.domain.carrier)
-        total = Fraction(0)
-        for p in self.density.pieces:
-            if p.intercept == 0:
-                continue
-            total += p.intercept * IntervalSet.of(p.interval).intersect(e).measure()
-        return total
+        return _step_integral(self.density, e.intersect(self.domain.carrier))
 
     def total_mass(self) -> Fraction:
         return sum((c for c, _ in self.atoms), Fraction(0)) + \
             self.density_integral(self.domain.carrier)
+
+
+def _step_integral(density: PiecewiseFn, e: IntervalSet) -> Fraction:
+    total = Fraction(0)
+    for p in density.pieces:
+        if p.intercept != 0:
+            total += p.intercept * IntervalSet.of(p.interval).intersect(e).measure()
+    return total
 
 
 def fa_query(nu: CompositeFA, e: IntervalSet) -> QueryResult:
@@ -355,13 +366,10 @@ class RegularBorel:
     density: PiecewiseFn
 
     def measure_of(self, b: IntervalSet) -> Fraction:
-        total = Fraction(0)
+        total = _step_integral(self.density, b)
         for x, m in self.point_masses:
             if b.contains(x):
                 total += m
-        for p in self.density.pieces:
-            if p.intercept != 0:
-                total += p.intercept * IntervalSet.of(p.interval).intersect(b).measure()
         return total
 
     def total_mass(self) -> Fraction:
@@ -375,33 +383,38 @@ class RegularBorel:
 def hat(nu: CompositeFA, validate: bool = True) -> RegularBorel:
     """The Borel measure representing the restriction of nu to C_0(X).
 
-    Each atom contributes its coefficient as a Dirac mass at the unique
-    point its base shrinks to, when that point belongs to X and some base
-    member has compact closure inside X; an atom escaping every compact
-    contributes nothing.  Unresolvable bases raise instead of guessing.
+    Each atom contributes its coefficient as a Dirac mass at its base's
+    limit, when that limit is a point of X and some base member has compact
+    closure inside X; an atom at infinity contributes nothing.  Unresolved
+    bases raise instead of guessing.
     """
     masses: dict[Fraction, Fraction] = {}
     for c, base in nu.atoms:
-        lim = base.limit_analysis()
-        if lim.kind == "unsupported":
-            raise UnsupportedOracleError(lim.detail)
-        if lim.kind == "escape":
+        x0 = _resolved_limit(base)
+        if x0.is_infinite:
             continue
-        _assert_compact_member(base)
-        masses[lim.location] = masses.get(lim.location, Fraction(0)) + c
+        _first_compact_level(base)
+        masses[x0.x] = masses.get(x0.x, Fraction(0)) + c
     out = RegularBorel(tuple(sorted(masses.items())), nu.density)
     if validate:
         _validate_against_minimax(nu, out)
     return out
 
 
-def _assert_compact_member(base: FilterBaseMeasure, scan: int = 64):
+def _resolved_limit(base: FilterBaseMeasure) -> ExtPoint:
+    if base.limit is None:
+        raise UnsupportedOracleError(base.limit_detail)
+    return base.limit
+
+
+def _first_compact_level(base: FilterBaseMeasure) -> int:
+    """The first level whose member has compact closure inside the carrier
+    (the later, nested members then have one too)."""
     carrier = base.domain.carrier
-    for ell in range(1, scan + 1):
-        b = base.at(ell)
-        cl = b.closure()
+    for ell in range(1, COMPACT_SCAN + 1):
+        cl = base.at(ell).closure()
         if cl.is_compact() and cl.is_subset(carrier):
-            return
+            return ell
     raise UnsupportedOracleError(
         "no base member with compact closure inside the carrier was found; "
         "the Dirac contribution cannot be certified")
@@ -433,11 +446,11 @@ def relative_interior_open(s: IntervalSet, carrier: IntervalSet) -> bool:
     return s == carrier.difference(outside.closure())
 
 
-def _inner_compacts(b: IntervalSet, budget: int) -> list[IntervalSet]:
+def _inner_compacts(b: IntervalSet) -> list[IntervalSet]:
     """An increasing family of compacts inside b (open finite endpoints move
     in by 1/2^m, unbounded ends are clipped at +-2^m)."""
     out = []
-    for m in range(1, budget + 1):
+    for m in range(1, MINIMAX_BUDGET + 1):
         k = b.compact_core(Fraction(1, 2 ** m), 2 ** m)
         if not k.is_empty():
             out.append(k)
@@ -446,25 +459,17 @@ def _inner_compacts(b: IntervalSet, budget: int) -> list[IntervalSet]:
     return out
 
 
-def _outer_opens(b: IntervalSet, carrier: IntervalSet, budget: int) -> list[IntervalSet]:
+def _outer_opens(b: IntervalSet, carrier: IntervalSet) -> list[IntervalSet]:
     out = []
-    for m in range(1, budget + 1):
+    for m in range(1, MINIMAX_BUDGET + 1):
         out.append(b.fatten(Fraction(1, 2 ** m)).intersect(carrier))
     if relative_interior_open(b, carrier):
         out.append(b)
     return out
 
 
-def _forced_on_every_open_superset(base: FilterBaseMeasure, k: IntervalSet) -> bool:
-    """omega(G) = 1 forced for EVERY open G containing the compact k: holds
-    iff the base shrinks to a point of k (then B_l eventually enters each
-    fattening, and every open superset of a compact contains a fattening)."""
-    lim = base.limit_analysis()
-    return lim.kind == "point" and k.contains(lim.location)
-
-
-def minimax_value(nu: CompositeFA, b: IntervalSet, side: str = "inf-sup",
-                  budget: int = 8) -> tuple[Fraction, Fraction]:
+def minimax_value(nu: CompositeFA, b: IntervalSet,
+                  side: str = "inf-sup") -> tuple[Fraction, Fraction]:
     """Certified enclosure of hat(nu)(b) through the minimax formula over
     rational-endpoint compacts and opens.
 
@@ -480,14 +485,18 @@ def minimax_value(nu: CompositeFA, b: IntervalSet, side: str = "inf-sup",
         raise ValueError("side is 'inf-sup' or 'sup-inf'")
     carrier = nu.domain.carrier
     b = b.intersect(carrier)
-    compacts = _inner_compacts(b, budget)
-    opens = _outer_opens(b, carrier, budget)
+    compacts = _inner_compacts(b)
+    opens = _outer_opens(b, carrier)
+    # omega(G) = 1 is forced for EVERY open G containing a compact k iff the
+    # base shrinks to a point of k (B_l then enters each fattening of k, and
+    # every open superset of a compact contains a fattening)
+    points = [(c, base.limit.x) for c, base in nu.atoms
+              if base.limit is not None and not base.limit.is_infinite]
     lower = Fraction(0)
     for k in compacts:
         cand = fa_query(nu, k).lower
         if side == "sup-inf":
-            forced = sum((c for c, base in nu.atoms
-                          if _forced_on_every_open_superset(base, k)), Fraction(0))
+            forced = sum((c for c, x in points if k.contains(x)), Fraction(0))
             cand = max(cand, forced + nu.density_integral(k))
         lower = max(lower, cand)
     upper = nu.total_mass()
@@ -519,26 +528,14 @@ def singularity_witness(nu: CompositeFA, alpha, count: int = 8) -> Optional[Sing
     alpha = rat(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    dirac_atoms = []
-    for c, base in nu.atoms:
-        lim = base.limit_analysis()
-        if lim.kind == "unsupported":
-            raise UnsupportedOracleError(lim.detail)
-        if lim.kind == "point":
-            dirac_atoms.append((c, base))
+    dirac_atoms = [(c, base) for c, base in nu.atoms
+                   if not _resolved_limit(base).is_infinite]
     total = sum((c for c, _ in dirac_atoms), Fraction(0))
     if total < alpha or not dirac_atoms:
         return None
-    carrier = nu.domain.carrier
-    start = 1
-    while True:
-        hulls = [base.at(start).closure() for _, base in dirac_atoms]
-        k = IntervalSet.of(*[h for hull in hulls for h in hull.parts])
-        if k.is_compact() and k.is_subset(carrier):
-            break
-        start += 1
-        if start > 64:
-            raise UnsupportedOracleError("no compact starting hull found")
+    # the union of the atoms' closed hulls is compact inside the carrier
+    # from the last of their first compact levels on
+    start = max(_first_compact_level(base) for _, base in dirac_atoms)
     compacts, measures, lowers = [], [], []
     for n in range(start, start + count):
         hulls = [base.at(n).closure() for _, base in dirac_atoms]

@@ -144,6 +144,22 @@ class TestTasks:
         assert "result.zero_one_measures.2 = 2" in out
         assert "result.jordan.total_variation = 6" in out
 
+    def test_finite_model_enumerates_vertices_once(self, tmp_path, monkeypatch):
+        import linfweak.finitemodel as fm
+        calls = []
+        enumerate_vertices = fm.vertex_enumeration
+
+        def counted(constraints):
+            calls.append(len(constraints))
+            return enumerate_vertices(constraints)
+        monkeypatch.setattr(fm, "vertex_enumeration", counted)
+        cfg = write(tmp_path, "p.cfg",
+                    "task = finite-model\nweights = 1, 0, 2\n"
+                    "vectors = 1,2,3 ; 0,1,0 ; 3,3,3 ; 3,3,3\n")
+        code, out, _ = invoke(["finite-model", cfg, "--format", "machine"])
+        assert code == 0 and "result.rainwater.agree = true" in out
+        assert calls == [4]
+
     def test_restrict(self, tmp_path):
         cfg = write(tmp_path, "p.cfg",
                     "task = restrict\ndomain = (0,1)\n"
@@ -262,6 +278,8 @@ class TestInputErrors:
         "task = restrict\ndomain = (0,1)\natoms = -1 * (0,1/l)\n",
         "task = restrict\ndomain = (0,1)\ndensity = (0,1) 0 -1\n",
         "task = restrict\ndomain = (0,1)\natoms = 1 * (0,1/l)\nalpha = 0\n",
+        # empty from l = 16 on, past the levels checked one by one
+        "task = restrict\ndomain = (-1,2)\natoms = 1 * (1/2 - 1/l, 3/8 + 1/l)\n",
         "task = weaknull-at\nfamily = tents\npoint = abc\n",
         "task = essrange-at\ndomain = (-1,1)\nfunction = (-1,1) 0 1\n"
         "point = 1/0\n",
@@ -275,7 +293,7 @@ class TestInputErrors:
         + "3" * 2000 + "\n",
     ], ids=("negative-weight", "sixteen-weights", "nine-weights",
             "vector-length", "masses-length", "negative-atom",
-            "negative-density", "zero-alpha", "point-abc", "point-1/0",
+            "negative-density", "zero-alpha", "base-empties-out", "point-abc", "point-1/0",
             "point-huge-exponent", "point-decimal-exponent",
             "point-outside-dini-domain", "point-outside-essrange-domain",
             "point-4000-digits-outside-tents-domain"))

@@ -5,6 +5,7 @@ import pytest
 from linfweak.corpus import (app3_base, closed_dirac_base, dirac_base,
                              escaping_base)
 from linfweak.piecewise import PiecewiseFn
+from linfweak.points import ExtPoint
 from linfweak.restriction import (BaseFormula, BasePart, CompositeFA,
                                   FilterBaseMeasure, ONE, UNDETERMINED,
                                   UnsupportedOracleError, ZERO, fa_query, hat,
@@ -18,6 +19,28 @@ X01 = Domain.open_interval(0, 1)
 
 def S(*parts):
     return IntervalSet.of(*parts)
+
+
+def fat_base():
+    """B_l = (0, 1/2 + 1/(l+1)): keeps positive length in the limit."""
+    return FilterBaseMeasure(
+        BaseFormula((BasePart.affine(0, 0, F(1, 2), 1, False, False),),
+                    index_shift=1), X01)
+
+
+def two_point_base():
+    """Shrinks to 1/4 and to 3/4 at once: both limits lie in the carrier."""
+    return FilterBaseMeasure(
+        BaseFormula((BasePart.affine(F(1, 4), -1, F(1, 4), 1, False, False),
+                     BasePart.affine(F(3, 4), -1, F(3, 4), 1, False, False)),
+                    index_shift=8), X01)
+
+
+def two_ended_base():
+    """B_l = (0, 1/l) u (1 - 1/l, 1): escapes through both ends of (0,1)."""
+    return FilterBaseMeasure(
+        BaseFormula((BasePart.affine(0, 0, 0, 1, False, False),
+                     BasePart.affine(1, -1, 1, 0, False, False))), X01)
 
 
 class TestFilterBase:
@@ -38,6 +61,38 @@ class TestFilterBase:
         with pytest.raises(SetAlgebraError):
             FilterBaseMeasure(wide, X01)
 
+    def test_base_emptying_out_after_the_checked_levels_rejected(self):
+        # (1/2 - 1/l, 3/8 + 1/l) is empty from l = 16 on
+        late = BaseFormula((BasePart.affine(F(1, 2), -1, F(3, 8), 1,
+                                            False, False),))
+        with pytest.raises(SetAlgebraError, match="lambda-null"):
+            FilterBaseMeasure(late, Domain.open_interval(-1, 2))
+
+
+class TestLimit:
+    def test_corpus_bases(self):
+        assert escaping_base().limit == ExtPoint.infinity()
+        assert dirac_base().limit == ExtPoint.at(F(1, 2))
+        assert closed_dirac_base().limit == ExtPoint.at(F(1, 2))
+        assert app3_base().limit == ExtPoint.at(0)
+
+    def test_escape_through_both_ends_is_infinity(self):
+        base = two_ended_base()
+        assert base.limit == ExtPoint.infinity()
+        assert hat(CompositeFA([(F(1), base)])).is_zero()
+
+    def test_unresolved_bases_keep_their_reason(self):
+        fat, two = fat_base(), two_point_base()
+        assert fat.limit is None and two.limit is None
+        assert fat.limit_detail.startswith("a base part keeps positive length")
+        assert two.limit_detail.startswith("base oscillates between")
+
+    def test_sup_inf_encloses_on_an_unresolved_base(self):
+        for base, b in ((fat_base(), S(opened(0, F(1, 4)))),
+                        (two_point_base(), S(opened(0, F(1, 2))))):
+            nu = CompositeFA([(F(1), base)])
+            assert minimax_value(nu, b, side="sup-inf") == (0, 1)
+
 
 class TestQuery:
     def test_contained_tail_gives_one(self):
@@ -51,18 +106,13 @@ class TestQuery:
         assert escaping_base().query(blocks) == ZERO
 
     def test_fat_base_is_undetermined(self):
-        fat = FilterBaseMeasure(
-            BaseFormula((BasePart.affine(0, 0, F(1, 2), 1, False, False),),
-                        index_shift=1), X01)
+        fat = fat_base()
         assert fat.query(S(opened(0, F(1, 4)))) == UNDETERMINED
         assert fat.query(S(opened(0, F(3, 4)))) == ONE
         assert fat.query(S(opened(F(3, 4), 1))) == ZERO
 
     def test_bounds_and_determined_flag(self):
-        fat = FilterBaseMeasure(
-            BaseFormula((BasePart.affine(0, 0, F(1, 2), 1, False, False),),
-                        index_shift=1), X01)
-        nu = CompositeFA([(F(1), fat)])
+        nu = CompositeFA([(F(1), fat_base())])
         q = fa_query(nu, S(opened(0, F(1, 4))))
         assert (q.lower, q.upper, q.determined) == (0, 1, False)
 
@@ -95,19 +145,22 @@ class TestHat:
         assert rb.point_masses == ((F(0), F(1)),)
 
     def test_unsupported_fat_base(self):
-        fat = FilterBaseMeasure(
-            BaseFormula((BasePart.affine(0, 0, F(1, 2), 1, False, False),),
-                        index_shift=1), X01)
-        with pytest.raises(UnsupportedOracleError):
-            hat(CompositeFA([(F(1), fat)]))
+        nu = CompositeFA([(F(1), fat_base())])
+        text = r"^a base part keeps positive length in the limit \(\[0, 1/2\]\)$"
+        with pytest.raises(UnsupportedOracleError, match=text):
+            hat(nu)
+        with pytest.raises(UnsupportedOracleError, match=text):
+            singularity_witness(nu, F(1, 2))
 
     def test_unsupported_two_point_base(self):
-        two = FilterBaseMeasure(
-            BaseFormula((BasePart.affine(F(1, 4), -1, F(1, 4), 1, False, False),
-                         BasePart.affine(F(3, 4), -1, F(3, 4), 1, False, False)),
-                        index_shift=8), X01)
-        with pytest.raises(UnsupportedOracleError):
-            hat(CompositeFA([(F(1), two)]))
+        nu = CompositeFA([(F(1), two_point_base())])
+        text = (r"^base oscillates between \[Fraction\(1, 4\), Fraction\(3, 4\)\], "
+                r"of which \[Fraction\(1, 4\), Fraction\(3, 4\)\] lie in the "
+                r"carrier; the extension is not pinned down$")
+        with pytest.raises(UnsupportedOracleError, match=text):
+            hat(nu)
+        with pytest.raises(UnsupportedOracleError, match=text):
+            singularity_witness(nu, F(1, 2))
 
     def test_dichotomy_never_fractional(self):
         for base in (escaping_base(), dirac_base(), app3_base(),
