@@ -37,8 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .sets import (Domain, Interval, IntervalSet, SetAlgebraError,
-                   _ends_before, _intersect_intervals, is_finite, rat)
+from .sets import (Domain, Interval, IntervalSet, SetAlgebraError, _ends_before,
+                   _eq, _intersect_intervals, _lt, is_finite, rat)
+
+_ZERO = Fraction(0)
 
 
 class UnsupportedOperationError(ValueError):
@@ -74,8 +76,8 @@ def _left_of(a: Interval, b: Interval) -> bool:
     """a ends before b starts: the two share no point and b does not reach
     left of a's end."""
     if a.hi_closed and b.lo_closed:
-        return a.hi < b.lo
-    return a.hi <= b.lo
+        return _lt(a.hi, b.lo)
+    return not _lt(b.lo, a.hi)
 
 
 _EXCEEDS = "pieces exceed the domain carrier"
@@ -96,19 +98,19 @@ def _place(parts, j: int, run: bool, full: bool, iv: Interval, touching: bool):
         # iv opens the run of a later part: the parts it passes hold no
         # piece, and it must start where its own part starts
         while j < len(parts) and _left_of(parts[j], iv):
-            if parts[j].lo != parts[j].hi:
+            if not _eq(parts[j].lo, parts[j].hi):
                 raise SetAlgebraError(_GAP)
             j += 1
         if j == len(parts):
             raise SetAlgebraError(_EXCEEDS)
-        if iv.lo != parts[j].lo:
-            raise SetAlgebraError(_EXCEEDS if iv.lo < parts[j].lo else _GAP)
+        if not _eq(iv.lo, parts[j].lo):
+            raise SetAlgebraError(_EXCEEDS if _lt(iv.lo, parts[j].lo) else _GAP)
         if iv.lo_closed and not parts[j].lo_closed:
             raise SetAlgebraError(_EXCEEDS)
     part = parts[j]
-    if iv.hi < part.hi:
+    if _lt(iv.hi, part.hi):
         return j, True, False
-    if iv.hi == part.hi and (part.hi_closed or not iv.hi_closed):
+    if (part.hi_closed or not iv.hi_closed) and _eq(iv.hi, part.hi):
         return j, True, True
     raise SetAlgebraError(_EXCEEDS)
 
@@ -129,16 +131,16 @@ class PiecewiseFn:
         last = None
         for p in self.pieces:
             iv = p.interval
-            touching = last is not None and iv.lo == last.hi
+            touching = last is not None and _eq(iv.lo, last.hi)
             if last is not None and (iv.lo_closed and last.hi_closed if touching
-                                     else iv.lo < last.hi):
+                                     else _lt(iv.lo, last.hi)):
                 raise SetAlgebraError(f"overlapping pieces near {iv.lo}")
             if fault is None:
                 try:
                     j, run, full = _place(parts, j, run, full, iv, touching)
                 except SetAlgebraError as exc:
                     fault = exc
-            if p.slope != 0 and not iv.is_bounded():
+            if not _eq(p.slope, _ZERO) and not iv.is_bounded():
                 raise SetAlgebraError("unbounded piece with nonzero slope is unbounded")
             last = iv
         if fault is not None:
@@ -148,7 +150,7 @@ class PiecewiseFn:
                 raise SetAlgebraError(_GAP)
             j += 1
         for part in parts[j:]:
-            if part.lo != part.hi:
+            if not _eq(part.lo, part.hi):
                 raise SetAlgebraError(_GAP)
 
     # -- constructors ---------------------------------------------------------
@@ -396,14 +398,15 @@ def _abs_piece(p: Piece) -> list[Piece]:
     """|u| on one piece.  u = a (x - root), so |u| is u right of the root and
     -u left of it when a > 0, and the other way round when a < 0."""
     a, b, iv = p.slope, p.intercept, p.interval
-    if a == 0:
+    if _eq(a, _ZERO):
         return [Piece(iv, a, abs(b))]
     root = -b / a
-    left, right = ((-a, -b), (a, b)) if a > 0 else ((a, b), (-a, -b))
-    if not iv.lo < root:
+    left, right = ((-a, -b), (a, b)) if _lt(_ZERO, a) else ((a, b), (-a, -b))
+    if not _lt(iv.lo, root):
         # right of the root; a point piece at the root, where u = 0, keeps u
-        return [Piece(iv, *(right if iv.lo != iv.hi or root != iv.lo else (a, b)))]
-    if not root < iv.hi:
+        point_at_root = _eq(iv.lo, iv.hi) and _eq(root, iv.lo)
+        return [Piece(iv, *((a, b) if point_at_root else right))]
+    if not _lt(root, iv.hi):
         return [Piece(iv, *left)]
     return [Piece(Interval(iv.lo, root, iv.lo_closed, True), *left),
             Piece(Interval(root, iv.hi, False, iv.hi_closed), *right)]
@@ -411,18 +414,18 @@ def _abs_piece(p: Piece) -> list[Piece]:
 
 def _above(iv: Interval, x0: Fraction) -> "Interval | None":
     """iv n (x0, +inf)."""
-    if x0 < iv.lo:
+    if _lt(x0, iv.lo):
         return iv
-    if x0 < iv.hi:
+    if _lt(x0, iv.hi):
         return Interval(x0, iv.hi, False, iv.hi_closed)
     return None
 
 
 def _below(iv: Interval, x0: Fraction) -> "Interval | None":
     """iv n (-inf, x0)."""
-    if iv.hi < x0:
+    if _lt(iv.hi, x0):
         return iv
-    if iv.lo < x0:
+    if _lt(iv.lo, x0):
         return Interval(iv.lo, x0, iv.lo_closed, False)
     return None
 
@@ -431,18 +434,18 @@ def _linear_gt(p: Piece, c: Fraction) -> "Interval | None":
     """{x in piece : a x + b > c}.  a x + b - c = a (x - x0), so a sloped
     piece (always bounded) keeps its part right of x0 when a > 0 and its
     part left of x0 when a < 0."""
-    if p.slope == 0:
-        return p.interval if p.intercept > c else None
+    if _eq(p.slope, _ZERO):
+        return p.interval if _lt(c, p.intercept) else None
     x0 = (c - p.intercept) / p.slope
-    return _above(p.interval, x0) if p.slope > 0 else _below(p.interval, x0)
+    return _above(p.interval, x0) if _lt(_ZERO, p.slope) else _below(p.interval, x0)
 
 
 def _linear_lt(p: Piece, c: Fraction) -> "Interval | None":
     """{x in piece : a x + b < c}, the mirror of `_linear_gt`."""
-    if p.slope == 0:
-        return p.interval if p.intercept < c else None
+    if _eq(p.slope, _ZERO):
+        return p.interval if _lt(p.intercept, c) else None
     x0 = (c - p.intercept) / p.slope
-    return _below(p.interval, x0) if p.slope > 0 else _above(p.interval, x0)
+    return _below(p.interval, x0) if _lt(_ZERO, p.slope) else _above(p.interval, x0)
 
 
 def min_of(fns: Sequence[PiecewiseFn]) -> PiecewiseFn:
@@ -463,8 +466,8 @@ def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
     u._same_domain(v)
     pieces = []
     for cell, (a1, b1), (a2, b2) in u._cells_with(v):
-        if a1 == a2:
-            if b1 <= b2:
+        if _eq(a1, a2):
+            if not _lt(b2, b1):
                 pieces.append(Piece(cell, a1, b1))
             else:
                 pieces.append(Piece(cell, a2, b2))
@@ -472,12 +475,12 @@ def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
         # u - v = (a1 - a2)(x - x0): u is the lower law left of the
         # crossing x0 when a1 > a2 and right of it when a1 < a2
         x0 = (b2 - b1) / (a1 - a2)
-        left, right = ((a1, b1), (a2, b2)) if a1 > a2 else ((a2, b2), (a1, b1))
-        if not cell.lo < x0:
+        left, right = ((a1, b1), (a2, b2)) if _lt(a2, a1) else ((a2, b2), (a1, b1))
+        if not _lt(cell.lo, x0):
             # right of x0; on the point cell x0 the two laws tie: keep u's
-            law = right if cell.lo != cell.hi or x0 != cell.lo else (a1, b1)
-            pieces.append(Piece(cell, *law))
-        elif not x0 < cell.hi:
+            point_at_x0 = _eq(cell.lo, cell.hi) and _eq(x0, cell.lo)
+            pieces.append(Piece(cell, *((a1, b1) if point_at_x0 else right)))
+        elif not _lt(x0, cell.hi):
             pieces.append(Piece(cell, *left))
         else:
             pieces.append(Piece(Interval(cell.lo, x0, cell.lo_closed, True), *left))
@@ -493,8 +496,8 @@ def _coalesced(pieces: Sequence[Piece]) -> tuple[Piece, ...]:
         if out:
             last = out[-1]
             lv, iv = last.interval, p.interval
-            if (lv.hi == iv.lo and lv.hi_closed != iv.lo_closed
-                    and last.slope == p.slope and last.intercept == p.intercept):
+            if (lv.hi_closed != iv.lo_closed and _eq(lv.hi, iv.lo)
+                    and _eq(last.slope, p.slope) and _eq(last.intercept, p.intercept)):
                 out[-1] = Piece(Interval(lv.lo, iv.hi, lv.lo_closed, iv.hi_closed),
                                 p.slope, p.intercept)
                 continue

@@ -195,7 +195,10 @@ class FilterBaseMeasure:
         """Forced value of omega(e), or 'undetermined' (certified for all l)."""
         e = e.intersect(self.domain.carrier)
         m_star = self.formula.raw_threshold(e.endpoints())
-        scan_hi = max(1, m_star - self.formula.index_shift) + 1
+        # The base is nested, so both measures below are non-increasing in
+        # ell and the tail test alone decides; the scan is an early exit,
+        # capped so that a late endpoint crossing costs no long walk.
+        scan_hi = min(max(1, m_star - self.formula.index_shift) + 1, CHECK_LEVELS)
         for ell in range(1, scan_hi + 1):
             b = self.at(ell)
             if b.difference(e).is_null():

@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import HealthCheck, settings, strategies as st
@@ -87,3 +89,24 @@ def function_probes(*fns, extra=()):
     sets = [IntervalSet.of(p.interval) for f in fns for p in f.pieces]
     return [x for x in grid_points(*sets, *extra)
             if all(any(p.interval.contains(x) for p in f.pieces) for f in fns)]
+
+
+class WallClockLimit(AssertionError):
+    """A call ran past the wall-clock limit of `within_seconds`."""
+
+
+@contextmanager
+def within_seconds(seconds: int):
+    """Fail the enclosed block once `seconds` of wall time have passed, so a
+    test of a bounded-time answer fails instead of hanging (SIGALRM, so the
+    block must run in the main thread)."""
+    def expire(signum, frame):
+        raise WallClockLimit(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

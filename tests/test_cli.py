@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import within_seconds
 from linfweak.cli import main, run
 from linfweak.problemfile import ProblemError, parse_problem_text
 from linfweak.reporting import (embedded_problem, render_machine,
@@ -170,6 +171,17 @@ class TestTasks:
         assert "result.hat.point_masses.1.1 = 1/2" in out
         assert "result.query.lower = 1" in out
         assert "result.singularity.found = true" in out
+
+    def test_restrict_late_endpoint_crossing_answers_at_once(self, tmp_path):
+        # the set's left end crosses the base's left end only near l = 250000
+        cfg = write(tmp_path, "p.cfg",
+                    "task = restrict\ndomain = (0,1)\n"
+                    "atoms = 1 * (1/2-1/4/l, 1/2+1/4/l)\n"
+                    "set = (499999/1000000, 1)\n")
+        with within_seconds(5):
+            code, out, _ = invoke(["restrict", cfg, "--format", "machine"])
+        assert code == 0
+        assert "result.query.atom_answers.1 = one" in out
 
     def test_corpus_runs_clean(self):
         code, out, _ = invoke(["corpus", "--format", "machine"])

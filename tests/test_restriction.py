@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import within_seconds
 from linfweak.corpus import (app3_base, closed_dirac_base, dirac_base,
                              escaping_base)
 from linfweak.piecewise import PiecewiseFn
@@ -104,6 +105,15 @@ class TestQuery:
     def test_interleaved_blocks_zero_after_threshold(self):
         blocks = S(*[opened(F(1, 2 * k + 1), F(1, 2 * k)) for k in range(1, 9)])
         assert escaping_base().query(blocks) == ZERO
+
+    def test_late_endpoint_crossing_is_decided_by_the_tail(self):
+        # B_l = (1/2 - 1/(4l), 1/2 + 1/(4l)) lies in the set only from about
+        # l = 250000 on; no level scan may walk there
+        base = FilterBaseMeasure(
+            BaseFormula((BasePart.affine(F(1, 2), F(-1, 4), F(1, 2), F(1, 4)),)), X01)
+        with within_seconds(5):
+            assert base.query(S(opened(F(499999, 1000000), 1))) == ONE
+            assert base.query(S(opened(0, F(499999, 1000000)))) == ZERO
 
     def test_fat_base_is_undetermined(self):
         fat = fat_base()
