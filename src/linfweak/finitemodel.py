@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .polytope import _bits, vertex_enumeration
@@ -165,8 +166,10 @@ def is_filter(F: frozenset[int], space: FiniteSpace) -> bool:
 def is_ultrafilter(F: frozenset[int], space: FiniteSpace) -> bool:
     """Maximality: for every set, it or its complement belongs to the filter;
     equivalent to having no strictly larger filter."""
-    if not is_filter(F, space):
-        return False
+    return is_filter(F, space) and _is_maximal(F, space)
+
+
+def _is_maximal(F: frozenset[int], space: FiniteSpace) -> bool:
     full = space.full_mask
     return all(m in F or (full ^ m) in F for m in space.subsets())
 
@@ -179,10 +182,8 @@ def ultrafilter_roundtrip(omega: ZeroOneMeasure, space: FiniteSpace) -> dict:
     """omega -> filter -> omega', checking the filter axioms and maximality
     along the way; the roundtrip must reproduce omega on every set."""
     F = filter_of(omega, space)
-    axioms = {
-        "filter": is_filter(F, space),
-        "ultrafilter": is_ultrafilter(F, space),
-    }
+    is_f = is_filter(F, space)
+    axioms = {"filter": is_f, "ultrafilter": is_f and _is_maximal(F, space)}
     back = measure_from_filter(F, space)
     axioms["roundtrip"] = all(back[m] == omega.value(m) for m in space.subsets())
     return {"filter": F, "checks": axioms}
@@ -274,31 +275,54 @@ class JordanDecomposition:
 def jordan(nu: FAVector, space: FiniteSpace, verify: bool = True) -> JordanDecomposition:
     """nu = nu+ - nu-, computed by the sign split and (when verify is on)
     checked against the lattice formula (nu v 0)(E) = sup { nu(F) : F subseteq E }
-    over every subset."""
+    over every subset, by the subset-max transform of nu's subset sums (the
+    zeta transform in the (max, +) semiring)."""
+    if len(nu.masses) != space.n:
+        raise FiniteModelError("dimension mismatch")
     pos = FAVector(tuple(max(m, Fraction(0)) for m in nu.masses))
     neg = FAVector(tuple(max(-m, Fraction(0)) for m in nu.masses))
     if verify:
-        for mask in space.subsets():
-            sup = _sup_over_subsets(nu, mask)
-            if sup != pos.value(mask):
-                raise FiniteModelError(
-                    f"sup formula disagrees with the sign split on mask {mask}")
+        _check_lattice_formula(nu, pos)
         meet = tuple(min(p, q) for p, q in zip(pos.masses, neg.masses))
         if any(m != 0 for m in meet):
             raise FiniteModelError("nu+ and nu- are not mutually singular")
     return JordanDecomposition(pos, neg)
 
 
-def _sup_over_subsets(nu: FAVector, mask: int) -> Fraction:
-    best = Fraction(0)  # F = empty set
-    sub = mask
-    while True:
-        v = nu.value(sub)
-        if v > best:
-            best = v
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
+def _check_lattice_formula(nu: FAVector, pos: FAVector) -> None:
+    """pos(E) = sup { nu(F) : F subseteq E } on every mask E, in integers:
+    both vectors are scaled by the lcm of their denominators."""
+    scale = lcm(*(m.denominator for m in nu.masses + pos.masses))
+    best = _sup_table([int(m * scale) for m in nu.masses])
+    want = _subset_sums([int(m * scale) for m in pos.masses])
+    if best != want:
+        mask = next(m for m, (b, w) in enumerate(zip(best, want)) if b != w)
+        raise FiniteModelError(
+            f"sup formula disagrees with the sign split on mask {mask}")
+
+
+def _subset_sums(masses: Sequence[int]) -> list[int]:
+    """The sum of the masses over every mask, in one pass: once point i is
+    in, the masks that contain it are those without it plus mass i."""
+    table = [0]
+    for m in masses:
+        table += [v + m for v in table]
+    return table
+
+
+def _sup_table(masses: Sequence[int]) -> list[int]:
+    """best[E] = max { sum of the masses over F : F subseteq E } on every
+    mask E (the empty F gives 0): the subset-max transform of the subset
+    sums, n * 2^(n-1) comparisons.  Round i lets each mask that contains
+    point i take the best of the same mask without it."""
+    best = _subset_sums(masses)
+    size = len(best)
+    for i in range(len(masses)):
+        bit = 1 << i
+        for lo in range(0, size, 2 * bit):
+            for m in range(lo + bit, lo + 2 * bit):
+                if best[m - bit] > best[m]:
+                    best[m] = best[m - bit]
     return best
 
 

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
-from linfweak.finitemodel import (FAVector, FiniteSpace,
-                                  ZeroOneMeasure, atom_formula_check,
+from linfweak import finitemodel
+from linfweak.cli import MAX_POINTS
+from linfweak.finitemodel import (FAVector, FiniteModelError, FiniteSpace,
+                                  ZeroOneMeasure, _check_lattice_formula,
+                                  _sup_table, atom_formula_check,
                                   dirac_alpha, dirac_alpha_is_unique,
                                   enumerate_zero_one_measures,
                                   enumerate_zero_one_measures_bruteforce,
@@ -67,6 +71,24 @@ class TestUltrafilters:
         F_ = frozenset(m for m in space.subsets() if (m >> 1) & 1)
         assert not is_filter(F_, space)
 
+    def test_roundtrip_checks_the_filter_axioms_once(self, monkeypatch):
+        space = FiniteSpace.of(1, 0, 2)
+        calls = []
+
+        def counted(F_, sp):
+            calls.append(F_)
+            return is_filter(F_, sp)
+        monkeypatch.setattr(finitemodel, "is_filter", counted)
+        out = ultrafilter_roundtrip(ZeroOneMeasure(2), space)
+        assert len(calls) == 1
+        assert out["checks"] == {"filter": True, "ultrafilter": True,
+                                 "roundtrip": True}
+
+    def test_roundtrip_at_a_null_point_is_not_an_ultrafilter(self):
+        out = ultrafilter_roundtrip(ZeroOneMeasure(1), FiniteSpace.of(1, 0, 2))
+        assert out["checks"] == {"filter": False, "ultrafilter": False,
+                                 "roundtrip": True}
+
 
 class TestIntegration:
     def test_point_evaluation(self):
@@ -115,6 +137,26 @@ class TestEssentialRange:
             essential_range_bruteforce(u, space)  # raises on mismatch
 
 
+def _sup_over_subsets(nu, mask):
+    """sup { nu(F) : F subseteq mask } by walking every submask, summing
+    the Fractions bit by bit: the reference for the subset-max transform."""
+    best = F(0)  # F = empty set
+    sub = mask
+    while True:
+        v = nu.value(sub)
+        if v > best:
+            best = v
+        if sub == 0:
+            break
+        sub = (sub - 1) & mask
+    return best
+
+
+def _sign_split(nu):
+    return (tuple(max(m, F(0)) for m in nu.masses),
+            tuple(max(-m, F(0)) for m in nu.masses))
+
+
 class TestJordan:
     def test_example(self):
         space = FiniteSpace.of(1, 1)
@@ -135,6 +177,90 @@ class TestJordan:
             nu = FAVector.of(*[F(rng.randint(-6, 6), rng.randint(1, 3))
                                for _ in range(4)])
             jordan(nu, space)  # verify=True checks all 2^4 subsets
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("masses, weights", [
+        ((1, -2), (1, 1, 1)),                # fewer masses than points
+        ((1, -2, 3, 0, 5), (1, 1, 1)),       # more masses than points
+    ])
+    def test_dimension_mismatch(self, masses, weights, verify):
+        with pytest.raises(FiniteModelError, match="dimension mismatch"):
+            jordan(FAVector.of(*masses), FiniteSpace.of(*weights), verify=verify)
+
+    @pytest.mark.parametrize("weights", [
+        (1, 2, F(1, 3), 1, 1, 5, 1, 1),      # every point live
+        (1, 0, 2, 0, F(1, 2), 0, 3, 1),      # three null points
+    ])
+    def test_largest_space_is_the_sign_split(self, weights):
+        assert len(weights) == MAX_POINTS
+        rng = random.Random(8)
+        space = FiniteSpace.of(*weights)
+        for _ in range(5):
+            nu = FAVector(tuple(F(rng.choice((-1, 1)) * rng.randint(1, 8), den)
+                                for den in rng.sample(range(1, 9), MAX_POINTS)))
+            dec = jordan(nu, space)
+            assert (dec.positive.masses, dec.negative.masses) == _sign_split(nu)
+            assert dec.total_variation == sum(abs(m) for m in nu.masses)
+
+    def test_verify_runs_the_lattice_check(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(finitemodel, "_check_lattice_formula",
+                            lambda nu, pos: seen.append((nu, pos)))
+        nu = FAVector.of(1, -2)
+        jordan(nu, FiniteSpace.of(1, 1), verify=False)
+        assert seen == []
+        dec = jordan(nu, FiniteSpace.of(1, 1))
+        assert seen == [(nu, dec.positive)]
+
+    @pytest.mark.parametrize("wrong", [
+        "total variation", "drop a positive mass", "move a mass",
+        "a finer denominator"])
+    def test_wrong_split_is_rejected(self, wrong):
+        nu = FAVector.of(F(1, 2), -2, 3, 0, F(-1, 3))
+        pos = list(_sign_split(nu)[0])
+        if wrong == "total variation":
+            pos = [abs(m) for m in nu.masses]
+        elif wrong == "drop a positive mass":
+            pos[2] = F(0)
+        elif wrong == "a finer denominator":
+            pos[0] += F(1, 7)  # less than 1 / lcm of nu's denominators
+        else:
+            pos[3], pos[2] = pos[2], F(0)
+        _check_lattice_formula(nu, FAVector(_sign_split(nu)[0]))
+        with pytest.raises(FiniteModelError, match="sup formula disagrees"):
+            _check_lattice_formula(nu, FAVector(tuple(pos)))
+
+
+_MASS = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+
+
+@st.composite
+def lattice_vectors(draw):
+    """Up to six masses of mixed sign with denominators up to 8; zeros and
+    repeated masses are drawn on purpose."""
+    pool = draw(st.lists(_MASS, min_size=1, max_size=3)) + [F(0)]
+    return FAVector(tuple(draw(st.lists(st.one_of(st.sampled_from(pool), _MASS),
+                                        min_size=1, max_size=6))))
+
+
+@given(lattice_vectors())
+def test_sup_table_matches_the_submask_walk(nu):
+    scale = lcm(*(m.denominator for m in nu.masses))
+    best = _sup_table([int(m * scale) for m in nu.masses])
+    assert len(best) == 1 << len(nu.masses)
+    for mask, sup in enumerate(best):
+        assert sup == _sup_over_subsets(nu, mask) * scale
+    dec = jordan(nu, FiniteSpace.of(*[1] * len(nu.masses)))
+    assert (dec.positive.masses, dec.negative.masses) == _sign_split(nu)
+
+
+@given(lattice_vectors(), st.data())
+def test_any_other_split_is_rejected(nu, data):
+    pos = _sign_split(nu)[0]
+    wrong = data.draw(st.lists(_MASS, min_size=len(pos), max_size=len(pos))
+                      .filter(lambda w: tuple(w) != pos))
+    with pytest.raises(FiniteModelError, match="sup formula disagrees"):
+        _check_lattice_formula(nu, FAVector(tuple(wrong)))
 
 
 class TestYosidaHewitt:
