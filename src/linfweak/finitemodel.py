@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -408,7 +408,9 @@ def rainwater_check(space: FiniteSpace, vectors: Sequence[Sequence]) -> Rainwate
     """Convergence (eventual constancy over the supplied horizon) of the
     integrals against every ball element versus against extreme points only.
     Ball elements are sampled exactly: the vertices plus rational convex
-    combinations, which decide the whole ball by convexity."""
+    combinations, which decide the whole ball by convexity.  The integral is
+    linear in the measure, so each combination's sequence is the same
+    combination of two extreme points' sequences."""
     if len(vectors) < 4:
         raise FiniteModelError("need a few terms to talk about convergence")
     us = [[rat(x) for x in u] for u in vectors]
@@ -417,14 +419,12 @@ def rainwater_check(space: FiniteSpace, vectors: Sequence[Sequence]) -> Rainwate
     extremes = _signed_zero_one_measures(space)
     if not extremes:
         return RainwaterReport(True, True)
-    samples: list[FAVector] = list(extremes)
-    zero = FAVector(tuple(Fraction(0) for _ in range(space.n)))
-    samples.append(zero)
-    for i in range(len(extremes)):
-        for j in range(i + 1, len(extremes)):
-            a, b = extremes[i], extremes[j]
-            samples.append(FAVector(tuple((x + y) / 2 for x, y in zip(a.masses, b.masses))))
-            samples.append(FAVector(tuple((x + 2 * y) / 3 for x, y in zip(a.masses, b.masses))))
-    ball = all(_eventually_constant([integrate(u, nu) for u in us]) for nu in samples)
-    extreme = all(_eventually_constant([integrate(u, w) for u in us]) for w in extremes)
+    seqs = [[integrate(u, w) for u in us] for w in extremes]
+    extreme = all(_eventually_constant(s) for s in seqs)
+    # the samples: the extreme points, the zero measure and two convex
+    # combinations of each pair of extreme points
+    ball = extreme and _eventually_constant([Fraction(0)] * len(us)) and all(
+        _eventually_constant([(x + y) / 2 for x, y in zip(a, b)])
+        and _eventually_constant([(x + 2 * y) / 3 for x, y in zip(a, b)])
+        for a, b in combinations(seqs, 2))
     return RainwaterReport(ball, extreme)

@@ -14,6 +14,11 @@ endpoints stabilize beyond a computable index and the tail measures of
 B_l \\ E and B_l n E are exact functions a + b/l + c*l, determined by
 interpolation and consistency checks.  That makes the three-valued query
 total: 'undetermined' is a theorem about every l, not a budget artifact.
+Each member B_l is built once per base and shared by its checks, queries
+and witnesses.  The base's own crossing bound is stored when it is built,
+so a query adds only the crossings of base endpoints with its set's
+endpoints, and it works that threshold out only when levels 1 and 2 leave
+the answer open.
 
 Each base is read once, when built, as the point of the one-point
 compactification X_inf = X u {inf} where it concentrates (a 0-1 measure is
@@ -159,13 +164,18 @@ class FilterBaseMeasure:
         self.formula = formula
         self.domain = domain
         carrier = domain.carrier
+        # members by raw level; the formula is immutable and IntervalSet is
+        # frozen, so every reader can share them
+        self._members: dict[int, IntervalSet] = {}
+        self._endpoint_fns = [f for p in formula.parts for f in p.endpoint_fns()]
+        self._base_threshold = formula.raw_threshold([])
         # past raw level `frozen` no endpoint order changes, so positive
         # measure there is positive measure at every later level
-        frozen = formula.raw_threshold([]) + 1
+        frozen = self._base_threshold + 1
         levels = (*range(1, CHECK_LEVELS + 1),
                   max(frozen - formula.index_shift, CHECK_LEVELS))
         for i, ell in enumerate(levels):
-            b = formula.at(ell)
+            b = self.at(ell)
             if not b.is_subset(carrier):
                 raise SetAlgebraError(f"B_{ell} leaves the carrier")
             if b.measure() == 0:
@@ -187,29 +197,65 @@ class FilterBaseMeasure:
                     "base part upper endpoint is not eventually non-increasing")
 
     def at(self, ell: int) -> IntervalSet:
-        return self.formula.at(ell)
+        if ell < 1:
+            raise ValueError("base index starts at 1")
+        return self._member(ell + self.formula.index_shift)
+
+    def _member(self, m: int) -> IntervalSet:
+        """B at raw level m, built once per base."""
+        b = self._members.get(m)
+        if b is None:
+            b = self._members[m] = self.formula.raw_at(m)
+        return b
+
+    def _threshold(self, constants: Sequence[Fraction]) -> int:
+        """`formula.raw_threshold(constants)` from the stored base threshold:
+        only base-constant pairs can raise it, since two constants never
+        cross (their bound is None or 1)."""
+        worst = self._base_threshold
+        for c in constants:
+            g = EndFn(rat(c))
+            for f in self._endpoint_fns:
+                b = _crossing_bound(f, g)
+                if b is not None and b > worst:
+                    worst = b
+        return worst
 
     # -- the three-valued query ---------------------------------------------
 
     def query(self, e: IntervalSet) -> str:
-        """Forced value of omega(e), or 'undetermined' (certified for all l)."""
+        """Forced value of omega(e), or 'undetermined' (certified for all l).
+
+        Members are built once per base and shared by every query.  Levels 1
+        and 2 are always scanned, so the endpoint threshold is worked out
+        only when neither decides."""
         e = e.intersect(self.domain.carrier)
-        m_star = self.formula.raw_threshold(e.endpoints())
         # The base is nested, so both measures below are non-increasing in
         # ell and the tail test alone decides; the scan is an early exit,
         # capped so that a late endpoint crossing costs no long walk.
+        for ell in (1, 2):
+            answer = self._scan_level(ell, e)
+            if answer is not None:
+                return answer
+        m_star = self._threshold(e.endpoints())
         scan_hi = min(max(1, m_star - self.formula.index_shift) + 1, CHECK_LEVELS)
-        for ell in range(1, scan_hi + 1):
-            b = self.at(ell)
-            if b.difference(e).is_null():
-                return ONE
-            if b.intersect(e).is_null():
-                return ZERO
+        for ell in range(3, scan_hi + 1):
+            answer = self._scan_level(ell, e)
+            if answer is not None:
+                return answer
         if self._tail_identically_null(lambda b: b.difference(e), m_star):
             return ONE
         if self._tail_identically_null(lambda b: b.intersect(e), m_star):
             return ZERO
         return UNDETERMINED
+
+    def _scan_level(self, ell: int, e: IntervalSet) -> Optional[str]:
+        b = self.at(ell)
+        if b.difference(e).is_null():
+            return ONE
+        if b.intersect(e).is_null():
+            return ZERO
+        return None
 
     def _tail_identically_null(self, setfn: Callable[[IntervalSet], IntervalSet],
                                m_star: int) -> bool:
@@ -223,7 +269,7 @@ class FilterBaseMeasure:
         samples = []
         idx = [m_star + 1, m_star + 2, m_star + 3, m_star + 4]
         for m in idx:
-            v = setfn(self.formula.raw_at(m)).measure()
+            v = setfn(self._member(m)).measure()
             if v == POS_INF:
                 return False
             samples.append(v)
@@ -264,9 +310,13 @@ def _base_limit(formula: BaseFormula, probe: int,
         return ExtPoint.infinity(), ""
     if len(finite_pts) == 1 and not infinite:
         return ExtPoint.at(in_carrier[0]), ""
-    return None, (f"base oscillates between {finite_pts + infinite}, of which "
-                  f"{in_carrier} lie in the carrier; the extension is not "
-                  f"pinned down")
+    return None, (f"base oscillates between {_point_list(finite_pts + infinite)}, "
+                  f"of which {_point_list(in_carrier)} lie in the carrier; the "
+                  f"extension is not pinned down")
+
+
+def _point_list(points: Sequence[Union[Fraction, float]]) -> str:
+    return "[" + ", ".join(str(q) for q in points) + "]"
 
 
 def _fit_abc(p1, p2, p3) -> tuple[Fraction, Fraction, Fraction]:
@@ -531,6 +581,8 @@ def singularity_witness(nu: CompositeFA, alpha, count: int = 8) -> Optional[Sing
     alpha = rat(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    if count <= 0:
+        raise ValueError("count must be positive")
     dirac_atoms = [(c, base) for c, base in nu.atoms
                    if not _resolved_limit(base).is_infinite]
     total = sum((c for c, _ in dirac_atoms), Fraction(0))

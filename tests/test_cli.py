@@ -97,6 +97,16 @@ class TestExitCodes:
         code, _, err = invoke(["restrict", cfg])
         assert code == 4 and "engine error" in err
 
+    def test_two_limit_base_error_prints_plain_points(self, tmp_path):
+        cfg = write(tmp_path, "p.cfg",
+                    "task = restrict\ndomain = (0,1)\n"
+                    "atoms = 1 * (1/4 - 1/8/l, 1/4 + 1/8/l) u "
+                    "(3/4 - 1/8/l, 3/4 + 1/8/l)\n")
+        code, out, err = invoke(["restrict", cfg])
+        assert code == 4 and out == ""
+        assert "base oscillates between [1/4, 3/4], of which [1/4, 3/4] " in err
+        assert "Fraction(" not in err
+
     def test_base_outside_carrier_is_input_error(self, tmp_path):
         cfg = write(tmp_path, "p.cfg",
                     "task = restrict\ndomain = (0,1)\n"

@@ -382,6 +382,48 @@ def test_vertex_enumeration_matches_brute_force(case):
     assert vertex_enumeration(cons) == brute_force_vertices(cons, d)
 
 
+def rainwater_by_samples(space, vectors):
+    """Rainwater's check as a walk over sample vectors: every sample of the
+    ball is built as a measure and every integral is taken afresh."""
+    us = [[F(x) for x in u] for u in vectors]
+    extremes = finitemodel._signed_zero_one_measures(space)
+    if not extremes:
+        return True, True
+    samples = list(extremes) + [FAVector(tuple(F(0) for _ in range(space.n)))]
+    for a, b in combinations(extremes, 2):
+        samples.append(FAVector(tuple((x + y) / 2 for x, y in zip(a.masses, b.masses))))
+        samples.append(FAVector(tuple((x + 2 * y) / 3 for x, y in zip(a.masses, b.masses))))
+
+    def converges(nu):
+        seq = [integrate(u, nu) for u in us]
+        return all(x == seq[-1] for x in seq[len(seq) // 2:])
+    return all(map(converges, samples)), all(map(converges, extremes))
+
+
+@st.composite
+def rainwater_problems(draw):
+    """Spaces of up to 8 points, some null, and 4 to 8 mixed-sign vectors
+    whose coordinates each settle after their own number of terms, or not."""
+    n = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.sampled_from([0, 1, 2, F(1, 3)]), min_size=n, max_size=n))
+    entry = st.integers(-12, 12).map(lambda k: F(k, 4))
+    length = draw(st.integers(4, 8))
+    columns = []
+    for _ in range(n):
+        column = draw(st.lists(entry, min_size=length, max_size=length))
+        tail = draw(st.integers(0, length - 1))
+        columns.append(column[:length - tail] + [column[length - tail - 1]] * tail)
+    return FiniteSpace.of(*weights), [list(row) for row in zip(*columns)]
+
+
+@given(rainwater_problems())
+def test_rainwater_by_linearity_matches_the_sample_walk(problem):
+    space, vectors = problem
+    rep = rainwater_check(space, vectors)
+    assert (rep.ball_converges, rep.extreme_converges) == \
+        rainwater_by_samples(space, vectors)
+
+
 class TestRainwater:
     def test_constant_sequence(self):
         space = FiniteSpace.of(1, 1, 1)

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -7,13 +9,14 @@ from linfweak.corpus import (app3_base, closed_dirac_base, dirac_base,
                              escaping_base)
 from linfweak.piecewise import PiecewiseFn
 from linfweak.points import ExtPoint
-from linfweak.restriction import (BaseFormula, BasePart, CompositeFA,
-                                  FilterBaseMeasure, ONE, UNDETERMINED,
-                                  UnsupportedOracleError, ZERO, fa_query, hat,
-                                  howd_bounds_check, minimax_value,
-                                  relative_interior_open, singularity_witness)
-from linfweak.sets import (Domain, IntervalSet, SetAlgebraError, closed, ico,
-                           opened, point)
+from linfweak.restriction import (CHECK_LEVELS, BaseFormula, BasePart,
+                                  CompositeFA, EndFn, FilterBaseMeasure, ONE,
+                                  UNDETERMINED, UnsupportedOracleError, ZERO,
+                                  _fit_abc, fa_query, hat, howd_bounds_check,
+                                  minimax_value, relative_interior_open,
+                                  singularity_witness)
+from linfweak.sets import (POS_INF, Domain, IntervalSet, SetAlgebraError,
+                           closed, ico, ivl, opened, point)
 
 X01 = Domain.open_interval(0, 1)
 
@@ -87,6 +90,17 @@ class TestLimit:
         assert fat.limit is None and two.limit is None
         assert fat.limit_detail.startswith("a base part keeps positive length")
         assert two.limit_detail.startswith("base oscillates between")
+
+    def test_oscillation_reason_prints_points_plainly(self):
+        # shrinks to 1/2 and slides off to +inf along (l, inf)
+        base = FilterBaseMeasure(
+            BaseFormula((BasePart.affine(F(1, 2), -1, F(1, 2), 1),
+                         BasePart(EndFn(F(0), F(0), F(1)), None, False, False)),
+                        index_shift=3), Domain.open_interval(0, POS_INF))
+        assert base.limit is None
+        assert base.limit_detail == ("base oscillates between [1/2, inf], of which "
+                                     "[1/2] lie in the carrier; the extension is "
+                                     "not pinned down")
 
     def test_sup_inf_encloses_on_an_unresolved_base(self):
         for base, b in ((fat_base(), S(opened(0, F(1, 4)))),
@@ -164,9 +178,8 @@ class TestHat:
 
     def test_unsupported_two_point_base(self):
         nu = CompositeFA([(F(1), two_point_base())])
-        text = (r"^base oscillates between \[Fraction\(1, 4\), Fraction\(3, 4\)\], "
-                r"of which \[Fraction\(1, 4\), Fraction\(3, 4\)\] lie in the "
-                r"carrier; the extension is not pinned down$")
+        text = (r"^base oscillates between \[1/4, 3/4\], of which \[1/4, 3/4\] "
+                r"lie in the carrier; the extension is not pinned down$")
         with pytest.raises(UnsupportedOracleError, match=text):
             hat(nu)
         with pytest.raises(UnsupportedOracleError, match=text):
@@ -264,6 +277,12 @@ class TestSingularity:
         nu = CompositeFA([], density=PiecewiseFn.constant(X01, 1), domain=X01)
         assert singularity_witness(nu, F(1, 2)) is None
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_must_be_positive(self, count):
+        nu = CompositeFA([(F(1), closed_dirac_base())])
+        with pytest.raises(ValueError, match="^count must be positive$"):
+            singularity_witness(nu, F(1, 2), count=count)
+
     def test_level_above_available_mass(self):
         nu = CompositeFA([(F(1, 4), closed_dirac_base())])
         assert singularity_witness(nu, F(1, 2)) is None
@@ -323,3 +342,109 @@ class TestRelativeTopology:
         carrier = Domain.closed_interval(0, 1).carrier
         assert relative_interior_open(S(ico(0, F(1, 2))), carrier)
         assert not relative_interior_open(S(ico(F(1, 4), F(1, 2))), carrier)
+
+
+# ---------------------------------------------------------------------------
+# members built once per base, threshold only past level 2
+
+
+def affine_dirac(c, a, b):
+    """B_l = (c - a/l, c + b/l) on (0,1), a dual-models shape."""
+    return FilterBaseMeasure(BaseFormula((BasePart.affine(c, -a, c, b),)), X01)
+
+
+def affine_escape(e):
+    """B_l = (0, e/l) on (0,1), a dual-models shape."""
+    return FilterBaseMeasure(BaseFormula((BasePart.affine(0, 0, 0, e),)), X01)
+
+
+def reference_query(base, e):
+    """The query with the full endpoint threshold worked out before the
+    scan and every member built afresh from the formula."""
+    formula = base.formula
+    e = e.intersect(base.domain.carrier)
+    m_star = formula.raw_threshold(e.endpoints())
+    scan_hi = min(max(1, m_star - formula.index_shift) + 1, CHECK_LEVELS)
+    for ell in range(1, scan_hi + 1):
+        b = formula.at(ell)
+        if b.difference(e).is_null():
+            return ONE
+        if b.intersect(e).is_null():
+            return ZERO
+    for answer, setfn in ((ONE, lambda b: b.difference(e)),
+                          (ZERO, lambda b: b.intersect(e))):
+        idx = [F(m) for m in range(m_star + 1, m_star + 5)]
+        vals = [setfn(formula.raw_at(int(m))).measure() for m in idx]
+        if POS_INF in vals:
+            continue
+        a, b, c = _fit_abc(*zip(idx[:3], vals[:3]))
+        assert a + b / idx[3] + c * idx[3] == vals[3]
+        if a == b == c == 0:
+            return answer
+    return UNDETERMINED
+
+
+def seeded_bases(rng):
+    """The four corpus bases and the affine dirac and escape shapes, each
+    with its carrier's ends and the point its endpoints tend to."""
+    c = F(rng.randint(5, 15), 20)
+    a, b = F(1, rng.randint(5, 9)), F(1, rng.randint(5, 9))
+    return [(escaping_base(), 0, 1, 0), (dirac_base(), 0, 1, F(1, 2)),
+            (closed_dirac_base(), -1, 2, F(1, 2)), (app3_base(), -1, 1, 0),
+            (affine_dirac(c, a, b), 0, 1, c),
+            (affine_escape(F(1, rng.randint(1, 4))), 0, 1, 0)]
+
+
+def seeded_set(rng, lo, hi, x):
+    """1 to 3 intervals whose ends lie on a grid of [lo, hi] or near x,
+    where the base's endpoints cross them at late levels."""
+    ends, count = set(), 2 * rng.randint(1, 3)
+    while len(ends) < count:
+        if rng.random() < 0.5:
+            ends.add(lo + (hi - lo) * F(rng.randint(0, 64), 64))
+        else:
+            ends.add(x + F(rng.choice((-1, 1)), rng.randint(1, 40)))
+    ends = sorted(ends)
+    return IntervalSet.of(*[
+        ivl(ends[i], ends[i + 1], rng.random() < 0.5, rng.random() < 0.5)
+        for i in range(0, len(ends), 2)])
+
+
+def seeded_cases(seed, rounds):
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        for base, lo, hi, x in seeded_bases(rng):
+            for _ in range(4):
+                yield base, seeded_set(rng, lo, hi, x)
+
+
+class TestMemberCache:
+    def test_each_member_built_once_through_hat_and_singularity(self, monkeypatch):
+        built = Counter()
+        raw_at = BaseFormula.raw_at
+
+        def counting(formula, m):
+            built[id(formula), m] += 1
+            return raw_at(formula, m)
+        monkeypatch.setattr(BaseFormula, "raw_at", counting)
+        dirac, escape = affine_dirac(F(7, 20), F(1, 6), F(1, 8)), affine_escape(F(1, 3))
+        nu = CompositeFA([(F(3, 2), dirac), (F(2), escape)])
+        assert hat(nu, validate=True).point_masses == ((F(7, 20), F(3, 2)),)
+        wit = singularity_witness(nu, F(3, 2))
+        assert wit.measures == tuple(F(7, 24) / n for n in range(1, 9))
+        assert {f for f, _ in built} == {id(dirac.formula), id(escape.formula)}
+        assert max(built.values()) == 1
+
+    def test_query_equals_the_rebuilding_reference(self):
+        answers = Counter()
+        for base, e in seeded_cases(7, 12):
+            got = base.query(e)
+            assert got == reference_query(base, e), (base.formula, e)
+            answers[got] += 1
+        assert answers[ONE] and answers[ZERO] and answers[UNDETERMINED]
+
+    def test_stored_threshold_equals_the_all_pairs_threshold(self):
+        for base, e in seeded_cases(11, 12):
+            for s in (e, e.intersect(base.domain.carrier)):
+                assert base._threshold(s.endpoints()) == \
+                    base.formula.raw_threshold(s.endpoints())
