@@ -414,6 +414,8 @@ def rainwater_check(space: FiniteSpace, vectors: Sequence[Sequence]) -> Rainwate
     if len(vectors) < 4:
         raise FiniteModelError("need a few terms to talk about convergence")
     us = [[rat(x) for x in u] for u in vectors]
+    if any(len(u) != space.n for u in us):
+        raise FiniteModelError("dimension mismatch")
     # the extreme points of the unit ball, as extreme_points_unit_ball
     # asserts against its vertex enumeration
     extremes = _signed_zero_one_measures(space)

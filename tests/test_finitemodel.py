@@ -436,6 +436,11 @@ class TestRainwater:
         rep = rainwater_check(space, vecs)
         assert not rep.ball_converges and not rep.extreme_converges and rep.agree
 
+    @pytest.mark.parametrize("weights", [(0, 0), (1, 0)])
+    def test_vector_length_is_checked_with_or_without_live_points(self, weights):
+        with pytest.raises(FiniteModelError, match="dimension mismatch"):
+            rainwater_check(FiniteSpace.of(*weights), [[1, 2, 3]] * 4)
+
     def test_random_eventually_constant(self):
         rng = random.Random(5)
         space = FiniteSpace.of(1, 2, F(1, 2))
