@@ -292,8 +292,13 @@ def _separating_window(domain, x0, accum: ExtPoint, ell_max):
 
 
 def _local_kernel(family, x0, policy, ell_max):
+    """Non-null at the certificate's accumulation point only: there the
+    nested kernels enter every neighborhood.  That they enter a window at
+    another point says nothing, since a window of radius 1/ell_max still
+    holds the accumulation point when x0 lies closer to it."""
     for cert in family.certificates_of(SuperlevelKernel):
-        constant_kernel = all(cert.kernel(k) == cert.kernel(1) for k in (2, 3, 4))
+        if cert.accumulation is None or cert.accumulation != x0:
+            continue
         rows = []
         ok = True
         for ell in range(1, ell_max + 1):
@@ -302,16 +307,11 @@ def _local_kernel(family, x0, policy, ell_max):
                 ok = False
                 break
             k_star = None
-            if constant_kernel:
-                # a fixed kernel works at x0 iff it accumulates there
-                if accumulates_at(cert.kernel(1), x0, family.domain.carrier):
-                    k_star = 1
-            else:
-                for k in range(1, policy.k_max + 1):
-                    ker = cert.kernel(k)
-                    if ker.measure() > 0 and ker.subset_up_to_null(w):
-                        k_star = k
-                        break
+            for k in range(1, policy.k_max + 1):
+                ker = cert.kernel(k)
+                if ker.measure() > 0 and ker.subset_up_to_null(w):
+                    k_star = k
+                    break
             if k_star is None:
                 ok = False
                 break

@@ -21,6 +21,15 @@ Where two laws cross (in ``min_of``), where a law changes sign (in
 the side each law wins on follows from the sign of a slope, since
 a x + b - c = a (x - x0); no point is sampled.
 
+That arithmetic runs on integers.  Each crossing x0 is worked out as an
+unreduced pair n/d from the ``_numerator``/``_denominator`` slots of the
+laws (`_root`), and each cell end is compared with it by one cross product
+(`sets._side`).  A ``Fraction(n, d)`` is built only where x0 falls strictly
+inside a cell and cuts it.  A law that does not change is not rebuilt:
+`_abs_piece` hands back its own piece, and `abs_fn` returns the function
+itself when no piece changes.  Laws are Fractions throughout; the
+validation walk below stores laws given as ints as Fractions.
+
 Every ``PiecewiseFn`` is validated when it is built, internal results
 included, in one walk over its pieces and the carrier parts, without
 sorting: inside each carrier part the pieces must form one run that starts
@@ -38,7 +47,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .sets import (Domain, Interval, IntervalSet, SetAlgebraError, _ends_before,
-                   _eq, _intersect_intervals, _lt, is_finite, rat)
+                   _eq, _intersect_intervals, _lt, _side, _starts_after,
+                   is_finite, rat)
 
 _ZERO = Fraction(0)
 
@@ -61,7 +71,7 @@ class Piece:
         return self.slope * x + self.intercept
 
     def is_null(self) -> bool:
-        return self.interval.length() == 0
+        return self.interval.is_point()
 
     def closure_values(self) -> tuple[Fraction, Fraction]:
         """Values at the closure endpoints (pieces with slope are bounded)."""
@@ -124,13 +134,17 @@ class PiecewiseFn:
         # One walk over the pieces and the sorted, disjoint carrier parts.
         # Order is checked on every piece; the first coverage fault is
         # raised after the walk, so that pieces out of order are reported
-        # as such and not as the gap they leave.
+        # as such and not as the gap they leave.  Laws given as ints are
+        # stored as Fractions, whose slots the crossing kernel reads.
         parts = self.domain.carrier.parts
         j, run, full = 0, False, False
         fault = None
         last = None
+        coerce = False
         for p in self.pieces:
             iv = p.interval
+            if type(p.slope) is not Fraction or type(p.intercept) is not Fraction:
+                coerce = True
             touching = last is not None and _eq(iv.lo, last.hi)
             if last is not None and (iv.lo_closed and last.hi_closed if touching
                                      else _lt(iv.lo, last.hi)):
@@ -152,6 +166,9 @@ class PiecewiseFn:
         for part in parts[j:]:
             if not _eq(part.lo, part.hi):
                 raise SetAlgebraError(_GAP)
+        if coerce:
+            object.__setattr__(self, "pieces", tuple(
+                Piece(p.interval, rat(p.slope), rat(p.intercept)) for p in self.pieces))
 
     # -- constructors ---------------------------------------------------------
 
@@ -162,7 +179,8 @@ class PiecewiseFn:
             if iv is None:
                 continue
             pieces.append(Piece(iv, rat(a), rat(b)))
-        pieces.sort(key=lambda p: (p.interval.lo, not p.interval.lo_closed))
+        if any(_starts_after(p.interval, q.interval) for p, q in zip(pieces, pieces[1:])):
+            pieces.sort(key=lambda p: (p.interval.lo, not p.interval.lo_closed))
         return PiecewiseFn(domain, tuple(pieces))
 
     @staticmethod
@@ -297,10 +315,14 @@ class PiecewiseFn:
         return self.add(other.negate())
 
     def abs_fn(self) -> "PiecewiseFn":
+        """|u|; u itself when no piece changes (u >= 0 everywhere)."""
         pieces = []
+        changed = False
         for p in self.pieces:
-            pieces.extend(_abs_piece(p))
-        return PiecewiseFn(self.domain, tuple(pieces))
+            got = _abs_piece(p)
+            changed = changed or got[0] is not p
+            pieces += got
+        return PiecewiseFn(self.domain, tuple(pieces)) if changed else self
 
     def product(self, other: "PiecewiseFn") -> "PiecewiseFn":
         """Pointwise product; one factor must be a step function so the result
@@ -364,22 +386,23 @@ class PiecewiseFn:
         alpha = rat(alpha)
         if alpha <= 0:
             raise ValueError("superlevel requires alpha > 0")
+        below = -alpha
         parts = []
         for p in self.pieces:
             parts.append(_linear_gt(p, alpha))
-            parts.append(_linear_lt(p, -alpha))
+            parts.append(_linear_lt(p, below))
         return IntervalSet.of(*parts)
 
     def support(self) -> IntervalSet:
         """{ u != 0 } up to a null set (per-piece; sloped pieces count whole)."""
         parts = []
         for p in self.pieces:
-            if p.slope == 0:
-                if p.intercept != 0:
+            if _eq(p.slope, _ZERO):
+                if not _eq(p.intercept, _ZERO):
                     parts.append(p.interval)
             else:
-                parts.append(_linear_gt(p, Fraction(0)))
-                parts.append(_linear_lt(p, Fraction(0)))
+                parts.append(_linear_gt(p, _ZERO))
+                parts.append(_linear_lt(p, _ZERO))
         return IntervalSet.of(*parts)
 
     def ne_set(self, other: "PiecewiseFn") -> IntervalSet:
@@ -394,58 +417,83 @@ class PiecewiseFn:
         return f"piecewise[{bits}]"
 
 
-def _abs_piece(p: Piece) -> list[Piece]:
-    """|u| on one piece.  u = a (x - root), so |u| is u right of the root and
-    -u left of it when a > 0, and the other way round when a < 0."""
+def _root(vn: int, vd: int, sn: int, sd: int) -> tuple[int, int]:
+    """The crossing x0 = v / s of a law difference s x - v, for v = vn/vd and
+    a slope s = sn/sd != 0 (vd, sd > 0), as an integer pair (n, d), d > 0."""
+    n, d = vn * sd, vd * sn
+    return (-n, -d) if d < 0 else (n, d)
+
+
+def _abs_piece(p: Piece) -> tuple[Piece, ...]:
+    """|u| on one piece, as (p,) when |u| = u there.  u = a (x - root), so
+    |u| is u right of the root and -u left of it when a > 0, and the other
+    way round when a < 0."""
     a, b, iv = p.slope, p.intercept, p.interval
-    if _eq(a, _ZERO):
-        return [Piece(iv, a, abs(b))]
-    root = -b / a
-    left, right = ((-a, -b), (a, b)) if _lt(_ZERO, a) else ((a, b), (-a, -b))
-    if not _lt(iv.lo, root):
+    an = a._numerator
+    if an == 0:
+        return (p,) if b._numerator >= 0 else (Piece(iv, a, -b),)
+    n, d = _root(-b._numerator, b._denominator, an, a._denominator)
+    lo_side = _side(iv.lo, n, d)
+    if lo_side >= 0:
         # right of the root; a point piece at the root, where u = 0, keeps u
-        point_at_root = _eq(iv.lo, iv.hi) and _eq(root, iv.lo)
-        return [Piece(iv, *((a, b) if point_at_root else right))]
-    if not _lt(root, iv.hi):
-        return [Piece(iv, *left)]
-    return [Piece(Interval(iv.lo, root, iv.lo_closed, True), *left),
-            Piece(Interval(root, iv.hi, False, iv.hi_closed), *right)]
+        if an > 0 or (lo_side == 0 and _eq(iv.lo, iv.hi)):
+            return (p,)
+        return (Piece(iv, -a, -b),)
+    if _side(iv.hi, n, d) <= 0:
+        return (p,) if an < 0 else (Piece(iv, -a, -b),)
+    root = Fraction(n, d)
+    left, right = ((-a, -b), (a, b)) if an > 0 else ((a, b), (-a, -b))
+    return (Piece(Interval(iv.lo, root, iv.lo_closed, True), *left),
+            Piece(Interval(root, iv.hi, False, iv.hi_closed), *right))
 
 
-def _above(iv: Interval, x0: Fraction) -> "Interval | None":
-    """iv n (x0, +inf)."""
-    if _lt(x0, iv.lo):
+def _above(iv: Interval, n: int, d: int) -> "Interval | None":
+    """iv n (x0, +inf) for x0 = n/d."""
+    lo_side = _side(iv.lo, n, d)
+    if lo_side > 0:
         return iv
-    if _lt(x0, iv.hi):
-        return Interval(x0, iv.hi, False, iv.hi_closed)
+    if _side(iv.hi, n, d) > 0:
+        return Interval(iv.lo if lo_side == 0 else Fraction(n, d), iv.hi,
+                        False, iv.hi_closed)
     return None
 
 
-def _below(iv: Interval, x0: Fraction) -> "Interval | None":
-    """iv n (-inf, x0)."""
-    if _lt(iv.hi, x0):
+def _below(iv: Interval, n: int, d: int) -> "Interval | None":
+    """iv n (-inf, x0) for x0 = n/d."""
+    hi_side = _side(iv.hi, n, d)
+    if hi_side < 0:
         return iv
-    if _lt(iv.lo, x0):
-        return Interval(iv.lo, x0, iv.lo_closed, False)
+    if _side(iv.lo, n, d) < 0:
+        return Interval(iv.lo, iv.hi if hi_side == 0 else Fraction(n, d),
+                        iv.lo_closed, False)
     return None
+
+
+def _level_root(p: Piece, c: Fraction) -> tuple[int, int]:
+    """x0 with a x0 + b = c on a sloped piece: a x + b - c = a (x - x0)."""
+    a, b = p.slope, p.intercept
+    cd, bd = c._denominator, b._denominator
+    return _root(c._numerator * bd - b._numerator * cd, cd * bd,
+                 a._numerator, a._denominator)
 
 
 def _linear_gt(p: Piece, c: Fraction) -> "Interval | None":
-    """{x in piece : a x + b > c}.  a x + b - c = a (x - x0), so a sloped
-    piece (always bounded) keeps its part right of x0 when a > 0 and its
-    part left of x0 when a < 0."""
-    if _eq(p.slope, _ZERO):
+    """{x in piece : a x + b > c}: a sloped piece (always bounded) keeps its
+    part right of x0 when a > 0 and its part left of x0 when a < 0."""
+    an = p.slope._numerator
+    if an == 0:
         return p.interval if _lt(c, p.intercept) else None
-    x0 = (c - p.intercept) / p.slope
-    return _above(p.interval, x0) if _lt(_ZERO, p.slope) else _below(p.interval, x0)
+    n, d = _level_root(p, c)
+    return _above(p.interval, n, d) if an > 0 else _below(p.interval, n, d)
 
 
 def _linear_lt(p: Piece, c: Fraction) -> "Interval | None":
     """{x in piece : a x + b < c}, the mirror of `_linear_gt`."""
-    if _eq(p.slope, _ZERO):
+    an = p.slope._numerator
+    if an == 0:
         return p.interval if _lt(p.intercept, c) else None
-    x0 = (c - p.intercept) / p.slope
-    return _below(p.interval, x0) if _lt(_ZERO, p.slope) else _above(p.interval, x0)
+    n, d = _level_root(p, c)
+    return _below(p.interval, n, d) if an > 0 else _above(p.interval, n, d)
 
 
 def min_of(fns: Sequence[PiecewiseFn]) -> PiecewiseFn:
@@ -466,7 +514,9 @@ def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
     u._same_domain(v)
     pieces = []
     for cell, (a1, b1), (a2, b2) in u._cells_with(v):
-        if _eq(a1, a2):
+        a1d, a2d = a1._denominator, a2._denominator
+        s = a1._numerator * a2d - a2._numerator * a1d  # the sign of a1 - a2
+        if s == 0:
             if not _lt(b2, b1):
                 pieces.append(Piece(cell, a1, b1))
             else:
@@ -474,15 +524,18 @@ def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
             continue
         # u - v = (a1 - a2)(x - x0): u is the lower law left of the
         # crossing x0 when a1 > a2 and right of it when a1 < a2
-        x0 = (b2 - b1) / (a1 - a2)
-        left, right = ((a1, b1), (a2, b2)) if _lt(a2, a1) else ((a2, b2), (a1, b1))
-        if not _lt(cell.lo, x0):
+        b1d, b2d = b1._denominator, b2._denominator
+        n, d = _root(b2._numerator * b1d - b1._numerator * b2d, b1d * b2d, s, a1d * a2d)
+        left, right = ((a1, b1), (a2, b2)) if s > 0 else ((a2, b2), (a1, b1))
+        lo_side = _side(cell.lo, n, d)
+        if lo_side >= 0:
             # right of x0; on the point cell x0 the two laws tie: keep u's
-            point_at_x0 = _eq(cell.lo, cell.hi) and _eq(x0, cell.lo)
+            point_at_x0 = lo_side == 0 and _eq(cell.lo, cell.hi)
             pieces.append(Piece(cell, *((a1, b1) if point_at_x0 else right)))
-        elif not _lt(x0, cell.hi):
+        elif _side(cell.hi, n, d) <= 0:
             pieces.append(Piece(cell, *left))
         else:
+            x0 = Fraction(n, d)
             pieces.append(Piece(Interval(cell.lo, x0, cell.lo_closed, True), *left))
             pieces.append(Piece(Interval(x0, cell.hi, False, cell.hi_closed), *right))
     return PiecewiseFn(u.domain, _coalesced(pieces))

@@ -27,6 +27,15 @@ An infinite end is told apart by ``type(e) is float`` and its sign, never
 by identity with ``NEG_INF``/``POS_INF``: every ``-math.inf`` is a new
 float object.  Any other pair of types, such as an ``int`` end, falls back
 to the plain operator.
+
+The same slots carry the arithmetic of the sweeps.  :func:`_side` gives
+the sign of e - n/d for an end e and a point n/d handed over as an
+unreduced integer pair (d > 0), by one cross product, so the piecewise
+layer builds no ``Fraction`` for a crossing it only compares.  Lengths are
+integer pairs as well (:func:`_length`): :meth:`IntervalSet.measure` sums
+them as one pair and reduces it once, with the gcd of its final
+``Fraction(n, d)``.  :func:`_normalize` checks the order of its parts in
+one ``_lt``/``_eq`` pass and sorts them only when some are out of order.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ POS_INF = math.inf
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like ``"3/4"`` and Fractions to Fraction."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction or isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError(f"refusing to coerce float {x!r}; pass a Fraction or string")
@@ -86,6 +95,19 @@ def _eq(x, y) -> bool:
     elif tx is float and ty is Fraction and x in _INFINITIES:
         return False
     return x == y
+
+
+def _side(e, n: int, d: int) -> int:
+    """The sign of e - n/d (d > 0) for an end or value e, by one cross
+    product; no ``Fraction`` is built for n/d."""
+    t = type(e)
+    if t is Fraction:
+        x, y = e._numerator * d, n * e._denominator
+    elif t is float:
+        return 1 if e > 0 else -1
+    else:
+        x, y = e * d, n
+    return (x > y) - (x < y)
 
 
 def _as_endpoint(x) -> Endpoint:
@@ -135,22 +157,22 @@ class Interval:
     # -- queries ------------------------------------------------------------
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return _eq(self.lo, self.hi)
 
     def is_bounded(self) -> bool:
         return is_finite(self.lo) and is_finite(self.hi)
 
     def length(self) -> Union[Fraction, float]:
-        if not self.is_bounded():
-            return POS_INF
-        return self.hi - self.lo
+        n, d = _length(self)
+        return POS_INF if d == 0 else Fraction(n, d)
 
     def contains(self, x: Fraction) -> bool:
-        if x < self.lo or x > self.hi:
+        lo, hi = self.lo, self.hi
+        if _lt(x, lo) or _lt(hi, x):
             return False
-        if x == self.lo and not self.lo_closed:
+        if not self.lo_closed and _eq(x, lo):
             return False
-        if x == self.hi and not self.hi_closed:
+        if not self.hi_closed and _eq(x, hi):
             return False
         return True
 
@@ -161,7 +183,7 @@ class Interval:
                         is_finite(self.lo), is_finite(self.hi))
 
     def interior(self) -> "Interval | None":
-        if self.lo == self.hi:
+        if self.is_point():
             return None
         return Interval(self.lo, self.hi, False, False)
 
@@ -177,6 +199,20 @@ class Interval:
         hi = "inf" if not is_finite(self.hi) else str(self.hi)
         return "%s%s,%s%s" % ("[" if self.lo_closed else "(", lo, hi,
                               "]" if self.hi_closed else ")")
+
+
+def _length(iv: Interval) -> tuple[int, int]:
+    """hi - lo as an integer pair (n, d), d > 0 and not reduced; (1, 0) for
+    an unbounded interval."""
+    lo, hi = iv.lo, iv.hi
+    if type(lo) is not Fraction or type(hi) is not Fraction:
+        if not iv.is_bounded():
+            return 1, 0
+        lo, hi = Fraction(lo), Fraction(hi)  # int ends
+    ld, hd = lo._denominator, hi._denominator
+    if ld == hd:
+        return hi._numerator - lo._numerator, hd
+    return hi._numerator * ld - lo._numerator * hd, ld * hd
 
 
 def ivl(lo, hi, lo_closed=True, hi_closed=False) -> "Interval | None":
@@ -241,8 +277,16 @@ def _mergeable(cur: Interval, nxt: Interval) -> bool:
     return (cur.hi_closed or nxt.lo_closed) and _eq(nxt.lo, cur.hi)
 
 
+def _starts_after(a: Interval, b: Interval) -> bool:
+    """a starts right of b: a.lo > b.lo, or a open and b closed at one lo.
+    Parts already in this order need no sort."""
+    return _lt(b.lo, a.lo) or (b.lo_closed and not a.lo_closed and _eq(a.lo, b.lo))
+
+
 def _normalize(parts: Iterable[Interval]) -> tuple[Interval, ...]:
-    items = sorted(parts, key=lambda p: (p.lo, not p.lo_closed))
+    items = list(parts)
+    if any(_starts_after(p, q) for p, q in zip(items, items[1:])):
+        items.sort(key=lambda p: (p.lo, not p.lo_closed))
     out: list[Interval] = []
     for p in items:
         if not out:
@@ -327,13 +371,20 @@ class IntervalSet:
     # -- measure --------------------------------------------------------------
 
     def measure(self) -> Union[Fraction, float]:
-        total = Fraction(0)
+        # the lengths summed as one integer pair n/d, reduced once; d stays
+        # the larger of two denominators when one divides the other
+        n, d = 0, 1
         for p in self.parts:
-            ln = p.length()
-            if ln == POS_INF:
+            pn, pd = _length(p)
+            if pd == 0:
                 return POS_INF
-            total += ln
-        return total
+            if d % pd == 0:
+                n += pn * (d // pd)
+            elif pd % d == 0:
+                n, d = n * (pd // d) + pn, pd
+            else:
+                n, d = n * pd + pn * d, d * pd
+        return Fraction(n, d)
 
     # -- boolean algebra --------------------------------------------------------
 

@@ -130,6 +130,15 @@ class TestTasks:
         code, out, _ = invoke(["weaknull-at", cfg, "--format", "machine"])
         assert code == 0 and "result.kind = nonnull-certified" in out
 
+    @pytest.mark.parametrize("family", ["tents", "dyadic-indicators-plus"])
+    def test_weaknull_at_near_the_kernel_accumulation_point(self, tmp_path, family):
+        cfg = write(tmp_path, "p.cfg",
+                    f"task = weaknull-at\nfamily = {family}\npoint = 1/8\n")
+        code, out, _ = invoke(["weaknull-at", cfg, "--format", "machine"])
+        assert code == 0
+        assert "result.kind = null-certified" in out
+        assert "result.scheme = local-monotone-vanishing" in out
+
     def test_essrange(self, tmp_path):
         cfg = write(tmp_path, "p.cfg",
                     "task = essrange\ndomain = [0,1)\n"

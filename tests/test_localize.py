@@ -5,7 +5,9 @@ import pytest
 from linfweak.corpus import (CORPUS, LOCAL_CORPUS, center_segment,
                              dyadic_indicators_plus, family_by_name,
                              ring_indicators, sided_translates, tents)
-from linfweak.engine import EngineError, NONNULL, NULL, Policy, test_weak_null
+from linfweak.engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy,
+                             test_weak_null)
+from linfweak.families import IndicatorFamily, SuperlevelKernel
 from linfweak.localize import (accumulates_at, compact_exhaustion,
                                essential_range, essential_range_at,
                                essential_range_in, escape_points, in_closure,
@@ -191,6 +193,35 @@ class TestLocalVerdicts:
             if test_weak_null(fam, policy).is_nonnull:
                 kinds = [test_weak_null_at(fam, x0, policy).kind for x0 in sample]
                 assert NONNULL in kinds, f"{item.family}: {kinds}"
+
+
+class TestKernelAccumulation:
+    """The kernel scheme certifies non-nullity only at the accumulation point
+    of its certificate.  Both families vanish on a neighborhood of 1/8 from
+    some k on, and the window of radius 1/6 around 1/8 still holds 0, where
+    their kernels shrink to."""
+
+    @pytest.mark.parametrize("name", ["tents", "dyadic-indicators-plus"])
+    @pytest.mark.parametrize("pt", [F(1, 8), F(-1, 8)])
+    def test_null_near_the_accumulation_point(self, name, pt):
+        v = test_weak_null_at(family_by_name(name), ExtPoint.at(pt), Policy())
+        assert v.kind == NULL and v.scheme == "local-monotone-vanishing"
+
+    @pytest.mark.parametrize("name", ["tents", "dyadic-indicators-plus"])
+    def test_still_nonnull_at_the_accumulation_point(self, name):
+        v = test_weak_null_at(family_by_name(name), ExtPoint.at(0), Policy())
+        assert v.kind == NONNULL and v.scheme == "local-superlevel-kernel"
+
+    def test_certificate_without_accumulation_point_is_skipped(self):
+        # the piled blocks with their kernel certificate alone, stripped of
+        # its accumulation point: no local scheme may certify anything
+        fam = dyadic_indicators_plus()
+        kernel = fam.certificates_of(SuperlevelKernel)[0]
+        bare = IndicatorFamily(fam.domain, fam.sets, name="piled-kernel-only",
+                               certificates=(SuperlevelKernel(kernel.alpha,
+                                                              kernel.kernel),))
+        for x0 in (ExtPoint.at(0), ExtPoint.at(F(1, 8))):
+            assert test_weak_null_at(bare, x0, Policy()).kind == INCONCLUSIVE
 
 
 class TestEllMax:

@@ -1,15 +1,17 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import (function_probes, grid_points, interval_sets,
+from conftest import (ORACLE_DOMAIN, function_probes, grid_points, interval_sets,
                       piecewise_fns, rationals)
 from linfweak.piecewise import (EvaluationError, Piece, PiecewiseFn,
-                                UnsupportedOperationError, linear_combo, min_of)
+                                UnsupportedOperationError, _coalesced,
+                                linear_combo, min_of)
 from linfweak.families import TentFamily
-from linfweak.sets import (NEG_INF, POS_INF, Domain, IntervalSet, SetAlgebraError,
-                           closed, ico, ioc, ivl, opened, point)
+from linfweak.sets import (NEG_INF, POS_INF, Domain, Interval, IntervalSet,
+                           SetAlgebraError, closed, ico, ioc, ivl, opened, point)
 
 DOM01 = Domain(IntervalSet.of(ico(0, 1)))
 
@@ -420,3 +422,235 @@ class TestTies:
         assert self.RAMPS.superlevel(1).is_empty()
         assert self.RAMPS.gt_set(0) == IntervalSet.of(opened(-2, 0), opened(F(1, 2), F(3, 2)))
         assert self.RAMPS.gt_set(-1) == IntervalSet.of(ico(-2, 2))
+
+
+# -- the integer crossing kernel against plain Fraction arithmetic -------------
+#
+# The reference below is the arithmetic of the piecewise layer written with
+# Fraction operators: each crossing is (b2 - b1) / (a1 - a2), each level
+# root (c - b) / a, each length hi - lo.  The sweeps themselves
+# (`_cells_with`, `_coalesced`) are shared.
+
+
+def _ref_split(cell, x0, left, right, tie):
+    if cell.lo >= x0:
+        return [Piece(cell, *(tie if cell.lo == cell.hi == x0 else right))]
+    if x0 >= cell.hi:
+        return [Piece(cell, *left)]
+    return [Piece(Interval(cell.lo, x0, cell.lo_closed, True), *left),
+            Piece(Interval(x0, cell.hi, False, cell.hi_closed), *right)]
+
+
+def _ref_min2(u, v):
+    pieces = []
+    for cell, (a1, b1), (a2, b2) in u._cells_with(v):
+        if a1 == a2:
+            pieces.append(Piece(cell, *((a1, b1) if b1 <= b2 else (a2, b2))))
+            continue
+        x0 = (b2 - b1) / (a1 - a2)
+        left, right = ((a1, b1), (a2, b2)) if a1 > a2 else ((a2, b2), (a1, b1))
+        pieces += _ref_split(cell, x0, left, right, (a1, b1))
+    return PiecewiseFn(u.domain, _coalesced(pieces))
+
+
+def ref_min_of(fns):
+    out = PiecewiseFn(fns[0].domain, _coalesced(fns[0].pieces))
+    for f in fns[1:]:
+        out = _ref_min2(out, f)
+    return out
+
+
+def ref_abs_fn(u):
+    pieces = []
+    for p in u.pieces:
+        a, b = p.slope, p.intercept
+        if a == 0:
+            pieces.append(Piece(p.interval, a, abs(b)))
+            continue
+        left, right = ((-a, -b), (a, b)) if a > 0 else ((a, b), (-a, -b))
+        pieces += _ref_split(p.interval, -b / a, left, right, (a, b))
+    return PiecewiseFn(u.domain, tuple(pieces))
+
+
+def _ref_gt(p, c):
+    """{a x + b > c} on the piece."""
+    a, b, iv = p.slope, p.intercept, p.interval
+    if a == 0:
+        return iv if b > c else None
+    x0 = (c - b) / a
+    if a > 0:
+        if x0 < iv.lo:
+            return iv
+        return Interval(x0, iv.hi, False, iv.hi_closed) if x0 < iv.hi else None
+    if iv.hi < x0:
+        return iv
+    return Interval(iv.lo, x0, iv.lo_closed, False) if iv.lo < x0 else None
+
+
+def _ref_lt(p, c):
+    """{a x + b < c} = {-a x - b > -c} on the piece."""
+    return _ref_gt(Piece(p.interval, -p.slope, -p.intercept), -c)
+
+
+def ref_gt_set(u, c):
+    return IntervalSet.of(*[_ref_gt(p, c) for p in u.pieces])
+
+
+def ref_superlevel(u, alpha):
+    return IntervalSet.of(*[f(p, c) for p in u.pieces
+                            for f, c in ((_ref_gt, alpha), (_ref_lt, -alpha))])
+
+
+def ref_support(u):
+    parts = []
+    for p in u.pieces:
+        if p.slope == 0:
+            parts.append(p.interval if p.intercept != 0 else None)
+        else:
+            parts += [_ref_gt(p, F(0)), _ref_lt(p, F(0))]
+    return IntervalSet.of(*parts)
+
+
+def ref_measure(s):
+    total = F(0)
+    for p in s.parts:
+        if not p.is_bounded():
+            return POS_INF
+        total += p.hi - p.lo
+    return total
+
+
+# integral slopes and values next to proper fractions; the crossing of two
+# laws anchored at one (cut, value) lies exactly on a cell end
+KERNEL_SLOPES = (F(0), F(1), F(-1), F(3), F(-2), F(1, 2), F(-5, 3))
+KERNEL_VALUES = (F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4))
+
+
+@st.composite
+def kernel_fns(draw, unbounded):
+    """Random functions on the real line (whose outer pieces are constant
+    rays) or on [-4, 4], with integer and fractional cuts, point pieces,
+    null gaps and laws through chosen (cut, value) anchors."""
+    drawn = draw(st.lists(rationals(lo=-3, hi=3, max_den=3), max_size=5))
+    cuts = sorted({c for c in drawn if -4 < c < 4})
+    ends = ([NEG_INF] if unbounded else [F(-4)]) + cuts + \
+        ([POS_INF] if unbounded else [F(4)])
+    anchors = cuts + [F(0)]
+
+    def law(bounded):
+        if not bounded:
+            return F(0), draw(st.sampled_from(KERNEL_VALUES))
+        a = draw(st.sampled_from(KERNEL_SLOPES))
+        y = draw(st.sampled_from(KERNEL_VALUES))
+        if draw(st.booleans()):
+            return a, y - a * draw(st.sampled_from(anchors))
+        return a, y
+
+    triples = []
+    lo_closed = not unbounded
+    for i, (a, b) in enumerate(zip(ends, ends[1:])):
+        last = i == len(ends) - 2
+        owner = ("gap" if unbounded else "left") if last else draw(
+            st.sampled_from(("left", "right", "point", "gap")))
+        iv = ivl(a, b, lo_closed, owner == "left")
+        triples.append((iv, *law(iv.is_bounded())))
+        if owner == "point":
+            # a law through (b, 0) or (b, 1): half the time its root is b
+            a = draw(st.sampled_from(KERNEL_SLOPES))
+            triples.append((point(b), a, draw(st.sampled_from((F(0), F(1)))) - a * b))
+        lo_closed = owner == "right"
+    dom = Domain.real_line() if unbounded else ORACLE_DOMAIN
+    return PiecewiseFn.from_pieces(dom, triples)
+
+
+def _ends(obj):
+    ivs = [p.interval for p in obj.pieces] if isinstance(obj, PiecewiseFn) else obj.parts
+    return {e for iv in ivs for e in (iv.lo, iv.hi)}
+
+
+def _assert_same(got, want, *inputs):
+    """Equal results whose every finite end is a normalized Fraction; an end
+    that no input has is a new crossing, equal to the reference's with the
+    same hash."""
+    assert got == want
+    old = set().union(*[_ends(u) for u in inputs])
+    want_ends = {e: e for e in _ends(want)}
+    for e in _ends(got):
+        if type(e) is float:
+            continue
+        assert type(e) is F
+        assert e.denominator > 0 and math.gcd(e.numerator, e.denominator) == 1
+        assert e == F(e.numerator, e.denominator)
+        if e not in old:
+            assert hash(e) == hash(want_ends[e]) == hash(F(e.numerator, e.denominator))
+
+
+class TestKernelDifferential:
+    """min_of, abs_fn, superlevel, gt_set, support and measure against the
+    Fraction-operator reference, piece by piece and part by part."""
+
+    @given(st.booleans().flatmap(lambda unb: st.lists(kernel_fns(unb), min_size=1,
+                                                      max_size=4)))
+    def test_min_of(self, fns):
+        _assert_same(min_of(fns), ref_min_of(fns), *fns)
+
+    @given(st.booleans().flatmap(kernel_fns))
+    def test_abs_fn(self, u):
+        got = u.abs_fn()
+        _assert_same(got, ref_abs_fn(u), u)
+        if all(p.slope == 0 and p.intercept >= 0 for p in u.pieces):
+            assert got is u
+
+    @given(st.booleans().flatmap(kernel_fns), st.sampled_from(KERNEL_VALUES[1:]))
+    def test_level_sets(self, u, c):
+        _assert_same(u.gt_set(c), ref_gt_set(u, c), u)
+        if c > 0:
+            _assert_same(u.superlevel(c), ref_superlevel(u, c), u)
+        _assert_same(u.support(), ref_support(u), u)
+
+    @given(st.booleans().flatmap(kernel_fns), st.sampled_from(KERNEL_VALUES[1:]))
+    def test_measure(self, u, c):
+        for s in (u.gt_set(c), u.support(), u.domain.carrier,
+                  IntervalSet.of(*[p.interval for p in u.pieces if p.interval.is_bounded()])):
+            assert s.measure() == ref_measure(s)
+
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 6),
+                              st.booleans()), max_size=5))
+    def test_measure_with_integer_ends(self, triples):
+        # ints are ends too; Interval keeps them as given
+        parts = [Interval(lo, lo + w, closed, closed) for lo, w, closed in triples
+                 if w > 0 or closed]
+        s = IntervalSet.of(*parts)
+        assert s.measure() == ref_measure(s)
+        for p in s.parts:
+            assert p.length() == p.hi - p.lo
+
+    def test_abs_fn_of_a_nonnegative_function_is_itself(self):
+        u = TentFamily().term(6)
+        assert u.abs_fn() is u
+        assert u.negate().abs_fn() == u
+
+    def test_abs_fn_keeps_each_unchanged_piece(self):
+        # 2x - 1 < 0 on [-1, 0): that piece flips, the constant 3 stays
+        u = PiecewiseFn.from_pieces(DOM11, [(ico(-1, 0), 2, -1), (closed(0, 1), 0, 3)])
+        a = u.abs_fn()
+        assert (a.pieces[0].slope, a.pieces[0].intercept) == (-2, 1)
+        assert a.pieces[1] is u.pieces[1]
+
+    def test_abs_fn_keeps_a_point_piece_at_its_root(self):
+        # -x is 0 on the point piece {0}: its law stays, though -x < 0 right of 0
+        u = PiecewiseFn.from_pieces(DOM11, [(ico(-1, 0), 0, 2), (point(0), -1, 0),
+                                            (ioc(0, 1), 0, 2)])
+        assert u.abs_fn() is u
+
+    def test_integer_laws_are_stored_as_fractions(self):
+        u = PiecewiseFn(DOM11, (Piece(closed(-1, 1), 1, 0),))
+        assert all(type(q) is F for p in u.pieces for q in (p.slope, p.intercept))
+        assert u.abs_fn().superlevel(F(1, 2)) == IntervalSet.of(
+            ivl(-1, F(-1, 2), True, False), ivl(F(1, 2), 1, False, True))
+
+    @given(st.booleans().flatmap(kernel_fns), st.randoms())
+    def test_from_pieces_in_any_order(self, u, rng):
+        triples = [(p.interval, p.slope, p.intercept) for p in u.pieces]
+        rng.shuffle(triples)
+        assert PiecewiseFn.from_pieces(u.domain, triples) == u

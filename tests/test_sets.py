@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import grid_points, interval_sets, rationals
-from linfweak.sets import (Domain, Interval, IntervalSet, SetAlgebraError, _eq, _lt,
+from linfweak.sets import (Domain, Interval, IntervalSet, SetAlgebraError, _eq, _lt, _side,
                            closed, complement, ico, intersect, is_compact_subset,
                            is_finite, ivl, measure, opened, point, union,
                            NEG_INF, POS_INF)
@@ -276,6 +276,13 @@ class TestComparisonKernel:
         x, y = pair
         assert _lt(x, y) == (x < y) and _lt(y, x) == (y < x)
         assert _eq(x, y) == (x == y) and _eq(y, x) == (y == x)
+
+    @given(kernel_values, st.integers(-10**6, 10**6), st.integers(1, 10**6),
+           st.integers(1, 50))
+    def test_side_agrees_with_the_operators(self, e, n, d, k):
+        # the crossing n/d comes unreduced, so it is scaled here by k
+        x0 = F(n, d)
+        assert _side(e, n * k, d * k) == (e > x0) - (e < x0)
 
     def test_fresh_infinities_are_not_the_constants(self):
         neg, pos = -math.inf, float("inf")
