@@ -46,7 +46,7 @@ from .families import (CertificateError, CertReport, DisjointSupports,
 from .numtheory import dyadic_divisibility_subsequence, nested_midpoint
 from .piecewise import PiecewiseFn, min_of
 from .points import WitnessPoint
-from .sets import IntervalSet, POS_INF, rat
+from .sets import IntervalSet, POS_INF, first_overlap, rat
 
 
 class EngineError(ValueError):
@@ -326,14 +326,12 @@ def _try_summable_disjoint(family, policy):
         return None
     budget = policy.cert_budget
     for idx, (_, gen) in enumerate(family.layers):
-        sets = [gen(k) for k in range(1, budget + 1)]
-        for i in range(budget):
-            for j in range(i + 1, budget):
-                if not sets[i].intersect(sets[j]).is_null():
-                    raise CertificateError(
-                        f"layer {idx} of {family.name} is not disjoint "
-                        f"at indices {i + 1},{j + 1}", k=j + 1,
-                        witness=sets[i].intersect(sets[j]))
+        found = first_overlap([gen(k) for k in range(1, budget + 1)])
+        if found is not None:
+            i, j, overlap = found
+            raise CertificateError(
+                f"layer {idx} of {family.name} is not disjoint "
+                f"at indices {i + 1},{j + 1}", k=j + 1, witness=overlap)
     j_zero = len(family.layers) + 1
     checks = {}
     minima: dict = {}

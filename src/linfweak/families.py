@@ -6,6 +6,13 @@ windows, monotone envelopes, norm limits, support envelopes).  Each one
 spot-checks its own claim exactly for k up to a verification budget
 (`verify`); the verdict engine runs those checks first and trusts the claim
 beyond the budget, and every verdict records that trust boundary.
+
+Every check is linear in the budget in the terms it builds and the tests it
+makes: one pass over the terms, each tested against one other object at
+most.  Disjoint supports are checked by one sweep (`sets.first_overlap`)
+that tests each support against the union of the later ones, n - 1 tests
+instead of n^2 / 2 pairs; the monotone envelope compares consecutive terms
+through `PiecewiseFn.exceeds`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from typing import Callable, Optional, Sequence
 from .enclosure import RatInterval, pi_enclosure, sin_of_pi_multiple, sin_of_rational
 from .piecewise import PiecewiseFn, linear_combo
 from .points import ExtPoint, WitnessPoint
-from .sets import Domain, IntervalSet, ico, ioc, ivl, opened, point, rat
+from .sets import (Domain, IntervalSet, first_overlap, ico, ioc, ivl, opened,
+                   point, rat)
 
 
 class CertificateError(ValueError):
@@ -55,14 +63,12 @@ class DisjointSupports:
     name = "disjoint-supports"
 
     def verify(self, family, budget) -> CertReport:
-        supports = [family.term(k).support() for k in range(1, budget + 1)]
-        for i in range(budget):
-            for j in range(i + 1, budget):
-                overlap = supports[i].intersect(supports[j])
-                if not overlap.is_null():
-                    return CertReport(self.name, False, budget,
-                                      f"supports of u_{i+1} and u_{j+1} overlap",
-                                      counterexample_k=j + 1, witness=overlap)
+        found = first_overlap([family.term(k).support() for k in range(1, budget + 1)])
+        if found is not None:
+            i, j, overlap = found
+            return CertReport(self.name, False, budget,
+                              f"supports of u_{i+1} and u_{j+1} overlap",
+                              counterexample_k=j + 1, witness=overlap)
         return CertReport(self.name, True, budget)
 
 
@@ -133,7 +139,7 @@ class MonotoneEnvelope:
         prev = family.term(1).abs_fn()
         for k in range(2, budget + 1):
             cur = family.term(k).abs_fn()
-            bad = cur.sub(prev).gt_set(0)
+            bad = cur.exceeds(prev)
             if not bad.is_null():
                 return CertReport(self.name, False, budget,
                                   f"|u_{k}| exceeds |u_{k-1}| on a positive set",

@@ -16,10 +16,12 @@ constructors keep the pieces they are given, since family terms feed
 
 Binary operations walk the two sorted piece lists once, advancing whichever
 piece ends first, so each costs time linear in the pieces of its operands.
-Where two laws cross (in ``min_of``), where a law changes sign (in
-``abs_fn``) and where it crosses a level (in ``superlevel`` and ``gt_set``),
-the side each law wins on follows from the sign of a slope, since
-a x + b - c = a (x - x0); no point is sampled.
+Where two laws cross (in ``min_of``, and in ``exceeds``, the set {u > v}),
+where a law changes sign (in ``abs_fn``) and where it crosses a level (in
+``superlevel`` and ``gt_set``), the side each law wins on follows from the
+sign of a slope, since a x + b - c = a (x - x0); no point is sampled.
+``exceeds`` is that one walk: it builds no difference function u - v, so
+``ne_set`` and the monotone-envelope check validate no new function.
 
 That arithmetic runs on integers.  Each crossing x0 is worked out as an
 unreduced pair n/d from the ``_numerator``/``_denominator`` slots of the
@@ -27,8 +29,10 @@ laws (`_root`), and each cell end is compared with it by one cross product
 (`sets._side`).  A ``Fraction(n, d)`` is built only where x0 falls strictly
 inside a cell and cuts it.  A law that does not change is not rebuilt:
 `_abs_piece` hands back its own piece, and `abs_fn` returns the function
-itself when no piece changes.  Laws are Fractions throughout; the
-validation walk below stores laws given as ints as Fractions.
+itself when no piece changes.  ``ess_sup_norm`` compares the values at the
+piece ends as unreduced integer pairs and builds one ``Fraction``.  Laws
+are Fractions throughout; the validation walk below stores laws given as
+ints as Fractions.
 
 Every ``PiecewiseFn`` is validated when it is built, internal results
 included, in one walk over its pieces and the carrier parts, without
@@ -47,8 +51,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .sets import (Domain, Interval, IntervalSet, SetAlgebraError, _ends_before,
-                   _eq, _intersect_intervals, _lt, _side, _starts_after,
-                   is_finite, rat)
+                   _eq, _intersect_intervals, _join_sorted, _lt, _side,
+                   _starts_after, is_finite, rat)
 
 _ZERO = Fraction(0)
 
@@ -257,13 +261,29 @@ class PiecewiseFn:
         return vals
 
     def ess_sup_norm(self) -> Fraction:
-        best = Fraction(0)
+        """The largest |value| at the closure ends of the non-null pieces.
+        Each value is an unreduced integer pair from the laws' and ends'
+        slots, compared by cross products; one ``Fraction`` is built at the
+        end."""
+        best_n, best_d = 0, 1
         for p in self.pieces:
-            if p.is_null():
+            iv = p.interval
+            if _eq(iv.lo, iv.hi):
                 continue
-            lo_v, hi_v = p.closure_values()
-            best = max(best, abs(lo_v), abs(hi_v))
-        return best
+            a, b = p.slope, p.intercept
+            an, bn, bd = a._numerator, b._numerator, b._denominator
+            if an == 0:
+                if abs(bn) * best_d > best_n * bd:
+                    best_n, best_d = abs(bn), bd
+                continue
+            # a x + b = (an xn bd + bn ad xd) / (ad xd bd) at x = xn / xd
+            ad = a._denominator
+            for x in (iv.lo, iv.hi):
+                xn, xd = (x._numerator, x._denominator) if type(x) is Fraction else (x, 1)
+                n, d = abs(an * xn * bd + bn * ad * xd), ad * xd * bd
+                if n * best_d > best_n * d:
+                    best_n, best_d = n, d
+        return Fraction(best_n, best_d)
 
     # -- combination helpers ---------------------------------------------------
 
@@ -405,9 +425,26 @@ class PiecewiseFn:
                 parts.append(_linear_lt(p, _ZERO))
         return IntervalSet.of(*parts)
 
+    def exceeds(self, other: "PiecewiseFn") -> IntervalSet:
+        """{ x : u(x) > v(x) }, exact with strict-inequality endpoint flags.
+        One walk over the common cells; u - v = (a1 - a2)(x - x0) on a cell,
+        so u wins right of the crossing x0 when a1 > a2 and left of it when
+        a1 < a2.  No difference function is built."""
+        self._same_domain(other)
+        parts = []
+        for cell, (a1, b1), (a2, b2) in self._cells_with(other):
+            s, n, d = _crossing(a1, b1, a2, b2)
+            if s == 0:
+                if _lt(b2, b1):
+                    parts.append(cell)
+                continue
+            got = _above(cell, n, d) if s > 0 else _below(cell, n, d)
+            if got is not None:
+                parts.append(got)
+        return IntervalSet(_join_sorted(parts))
+
     def ne_set(self, other: "PiecewiseFn") -> IntervalSet:
-        d = self.sub(other)
-        return d.gt_set(0).union(d.negate().gt_set(0))
+        return self.exceeds(other).union(other.exceeds(self))
 
     def ae_equal(self, other: "PiecewiseFn") -> bool:
         return self.ne_set(other).is_null()
@@ -422,6 +459,18 @@ def _root(vn: int, vd: int, sn: int, sd: int) -> tuple[int, int]:
     a slope s = sn/sd != 0 (vd, sd > 0), as an integer pair (n, d), d > 0."""
     n, d = vn * sd, vd * sn
     return (-n, -d) if d < 0 else (n, d)
+
+
+def _crossing(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction) -> tuple[int, int, int]:
+    """(s, n, d) for the laws a1 x + b1 and a2 x + b2: s has the sign of
+    a1 - a2, and when s != 0, x0 = n/d (d > 0) is where they cross, so that
+    (a1 x + b1) - (a2 x + b2) = (a1 - a2)(x - x0).  n = d = 0 when s = 0."""
+    a1d, a2d = a1._denominator, a2._denominator
+    s = a1._numerator * a2d - a2._numerator * a1d
+    if s == 0:
+        return 0, 0, 0
+    b1d, b2d = b1._denominator, b2._denominator
+    return (s, *_root(b2._numerator * b1d - b1._numerator * b2d, b1d * b2d, s, a1d * a2d))
 
 
 def _abs_piece(p: Piece) -> tuple[Piece, ...]:
@@ -514,18 +563,15 @@ def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
     u._same_domain(v)
     pieces = []
     for cell, (a1, b1), (a2, b2) in u._cells_with(v):
-        a1d, a2d = a1._denominator, a2._denominator
-        s = a1._numerator * a2d - a2._numerator * a1d  # the sign of a1 - a2
+        s, n, d = _crossing(a1, b1, a2, b2)
         if s == 0:
             if not _lt(b2, b1):
                 pieces.append(Piece(cell, a1, b1))
             else:
                 pieces.append(Piece(cell, a2, b2))
             continue
-        # u - v = (a1 - a2)(x - x0): u is the lower law left of the
-        # crossing x0 when a1 > a2 and right of it when a1 < a2
-        b1d, b2d = b1._denominator, b2._denominator
-        n, d = _root(b2._numerator * b1d - b1._numerator * b2d, b1d * b2d, s, a1d * a2d)
+        # u is the lower law left of the crossing x0 when a1 > a2 and right
+        # of it when a1 < a2
         left, right = ((a1, b1), (a2, b2)) if s > 0 else ((a2, b2), (a1, b1))
         lo_side = _side(cell.lo, n, d)
         if lo_side >= 0:

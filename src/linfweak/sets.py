@@ -35,7 +35,12 @@ layer builds no ``Fraction`` for a crossing it only compares.  Lengths are
 integer pairs as well (:func:`_length`): :meth:`IntervalSet.measure` sums
 them as one pair and reduces it once, with the gcd of its final
 ``Fraction(n, d)``.  :func:`_normalize` checks the order of its parts in
-one ``_lt``/``_eq`` pass and sorts them only when some are out of order.
+one ``_lt``/``_eq`` pass and sorts them only when some are out of order;
+:meth:`IntervalSet.union` merges two sorted part lists and never sorts.
+:meth:`IntervalSet.is_null` reads the parts (a set is null iff every part
+is a point) and builds no measure.  :func:`first_overlap` finds the first
+pair of sets that meet in positive measure with one sweep over a running
+union, not a loop over all pairs.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rat = Fraction
 Endpoint = Union[Fraction, float]  # float is only ever +-math.inf
@@ -287,6 +292,11 @@ def _normalize(parts: Iterable[Interval]) -> tuple[Interval, ...]:
     items = list(parts)
     if any(_starts_after(p, q) for p, q in zip(items, items[1:])):
         items.sort(key=lambda p: (p.lo, not p.lo_closed))
+    return _join_sorted(items)
+
+
+def _join_sorted(items: list[Interval]) -> tuple[Interval, ...]:
+    """Join the overlapping or adjacent neighbours of parts sorted by lo."""
     out: list[Interval] = []
     for p in items:
         if not out:
@@ -366,7 +376,8 @@ class IntervalSet:
         return self.difference(other).is_null()
 
     def is_null(self) -> bool:
-        return self.measure() == 0
+        # parts are never empty, so the measure is 0 iff every part is a point
+        return all(_eq(p.lo, p.hi) for p in self.parts)
 
     # -- measure --------------------------------------------------------------
 
@@ -389,7 +400,24 @@ class IntervalSet:
     # -- boolean algebra --------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(_normalize(self.parts + other.parts))
+        # merge the two sorted part lists, then join neighbours: no sort
+        a, b = self.parts, other.parts
+        if not a:
+            return other
+        if not b:
+            return self
+        merged = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            if _starts_after(a[i], b[j]):
+                merged.append(b[j])
+                j += 1
+            else:
+                merged.append(a[i])
+                i += 1
+        merged += a[i:]
+        merged += b[j:]
+        return IntervalSet(_join_sorted(merged))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         # Sweep both sorted part lists, advancing whichever part ends first.
@@ -544,6 +572,31 @@ def complement(a: IntervalSet, within: Domain) -> IntervalSet:
 
 def measure(a: IntervalSet) -> Union[Fraction, float]:
     return a.measure()
+
+
+def first_overlap(sets: Sequence[IntervalSet]) -> "tuple[int, int, IntervalSet] | None":
+    """The first pair i < j, in i-major order, whose sets meet in positive
+    measure, with their intersection; None when the sets are pairwise
+    disjoint up to null sets.
+
+    One sweep from the right keeps the union of the sets after i, so the
+    smallest i whose set meets that union is found with n - 1 unions and
+    n - 1 intersections, each one merge of sorted parts, not n^2 / 2
+    intersections; its partner j is then the smallest index whose set meets
+    set i.
+    """
+    first = None
+    later = IntervalSet.empty()
+    for i in range(len(sets) - 2, -1, -1):
+        later = sets[i + 1].union(later)
+        if not sets[i].intersect(later).is_null():
+            first = i
+    if first is None:
+        return None
+    for j in range(first + 1, len(sets)):
+        overlap = sets[first].intersect(sets[j])
+        if not overlap.is_null():
+            return first, j, overlap
 
 
 def is_compact_subset(k: IntervalSet, g: IntervalSet) -> bool:

@@ -7,10 +7,12 @@ from linfweak.corpus import (FAMILIES, dyadic_indicators,
                              dyadic_indicators_plus, escape_translates,
                              family_by_name, sided_translates,
                              summable_disjoint, tents)
-from linfweak.families import (DisjointSupports, ExplicitListFamily,
-                               IndicatorFamily, MonotoneEnvelope, NormLimit,
-                               SuperlevelKernel, verify_certificate,
-                               verify_norm_bound)
+from linfweak.engine import Policy, _try_summable_disjoint
+from linfweak.families import (CertificateError, DisjointSupports,
+                               ExplicitListFamily, IndicatorFamily,
+                               MonotoneEnvelope, NormLimit,
+                               SummableDisjointFamily, SuperlevelKernel,
+                               verify_certificate, verify_norm_bound)
 from linfweak.piecewise import PiecewiseFn
 from linfweak.sets import Domain, IntervalSet, ico
 
@@ -136,3 +138,38 @@ class TestStructure:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             ExplicitListFamily(DOM, [], name="empty")
+
+
+def _two_overlaps(k):
+    """[k, k + 1), except that set 3 reaches back into set 2 and set 5 also
+    holds [1, 3/2) inside set 1: overlaps at (2, 3) and at (1, 5) only."""
+    if k == 3:
+        return IntervalSet.of(ico(F(5, 2), 4))
+    if k == 5:
+        return IntervalSet.of(ico(1, F(3, 2)), ico(5, 6))
+    return IntervalSet.of(ico(k, k + 1))
+
+
+class TestOverlapReports:
+    """Both disjointness checks report the first overlapping pair in i-major
+    order, (1, 5), not the pair (2, 3) whose larger index comes first."""
+
+    WIDE = Domain.open_interval(0, 30)
+    WITNESS = IntervalSet.of(ico(1, F(3, 2)))
+
+    def test_disjoint_supports_reports_the_first_pair(self):
+        fam = IndicatorFamily(self.WIDE, _two_overlaps,
+                              certificates=(DisjointSupports(),))
+        rep = verify_certificate(fam, fam.certificates[0], budget=20)
+        assert not rep.passed
+        assert rep.detail == "supports of u_1 and u_5 overlap"
+        assert rep.counterexample_k == 5
+        assert rep.witness == self.WITNESS
+
+    def test_summable_layer_reports_the_first_pair(self):
+        fam = SummableDisjointFamily(self.WIDE, [(F(1), _two_overlaps)])
+        with pytest.raises(CertificateError) as exc:
+            _try_summable_disjoint(fam, Policy())
+        assert "at indices 1,5" in str(exc.value)
+        assert exc.value.k == 5
+        assert exc.value.witness == self.WITNESS

@@ -11,6 +11,7 @@ report content, regenerate them all from the repository root with
 
 import difflib
 import io
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -48,7 +49,6 @@ def _report(task: str, text: str, tmp_dir: Path) -> str:
 
 
 def regenerate() -> None:
-    import tempfile
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, (task, text) in _problems().items():

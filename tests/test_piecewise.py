@@ -563,6 +563,34 @@ def kernel_fns(draw, unbounded):
     return PiecewiseFn.from_pieces(dom, triples)
 
 
+def ref_exceeds(u, v):
+    """{u > v} through the difference function."""
+    return u.sub(v).gt_set(0)
+
+
+def ref_ess_sup_norm(u):
+    """max |a x + b| over the closure ends of the non-null pieces."""
+    vals = [F(0)]
+    for p in u.pieces:
+        iv = p.interval
+        if iv.lo == iv.hi:
+            continue
+        if p.slope == 0:
+            vals.append(abs(p.intercept))
+        else:
+            vals += [abs(p.slope * iv.lo + p.intercept), abs(p.slope * iv.hi + p.intercept)]
+    return max(vals)
+
+
+def _with_int_ends(u):
+    """u with every integral end stored as an int, as Interval allows."""
+    def end(e):
+        return int(e) if type(e) is F and e.denominator == 1 else e
+    return PiecewiseFn(u.domain, tuple(
+        Piece(Interval(end(p.interval.lo), end(p.interval.hi), p.interval.lo_closed,
+                       p.interval.hi_closed), p.slope, p.intercept) for p in u.pieces))
+
+
 def _ends(obj):
     ivs = [p.interval for p in obj.pieces] if isinstance(obj, PiecewiseFn) else obj.parts
     return {e for iv in ivs for e in (iv.lo, iv.hi)}
@@ -586,8 +614,9 @@ def _assert_same(got, want, *inputs):
 
 
 class TestKernelDifferential:
-    """min_of, abs_fn, superlevel, gt_set, support and measure against the
-    Fraction-operator reference, piece by piece and part by part."""
+    """min_of, abs_fn, superlevel, gt_set, support, measure, exceeds and
+    ess_sup_norm against the Fraction-operator reference, piece by piece and
+    part by part."""
 
     @given(st.booleans().flatmap(lambda unb: st.lists(kernel_fns(unb), min_size=1,
                                                       max_size=4)))
@@ -648,6 +677,47 @@ class TestKernelDifferential:
         assert all(type(q) is F for p in u.pieces for q in (p.slope, p.intercept))
         assert u.abs_fn().superlevel(F(1, 2)) == IntervalSet.of(
             ivl(-1, F(-1, 2), True, False), ivl(F(1, 2), 1, False, True))
+
+    @given(st.booleans().flatmap(lambda unb: st.tuples(kernel_fns(unb), kernel_fns(unb))))
+    def test_exceeds(self, pair):
+        u, v = pair
+        _assert_same(u.exceeds(v), ref_exceeds(u, v), u, v)
+        d = u.sub(v)
+        assert u.ne_set(v) == d.gt_set(0).union(d.negate().gt_set(0))
+
+    def test_exceeds_crossing_on_a_cell_end(self):
+        # x and -x cross at the cut 0; a point piece at 0 keeps u's value 1
+        u = PiecewiseFn.from_pieces(DOM11, [(ico(-1, 0), 1, 0), (point(0), 0, 1),
+                                            (ioc(0, 1), 1, 0)])
+        v = PiecewiseFn.from_pieces(DOM11, [(ico(-1, 0), -1, 0), (closed(0, 1), -1, 0)])
+        assert u.exceeds(v) == IntervalSet.of(closed(0, 1)) == ref_exceeds(u, v)
+        assert v.exceeds(u) == IntervalSet.of(ico(-1, 0)) == ref_exceeds(v, u)
+
+    def test_exceeds_on_constant_rays(self):
+        line = Domain.real_line()
+        u = PiecewiseFn.from_pieces(line, [(ivl(NEG_INF, 0, False, True), 0, 1),
+                                           (ivl(0, POS_INF, False, False), 0, 0)])
+        half = PiecewiseFn.constant(line, F(1, 2))
+        assert u.exceeds(half) == IntervalSet.of(ivl(NEG_INF, 0, False, True))
+        assert half.exceeds(u) == IntervalSet.of(ivl(0, POS_INF, False, False))
+        assert u.exceeds(u).is_empty()
+
+    @given(st.booleans().flatmap(kernel_fns), st.sampled_from(KERNEL_VALUES[1:]))
+    def test_ess_sup_norm(self, u, c):
+        for f in (u, u.negate(), u.scale(c), _with_int_ends(u)):
+            got = f.ess_sup_norm()
+            assert type(got) is F and got == ref_ess_sup_norm(f)
+            assert math.gcd(got.numerator, got.denominator) == 1
+
+    def test_ess_sup_norm_with_int_ends_and_negative_laws(self):
+        dom = Domain(IntervalSet.of(Interval(0, 3, True, True)))
+        u = PiecewiseFn(dom, (Piece(Interval(0, 1, True, False), F(2), F(-3)),
+                              Piece(Interval(1, 1, True, True), F(0), F(-9)),
+                              Piece(Interval(1, 3, False, True), F(-2), F(1, 3))))
+        # |2x - 3| peaks at 0 with 3, |-2x + 1/3| at 3 with 17/3; the point
+        # piece is null
+        assert u.ess_sup_norm() == F(17, 3) == ref_ess_sup_norm(u)
+        assert u.scale(F(-3, 17)).ess_sup_norm() == 1
 
     @given(st.booleans().flatmap(kernel_fns), st.randoms())
     def test_from_pieces_in_any_order(self, u, rng):

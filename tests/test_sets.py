@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from conftest import grid_points, interval_sets, rationals
 from linfweak.sets import (Domain, Interval, IntervalSet, SetAlgebraError, _eq, _lt, _side,
-                           closed, complement, ico, intersect, is_compact_subset,
-                           is_finite, ivl, measure, opened, point, union,
-                           NEG_INF, POS_INF)
+                           closed, complement, first_overlap, ico, intersect,
+                           is_compact_subset, is_finite, ivl, measure, opened,
+                           point, union, NEG_INF, POS_INF)
 
 
 def S(*parts):
@@ -185,6 +185,91 @@ class TestSweepOracles:
         a = S(closed(0, 1), closed(2, 3), point(4))
         got = a.difference(S(opened(F(1, 2), 4)))
         assert got == S(closed(0, F(1, 2)), point(4))
+
+
+# -- the overlap sweep against the pairwise loop --------------------------------
+#
+# The reference is the i-major double loop over pairs that measures each
+# intersection with Fraction operators; `first_overlap` must report the same
+# pair and the same intersection.
+
+
+def _ref_measure(s):
+    total = F(0)
+    for p in s.parts:
+        if not p.is_bounded():
+            return POS_INF
+        total += p.hi - p.lo
+    return total
+
+
+def ref_first_overlap(sets):
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            overlap = sets[i].intersect(sets[j])
+            if _ref_measure(overlap) != 0:
+                return i, j, overlap
+    return None
+
+
+@st.composite
+def grid_sets(draw):
+    """Sets on the integer grid 0..6, so that parts of different sets often
+    touch at a closed end, share a single point or coincide; some parts are
+    points and some are rays."""
+    parts = []
+    for _ in range(draw(st.integers(0, 2))):
+        lo = draw(st.integers(0, 6))
+        hi = lo + draw(st.integers(0, 2))
+        if lo == hi:
+            parts.append(point(lo))
+        else:
+            parts.append(ivl(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    if draw(st.integers(0, 5)) == 0:
+        parts.append(ivl(draw(st.integers(5, 7)), POS_INF, draw(st.booleans()), False))
+    return S(*parts)
+
+
+class TestFirstOverlap:
+    @given(st.lists(grid_sets(), max_size=7))
+    def test_against_pairwise_loop(self, sets):
+        assert first_overlap(sets) == ref_first_overlap(sets)
+
+    @given(st.lists(interval_sets(), max_size=5))
+    def test_against_pairwise_loop_on_fractions(self, sets):
+        assert first_overlap(sets) == ref_first_overlap(sets)
+
+    def test_null_overlaps_only(self):
+        # closed ends that touch and single shared points meet in null sets
+        sets = [S(closed(0, 1)), S(closed(1, 2), point(5)), S(point(2), closed(5, 6)),
+                S(ico(6, 7)), S(point(F(13, 2)))]
+        assert first_overlap(sets) is None
+
+    def test_smallest_i_then_smallest_j(self):
+        # overlaps at (1, 3) and (0, 4): the i-major order reports (0, 4)
+        sets = [S(closed(0, 1)), S(closed(2, 3)), S(closed(4, 5)),
+                S(opened(F(5, 2), 4)), S(opened(F(1, 2), 2))]
+        assert first_overlap(sets) == (0, 4, S(ivl(F(1, 2), 1, False, True)))
+
+    def test_fewer_than_two_sets(self):
+        assert first_overlap([]) is None
+        assert first_overlap([S(closed(0, 1))]) is None
+
+
+class TestUnionAndNullity:
+    @given(sets_with_rays(), sets_with_rays())
+    def test_union_against_sorting_all_parts(self, a, b):
+        # union merges the two sorted part lists instead of sorting them all
+        got = a.union(b)
+        assert got == IntervalSet.of(*a.parts, *b.parts)
+        assert IntervalSet.of(*got.parts) == got
+
+    @given(st.lists(grid_sets(), min_size=2, max_size=2))
+    def test_is_null_against_measure(self, pair):
+        # is_null reads the parts: a set is null iff every part is a point
+        a, b = pair
+        for s in (a, b, a.intersect(b), a.difference(b)):
+            assert s.is_null() == (_ref_measure(s) == 0)
 
 
 class TestCompactCore:
