@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .enclosure import RatInterval, pi_enclosure, sin_of_pi_multiple, sin_of_rational
-from .piecewise import PiecewiseFn, linear_combo
+from .piecewise import PiecewiseFn
 from .points import ExtPoint, WitnessPoint
 from .sets import (Domain, IntervalSet, first_overlap, ico, ioc, ivl, opened,
                    point, rat)
@@ -373,7 +373,13 @@ class TentFamily(SequenceFamily):
 class SummableDisjointFamily(SequenceFamily):
     """u_k = sum_i coef_i * indicator(layer_i(k)) where each layer is a family
     of mutually disjoint sets.  The layer list is finite and exact; an
-    optional declared tail bound describes the idealized infinite sum."""
+    optional declared tail bound describes the idealized infinite sum.
+
+    Each term is one `PiecewiseFn.layer_sum`: a single cut sweep over the
+    carrier and the layer sets, with no indicator or partial sum built on
+    the way.  |u_k| keeps this layer form (with |coef_i|) only when all
+    coefficients have one sign; layers of opposite sign may overlap and
+    cancel, so otherwise `abs_mapped` takes |.| of each term."""
 
     def __init__(self, domain: Domain, layers: Sequence[tuple[Fraction, Callable[[int], IntervalSet]]],
                  name="summable-disjoint",
@@ -387,10 +393,12 @@ class SummableDisjointFamily(SequenceFamily):
         self.tail_bound = tail_bound
 
     def _term(self, k):
-        fns = [PiecewiseFn.indicator(self.domain, gen(k)) for _, gen in self.layers]
-        return linear_combo([c for c, _ in self.layers], fns)
+        return PiecewiseFn.layer_sum(self.domain, [(gen(k), c) for c, gen in self.layers])
 
     def abs_mapped(self):
+        coefs = [c for c, _ in self.layers]
+        if not (all(c >= 0 for c in coefs) or all(c <= 0 for c in coefs)):
+            return _AbsMapped(self)
         return SummableDisjointFamily(
             self.domain, [(abs(c), gen) for c, gen in self.layers],
             f"abs({self.name})", self.tail_bound, self.certificates)

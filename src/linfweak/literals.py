@@ -6,7 +6,7 @@ Grammar (whitespace is free everywhere):
     item      := interval | '{' rat '}'
     interval  := ('[' | '(') bound ',' bound (']' | ')')
     bound     := '-inf' | 'inf' | '+inf' | rat
-    rat       := ['-'] digits ['/' digits]
+    rat       := ['-'] digits ['/' digits]     # a zero denominator is an error
 
     piecewise := piece (';' piece)*            # u(x) = a*x + b on each part
     piece     := interval rat rat              # interval, slope a, intercept b
@@ -87,7 +87,10 @@ class _Scanner:
             d0 = self.i
             while self.i < len(self.text) and self.text[self.i].isdigit():
                 self.i += 1
-            return Fraction(num, int(self.text[d0:self.i]))
+            den = int(self.text[d0:self.i])
+            if den == 0:
+                raise LiteralError("zero denominator", d0)
+            return Fraction(num, den)
         return Fraction(num)
 
     def done(self):

@@ -10,9 +10,23 @@ left-piece fallback at breakpoints that fall in measure-zero gaps.
 
 Results of ``min_of`` are canonical: no two touching pieces (one closed and
 one open end at the same point) share slope and intercept, so each maximal
-affine run is one piece.  Merging such pieces changes no point value.  Other
-constructors keep the pieces they are given, since family terms feed
-``piece_value_candidates`` and breakpoint spans piece by piece.
+affine run is one piece.  Merging such pieces changes no point value.
+``from_pieces``, the algebra and ``translate`` keep the cells they are
+given, since family terms feed ``piece_value_candidates`` and breakpoint
+spans piece by piece.
+
+Step functions are built by one left-to-right cut sweep (`_cut_sweep`).
+Each part of the carrier and of every level set gives two cuts, an end and
+a flag: before x for '[x' and 'x)', after x for '(x' and 'x]'.  The sweep
+merges these already sorted cut lists through the ``_lt``/``_eq`` kernel,
+never sorting, and hands out the cells between consecutive cuts that lie in
+the carrier, each with the sets that hold it.  ``step`` (and ``indicator``)
+labels a cell by the last level that holds it, or by the default, and joins
+touching cells of one label inside one carrier part: these are the parts of
+the level-by-level intersections and differences, in order, with no set
+built for them.  ``layer_sum`` labels a cell by the sum of the coefficients
+of the layers that hold it and joins none, so its pieces are those of the
+pairwise sum of the scaled indicators; no indicator or partial sum is built.
 
 Binary operations walk the two sorted piece lists once, advancing whichever
 piece ends first, so each costs time linear in the pieces of its operands.
@@ -201,19 +215,44 @@ class PiecewiseFn:
     def step(domain: Domain, levels: Sequence[tuple[IntervalSet, Fraction]],
              default=Fraction(0)) -> "PiecewiseFn":
         """Step function: value v on each set (later levels override), default
-        elsewhere on the carrier."""
+        elsewhere on the carrier.  Each cell of the cut sweep takes the last
+        level that contains it; touching cells of one level (or both of none)
+        inside one carrier part make one piece."""
         default = rat(default)
-        carrier = domain.carrier
-        remaining = carrier
-        triples = []
-        for s, v in reversed(levels):
-            hit = s.intersect(remaining)
-            remaining = remaining.difference(hit)
-            for part in hit.parts:
-                triples.append((part, Fraction(0), rat(v)))
-        for part in remaining.parts:
-            triples.append((part, Fraction(0), default))
-        return PiecewiseFn.from_pieces(domain, triples)
+        values = [rat(v) for _, v in levels]
+        top = len(values) - 1
+        runs = []  # [lo, hi, lo_closed, hi_closed, level] per piece
+        for lo, hi, lo_closed, hi_closed, first, inside in _cut_sweep(
+                domain.carrier, [s for s, _ in levels]):
+            level = top
+            while level >= 0 and not inside[level]:
+                level -= 1
+            if runs and not first and runs[-1][4] == level:
+                runs[-1][1], runs[-1][3] = hi, hi_closed
+            else:
+                runs.append([lo, hi, lo_closed, hi_closed, level])
+        return PiecewiseFn(domain, tuple(
+            Piece(Interval(lo, hi, lo_closed, hi_closed), _ZERO,
+                  values[level] if level >= 0 else default)
+            for lo, hi, lo_closed, hi_closed, level in runs))
+
+    @staticmethod
+    def layer_sum(domain: Domain, layers: Sequence[tuple[IntervalSet, Fraction]]) -> "PiecewiseFn":
+        """sum_i c_i chi(S_i) for layers (S_i, c_i): each cell of the cut
+        sweep takes the sum of the coefficients of the layers that contain
+        it.  No cells are joined: inside one carrier part, neighbouring cells
+        differ in some layer, so the pieces are those of the pairwise sum of
+        the scaled indicators."""
+        coefs = [rat(c) for _, c in layers]
+        pieces = []
+        for lo, hi, lo_closed, hi_closed, _, inside in _cut_sweep(
+                domain.carrier, [s for s, _ in layers]):
+            value = _ZERO
+            for c, hit in zip(coefs, inside):
+                if hit:
+                    value = c if value is _ZERO else value + c
+            pieces.append(Piece(Interval(lo, hi, lo_closed, hi_closed), _ZERO, value))
+        return PiecewiseFn(domain, tuple(pieces))
 
     # -- basic queries -----------------------------------------------------------
 
@@ -454,6 +493,55 @@ class PiecewiseFn:
         return f"piecewise[{bits}]"
 
 
+def _cut_sweep(carrier: IntervalSet, sets: Sequence[IntervalSet]):
+    """The cells of the carrier between consecutive cuts, from left to right.
+
+    Each part of the carrier and of every set gives two cuts, an end and a
+    flag: before x for '[x' and 'x)', after x for '(x' and 'x]'.  The sorted
+    cut lists are merged through `_lt`/`_eq`, and all cuts at one place are
+    taken together, so consecutive places differ and the cell between them
+    is never empty: from before x to after x it is the point {x}.  Yields
+    (lo, hi, lo_closed, hi_closed, first, inside) for each cell inside the
+    carrier; first marks the first cell of a carrier part, and inside[i]
+    tells whether sets[i] holds the cell (one list, updated in place: read
+    it before the next cell)."""
+    lists = [s.parts for s in sets]
+    lists.append(carrier.parts)
+    own = len(sets)  # the carrier's index
+    inside = [False] * len(lists)
+    taken = [0] * len(lists)  # cuts passed per list
+    heads = [(parts[0].lo, not parts[0].lo_closed) if parts else None for parts in lists]
+    x = after = None  # the latest place
+    first = False
+    while True:
+        at = []
+        for i, head in enumerate(heads):
+            if head is None:
+                continue
+            hx, ha = head
+            if not at or _lt(hx, bx) or (ba and not ha and _eq(hx, bx)):
+                at, bx, ba = [i], hx, ha
+            elif ha == ba and _eq(hx, bx):
+                at.append(i)
+        if inside[own]:
+            yield x, bx, not after, ba, first, inside
+            first = False
+        for i in at:
+            inside[i] = not inside[i]
+            t = taken[i] = taken[i] + 1
+            parts = lists[i]
+            if t == 2 * len(parts):
+                heads[i] = None
+            else:
+                iv = parts[t >> 1]
+                heads[i] = (iv.hi, iv.hi_closed) if t & 1 else (iv.lo, not iv.lo_closed)
+        if heads[own] is None:
+            return
+        if inside[own] and own in at:
+            first = True
+        x, after = bx, ba
+
+
 def _root(vn: int, vd: int, sn: int, sd: int) -> tuple[int, int]:
     """The crossing x0 = v / s of a law difference s x - v, for v = vn/vd and
     a slope s = sn/sd != 0 (vd, sd > 0), as an integer pair (n, d), d > 0."""
@@ -602,13 +690,3 @@ def _coalesced(pieces: Sequence[Piece]) -> tuple[Piece, ...]:
                 continue
         out.append(p)
     return tuple(out)
-
-
-def linear_combo(coeffs: Sequence, fns: Sequence[PiecewiseFn]) -> PiecewiseFn:
-    """sum c_i * f_i on a common domain."""
-    if len(coeffs) != len(fns) or not fns:
-        raise ValueError("need matching, non-empty coefficient and function lists")
-    out = fns[0].scale(coeffs[0])
-    for c, f in zip(coeffs[1:], fns[1:]):
-        out = out.add(f.scale(c))
-    return out

@@ -322,12 +322,19 @@ class TestInputErrors:
         "task = essrange-at\ndomain = (0,1)\nfunction = (0,1) 0 1\npoint = 5\n",
         "task = weaknull-at\nfamily = tents\npoint = " + "7" * 2000 + "/"
         + "3" * 2000 + "\n",
+        # a zero denominator in any literal
+        "task = restrict\ndomain = (0,1)\natoms = 1 * (1/2 - 1/0/l, 1/2)\n",
+        "task = restrict\ndomain = (0,1/0)\natoms = 1 * (0, 1/l)\n",
+        "task = restrict\ndomain = (0,1)\natoms = 1/0 * (0, 1/l)\n",
+        "task = finite-model\nweights = 1, 1/0\n",
     ], ids=("negative-weight", "sixteen-weights", "nine-weights",
             "vector-length", "masses-length", "negative-atom",
             "negative-density", "zero-alpha", "base-empties-out", "point-abc", "point-1/0",
             "point-huge-exponent", "point-decimal-exponent",
             "point-outside-dini-domain", "point-outside-essrange-domain",
-            "point-4000-digits-outside-tents-domain"))
+            "point-4000-digits-outside-tents-domain", "zero-denominator-base-end",
+            "zero-denominator-domain", "zero-denominator-atom-coef",
+            "zero-denominator-weight"))
     def test_exits_two_before_any_enumeration(self, tmp_path, monkeypatch, text):
         import linfweak.cli as cli
         for name in ("enumerate_zero_one_measures", "extreme_points_unit_ball",

@@ -135,6 +135,28 @@ class TestStructure:
         probe = F(1, 2) * (1 + F(3, 8))
         assert u1.eval(probe) == F(1, 2)
 
+    def test_abs_mapped_of_opposite_layers_is_the_abs_of_each_term(self):
+        # layers 1 and -1 on one set cancel: u_k = 0, so |u_k| = 0 too
+        block = lambda k: IntervalSet.of(ico(F(1, 2 ** (k + 1)), F(1, 2 ** k)))
+        fam = SummableDisjointFamily(Domain.open_interval(0, 1),
+                                     [(F(1), block), (F(-1), block)])
+        mapped = fam.abs_mapped()
+        assert fam.term(1).eval(F(1, 3)) == 0
+        assert mapped.term(1).eval(F(1, 3)) == 0
+        for k in range(1, 9):
+            assert mapped.term(k).pieces == fam.term(k).abs_fn().pieces
+
+    def test_abs_mapped_of_one_sign_keeps_the_layer_form(self):
+        block = lambda k: IntervalSet.of(ico(F(1, 2 ** (k + 1)), F(1, 2 ** k)))
+        wide = lambda k: IntervalSet.of(ico(0, F(1, k)))
+        fam = SummableDisjointFamily(Domain.open_interval(0, 1),
+                                     [(F(-1, 2), block), (F(0), block), (F(-2), wide)])
+        mapped = fam.abs_mapped()
+        assert isinstance(mapped, SummableDisjointFamily)
+        assert [c for c, _ in mapped.layers] == [F(1, 2), F(0), F(2)]
+        for k in range(1, 9):
+            assert mapped.term(k).pieces == fam.term(k).abs_fn().pieces
+
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             ExplicitListFamily(DOM, [], name="empty")

@@ -40,6 +40,18 @@ def test_parse_errors_have_positions():
         parse_set("[0,1/2")
 
 
+@pytest.mark.parametrize("parse, text, column", [
+    (parse_rat, "1/0", 3),
+    (parse_rat, "-7/000", 4),
+    (parse_set, "(0,1/0)", 6),
+    (lambda t: parse_piecewise(t, Domain.open_interval(0, 1)), "(0,1) 1/0 0", 9),
+    (parse_base_formula, "(1/2 - 1/0/l, 1/2)", 10),
+], ids=("rat", "rat-zeros", "set", "piecewise", "base"))
+def test_zero_denominator_is_a_literal_error(parse, text, column):
+    with pytest.raises(LiteralError, match=f"zero denominator \\(at column {column}\\)"):
+        parse(text)
+
+
 def test_empty_interval_literal_rejected():
     with pytest.raises(LiteralError):
         parse_set("[1/2,0)")

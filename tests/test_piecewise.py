@@ -7,9 +7,9 @@ from hypothesis import assume, given, strategies as st
 from conftest import (ORACLE_DOMAIN, function_probes, grid_points, interval_sets,
                       piecewise_fns, rationals)
 from linfweak.piecewise import (EvaluationError, Piece, PiecewiseFn,
-                                UnsupportedOperationError, _coalesced,
-                                linear_combo, min_of)
-from linfweak.families import TentFamily
+                                UnsupportedOperationError, _coalesced, min_of)
+from linfweak.corpus import FAMILIES, family_by_name
+from linfweak.families import MappedStepFamily, TentFamily
 from linfweak.sets import (NEG_INF, POS_INF, Domain, Interval, IntervalSet,
                            SetAlgebraError, closed, ico, ioc, ivl, opened, point)
 
@@ -72,9 +72,9 @@ class TestMinAbsCombo:
             assert m.eval(x) == min(u3.eval(x), u5.eval(x))
 
     def test_linear_combo(self):
-        a = chi(IntervalSet.of(ico(0, F(1, 2))))
-        b = chi(IntervalSet.of(ico(F(1, 4), F(3, 4))))
-        s = linear_combo([F(2), F(-1)], [a, b])
+        a = IntervalSet.of(ico(0, F(1, 2)))
+        b = IntervalSet.of(ico(F(1, 4), F(3, 4)))
+        s = PiecewiseFn.layer_sum(DOM01, [(a, F(2)), (b, F(-1))])
         assert s.eval(F(1, 8)) == 2
         assert s.eval(F(3, 8)) == 1
         assert s.eval(F(5, 8)) == -1
@@ -724,3 +724,127 @@ class TestKernelDifferential:
         triples = [(p.interval, p.slope, p.intercept) for p in u.pieces]
         rng.shuffle(triples)
         assert PiecewiseFn.from_pieces(u.domain, triples) == u
+
+
+# -- the cut sweep ------------------------------------------------------------
+# References: the constructors the sweep replaced.  A step function was the
+# fold of intersections and differences over the levels, last level first,
+# sorted by `from_pieces`; a layer sum was the pairwise `add` of the scaled
+# indicators.
+
+
+def ref_step(domain, levels, default=F(0)):
+    remaining = domain.carrier
+    triples = []
+    for s, v in reversed(levels):
+        hit = s.intersect(remaining)
+        remaining = remaining.difference(hit)
+        triples += [(part, 0, v) for part in hit.parts]
+    triples += [(part, 0, default) for part in remaining.parts]
+    return PiecewiseFn.from_pieces(domain, triples)
+
+
+def ref_layer_sum(domain, layers):
+    (s0, c0), *rest = layers
+    out = ref_step(domain, [(s0, F(1))]).scale(c0)
+    for s, c in rest:
+        out = out.add(ref_step(domain, [(s, F(1))]).scale(c))
+    return out
+
+
+# half-integer ends in [-3, 3], so that cuts of different sets often meet
+SWEEP_ENDS = tuple(F(n, 2) for n in range(-6, 7))
+SWEEP_VALUES = (0, 1, -2, F(0), F(1), F(-1), F(1, 2), F(-3, 4), F(5, 3))
+
+
+@st.composite
+def sweep_sets(draw, min_parts=0, max_parts=3):
+    """Normalized sets with rays, point parts and ends shared with other
+    sets."""
+    parts = []
+    for _ in range(draw(st.integers(min_parts, max_parts))):
+        a, b = sorted(draw(st.sampled_from(SWEEP_ENDS)) for _ in range(2))
+        shape = draw(st.sampled_from(("interval", "interval", "point", "left-ray",
+                                      "right-ray")))
+        if shape == "point":
+            parts.append(point(a))
+            continue
+        lo = NEG_INF if shape == "left-ray" else a
+        hi = POS_INF if shape == "right-ray" else b
+        parts.append(ivl(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return IntervalSet.of(*parts)
+
+
+sweep_domains = sweep_sets(min_parts=1, max_parts=3).filter(
+    lambda s: not s.is_empty()).map(Domain)
+sweep_levels = st.lists(st.tuples(sweep_sets(), st.sampled_from(SWEEP_VALUES)),
+                        max_size=4)
+
+
+class TestCutSweep:
+    """step and layer_sum against the constructors they replaced, piece by
+    piece with ==, not almost everywhere."""
+
+    @given(sweep_domains, sweep_levels, st.sampled_from(SWEEP_VALUES))
+    def test_step(self, domain, levels, default):
+        got = PiecewiseFn.step(domain, levels, default)
+        assert got.pieces == ref_step(domain, levels, default).pieces
+        assert all(type(q) is F for p in got.pieces for q in (p.slope, p.intercept))
+
+    @given(sweep_domains, sweep_sets())
+    def test_indicator(self, domain, s):
+        assert PiecewiseFn.indicator(domain, s).pieces == ref_step(domain, [(s, F(1))]).pieces
+
+    @given(sweep_domains, sweep_levels.filter(bool))
+    def test_layer_sum(self, domain, layers):
+        got = PiecewiseFn.layer_sum(domain, layers)
+        assert got.pieces == ref_layer_sum(domain, layers).pieces
+        assert all(type(q) is F for p in got.pieces for q in (p.slope, p.intercept))
+
+    @given(sweep_domains)
+    def test_empty_level_lists(self, domain):
+        zero = PiecewiseFn.constant(domain, 0)
+        assert PiecewiseFn.step(domain, []).pieces == zero.pieces
+        assert PiecewiseFn.step(domain, [], 3).pieces == PiecewiseFn.constant(domain, 3).pieces
+        assert PiecewiseFn.layer_sum(domain, []).pieces == zero.pieces
+
+    def test_later_levels_override_and_equal_values_stay_apart(self):
+        # two levels of one value make two pieces, as the old fold did
+        a, b = IntervalSet.of(ico(0, F(1, 2))), IntervalSet.of(ico(F(1, 4), 1))
+        u = PiecewiseFn.step(DOM01, [(a, 1), (b, 1)])
+        assert [p.interval for p in u.pieces] == [ico(0, F(1, 4)), ico(F(1, 4), 1)]
+        v = PiecewiseFn.step(DOM01, [(a, 2), (b, 5)])
+        assert [(p.interval, p.intercept) for p in v.pieces] == [
+            (ico(0, F(1, 4)), 2), (ico(F(1, 4), 1), 5)]
+
+    def test_cells_across_a_puncture_and_at_points(self):
+        # carrier (-1, 0) u (0, 1] u {2}; a level [0, 1/2] and a point {1}
+        dom = Domain(IntervalSet.of(opened(-1, 0), ioc(0, 1), point(2)))
+        levels = [(IntervalSet.of(closed(0, F(1, 2)), point(1)), F(1, 2))]
+        u = PiecewiseFn.step(dom, levels, 1)
+        assert u.pieces == ref_step(dom, levels, 1).pieces
+        assert [(p.interval, p.intercept) for p in u.pieces] == [
+            (opened(-1, 0), 1), (ioc(0, F(1, 2)), F(1, 2)), (opened(F(1, 2), 1), 1),
+            (point(1), F(1, 2)), (point(2), 1)]
+        s = PiecewiseFn.layer_sum(dom, [levels[0], (IntervalSet.of(ico(0, 2)), F(-2))])
+        assert [p.intercept for p in s.pieces] == [0, F(-3, 2), -2, F(-3, 2), 0]
+
+
+def _piecewise_images(name):
+    """term(k).pieces of a corpus family, its |.| image and, for step
+    families, its t^2 image, for k <= 64; built when called, so that the
+    constructors in use then build every term."""
+    fam = family_by_name(name)
+    images = [fam, fam.abs_mapped()]
+    if all(fam.term(k).is_step() for k in range(1, 65)):
+        images.append(MappedStepFamily(fam, [F(0), F(0), F(1)]))
+    return [[f.term(k).pieces for k in range(1, 65)] for f in images]
+
+
+@pytest.mark.parametrize("name", [n for n in FAMILIES if not family_by_name(n).evaluable])
+def test_corpus_terms_match_the_reference_builds(name):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PiecewiseFn, "step", staticmethod(ref_step))
+        mp.setattr(PiecewiseFn, "layer_sum", staticmethod(ref_layer_sum))
+        want = _piecewise_images(name)
+    assert _piecewise_images(name) == want
