@@ -73,10 +73,10 @@ def summable_disjoint(layer_count: int = 6) -> SequenceFamily:
     (2^-i, 3*2^-(i+1)]; each layer is a disjoint dyadic family."""
     domain = Domain.open_interval(0, 1)
     def gen(i):
-        base = F(1, 2 ** i)
-        def sets(k, base=base):
-            return IntervalSet.of(ico(base * (1 + F(1, 2 ** (k + 1))),
-                                      base * (1 + F(1, 2 ** k))))
+        # [2^-i (1 + 2^-(k+1)), 2^-i (1 + 2^-k)), its ends written directly
+        def sets(k):
+            return IntervalSet.of(ico(F(2 ** (k + 1) + 1, 2 ** (i + k + 1)),
+                                      F(2 ** k + 1, 2 ** (i + k))))
         return sets
     layers = [(F(1, 2 ** i), gen(i)) for i in range(1, layer_count + 1)]
     return SummableDisjointFamily(

@@ -11,7 +11,9 @@ Grammar (whitespace is free everywhere):
     piecewise := piece (';' piece)*            # u(x) = a*x + b on each part
     piece     := interval rat rat              # interval, slope a, intercept b
 
-    base      := bpart ('u' bpart)*            # B(l), endpoints affine in l
+    base      := bpart ('u' bpart)* ['shift' digits]
+                                               # B(l), endpoints affine in l;
+                                               # 'shift s' reads it at l + s
     bpart     := ('[' | '(') bexpr ',' bexpr (']' | ')')
     bexpr     := bterm (('+' | '-') bterm)*    # e.g. 1/2 - 1/l,  3*l
     bterm     := rat | rat '/' 'l' | rat '*' 'l' | 'l' | 'inf' | '-inf'
@@ -27,6 +29,9 @@ from typing import Optional
 from .piecewise import PiecewiseFn
 from .restriction import BaseFormula, BasePart, EndFn
 from .sets import Domain, Interval, IntervalSet, NEG_INF, POS_INF, ivl
+
+
+MAX_SHIFT_DIGITS = 6
 
 
 class LiteralError(ValueError):
@@ -244,11 +249,22 @@ def _parse_base_part(sc: _Scanner) -> BasePart:
                     hi_closed and hi_fn is not None)
 
 
-def parse_base_formula(text: str, index_shift: int = 0) -> BaseFormula:
+def parse_base_formula(text: str) -> BaseFormula:
     sc = _Scanner(text)
     parts = [_parse_base_part(sc)]
     while sc.try_word("u"):
         parts.append(_parse_base_part(sc))
+    index_shift = 0
+    if sc.try_word("shift"):
+        sc.skip_ws()
+        start = sc.i
+        while sc.i < len(sc.text) and sc.text[sc.i].isdigit():
+            sc.i += 1
+        if sc.i == start:
+            raise LiteralError("expected a non-negative integer shift", start)
+        if sc.i - start > MAX_SHIFT_DIGITS:
+            raise LiteralError(f"a shift has at most {MAX_SHIFT_DIGITS} digits", start)
+        index_shift = int(sc.text[start:sc.i])
     sc.done()
     return BaseFormula(tuple(parts), index_shift)
 
@@ -273,4 +289,5 @@ def format_base_formula(bf: BaseFormula) -> str:
         hi = "inf" if p.hi is None else format_end_fn(p.hi)
         out.append("%s%s,%s%s" % ("[" if p.lo_closed else "(", lo, hi,
                                   "]" if p.hi_closed else ")"))
-    return " u ".join(out)
+    shift = f" shift {bf.index_shift}" if bf.index_shift else ""
+    return " u ".join(out) + shift

@@ -264,7 +264,7 @@ def _local_support_envelope(family, x0, policy, ell_max):
         window, ell = sep
         k_star = None
         for k in range(1, policy.k_max + 1):
-            if cert.envelope(k).intersect(window).is_null():
+            if not cert.envelope(k).meets(window):
                 k_star = k
                 break
         if k_star is None:

@@ -20,6 +20,15 @@ so a query adds only the crossings of base endpoints with its set's
 endpoints, and it works that threshold out only when levels 1 and 2 leave
 the answer open.
 
+Each level test is one merge walk over sorted parts that builds no set:
+`IntervalSet.subset_up_to_null` for 'one', `IntervalSet.meets` for 'zero'.
+The members already lie in the carrier, so a query clips its set to the
+carrier only for the threshold and the tail.  The endpoint arithmetic runs
+on the integer `_numerator`/`_denominator` slots of the `Fraction` values:
+`EndFn.at` builds one `Fraction(n, d)` per endpoint, the crossing bounds
+are integer ceilings by floor division, and the tail fit solves for a, b
+and c by integer Cramer's rule.
+
 Each base is read once, when built, as the point of the one-point
 compactification X_inf = X u {inf} where it concentrates (a 0-1 measure is
 an ultrafilter).  An escape from every compact of X, through a lost
@@ -35,7 +44,6 @@ contributes nothing; the sigma-additive density passes through.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -73,7 +81,17 @@ class EndFn:
     lin: Fraction = Fraction(0)
 
     def at(self, ell: int) -> Fraction:
-        return self.const + self.inv / ell + self.lin * ell
+        # const + inv/l + lin*l over the one denominator cd*id*ld*l, from
+        # the integer slots; Fraction(n, d) reduces it once
+        c, i, m = self.const, self.inv, self.lin
+        n, d = c._numerator, c._denominator
+        if i._numerator:
+            idl = i._denominator * ell
+            n, d = n * idl + i._numerator * d, d * idl
+        if m._numerator:
+            md = m._denominator
+            n, d = n * md + m._numerator * ell * d, d * md
+        return Fraction(n, d)
 
     def limit(self) -> Union[Fraction, float]:
         if self.lin > 0:
@@ -106,19 +124,37 @@ class BasePart:
         return [e for e in (self.lo, self.hi) if e is not None]
 
 
+def _diff(x: Fraction, y: Fraction) -> tuple[int, int]:
+    """x - y as an integer pair (n, d), d > 0 and not reduced."""
+    xd, yd = x._denominator, y._denominator
+    return x._numerator * yd - y._numerator * xd, xd * yd
+
+
 def _crossing_bound(f: EndFn, g: EndFn) -> Optional[int]:
     """An index beyond which f - g keeps one sign: bound the roots of
     (f.lin-g.lin) l^2 + (f.const-g.const) l + (f.inv-g.inv) = 0."""
-    a = f.lin - g.lin
-    b = f.const - g.const
-    c = f.inv - g.inv
-    if a == 0 and b == 0:
-        return None  # constant difference, no crossing
-    if a == 0:
-        root = -c / b
-        return max(1, math.ceil(root) + 1) if root > 0 else 1
-    cauchy = 1 + max(abs(b), abs(c)) / abs(a)
-    return max(1, math.ceil(cauchy) + 1)
+    return _pair_bound(_diff(f.lin, g.lin), _diff(f.const, g.const),
+                       _diff(f.inv, g.inv))
+
+
+def _pair_bound(a: tuple[int, int], b: tuple[int, int],
+                c: tuple[int, int]) -> Optional[int]:
+    """`_crossing_bound` on the coefficients a, b, c of a l^2 + b l + c as
+    integer pairs (n, d) with d > 0: a root -c/b when a = 0, else the Cauchy
+    bound 1 + max(|b|, |c|)/|a|; ceilings by floor division."""
+    (an, ad), (bn, bd), (cn, cd) = a, b, c
+    if an == 0:
+        if bn == 0:
+            return None  # constant difference, no crossing
+        # root = -c/b = -(cn*bd) / (cd*bn), with the sign moved to the top
+        num, den = -cn * bd, cd * bn
+        if den < 0:
+            num, den = -num, -den
+        return -(-num // den) + 1 if num > 0 else 1
+    # max(|b|, |c|) / |a| as num/den; ceil(1 + x) + 1 = ceil(x) + 2
+    bn, cn = abs(bn), abs(cn)
+    mn, md = (bn, bd) if bn * cd >= cn * bd else (cn, cd)
+    return -(-(mn * ad) // (md * abs(an))) + 2
 
 
 @dataclass(frozen=True)
@@ -178,7 +214,7 @@ class FilterBaseMeasure:
             b = self.at(ell)
             if not b.is_subset(carrier):
                 raise SetAlgebraError(f"B_{ell} leaves the carrier")
-            if b.measure() == 0:
+            if b.is_null():
                 raise SetAlgebraError(f"B_{ell} is lambda-null; filter bases "
                                       "need positive measure at every level")
             if i and not b.is_subset(prev):
@@ -211,12 +247,15 @@ class FilterBaseMeasure:
     def _threshold(self, constants: Sequence[Fraction]) -> int:
         """`formula.raw_threshold(constants)` from the stored base threshold:
         only base-constant pairs can raise it, since two constants never
-        cross (their bound is None or 1)."""
+        cross (their bound is None or 1).  Against a constant k, f - k has
+        the coefficients f.lin, f.const - k and f.inv."""
         worst = self._base_threshold
-        for c in constants:
-            g = EndFn(rat(c))
-            for f in self._endpoint_fns:
-                b = _crossing_bound(f, g)
+        consts = [rat(k) for k in constants]
+        for f in self._endpoint_fns:
+            a = f.lin._numerator, f.lin._denominator
+            c = f.inv._numerator, f.inv._denominator
+            for k in consts:
+                b = _pair_bound(a, _diff(f.const, k), c)
                 if b is not None and b > worst:
                     worst = b
         return worst
@@ -228,8 +267,9 @@ class FilterBaseMeasure:
 
         Members are built once per base and shared by every query.  Levels 1
         and 2 are always scanned, so the endpoint threshold is worked out
-        only when neither decides."""
-        e = e.intersect(self.domain.carrier)
+        only when neither decides.  The scanned members lie in the carrier
+        (the constructor checks it), so the level tests read e as given;
+        the threshold and the tail read e inside the carrier."""
         # The base is nested, so both measures below are non-increasing in
         # ell and the tail test alone decides; the scan is an early exit,
         # capped so that a late endpoint crossing costs no long walk.
@@ -237,6 +277,7 @@ class FilterBaseMeasure:
             answer = self._scan_level(ell, e)
             if answer is not None:
                 return answer
+        e = e.intersect(self.domain.carrier)
         m_star = self._threshold(e.endpoints())
         scan_hi = min(max(1, m_star - self.formula.index_shift) + 1, CHECK_LEVELS)
         for ell in range(3, scan_hi + 1):
@@ -251,9 +292,9 @@ class FilterBaseMeasure:
 
     def _scan_level(self, ell: int, e: IntervalSet) -> Optional[str]:
         b = self.at(ell)
-        if b.difference(e).is_null():
+        if b.subset_up_to_null(e):
             return ONE
-        if b.intersect(e).is_null():
+        if not b.meets(e):
             return ZERO
         return None
 
@@ -273,7 +314,7 @@ class FilterBaseMeasure:
             if v == POS_INF:
                 return False
             samples.append(v)
-        m1, m2, m3, m4 = [Fraction(i) for i in idx]
+        m1, m2, m3, m4 = idx
         v1, v2, v3, v4 = samples
         a, b, c = _fit_abc((m1, v1), (m2, v2), (m3, v3))
         if a + b / m4 + c * m4 != v4:
@@ -320,16 +361,31 @@ def _point_list(points: Sequence[Union[Fraction, float]]) -> str:
 
 
 def _fit_abc(p1, p2, p3) -> tuple[Fraction, Fraction, Fraction]:
-    """Solve v = a + b/l + c*l through three (l, v) samples."""
+    """Solve v = a + b/l + c*l through three (l, v) samples at distinct
+    integer l.  Times l, the system is v_i l_i = a l_i + b + c l_i^2, with
+    integer matrix rows (l_i, 1, l_i^2).  With the v_i over the common
+    denominator D = d1 d2 d3, Cramer's rule gives a, b and c as integer
+    determinants over D times the matrix determinant, which is the
+    Vandermonde product (l2 - l1)(l3 - l1)(l3 - l2) up to sign."""
     (l1, v1), (l2, v2), (l3, v3) = p1, p2, p3
-    # eliminate a: (v2 - v1) = b(1/l2 - 1/l1) + c(l2 - l1) etc.
-    a11, a12, r1 = Fraction(1, l2) - Fraction(1, l1), l2 - l1, v2 - v1
-    a21, a22, r2 = Fraction(1, l3) - Fraction(1, l1), l3 - l1, v3 - v1
-    det = a11 * a22 - a12 * a21
-    b = (r1 * a22 - a12 * r2) / det
-    c = (a11 * r2 - r1 * a21) / det
-    a = v1 - b / l1 - c * l1
-    return a, b, c
+    v1, v2, v3 = rat(v1), rat(v2), rat(v3)
+    d1, d2, d3 = v1._denominator, v2._denominator, v3._denominator
+    den = d1 * d2 * d3
+    # right-hand sides v_i l_i over the common denominator den
+    r1 = v1._numerator * d2 * d3 * l1
+    r2 = v2._numerator * d1 * d3 * l2
+    r3 = v3._numerator * d1 * d2 * l3
+    q1, q2, q3 = l1 * l1, l2 * l2, l3 * l3
+    # det [[l_i, 1, l_i^2]] = -(l2 - l1)(l3 - l1)(l3 - l2)
+    det = -(l2 - l1) * (l3 - l1) * (l3 - l2)
+    # Cramer: the column of the unknown replaced by (r1, r2, r3), expanded
+    # along that column by its cofactors
+    a = r1 * (q3 - q2) + r2 * (q1 - q3) + r3 * (q2 - q1)
+    b = (r1 * (l3 * q2 - l2 * q3) + r2 * (l1 * q3 - l3 * q1)
+         + r3 * (l2 * q1 - l1 * q2))
+    c = r1 * (l2 - l3) + r2 * (l3 - l1) + r3 * (l1 - l2)
+    scale = det * den
+    return Fraction(a, scale), Fraction(b, scale), Fraction(c, scale)
 
 
 # ---------------------------------------------------------------------------

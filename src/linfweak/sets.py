@@ -38,9 +38,19 @@ them as one pair and reduces it once, with the gcd of its final
 one ``_lt``/``_eq`` pass and sorts them only when some are out of order;
 :meth:`IntervalSet.union` merges two sorted part lists and never sorts.
 :meth:`IntervalSet.is_null` reads the parts (a set is null iff every part
-is a point) and builds no measure.  :func:`first_overlap` finds the first
-pair of sets that meet in positive measure with one sweep over a running
-union, not a loop over all pairs.
+is a point) and builds no measure.
+
+Three predicates answer by one merge walk over the two sorted part lists
+and build no set.  :meth:`IntervalSet.subset_up_to_null` is a cover walk: a
+position runs from each part's lo through the parts of the other set that
+reach past it, and only a gap of positive length answers "not null" (a
+single point missing between two parts moves the position nowhere).
+:meth:`IntervalSet.meets` asks max(lo) < min(hi) of the pairs that the
+intersection sweep would visit.  :meth:`IntervalSet.is_subset` checks that
+each part lies in the first part of the other set that reaches its hi.
+:func:`first_overlap` finds the first pair of sets that meet in positive
+measure with one sweep over a running union, not a loop over all pairs,
+and builds only the intersection it returns.
 """
 
 from __future__ import annotations
@@ -370,10 +380,65 @@ class IntervalSet:
         return any(p.contains(x) for p in self.parts)
 
     def is_subset(self, other: "IntervalSet") -> bool:
-        return self.difference(other).is_empty()
+        """Is self a subset of other?  A part lies in other iff it lies in
+        one part of it: the first part of `other` that reaches the part's
+        hi, which must also start at or before its lo.  One walk, building
+        no difference set."""
+        cover = other.parts
+        j = 0
+        for p in self.parts:
+            while j < len(cover) and _ends_before(cover[j], p):
+                j += 1
+            if j == len(cover) or _starts_after(cover[j], p):
+                return False
+        return True
 
     def subset_up_to_null(self, other: "IntervalSet") -> bool:
-        return self.difference(other).is_null()
+        """Is self \\ other null?  One cover walk: `pos` runs from each
+        part's lo through the parts of `other` that reach past it, and a
+        positive gap before the next part of `other` (or before the part's
+        hi, when `other` runs out) answers False.  A gap of one point
+        between two parts of `other` moves `pos` nowhere."""
+        cover = other.parts
+        j = 0
+        for p in self.parts:
+            hi = p.hi
+            pos = p.lo
+            if _eq(pos, hi):
+                continue  # a point part is null
+            while True:
+                if j == len(cover):
+                    return False
+                q = cover[j]
+                if not _lt(pos, q.hi):
+                    j += 1  # q ends at or before pos
+                    continue
+                if _lt(pos, q.lo):
+                    return False  # (pos, min(q.lo, hi)) is not covered
+                pos = q.hi
+                if not _lt(pos, hi):
+                    break  # q covers the rest of p and may cover later parts
+                j += 1
+        return True
+
+    def meets(self, other: "IntervalSet") -> bool:
+        """Do self and other meet in positive measure?  The intersection
+        sweep, asking max(lo) < min(hi) of each pair of parts and building
+        no intersection."""
+        a, b = self.parts, other.parts
+        i = j = 0
+        while i < len(a) and j < len(b):
+            p, q = a[i], b[j]
+            lo = q.lo if _lt(p.lo, q.lo) else p.lo
+            if _lt(p.hi, q.hi):
+                if _lt(lo, p.hi):
+                    return True
+                i += 1
+            else:
+                if _lt(lo, q.hi):
+                    return True
+                j += 1
+        return False
 
     def is_null(self) -> bool:
         # parts are never empty, so the measure is 0 iff every part is a point
@@ -581,22 +646,21 @@ def first_overlap(sets: Sequence[IntervalSet]) -> "tuple[int, int, IntervalSet] 
 
     One sweep from the right keeps the union of the sets after i, so the
     smallest i whose set meets that union is found with n - 1 unions and
-    n - 1 intersections, each one merge of sorted parts, not n^2 / 2
+    n - 1 `meets` walks, each one merge of sorted parts, not n^2 / 2
     intersections; its partner j is then the smallest index whose set meets
-    set i.
+    set i, and theirs is the one intersection built.
     """
     first = None
     later = IntervalSet.empty()
     for i in range(len(sets) - 2, -1, -1):
         later = sets[i + 1].union(later)
-        if not sets[i].intersect(later).is_null():
+        if sets[i].meets(later):
             first = i
     if first is None:
         return None
     for j in range(first + 1, len(sets)):
-        overlap = sets[first].intersect(sets[j])
-        if not overlap.is_null():
-            return first, j, overlap
+        if sets[first].meets(sets[j]):
+            return first, j, sets[first].intersect(sets[j])
 
 
 def is_compact_subset(k: IntervalSet, g: IntervalSet) -> bool:

@@ -135,6 +135,15 @@ class TestStructure:
         probe = F(1, 2) * (1 + F(3, 8))
         assert u1.eval(probe) == F(1, 2)
 
+    def test_summable_layer_ends_equal_the_fraction_products(self):
+        fam = summable_disjoint()
+        assert len(fam.layers) == 6
+        for i, (_, gen) in enumerate(fam.layers, start=1):
+            base = F(1, 2 ** i)
+            for k in range(1, 65):
+                assert gen(k) == IntervalSet.of(ico(base * (1 + F(1, 2 ** (k + 1))),
+                                                    base * (1 + F(1, 2 ** k))))
+
     def test_abs_mapped_of_opposite_layers_is_the_abs_of_each_term(self):
         # layers 1 and -1 on one set cancel: u_k = 0, so |u_k| = 0 too
         block = lambda k: IntervalSet.of(ico(F(1, 2 ** (k + 1)), F(1, 2 ** k)))

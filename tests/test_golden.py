@@ -1,8 +1,9 @@
 """The behaviour contract: stripped ``--format machine`` reports, byte for byte.
 
 Each golden file under ``tests/golden/`` is the `strip_volatile` report of
-one CLI problem: the `corpus` task, `weaknull` for every named family and
-`weaknull-at` for every `LOCAL_CORPUS` item.  A kernel change that keeps the
+one CLI problem: the `corpus` task, `weaknull` for every named family,
+`weaknull-at` for every `LOCAL_CORPUS` item and `restrict` for each of
+`RESTRICT_PROBLEMS`.  A kernel change that keeps the
 verdicts must keep these files unchanged.  After a deliberate change of
 report content, regenerate them all from the repository root with
 
@@ -23,6 +24,24 @@ from linfweak.reporting import strip_volatile
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# restrict problems: (0,1) throughout; hat, query, minimax and, given alpha,
+# the singularity witness
+RESTRICT_PROBLEMS = {
+    # a base shrinking to 7/20 and one escaping through 0
+    "mixed": "atoms = 3/2 * (7/20 - 1/6/l, 7/20 + 1/8/l) ; 2 * (0, 1/3/l)\n"
+             "set = (9/40, 19/40)\nalpha = 3/2\n",
+    # the set's end crosses a base end only near l = 250000
+    "late": "atoms = 1 * (1/2-1/4/l, 1/2+1/4/l)\nset = (499999/1000000, 1)\n",
+    # one atom at infinity: the hat is zero, the query still answers one
+    "escape": "atoms = 2 * (0, 1/3/l)\nset = (0, 1/2)\nalpha = 1\n",
+    # B_l read at l + 2, so that B_1 = (1/6, 5/6) fits in (0,1)
+    "shift": "atoms = 3/2 * (1/2 - 1/l, 1/2 + 1/l) shift 2\n"
+             "set = (1/4, 3/4)\nalpha = 1\n",
+    # the set misses the base's limit point only: B_l lies in it up to a null set
+    "point-gap": "atoms = 1 * (1/2 - 1/4/l, 1/2 + 1/4/l)\n"
+                 "set = (0, 1/2) u (1/2, 1)\n",
+}
+
 
 def _problems() -> dict[str, tuple[str, str]]:
     """golden file name -> (task, problem text)."""
@@ -33,6 +52,9 @@ def _problems() -> dict[str, tuple[str, str]]:
     for family, pt, _ in LOCAL_CORPUS:
         out[f"weaknull-at-{family}-{pt.replace('/', '_')}.txt"] = (
             "weaknull-at", f"task = weaknull-at\nfamily = {family}\npoint = {pt}\n")
+    for name, text in RESTRICT_PROBLEMS.items():
+        out[f"restrict-{name}.txt"] = (
+            "restrict", f"task = restrict\ndomain = (0,1)\n{text}")
     return out
 
 

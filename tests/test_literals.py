@@ -92,3 +92,24 @@ def test_base_formula_multi_part_and_linear():
     assert ray.at(3) == IntervalSet.of(parse_set("(3,inf)").parts[0])
     scaled = parse_base_formula("(0,3*l)")
     assert scaled.at(2) == IntervalSet.of(opened(0, 6))
+
+
+def test_base_formula_shift():
+    bf = parse_base_formula("(1/2-1/l,1/2+1/l) shift 2")
+    assert bf.index_shift == 2
+    assert bf.at(1) == IntervalSet.of(opened(F(1, 6), F(5, 6)))
+    text = format_base_formula(bf)
+    assert text.endswith(" shift 2")
+    assert parse_base_formula(text) == bf
+    assert format_base_formula(parse_base_formula("(0,1/l) shift 0")) == "(0,1/l)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(0,1/l) shift", "expected a non-negative integer shift"),
+    ("(0,1/l) shift -1", "expected a non-negative integer shift"),
+    ("(0,1/l) shift 1234567", "a shift has at most 6 digits"),
+    ("(0,1/l) shift 2 u (1,2)", "unexpected trailing input"),
+])
+def test_base_formula_bad_shift(text, message):
+    with pytest.raises(LiteralError, match=message):
+        parse_base_formula(text)

@@ -1,8 +1,10 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import within_seconds
 from linfweak.corpus import (app3_base, closed_dirac_base, dirac_base,
@@ -12,11 +14,12 @@ from linfweak.points import ExtPoint
 from linfweak.restriction import (CHECK_LEVELS, BaseFormula, BasePart,
                                   CompositeFA, EndFn, FilterBaseMeasure, ONE,
                                   UNDETERMINED, UnsupportedOracleError, ZERO,
-                                  _fit_abc, fa_query, hat, howd_bounds_check,
+                                  _crossing_bound, _fit_abc, fa_query, hat,
+                                  howd_bounds_check,
                                   minimax_value, relative_interior_open,
                                   singularity_witness)
-from linfweak.sets import (POS_INF, Domain, IntervalSet, SetAlgebraError,
-                           closed, ico, ivl, opened, point)
+from linfweak.sets import (NEG_INF, POS_INF, Domain, IntervalSet,
+                           SetAlgebraError, closed, ico, ivl, opened, point)
 
 X01 = Domain.open_interval(0, 1)
 
@@ -358,15 +361,59 @@ def affine_escape(e):
     return FilterBaseMeasure(BaseFormula((BasePart.affine(0, 0, 0, e),)), X01)
 
 
+# The Fraction-operator formulas that the integer-slot kernels replaced.
+
+
+def ref_end_at(f, ell):
+    return f.const + f.inv / ell + f.lin * ell
+
+
+def ref_crossing_bound(f, g):
+    a, b, c = f.lin - g.lin, f.const - g.const, f.inv - g.inv
+    if a == 0 and b == 0:
+        return None
+    if a == 0:
+        root = -c / b
+        return max(1, math.ceil(root) + 1) if root > 0 else 1
+    cauchy = 1 + max(abs(b), abs(c)) / abs(a)
+    return max(1, math.ceil(cauchy) + 1)
+
+
+def ref_fit_abc(p1, p2, p3):
+    (l1, v1), (l2, v2), (l3, v3) = p1, p2, p3
+    a11, a12, r1 = F(1, l2) - F(1, l1), l2 - l1, v2 - v1
+    a21, a22, r2 = F(1, l3) - F(1, l1), l3 - l1, v3 - v1
+    det = a11 * a22 - a12 * a21
+    b = (r1 * a22 - a12 * r2) / det
+    c = (a11 * r2 - r1 * a21) / det
+    return v1 - b / l1 - c * l1, b, c
+
+
+def ref_member(formula, m):
+    return IntervalSet.of(*[
+        ivl(NEG_INF if p.lo is None else ref_end_at(p.lo, m),
+            POS_INF if p.hi is None else ref_end_at(p.hi, m),
+            p.lo_closed, p.hi_closed) for p in formula.parts])
+
+
+def ref_threshold(formula, constants):
+    fns = [f for p in formula.parts for f in p.endpoint_fns()]
+    fns += [EndFn(F(k)) for k in constants]
+    bounds = [ref_crossing_bound(f, g) for i, f in enumerate(fns) for g in fns[i + 1:]]
+    return max([1, formula.index_shift + 1] + [b for b in bounds if b is not None])
+
+
 def reference_query(base, e):
-    """The query with the full endpoint threshold worked out before the
-    scan and every member built afresh from the formula."""
+    """The query as it was before the walks: the full endpoint threshold
+    worked out before the scan, every member built afresh with Fraction
+    operators, and each level decided by a difference and an intersection
+    set."""
     formula = base.formula
     e = e.intersect(base.domain.carrier)
-    m_star = formula.raw_threshold(e.endpoints())
+    m_star = ref_threshold(formula, e.endpoints())
     scan_hi = min(max(1, m_star - formula.index_shift) + 1, CHECK_LEVELS)
     for ell in range(1, scan_hi + 1):
-        b = formula.at(ell)
+        b = ref_member(formula, ell + formula.index_shift)
         if b.difference(e).is_null():
             return ONE
         if b.intersect(e).is_null():
@@ -374,25 +421,43 @@ def reference_query(base, e):
     for answer, setfn in ((ONE, lambda b: b.difference(e)),
                           (ZERO, lambda b: b.intersect(e))):
         idx = [F(m) for m in range(m_star + 1, m_star + 5)]
-        vals = [setfn(formula.raw_at(int(m))).measure() for m in idx]
+        vals = [setfn(ref_member(formula, int(m))).measure() for m in idx]
         if POS_INF in vals:
             continue
-        a, b, c = _fit_abc(*zip(idx[:3], vals[:3]))
+        a, b, c = ref_fit_abc(*zip(idx[:3], vals[:3]))
         assert a + b / idx[3] + c * idx[3] == vals[3]
         if a == b == c == 0:
             return answer
     return UNDETERMINED
 
 
+def shifted_dirac(c, shift):
+    """B_l = (c - 1/(l+shift), c + 1/(l+shift)) on (0,1)."""
+    return FilterBaseMeasure(
+        BaseFormula((BasePart.affine(c, -1, c, 1),), index_shift=shift), X01)
+
+
+def multi_part(c, a, b, e):
+    """A punctured neighbourhood of c with an escape through 0 beside it:
+    (0, e/l) u (c - a/l, c) u (c, c + b/l), three parts on (0,1)."""
+    return FilterBaseMeasure(BaseFormula((
+        BasePart.affine(0, 0, 0, e), BasePart.affine(c, -a, c, 0),
+        BasePart.affine(c, 0, c, b))), X01)
+
+
 def seeded_bases(rng):
-    """The four corpus bases and the affine dirac and escape shapes, each
-    with its carrier's ends and the point its endpoints tend to."""
+    """The four corpus bases and the dual-models shapes (two-sided, escaping,
+    index-shifted and multi-part), each with its carrier's ends and the point
+    its endpoints tend to."""
     c = F(rng.randint(5, 15), 20)
     a, b = F(1, rng.randint(5, 9)), F(1, rng.randint(5, 9))
+    e = F(1, rng.randint(4, 8))
     return [(escaping_base(), 0, 1, 0), (dirac_base(), 0, 1, F(1, 2)),
             (closed_dirac_base(), -1, 2, F(1, 2)), (app3_base(), -1, 1, 0),
             (affine_dirac(c, a, b), 0, 1, c),
-            (affine_escape(F(1, rng.randint(1, 4))), 0, 1, 0)]
+            (affine_escape(F(1, rng.randint(1, 4))), 0, 1, 0),
+            (shifted_dirac(c, rng.randint(3, 6)), 0, 1, c),
+            (multi_part(c, a, b, e), 0, 1, c)]
 
 
 def seeded_set(rng, lo, hi, x):
@@ -447,4 +512,68 @@ class TestMemberCache:
         for base, e in seeded_cases(11, 12):
             for s in (e, e.intersect(base.domain.carrier)):
                 assert base._threshold(s.endpoints()) == \
-                    base.formula.raw_threshold(s.endpoints())
+                    base.formula.raw_threshold(s.endpoints()) == \
+                    ref_threshold(base.formula, s.endpoints())
+
+    def test_members_equal_the_fraction_builds(self):
+        for base, _, _, _ in seeded_bases(random.Random(5)):
+            for ell in range(1, 20):
+                m = ell + base.formula.index_shift
+                assert base.at(ell) == ref_member(base.formula, m)
+
+    def test_forcing_is_monotone_in_the_set(self):
+        # E <= E': one on E forces one on E', zero on E' forces zero on E
+        rng = random.Random(29)
+        answers = Counter()
+        for _ in range(10):
+            for base, lo, hi, x in seeded_bases(rng):
+                e = seeded_set(rng, lo, hi, x)
+                bigger = e.union(seeded_set(rng, lo, hi, x))
+                small, big = base.query(e), base.query(bigger)
+                answers[small, big] += 1
+                if small == ONE:
+                    assert big == ONE, (base.formula, e, bigger)
+                if big == ZERO:
+                    assert small == ZERO, (base.formula, e, bigger)
+        assert answers[ONE, ONE] and answers[ZERO, ZERO] and answers[ZERO, ONE]
+        assert answers[UNDETERMINED, UNDETERMINED]
+
+
+# ---------------------------------------------------------------------------
+# integer-slot kernels against the Fraction formulas
+
+
+small_fractions = st.builds(F, st.integers(-40, 40), st.integers(1, 24))
+end_fns = st.builds(EndFn, small_fractions, small_fractions, small_fractions)
+
+
+class TestIntegerKernels:
+    @given(end_fns, st.integers(1, 10 ** 6))
+    def test_end_at(self, f, ell):
+        got = f.at(ell)
+        assert type(got) is F and got == ref_end_at(f, ell)
+
+    @given(end_fns, end_fns)
+    def test_crossing_bound(self, f, g):
+        assert _crossing_bound(f, g) == ref_crossing_bound(f, g)
+
+    @given(st.builds(EndFn, small_fractions, small_fractions), small_fractions,
+           small_fractions)
+    def test_crossing_bound_without_the_square_term(self, f, b, c):
+        # a = 0 (both ends constant in l), and a = b = 0 with c free
+        g = EndFn(f.const - b, f.inv - c)
+        assert _crossing_bound(f, g) == ref_crossing_bound(f, g)
+        h = EndFn(f.const, f.inv - c)
+        assert _crossing_bound(f, h) is None is ref_crossing_bound(f, h)
+
+    @given(small_fractions, small_fractions, small_fractions,
+           st.lists(st.integers(1, 10 ** 4), min_size=3, max_size=3, unique=True))
+    def test_fit_abc(self, a, b, c, ells):
+        pts = [(ell, a + b / ell + c * ell) for ell in ells]
+        assert _fit_abc(*pts) == ref_fit_abc(*pts) == (a, b, c)
+
+    @given(st.lists(st.integers(1, 60), min_size=3, max_size=3, unique=True),
+           st.lists(small_fractions, min_size=3, max_size=3))
+    def test_fit_abc_on_arbitrary_samples(self, ells, vals):
+        pts = list(zip(ells, vals))
+        assert _fit_abc(*pts) == ref_fit_abc(*pts)

@@ -256,6 +256,64 @@ class TestFirstOverlap:
         assert first_overlap([S(closed(0, 1))]) is None
 
 
+# -- the cover walks against the set algebra ------------------------------------
+#
+# `subset_up_to_null`, `meets` and `is_subset` walk the two part lists and
+# build no set; the references are the difference and intersection sets they
+# replaced.
+
+
+@st.composite
+def walk_sets(draw):
+    """Grid sets with rays on either side, the real line or the empty set;
+    open parts on the grid often meet at one missing point."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return IntervalSet.real_line()
+    if kind == 1:
+        return IntervalSet.empty()
+    s = draw(grid_sets()) if kind < 7 else draw(sets_with_rays())
+    if draw(st.integers(0, 4)) == 0:
+        s = s.union(S(ivl(NEG_INF, draw(st.integers(-1, 1)), False, draw(st.booleans()))))
+    return s
+
+
+class TestCoverWalks:
+    @given(walk_sets(), walk_sets())
+    def test_against_difference_and_intersection(self, a, b):
+        assert a.subset_up_to_null(b) == a.difference(b).is_null()
+        assert a.meets(b) == (not a.intersect(b).is_null())
+        assert a.is_subset(b) == a.difference(b).is_empty()
+
+    @given(interval_sets(), interval_sets())
+    def test_against_difference_and_intersection_on_fractions(self, a, b):
+        assert a.subset_up_to_null(b) == a.difference(b).is_null()
+        assert a.meets(b) == b.meets(a) == (not a.intersect(b).is_null())
+        assert a.is_subset(b) == a.difference(b).is_empty()
+
+    def test_one_missing_point_is_covered_up_to_null(self):
+        gap = S(opened(0, F(1, 2)), opened(F(1, 2), 1))
+        assert S(opened(F(1, 4), F(3, 4))).subset_up_to_null(gap)
+        assert not S(opened(F(1, 4), F(3, 4))).is_subset(gap)
+        assert S(closed(0, 1)).subset_up_to_null(gap)
+        assert not S(closed(0, F(11, 10))).subset_up_to_null(gap)
+        # a gap of positive length between the parts is not covered
+        assert not S(opened(0, 1)).subset_up_to_null(
+            S(opened(0, F(1, 2)), opened(F(3, 5), 1)))
+
+    def test_points_rays_and_the_line(self):
+        line, empty = IntervalSet.real_line(), IntervalSet.empty()
+        ray = S(ivl(0, POS_INF, False, False))
+        assert S(point(5), point(7)).subset_up_to_null(empty)
+        assert not S(point(5)).meets(line)
+        assert ray.subset_up_to_null(line) and ray.meets(line)
+        assert not line.subset_up_to_null(ray)
+        assert empty.subset_up_to_null(empty) and not empty.meets(line)
+        assert S(ivl(NEG_INF, 0, False, True)).subset_up_to_null(
+            S(ivl(NEG_INF, 0, False, False)))
+        assert not S(closed(-1, 0)).meets(S(closed(0, 1)))
+
+
 class TestUnionAndNullity:
     @given(sets_with_rays(), sets_with_rays())
     def test_union_against_sorting_all_parts(self, a, b):
