@@ -20,7 +20,8 @@ from .families import (SequenceFamily, ExplicitListFamily, IndicatorFamily,
                        TranslateFamily, TentFamily, SummableDisjointFamily,
                        SinReciprocalFamily, DisjointSupports, SuperlevelKernel,
                        EscapeBound, MonotoneEnvelope, NormLimit,
-                       SupportEnvelope, verify_certificate, CertificateError)
+                       SupportEnvelope, LowerEnvelope, verify_certificate,
+                       CertificateError)
 from .engine import (Policy, Verdict, Witness, NormFloorWitness, test_weak_null,
                      v_inf, intersection_measure, witness_lower_bound)
 from .localize import (ExtPoint, essential_range, essential_range_at,

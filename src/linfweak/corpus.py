@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from .engine import NONNULL, NULL
 from .families import (DisjointSupports, EscapeBound, ExplicitListFamily,
-                       IndicatorFamily, MonotoneEnvelope, NormLimit,
+                       IndicatorFamily, LowerEnvelope, MonotoneEnvelope, NormLimit,
                        SequenceFamily, SinReciprocalFamily,
                        SummableDisjointFamily, SupportEnvelope,
                        SuperlevelKernel, TentFamily, TranslateFamily)
@@ -35,7 +35,7 @@ def dyadic_indicators() -> SequenceFamily:
     return IndicatorFamily(
         X_UNIT, sets, name="dyadic-indicators",
         certificates=(DisjointSupports("consecutive dyadic blocks"),
-                      SupportEnvelope(envelope, ExtPoint.at(0))))
+                      SupportEnvelope(envelope)))
 
 
 def dyadic_indicators_minus() -> SequenceFamily:
@@ -47,7 +47,7 @@ def dyadic_indicators_minus() -> SequenceFamily:
     return IndicatorFamily(
         X_UNIT, sets, name="dyadic-indicators-minus",
         certificates=(DisjointSupports("shifted blocks stay disjoint"),
-                      SupportEnvelope(envelope, ExtPoint.at(0))))
+                      SupportEnvelope(envelope)))
 
 
 def dyadic_indicators_plus() -> SequenceFamily:
@@ -63,7 +63,7 @@ def dyadic_indicators_plus() -> SequenceFamily:
         X_UNIT, sets, name="dyadic-indicators-plus",
         certificates=(SuperlevelKernel(F(1, 2), kernel, ExtPoint.at(0),
                                        note="the nested blocks themselves"),
-                      SupportEnvelope(envelope, ExtPoint.at(0)),
+                      SupportEnvelope(envelope),
                       MonotoneEnvelope(),
                       NormLimit(F(1), lambda k: F(0))))
 
@@ -145,7 +145,7 @@ def ring_indicators() -> SequenceFamily:
     return IndicatorFamily(
         X_UNIT, sets, name="ring-indicators",
         certificates=(DisjointSupports("dyadic rings"),
-                      SupportEnvelope(envelope, ExtPoint.at(0))))
+                      SupportEnvelope(envelope)))
 
 
 def dini_null() -> SequenceFamily:
@@ -160,14 +160,17 @@ def dini_null() -> SequenceFamily:
 
 
 def dini_nonnull() -> SequenceFamily:
-    """u_k = (1/2 + 1/k) chi((0,1/2)): monotone, norms drop to 1/2 > 0."""
+    """u_k = (1/2 + 1/k) chi((0,1/2)): monotone, norms drop to 1/2 > 0, and
+    every term lies above (1/2) chi((0,1/2))."""
     domain = Domain.open_interval(0, 1)
     block = IntervalSet.of(opened(0, F(1, 2)))
     class _Fam(SequenceFamily):
         def _term(self, k):
             return PiecewiseFn.step(self.domain, [(block, F(1, 2) + F(1, k))])
+    floor = PiecewiseFn.step(domain, [(block, F(1, 2))])
     return _Fam(domain, "dini-nonnull", F(2),
-                (MonotoneEnvelope(), NormLimit(F(1, 2), lambda k: F(1, k))))
+                (MonotoneEnvelope(), NormLimit(F(1, 2), lambda k: F(1, k)),
+                 LowerEnvelope(floor)))
 
 
 def zero_family() -> SequenceFamily:

@@ -2,8 +2,8 @@
 
 A family produces its k-th term on demand.  Certificates are declarations
 about the whole family (disjoint supports, superlevel kernels, escape
-windows, monotone envelopes, norm limits, support envelopes).  Each one
-spot-checks its own claim exactly for k up to a verification budget
+windows, monotone envelopes, norm limits, support and lower envelopes).
+Each one spot-checks its own claim exactly for k up to a verification budget
 (`verify`); the verdict engine runs those checks first and trusts the claim
 beyond the budget, and every verdict records that trust boundary.
 
@@ -174,10 +174,9 @@ class NormLimit:
 @dataclass(frozen=True)
 class SupportEnvelope:
     """supp(u_k) is contained in envelope(k), a nested decreasing family of
-    sets accumulating exactly at one point of X_infinity.  Localized verdicts
-    away from that point follow from the envelope."""
+    sets.  The family is null at every point where some envelope(k0) stops
+    accumulating."""
     envelope: Callable[[int], IntervalSet]
-    accumulation: ExtPoint
     note: str = ""
     name = "support-envelope"
 
@@ -194,6 +193,25 @@ class SupportEnvelope:
                 return CertReport(self.name, False, budget,
                                   f"envelope({k}) not nested", counterexample_k=k)
             prev = env
+        return CertReport(self.name, True, budget)
+
+
+@dataclass(frozen=True)
+class LowerEnvelope:
+    """|u_k| >= |floor| almost everywhere, for every k.  The family is
+    non-null at every point where |floor| has a positive limit value."""
+    floor: PiecewiseFn
+    note: str = ""
+    name = "lower-envelope"
+
+    def verify(self, family, budget) -> CertReport:
+        floor = self.floor.abs_fn()
+        for k in range(1, budget + 1):
+            bad = floor.exceeds(family.term(k).abs_fn())
+            if not bad.is_null():
+                return CertReport(self.name, False, budget,
+                                  f"|floor| exceeds |u_{k}| on a positive set",
+                                  counterexample_k=k, witness=bad)
         return CertReport(self.name, True, budget)
 
 
@@ -336,7 +354,7 @@ class TentFamily(SequenceFamily):
         certs = (
             SuperlevelKernel(Fraction(1, 2), kernel, ExtPoint.at(0),
                              note="plateau of width 2/k around the puncture"),
-            SupportEnvelope(envelope, ExtPoint.at(0)),
+            SupportEnvelope(envelope),
             MonotoneEnvelope(),
             NormLimit(Fraction(1), lambda k: Fraction(0)),
         )

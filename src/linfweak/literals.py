@@ -23,6 +23,7 @@ Rendering uses the same syntax, so every value in a report parses back.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -85,18 +86,25 @@ class _Scanner:
             self.i += 1
         if self.i == digits0:
             raise LiteralError("expected a number", start)
-        num = int(self.text[start:self.i])
+        num = self._int(start)
         if self.i < len(self.text) and self.text[self.i] == "/" and \
                 self.i + 1 < len(self.text) and self.text[self.i + 1].isdigit():
             self.i += 1
             d0 = self.i
             while self.i < len(self.text) and self.text[self.i].isdigit():
                 self.i += 1
-            den = int(self.text[d0:self.i])
+            den = self._int(d0)
             if den == 0:
                 raise LiteralError("zero denominator", d0)
             return Fraction(num, den)
         return Fraction(num)
+
+    def _int(self, start: int) -> int:
+        try:
+            return int(self.text[start:self.i])
+        except ValueError:  # more digits than int() converts
+            limit = sys.get_int_max_str_digits()
+            raise LiteralError(f"a number has at most {limit} digits", start) from None
 
     def done(self):
         self.skip_ws()

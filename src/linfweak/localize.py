@@ -6,14 +6,16 @@ every term restricted to each (small enough) neighborhood of x0.  The
 canonical neighborhood base is balls (x0 - 1/l, x0 + 1/l) n X for finite x0
 and complements of an exhausting family of compacts for the point at
 infinity.  The criterion is monotone in the neighborhood (smaller windows
-only weaken it), so certificates valid on every sufficiently small window
-decide the localized verdict.
+only weaken it), so exact limits at x0 decide the localized verdict: a lower
+bound on |u_k| with a positive limit value t at x0 makes the family non-null
+there, with the constant kernel A_{t/2}(floor) as witness, and an upper
+bound valid for every k >= k0 with no positive limit value there makes it
+null.  No null verdict depends on `ell_max`.
 
-A local evidence cell is therefore a global cell measured inside a window:
-when no local scheme applies, the evidence table is the engine's global
+When no local scheme applies, the evidence table is the engine's global
 table (`engine._evidence_table`, same alphas, subsequences and J) run inside
-each canonical neighborhood, with the criterion identity checked on every
-cell.
+each of the first `ell_max` canonical neighborhoods, with the criterion
+identity checked on every cell.
 
 Finite points are allowed anywhere in the closure of the carrier: localizing
 at a boundary point not in X means localizing along that single escape
@@ -29,12 +31,12 @@ from typing import Optional
 
 from .engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy, Verdict,
                      Witness, _evidence_table, test_weak_null)
-from .families import (ExplicitListFamily, MonotoneEnvelope, SequenceFamily,
-                       SuperlevelKernel, SupportEnvelope, TranslateFamily)
+from .families import (ExplicitListFamily, LowerEnvelope, MonotoneEnvelope,
+                       SequenceFamily, SuperlevelKernel, SupportEnvelope,
+                       TranslateFamily)
 from .piecewise import PiecewiseFn
 from .points import ExtPoint
-from .sets import (Domain, Interval, IntervalSet, closed, is_finite, opened,
-                   point)
+from .sets import Domain, IntervalSet, closed, is_finite, opened, point
 
 __all__ = ["ExtPoint", "neighborhood", "compact_exhaustion", "escape_points",
            "accumulates_at", "in_closure", "essential_range", "essential_range_in",
@@ -82,19 +84,17 @@ def escape_points(carrier: IntervalSet) -> tuple[list[Fraction], bool, bool]:
     return sorted(set(finite)), to_neg, to_pos
 
 
-def _reaches(part: Interval, x0: ExtPoint, carrier: IntervalSet) -> bool:
-    """Does the closure of this part reach x0 in X_inf?  The point at
+def accumulates_at(s: IntervalSet, x0: ExtPoint, carrier: IntervalSet) -> bool:
+    """Exact test: does s have positive measure in every neighborhood of x0?
+    A part of positive length does when its closure reaches x0; the point at
     infinity is reached by an unbounded part or through an escape point of
     the carrier."""
     if not x0.is_infinite:
-        return part.lo <= x0.x <= part.hi
-    return (not part.is_bounded() or
-            any(part.lo <= q <= part.hi for q in escape_points(carrier)[0]))
-
-
-def accumulates_at(s: IntervalSet, x0: ExtPoint, carrier: IntervalSet) -> bool:
-    """Exact test: does s have positive measure in every neighborhood of x0?"""
-    return any(not p.is_point() and _reaches(p, x0, carrier) for p in s.parts)
+        return any(not p.is_point() and p.lo <= x0.x <= p.hi for p in s.parts)
+    escapes = escape_points(carrier)[0]
+    return any(not p.is_point() and
+               (not p.is_bounded() or any(p.lo <= q <= p.hi for q in escapes))
+               for p in s.parts)
 
 
 def in_closure(domain: Domain, x0: ExtPoint) -> bool:
@@ -158,11 +158,11 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
 
     Globally null families are null at every point (the restricted criterion
     is weaker).  Otherwise the local schemes are tried in `_LOCAL_SCHEMES`
-    order and the first verdict wins: translate tail limits, support
-    envelopes away from their accumulation point, kernels accumulating at
-    x0, repeated tails, monotone envelopes.  ell_max (at least 1) is the
-    number of canonical neighborhoods the schemes and the evidence table
-    look at.
+    order and the first verdict wins: the witnesses first (translate tail
+    limits, kernels accumulating at x0, lower bounds with a positive limit
+    value at x0), then the vanishing upper bounds.  ell_max (at least 1) is
+    the number of canonical neighborhoods the kernel witness and the evidence
+    table look at; no null verdict depends on it.
     """
     if ell_max < 1:
         raise EngineError(f"ell_max must be at least 1, got {ell_max}")
@@ -254,43 +254,6 @@ def _local_translate(family, x0, policy, ell_max):
                          f"k >= {thresh}; exact")
 
 
-def _local_support_envelope(family, x0, policy, ell_max):
-    for cert in family.certificates_of(SupportEnvelope):
-        if cert.accumulation == x0:
-            continue
-        sep = _separating_window(family.domain, x0, cert.accumulation, ell_max)
-        if sep is None:
-            continue
-        window, ell = sep
-        k_star = None
-        for k in range(1, policy.k_max + 1):
-            if not cert.envelope(k).meets(window):
-                k_star = k
-                break
-        if k_star is None:
-            continue
-        return Verdict(family.name, NULL, scheme="local-support-envelope",
-                       evidence={"x0": str(x0), "vanishing_from": k_star,
-                                 "window_ell": ell},
-                       trust=f"supports stay inside a nested envelope that is "
-                             f"disjoint from the neighborhood from k >= {k_star} "
-                             f"on, so the restricted terms vanish identically; "
-                             f"envelope verified up to the certificate budget")
-    return None
-
-
-def _separating_window(domain, x0, accum: ExtPoint, ell_max):
-    """A canonical neighborhood of x0 whose closure avoids the accumulation
-    point of the envelope."""
-    for ell in range(1, ell_max + 1):
-        w = neighborhood(domain, x0, ell)
-        if w.is_empty():
-            return None
-        if not any(_reaches(p, accum, domain.carrier) for p in w.parts):
-            return w, ell
-    return None
-
-
 def _local_kernel(family, x0, policy, ell_max):
     """Non-null at the certificate's accumulation point only: there the
     nested kernels enter every neighborhood.  That they enter a window at
@@ -337,65 +300,66 @@ def _top_limit(u: PiecewiseFn, x0: ExtPoint) -> Fraction:
     return max((p.hi for p in rng.parts), default=Fraction(0))
 
 
-def _local_eventual_constant(family, x0, policy, ell_max):
-    if not isinstance(family, ExplicitListFamily):
-        return None
-    tail = family.tail_constant()
-    # the tail repeats forever, so nullity at x0 is decided by the essential
-    # range of |tail| at x0: any positive limit value yields a kernel there
-    top = _top_limit(tail, x0)
-    start = len(family.terms)
-    if top == 0:
-        return Verdict(family.name, NULL, scheme="local-eventual-constant",
-                       evidence={"x0": str(x0)},
-                       trust="every superlevel set of the repeated tail stays "
-                             "away from the point; exact")
-    alpha = top / 2
-    kset = tail.superlevel(alpha)
-    wit = Witness(alpha, f"k_j = {start} + j", lambda k: kset,
-                  [{"note": "constant kernel accumulates at the point",
-                    "limit_value": top}])
-    return Verdict(family.name, NONNULL, scheme="local-eventual-constant",
-                   witness=wit, evidence={"x0": str(x0), "alpha": alpha},
-                   trust="the repeated tail keeps positive superlevel mass in "
-                         "every neighborhood of the point; exact")
+def _local_floor(family, x0, policy, ell_max):
+    """Non-null where a lower bound on |u_k|, fixed from some index on, has a
+    positive limit value t at x0: the constant kernel A_{t/2}(floor) lies in
+    every A_{t/2}(u_k) from that index on, with positive measure in every
+    neighborhood of x0."""
+    floors = [(c.floor, "identity", "local-lower-envelope",
+               "|u_k| >= |floor| verified up to the certificate budget and "
+               "trusted beyond") for c in family.certificates_of(LowerEnvelope)]
+    if isinstance(family, ExplicitListFamily):
+        floors.insert(0, (family.tail_constant(), f"k_j = {len(family.terms)} + j",
+                          "local-eventual-constant", "the tail repeats; exact"))
+    for floor, subsequence, scheme, why in floors:
+        top = _top_limit(floor, x0)
+        if top > 0:
+            kset = floor.superlevel(top / 2)
+            wit = Witness(top / 2, subsequence, lambda k: kset,
+                          [{"note": "constant kernel accumulates at the point",
+                            "limit_value": top}])
+            return Verdict(family.name, NONNULL, scheme=scheme, witness=wit,
+                           evidence={"x0": str(x0), "alpha": top / 2},
+                           trust=f"the floor keeps positive superlevel mass in "
+                                 f"every neighborhood of the point; {why}")
+    return None
 
 
-def _local_monotone(family, x0, policy, ell_max):
-    """Monotone families: v_J = |u_kJ|, so nullity at x0 is driven by the
-    largest limit value of |u_k| at x0.  Once that tops out at 0 the terms
-    vanish essentially on small windows forever after (|u_k| only decreases);
-    a positive floor across the budget yields a witness, trusted beyond."""
-    if not family.certificates_of(MonotoneEnvelope):
-        return None
-    budget = policy.cert_budget
-    tops = [_top_limit(family.term(k), x0) for k in range(1, budget + 1)]
-    if tops[-1] == 0:
-        k0 = next(k for k, t in enumerate(tops, start=1) if t == 0)
-        return Verdict(family.name, NULL, scheme="local-monotone-vanishing",
-                       evidence={"x0": str(x0), "vanishing_from": k0},
-                       trust=f"every limit value of |u_{k0}| at the point is 0 "
-                             f"and |u_k| is non-increasing, so restricted "
-                             f"norms vanish for all k >= {k0}; exact given the "
-                             f"monotone certificate")
-    if min(tops) > 0:
-        alpha = min(tops) / 2
-        def kernel(k):
-            return family.term(k).superlevel(alpha)
-        rows = [{"k": k, "limit_value": t} for k, t in
-                enumerate(tops[:ell_max], start=1)]
-        wit = Witness(alpha, "identity", kernel, rows)
-        return Verdict(family.name, NONNULL, scheme="local-monotone-floor",
-                       witness=wit, evidence={"x0": str(x0), "alpha": alpha},
-                       trust=f"|u_k| keeps a limit value above {alpha} at the "
-                             f"point for every k <= {budget} (verified) and "
-                             f"the nested superlevel sets are trusted beyond")
+def _local_vanishing(family, x0, policy, ell_max):
+    """Null from the first index k0 <= k_max at which a bound on |u_k|, valid
+    for every k >= k0, has no positive limit value at x0: the terms then stay
+    below every alpha on some neighborhood of x0 from k0 on."""
+    carrier, ks = family.domain.carrier, range(1, policy.k_max + 1)
+    bounds = []  # (scheme, candidate k0s, vanishes at x0, the bound)
+    if isinstance(family, ExplicitListFamily):
+        bounds.append(("local-eventual-constant", [len(family.terms)],
+                       lambda k: _top_limit(family.tail_constant(), x0) == 0,
+                       "u_k is the repeated tail for k >= {k0}; exact"))
+    bounds += [("local-support-envelope", ks,
+                lambda k, c=c: not accumulates_at(c.envelope(k), x0, carrier),
+                "supp(u_k) lies in the nested envelope({k0}) for k >= {k0}; "
+                "envelope verified up to the certificate budget")
+               for c in family.certificates_of(SupportEnvelope)]
+    if family.certificates_of(MonotoneEnvelope):
+        bounds.append(("local-monotone-vanishing", ks,
+                       lambda k: _top_limit(family.term(k), x0) == 0,
+                       "|u_k| <= |u_{k0}| for k >= {k0}; exact given the "
+                       "monotone certificate"))
+    for scheme, candidates, vanishes, bound in bounds:
+        k0 = next((k for k in candidates if vanishes(k)), None)
+        if k0 is not None:
+            return Verdict(family.name, NULL, scheme=scheme,
+                           evidence={"x0": str(x0), "vanishing_from": k0},
+                           trust=f"the bound has no positive limit value at "
+                                 f"the point, so from k = {k0} on every "
+                                 f"superlevel set of the terms is null on some "
+                                 f"neighborhood of it; " + bound.format(k0=k0))
     return None
 
 
 def _local_evaluable(family, x0, policy, ell_max):
-    """sin(1/(kx)): |u_k| <= 1/(k a) on windows (a, b) with a > 0, which is an
-    exact vanishing envelope at every finite interior point."""
+    """sin(1/(kx)): |u_k| <= 1/(kx) <= 2/(k x0) on the window (x0/2, 3x0/2),
+    an exact vanishing envelope at every finite point x0 > 0."""
     if x0.is_infinite:
         return Verdict(family.name, INCONCLUSIVE,
                        evidence={"x0": str(x0),
@@ -411,22 +375,16 @@ def _local_evaluable(family, x0, policy, ell_max):
                                  "note": "the singular end; norm floors there "
                                          "belong to the global witness"},
                        trust="no scheme applied")
-    for ell in range(1, ell_max + 1):
-        w = neighborhood(family.domain, x0, ell)
-        if not w.is_empty() and all(p.lo > 0 for p in w.parts):
-            a = min(p.lo for p in w.parts)
-            return Verdict(family.name, NULL, scheme="local-evaluable-envelope",
-                           evidence={"x0": str(x0), "window_ell": ell,
-                                     "norm_envelope": f"1/(k*{a})"},
-                           trust=f"|sin(1/(kx))| <= 1/(kx) <= 1/({a} k) on the "
-                                 f"window, an exact strong-convergence envelope")
-    return Verdict(family.name, INCONCLUSIVE, evidence={"x0": str(x0)},
-                   trust="no scheme applied")
+    a = x / 2
+    return Verdict(family.name, NULL, scheme="local-evaluable-envelope",
+                   evidence={"x0": str(x0), "window": f"({a},{3 * a})",
+                             "norm_envelope": f"1/(k*{a})"},
+                   trust=f"|sin(1/(kx))| <= 1/(kx) <= 1/({a} k) on the "
+                         f"window, an exact strong-convergence envelope")
 
 
 # Tried in order after the global verdict; the first verdict wins.
-_LOCAL_SCHEMES = (_local_translate, _local_support_envelope, _local_kernel,
-                  _local_eventual_constant, _local_monotone)
+_LOCAL_SCHEMES = (_local_translate, _local_kernel, _local_floor, _local_vanishing)
 
 
 def _local_inconclusive(family, x0, policy, ell_max):

@@ -425,6 +425,8 @@ class CompositeFA:
                 raise ValueError("all atoms must live on the same carrier")
         if density is None:
             density = PiecewiseFn.constant(domain, 0)
+        if density.domain.carrier != domain.carrier:
+            raise ValueError("the density must live on the functional's carrier")
         if not density.is_step():
             raise ValueError("densities are step functions here")
         for p in density.pieces:
@@ -435,7 +437,7 @@ class CompositeFA:
         self.density = density
 
     def density_integral(self, e: IntervalSet) -> Fraction:
-        return _step_integral(self.density, e.intersect(self.domain.carrier))
+        return _step_integral(self.density, e)  # its pieces lie in the carrier
 
     def total_mass(self) -> Fraction:
         return sum((c for c, _ in self.atoms), Fraction(0)) + \

@@ -137,7 +137,18 @@ class TestTasks:
         code, out, _ = invoke(["weaknull-at", cfg, "--format", "machine"])
         assert code == 0
         assert "result.kind = null-certified" in out
-        assert "result.scheme = local-monotone-vanishing" in out
+        assert "result.scheme = local-support-envelope" in out
+
+    @pytest.mark.parametrize("pt,k0", [("1/20", 41), ("-1/20", 41), ("3/32", 22)])
+    def test_weaknull_at_tents_null_inside_the_kernel_window(self, tmp_path, pt, k0):
+        # the window of radius 1/6 around the point holds 0 at every ell <= 6;
+        # the envelope (-2/k, 2/k) stops accumulating there from k0 on
+        cfg = write(tmp_path, "p.cfg",
+                    f"task = weaknull-at\nfamily = tents\npoint = {pt}\n")
+        code, out, _ = invoke(["weaknull-at", cfg, "--format", "machine"])
+        assert code == 0
+        assert "result.kind = null-certified" in out
+        assert f"result.evidence.vanishing_from = {k0}" in out
 
     def test_essrange(self, tmp_path):
         cfg = write(tmp_path, "p.cfg",
@@ -327,6 +338,8 @@ class TestInputErrors:
         "task = restrict\ndomain = (0,1/0)\natoms = 1 * (0, 1/l)\n",
         "task = restrict\ndomain = (0,1)\natoms = 1/0 * (0, 1/l)\n",
         "task = finite-model\nweights = 1, 1/0\n",
+        # a domain end longer than int() converts
+        "task = restrict\ndomain = (0," + "1" * 5000 + ")\natoms = 1 * (0, 1/l)\n",
     ], ids=("negative-weight", "sixteen-weights", "nine-weights",
             "vector-length", "masses-length", "negative-atom",
             "negative-density", "zero-alpha", "base-empties-out", "point-abc", "point-1/0",
@@ -334,7 +347,7 @@ class TestInputErrors:
             "point-outside-dini-domain", "point-outside-essrange-domain",
             "point-4000-digits-outside-tents-domain", "zero-denominator-base-end",
             "zero-denominator-domain", "zero-denominator-atom-coef",
-            "zero-denominator-weight"))
+            "zero-denominator-weight", "domain-5000-digits"))
     def test_exits_two_before_any_enumeration(self, tmp_path, monkeypatch, text):
         import linfweak.cli as cli
         for name in ("enumerate_zero_one_measures", "extreme_points_unit_ball",

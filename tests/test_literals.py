@@ -52,6 +52,14 @@ def test_zero_denominator_is_a_literal_error(parse, text, column):
         parse(text)
 
 
+@pytest.mark.parametrize("text, column", [
+    ("1" * 5000, 1), ("-" + "1" * 5000, 1), ("1/" + "7" * 5000, 3)],
+    ids=("numerator", "signed", "denominator"))
+def test_number_past_the_int_digit_limit_is_a_literal_error(text, column):
+    with pytest.raises(LiteralError, match=f"digits \\(at column {column}\\)$"):
+        parse_rat(text)
+
+
 def test_empty_interval_literal_rejected():
     with pytest.raises(LiteralError):
         parse_set("[1/2,0)")

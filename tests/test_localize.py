@@ -7,7 +7,8 @@ from linfweak.corpus import (CORPUS, LOCAL_CORPUS, center_segment,
                              ring_indicators, sided_translates, tents)
 from linfweak.engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy,
                              test_weak_null)
-from linfweak.families import IndicatorFamily, SuperlevelKernel
+from linfweak.families import (IndicatorFamily, LowerEnvelope, SuperlevelKernel,
+                               SupportEnvelope)
 from linfweak.localize import (accumulates_at, compact_exhaustion,
                                essential_range, essential_range_at,
                                essential_range_in, escape_points, in_closure,
@@ -197,15 +198,27 @@ class TestLocalVerdicts:
 
 class TestKernelAccumulation:
     """The kernel scheme certifies non-nullity only at the accumulation point
-    of its certificate.  Both families vanish on a neighborhood of 1/8 from
-    some k on, and the window of radius 1/6 around 1/8 still holds 0, where
-    their kernels shrink to."""
+    of its certificate.  Both families vanish on a neighborhood of each point
+    below from some k on, although the window of radius 1/6 around it still
+    holds 0, where their kernels shrink to: the support envelope stops
+    accumulating there from k0 = the first k with 2/k < |x0| for the tents,
+    (-2/k, 2/k), and with 2^-k < x0 for the piled blocks, [0, 2^-k), whose
+    envelope never reaches a negative point (k0 = 1)."""
+
+    VANISHING_FROM = {"tents": {F(1, 8): 17, F(-1, 8): 17, F(1, 20): 41,
+                                F(-1, 20): 41, F(3, 32): 22},
+                      "dyadic-indicators-plus": {F(1, 8): 4, F(-1, 8): 1,
+                                                 F(1, 20): 5, F(-1, 20): 1,
+                                                 F(3, 32): 4}}
 
     @pytest.mark.parametrize("name", ["tents", "dyadic-indicators-plus"])
-    @pytest.mark.parametrize("pt", [F(1, 8), F(-1, 8)])
+    @pytest.mark.parametrize("pt", [F(1, 8), F(-1, 8), F(1, 20), F(-1, 20),
+                                    F(3, 32)])
     def test_null_near_the_accumulation_point(self, name, pt):
         v = test_weak_null_at(family_by_name(name), ExtPoint.at(pt), Policy())
-        assert v.kind == NULL and v.scheme == "local-monotone-vanishing"
+        assert v.kind == NULL and v.scheme == "local-support-envelope"
+        assert v.evidence == {"x0": str(pt),
+                              "vanishing_from": self.VANISHING_FROM[name][pt]}
 
     @pytest.mark.parametrize("name", ["tents", "dyadic-indicators-plus"])
     def test_still_nonnull_at_the_accumulation_point(self, name):
@@ -222,6 +235,17 @@ class TestKernelAccumulation:
                                                               kernel.kernel),))
         for x0 in (ExtPoint.at(0), ExtPoint.at(F(1, 8))):
             assert test_weak_null_at(bare, x0, Policy()).kind == INCONCLUSIVE
+
+    def test_support_envelope_alone_decides_no_point_it_accumulates_at(self):
+        # the piled blocks with their support envelope [0, 2^-k) alone: it
+        # accumulates at 0 for every k, so 0 stays open; at 1/8 it stops at k = 4
+        fam = dyadic_indicators_plus()
+        env = fam.certificates_of(SupportEnvelope)[0]
+        bare = IndicatorFamily(fam.domain, fam.sets, name="piled-envelope-only",
+                               certificates=(env,))
+        assert test_weak_null_at(bare, ExtPoint.at(0), Policy()).kind == INCONCLUSIVE
+        v = test_weak_null_at(bare, ExtPoint.at(F(1, 8)), Policy())
+        assert v.kind == NULL and v.evidence["vanishing_from"] == 4
 
 
 class TestEllMax:
@@ -258,3 +282,103 @@ class TestNecessufRegression:
         for k in (1, 3, 6):
             assert essential_range_at(fam.term(k), ExtPoint.at(0)) == \
                 IntervalSet.of(point(0))
+
+
+def _nonnull_truth(name, x0):
+    """Closed-form localized answers: the tents and the piled blocks pile up
+    only at 0, the one-sided translates only at infinity, and the Dini floor
+    (1/2) chi((0,1/2)) keeps its limit value 1/2 on [0, 1/2] and at the
+    escape point 0 of (0, 1), hence at infinity."""
+    if name in ("tents", "dyadic-indicators-plus"):
+        return not x0.is_infinite and x0.x == 0
+    if name == "sided-translates":
+        return x0.is_infinite
+    return x0.is_infinite or 0 <= x0.x <= F(1, 2)
+
+
+# the points where the floor branch of the former monotone scheme certified
+# the tents non-null: ±1/100 ... ±3/32
+_FORMER_FLOOR_POINTS = [F(s * n, d) for s in (1, -1) for n, d in
+                        [(1, 100), (1, 64), (1, 50), (3, 100), (1, 32), (1, 30),
+                         (1, 25), (3, 64), (1, 20), (3, 50), (1, 16), (1, 15),
+                         (7, 100), (5, 64), (2, 25), (9, 100), (3, 32)]]
+
+
+def _sweep_points(domain):
+    grid = {F(n, d) for d in (8, 10, 20, 30) for n in range(-d, d + 1)}
+    pts = [ExtPoint.at(x) for x in sorted(grid | set(_FORMER_FLOOR_POINTS))]
+    return [ExtPoint.infinity()] + [x0 for x0 in pts if in_closure(domain, x0)]
+
+
+class TestLocalSweep:
+    """Every certified local verdict agrees with the closed form; the tents
+    are allowed to decline only at 0 < |x0| <= 1/24, where their envelope
+    (-2/k, 2/k) clears x0 only past k_max = 48."""
+
+    @pytest.mark.parametrize("name", ["tents", "dyadic-indicators-plus",
+                                      "sided-translates", "dini-nonnull"])
+    def test_certified_kinds_match_the_closed_form(self, name):
+        fam = family_by_name(name)
+        assert len(_FORMER_FLOOR_POINTS) == 34
+        for x0 in _sweep_points(fam.domain):
+            kind = test_weak_null_at(fam, x0, Policy()).kind
+            if kind == INCONCLUSIVE:
+                assert name == "tents" and 0 < abs(x0.x) <= F(1, 24), str(x0)
+            else:
+                assert (kind == NONNULL) == _nonnull_truth(name, x0), str(x0)
+
+    def test_dini_floor_is_the_witness(self):
+        fam = family_by_name("dini-nonnull")
+        for pt in ("0", "1/4", "1/2", "inf"):
+            v = test_weak_null_at(fam, ExtPoint.parse(pt), Policy())
+            assert v.kind == NONNULL and v.scheme == "local-lower-envelope"
+            assert v.witness.alpha == F(1, 4)
+            assert v.witness.kernel(7) == IntervalSet.of(opened(0, F(1, 2)))
+        v = test_weak_null_at(fam, ExtPoint.at(F(3, 4)), Policy())
+        assert v.kind == NULL and v.scheme == "local-monotone-vanishing"
+        assert v.evidence["vanishing_from"] == 1
+
+    def test_sin_family_null_close_to_the_singular_end(self):
+        fam = family_by_name("sin-reciprocal")
+        v = test_weak_null_at(fam, ExtPoint.at(F(1, 100)), Policy())
+        assert v.kind == NULL and v.scheme == "local-evaluable-envelope"
+        assert v.evidence["window"] == "(1/200,3/200)"
+
+
+class TestBudgetsNeverFlipKinds:
+    """ell_max and k_max may make a scheme decline; they never turn one
+    certified kind into the other.  At -1/20 the tents decline for
+    k_max = 20 and are null from k = 41 on for the larger budgets.  (At 0
+    the kernel witness needs k_max >= ell_max; the sweep covers 0.)"""
+
+    POINTS = ["-1/20", "1/8", "1/3", "1/2", "inf"]
+
+    @pytest.mark.parametrize("name", ["tents", "dyadic-indicators-plus",
+                                      "sided-translates", "dini-nonnull"])
+    def test_certified_kinds_agree_across_budgets(self, name):
+        fam = family_by_name(name)
+        for pt in self.POINTS:
+            x0 = ExtPoint.parse(pt)
+            if not in_closure(fam.domain, x0):
+                continue
+            kinds = {test_weak_null_at(fam, x0, Policy(k_max=k_max),
+                                       ell_max=ell_max).kind
+                     for ell_max in (1, 6, 64) for k_max in (20, 48, 256)}
+            assert len(kinds - {INCONCLUSIVE}) == 1, f"{pt}: {kinds}"
+
+
+class TestLowerEnvelope:
+    def test_dini_floor_passes(self):
+        fam = family_by_name("dini-nonnull")
+        (cert,) = fam.certificates_of(LowerEnvelope)
+        assert cert.verify(fam, 20).passed
+
+    @pytest.mark.parametrize("level", [F(7, 10), F(-7, 10)])
+    def test_names_the_first_index_below_the_floor(self, level):
+        # u_k = 1/2 + 1/k on (0, 1/2) drops below |level| = 7/10 at k = 6
+        fam = family_by_name("dini-nonnull")
+        block = IntervalSet.of(opened(0, F(1, 2)))
+        floor = PiecewiseFn.step(fam.domain, [(block, level)])
+        rep = LowerEnvelope(floor).verify(fam, 20)
+        assert not rep.passed and rep.counterexample_k == 6
+        assert rep.witness == block

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import within_seconds
+from conftest import interval_sets, within_seconds
 from linfweak.corpus import (app3_base, closed_dirac_base, dirac_base,
                              escaping_base)
 from linfweak.piecewise import PiecewiseFn
@@ -150,6 +150,26 @@ class TestQuery:
         assert q.density_part == 1
         assert q.lower == 1 + F(1, 3)  # the base is eventually inside
         assert q.determined
+
+    def test_density_on_another_carrier_rejected(self):
+        dens = PiecewiseFn.constant(Domain.open_interval(0, 2), 1)
+        with pytest.raises(ValueError, match="the functional's carrier"):
+            CompositeFA([(F(1), dirac_base())], density=dens)
+        with pytest.raises(ValueError, match="the functional's carrier"):
+            CompositeFA([], density=dens, domain=X01)
+
+    @given(interval_sets())
+    def test_density_integral_reaching_outside_the_carrier(self, e):
+        # plain reference: each level times its measure inside e n carrier
+        low, high = S(opened(0, F(1, 3))), S(ico(F(1, 2), F(3, 4)))
+        dens = PiecewiseFn.step(X01, [(low, F(2)), (high, F(5))],
+                                default=F(1, 7))
+        inside = e.intersect(X01.carrier)
+        rest = inside.difference(low.union(high))
+        expected = (2 * low.intersect(inside).measure()
+                    + 5 * high.intersect(inside).measure()
+                    + F(1, 7) * rest.measure())
+        assert CompositeFA([], density=dens).density_integral(e) == expected
 
 
 class TestHat:
