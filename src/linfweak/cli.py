@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import corpus as corpus_mod
 from .engine import (DEFAULT_STRATEGIES, CertificateError, EngineError, Policy,
                      test_weak_null)
+from .families import SequenceFamily
 from .finitemodel import (FAVector, FiniteSpace, enumerate_zero_one_measures,
                           essential_range_bruteforce, extreme_points_unit_ball,
                           integrate, jordan, rainwater_check,
@@ -84,8 +85,16 @@ def run(problem: ProblemFile) -> Report:
     return Report(problem.task, problem.canonical_lines(), result, elapsed)
 
 
+def _family(problem: ProblemFile) -> SequenceFamily:
+    """The shared built-in family named by the `family` field."""
+    try:
+        return corpus_mod.family_by_name(problem.get("family"))
+    except KeyError as exc:
+        raise ProblemError(exc.args[0]) from None
+
+
 def _run_weaknull(problem: ProblemFile) -> dict:
-    family = corpus_mod.family_by_name(problem.get("family"))
+    family = _family(problem)
     verdict = test_weak_null(family, _policy_from(problem))
     return verdict_to_dict(verdict)
 
@@ -104,7 +113,7 @@ def _point(problem: ProblemFile, domain: Domain) -> ExtPoint:
 
 
 def _run_weaknull_at(problem: ProblemFile) -> dict:
-    family = corpus_mod.family_by_name(problem.get("family"))
+    family = _family(problem)
     x0 = _point(problem, family.domain)
     ell_max = _budget(problem, "ell-max", 6, MAX_ELL)
     verdict = test_weak_null_at(family, x0, _policy_from(problem), ell_max)
@@ -345,7 +354,7 @@ def main(argv=None) -> int:
                                        f"{problem.task!r}")
                 problem.fields[key] = str(flag)
         report = run(problem)
-    except (ProblemError, LiteralError, FileNotFoundError, KeyError,
+    except (ProblemError, LiteralError, FileNotFoundError,
             SetAlgebraError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

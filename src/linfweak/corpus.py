@@ -194,10 +194,23 @@ FAMILIES: dict[str, Callable[[], SequenceFamily]] = {
 }
 
 
+_SHARED: dict[str, SequenceFamily] = {}
+
+
 def family_by_name(name: str) -> SequenceFamily:
+    """The one shared instance of the built-in family `name`, built on first
+    use, so that its term cache serves every later question in the process.
+
+    Shared instances are read-only: no caller may assign to one or patch
+    it.  Terms are frozen values and certificates hold pure callables, so a
+    question can only add terms to the cache, never change what another
+    question sees.  `FAMILIES[name]()` and the factory functions still build
+    a fresh family on each call."""
     if name not in FAMILIES:
         raise KeyError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
-    return FAMILIES[name]()
+    if name not in _SHARED:
+        _SHARED[name] = FAMILIES[name]()
+    return _SHARED[name]
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,9 @@ class SequenceFamily:
         self._cache: dict[int, PiecewiseFn] = {}
 
     def term(self, k: int) -> PiecewiseFn:
+        """u_k, built once per instance and kept in `_cache`.  The built-in
+        families are shared per process (`corpus.family_by_name`), so a
+        term returned here must be treated as read-only."""
         if k < 1:
             raise ValueError("term index starts at 1")
         if k not in self._cache:

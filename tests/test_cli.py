@@ -6,6 +6,7 @@ import pytest
 
 from conftest import within_seconds
 from linfweak.cli import main, run
+from linfweak.corpus import FAMILIES
 from linfweak.problemfile import ProblemError, parse_problem_text
 from linfweak.reporting import (embedded_problem, render_machine,
                                 strip_volatile)
@@ -79,6 +80,15 @@ class TestExitCodes:
                     "task = essrange\ndomain = [0,1\nfunction = [0,1) 0 1\n")
         code, _, err = invoke(["essrange", cfg])
         assert code == 2 and "column" in err
+
+    @pytest.mark.parametrize("task, extra", [("weaknull", ""),
+                                             ("weaknull-at", "point = 0\n")])
+    def test_unknown_family_is_two_with_a_plain_message(self, tmp_path, task, extra):
+        cfg = write(tmp_path, "p.cfg", f"task = {task}\nfamily = nope\n{extra}")
+        code, out, err = invoke([task, cfg])
+        assert (code, out) == (2, "")
+        assert err == (f"input error: unknown family 'nope'; "
+                       f"known: {sorted(FAMILIES)}\n")
 
     def test_missing_file_is_two(self):
         code, _, err = invoke(["weaknull", "/nonexistent.cfg"])

@@ -87,3 +87,12 @@ def test_report_matches_golden(name, tmp_path):
             want.splitlines(keepends=True), got.splitlines(keepends=True),
             f"golden/{name}", "current report"))
         pytest.fail(f"report differs from golden/{name}:\n{diff}")
+
+
+def test_one_process_forward_then_reverse_matches_golden(tmp_path):
+    """All problems in one process, twice: the shared families carry their
+    term caches from question to question, and no report may change."""
+    problems = sorted(_problems().items())
+    for name, (task, text) in problems + problems[::-1]:
+        got = _report(task, text, tmp_path)
+        assert got == (GOLDEN / name).read_text(), name

@@ -832,9 +832,10 @@ class TestCutSweep:
 
 def _piecewise_images(name):
     """term(k).pieces of a corpus family, its |.| image and, for step
-    families, its t^2 image, for k <= 64; built when called, so that the
-    constructors in use then build every term."""
-    fam = family_by_name(name)
+    families, its t^2 image, for k <= 64; built on a fresh family (not the
+    shared one, whose cache may hold terms already), so that the
+    constructors in use when called build every term."""
+    fam = FAMILIES[name]()
     images = [fam, fam.abs_mapped()]
     if all(fam.term(k).is_step() for k in range(1, 65)):
         images.append(MappedStepFamily(fam, [F(0), F(0), F(1)]))
