@@ -69,10 +69,16 @@ def _policy_from(problem: ProblemFile) -> Policy:
             policy.strategies = [(p, named[p]) for p in parts]
         else:
             try:
-                policy.extra_subsequences = [[int(p) for p in parts]]
+                indices = [int(p) for p in parts]
             except ValueError:
                 raise ProblemError(f"subseq must name strategies {sorted(named)} "
                                    f"or list integers, got {subseq!r}")
+            # strictly increasing term indices, none past budget-k
+            if (sorted(set(indices)) != indices
+                    or not 1 <= indices[0] <= indices[-1] <= policy.k_max):
+                raise ProblemError(f"subseq must list strictly increasing indices "
+                                   f"in [1, {policy.k_max}] (budget-k), got {subseq!r}")
+            policy.extra_subsequences = [indices]
     return policy
 
 
@@ -362,8 +368,12 @@ def main(argv=None) -> int:
             OracleConsistencyError) as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return 4
-    text_out = render_machine(report) if args.format == "machine" \
-        else render_human(report)
+    try:
+        text_out = (render_machine if args.format == "machine" else render_human)(report)
+    except ValueError:  # an integer longer than str() converts
+        print(f"input error: a result value has more than {sys.get_int_max_str_digits()} "
+              "digits, the most a report prints and reads back", file=sys.stderr)
+        return 2
     sys.stdout.write(text_out)
     return report.exit_code()
 

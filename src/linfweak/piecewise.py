@@ -18,7 +18,7 @@ spans piece by piece.
 Step functions are built by one left-to-right cut sweep (`_cut_sweep`).
 Each part of the carrier and of every level set gives two cuts, an end and
 a flag: before x for '[x' and 'x)', after x for '(x' and 'x]'.  The sweep
-merges these already sorted cut lists through the ``_lt``/``_eq`` kernel,
+merges these already sorted cut lists through the ``lt``/``eq`` kernel,
 never sorting, and hands out the cells between consecutive cuts that lie in
 the carrier, each with the sets that hold it.  ``step`` (and ``indicator``)
 labels a cell by the last level that holds it, or by the default, and joins
@@ -37,16 +37,14 @@ sign of a slope, since a x + b - c = a (x - x0); no point is sampled.
 ``exceeds`` is that one walk: it builds no difference function u - v, so
 ``ne_set`` and the monotone-envelope check validate no new function.
 
-That arithmetic runs on integers.  Each crossing x0 is worked out as an
-unreduced pair n/d from the ``_numerator``/``_denominator`` slots of the
-laws (`_root`), and each cell end is compared with it by one cross product
-(`sets._side`).  A ``Fraction(n, d)`` is built only where x0 falls strictly
-inside a cell and cuts it.  A law that does not change is not rebuilt:
-`_abs_piece` hands back its own piece, and `abs_fn` returns the function
-itself when no piece changes.  ``ess_sup_norm`` compares the values at the
-piece ends as unreduced integer pairs and builds one ``Fraction``.  Laws
-are Fractions throughout; the validation walk below stores laws given as
-ints as Fractions.
+That arithmetic is the kernel of :mod:`linfweak.rational`: each crossing
+x0 is an unreduced integer pair (``crossing``), each cell end is compared
+with it by one cross product (``side``), and a ``Fraction`` is built only
+where x0 falls strictly inside a cell and cuts it.  A law that does not
+change is not rebuilt: `_abs_piece` hands back its own piece, and `abs_fn`
+returns the function itself when no piece changes.  Laws are Fractions
+throughout; the validation walk below stores laws given as ints as
+Fractions.
 
 Every ``PiecewiseFn`` is validated when it is built, internal results
 included, in one walk over its pieces and the carrier parts, without
@@ -64,9 +62,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .rational import crossing, eq, is_finite, lt, max_abs, side
 from .sets import (Domain, Interval, IntervalSet, SetAlgebraError, _ends_before,
-                   _eq, _intersect_intervals, _join_sorted, _lt, _side,
-                   _starts_after, is_finite, rat)
+                   _intersect_intervals, _join_sorted, _starts_after, rat)
 
 _ZERO = Fraction(0)
 
@@ -104,8 +102,8 @@ def _left_of(a: Interval, b: Interval) -> bool:
     """a ends before b starts: the two share no point and b does not reach
     left of a's end."""
     if a.hi_closed and b.lo_closed:
-        return _lt(a.hi, b.lo)
-    return not _lt(b.lo, a.hi)
+        return lt(a.hi, b.lo)
+    return not lt(b.lo, a.hi)
 
 
 _EXCEEDS = "pieces exceed the domain carrier"
@@ -126,19 +124,19 @@ def _place(parts, j: int, run: bool, full: bool, iv: Interval, touching: bool):
         # iv opens the run of a later part: the parts it passes hold no
         # piece, and it must start where its own part starts
         while j < len(parts) and _left_of(parts[j], iv):
-            if not _eq(parts[j].lo, parts[j].hi):
+            if not eq(parts[j].lo, parts[j].hi):
                 raise SetAlgebraError(_GAP)
             j += 1
         if j == len(parts):
             raise SetAlgebraError(_EXCEEDS)
-        if not _eq(iv.lo, parts[j].lo):
-            raise SetAlgebraError(_EXCEEDS if _lt(iv.lo, parts[j].lo) else _GAP)
+        if not eq(iv.lo, parts[j].lo):
+            raise SetAlgebraError(_EXCEEDS if lt(iv.lo, parts[j].lo) else _GAP)
         if iv.lo_closed and not parts[j].lo_closed:
             raise SetAlgebraError(_EXCEEDS)
     part = parts[j]
-    if _lt(iv.hi, part.hi):
+    if lt(iv.hi, part.hi):
         return j, True, False
-    if (part.hi_closed or not iv.hi_closed) and _eq(iv.hi, part.hi):
+    if (part.hi_closed or not iv.hi_closed) and eq(iv.hi, part.hi):
         return j, True, True
     raise SetAlgebraError(_EXCEEDS)
 
@@ -163,16 +161,16 @@ class PiecewiseFn:
             iv = p.interval
             if type(p.slope) is not Fraction or type(p.intercept) is not Fraction:
                 coerce = True
-            touching = last is not None and _eq(iv.lo, last.hi)
+            touching = last is not None and eq(iv.lo, last.hi)
             if last is not None and (iv.lo_closed and last.hi_closed if touching
-                                     else _lt(iv.lo, last.hi)):
+                                     else lt(iv.lo, last.hi)):
                 raise SetAlgebraError(f"overlapping pieces near {iv.lo}")
             if fault is None:
                 try:
                     j, run, full = _place(parts, j, run, full, iv, touching)
                 except SetAlgebraError as exc:
                     fault = exc
-            if not _eq(p.slope, _ZERO) and not iv.is_bounded():
+            if not eq(p.slope, _ZERO) and not iv.is_bounded():
                 raise SetAlgebraError("unbounded piece with nonzero slope is unbounded")
             last = iv
         if fault is not None:
@@ -182,7 +180,7 @@ class PiecewiseFn:
                 raise SetAlgebraError(_GAP)
             j += 1
         for part in parts[j:]:
-            if not _eq(part.lo, part.hi):
+            if not eq(part.lo, part.hi):
                 raise SetAlgebraError(_GAP)
         if coerce:
             object.__setattr__(self, "pieces", tuple(
@@ -300,29 +298,8 @@ class PiecewiseFn:
         return vals
 
     def ess_sup_norm(self) -> Fraction:
-        """The largest |value| at the closure ends of the non-null pieces.
-        Each value is an unreduced integer pair from the laws' and ends'
-        slots, compared by cross products; one ``Fraction`` is built at the
-        end."""
-        best_n, best_d = 0, 1
-        for p in self.pieces:
-            iv = p.interval
-            if _eq(iv.lo, iv.hi):
-                continue
-            a, b = p.slope, p.intercept
-            an, bn, bd = a._numerator, b._numerator, b._denominator
-            if an == 0:
-                if abs(bn) * best_d > best_n * bd:
-                    best_n, best_d = abs(bn), bd
-                continue
-            # a x + b = (an xn bd + bn ad xd) / (ad xd bd) at x = xn / xd
-            ad = a._denominator
-            for x in (iv.lo, iv.hi):
-                xn, xd = (x._numerator, x._denominator) if type(x) is Fraction else (x, 1)
-                n, d = abs(an * xn * bd + bn * ad * xd), ad * xd * bd
-                if n * best_d > best_n * d:
-                    best_n, best_d = n, d
-        return Fraction(best_n, best_d)
+        """The largest |value| at the closure ends of the non-null pieces."""
+        return max_abs(self.pieces)
 
     # -- combination helpers ---------------------------------------------------
 
@@ -438,7 +415,7 @@ class PiecewiseFn:
     def gt_set(self, c) -> IntervalSet:
         """{ x : u(x) > c }, exact with strict-inequality endpoint flags."""
         c = rat(c)
-        return IntervalSet.of(*[_linear_gt(p, c) for p in self.pieces])
+        return IntervalSet.of(*[_linear(p, c, True) for p in self.pieces])
 
     def superlevel(self, alpha) -> IntervalSet:
         """A_alpha(u) = { x : |u(x)| > alpha }, alpha > 0."""
@@ -448,20 +425,20 @@ class PiecewiseFn:
         below = -alpha
         parts = []
         for p in self.pieces:
-            parts.append(_linear_gt(p, alpha))
-            parts.append(_linear_lt(p, below))
+            parts.append(_linear(p, alpha, True))
+            parts.append(_linear(p, below, False))
         return IntervalSet.of(*parts)
 
     def support(self) -> IntervalSet:
         """{ u != 0 } up to a null set (per-piece; sloped pieces count whole)."""
         parts = []
         for p in self.pieces:
-            if _eq(p.slope, _ZERO):
-                if not _eq(p.intercept, _ZERO):
+            if eq(p.slope, _ZERO):
+                if not eq(p.intercept, _ZERO):
                     parts.append(p.interval)
             else:
-                parts.append(_linear_gt(p, _ZERO))
-                parts.append(_linear_lt(p, _ZERO))
+                parts.append(_linear(p, _ZERO, True))
+                parts.append(_linear(p, _ZERO, False))
         return IntervalSet.of(*parts)
 
     def exceeds(self, other: "PiecewiseFn") -> IntervalSet:
@@ -472,12 +449,12 @@ class PiecewiseFn:
         self._same_domain(other)
         parts = []
         for cell, (a1, b1), (a2, b2) in self._cells_with(other):
-            s, n, d = _crossing(a1, b1, a2, b2)
+            s, n, d = crossing(a1, b1, a2, b2)
             if s == 0:
-                if _lt(b2, b1):
+                if lt(b2, b1):
                     parts.append(cell)
                 continue
-            got = _above(cell, n, d) if s > 0 else _below(cell, n, d)
+            got = _half(cell, n, d, s > 0)
             if got is not None:
                 parts.append(got)
         return IntervalSet(_join_sorted(parts))
@@ -498,7 +475,7 @@ def _cut_sweep(carrier: IntervalSet, sets: Sequence[IntervalSet]):
 
     Each part of the carrier and of every set gives two cuts, an end and a
     flag: before x for '[x' and 'x)', after x for '(x' and 'x]'.  The sorted
-    cut lists are merged through `_lt`/`_eq`, and all cuts at one place are
+    cut lists are merged through `lt`/`eq`, and all cuts at one place are
     taken together, so consecutive places differ and the cell between them
     is never empty: from before x to after x it is the point {x}.  Yields
     (lo, hi, lo_closed, hi_closed, first, inside) for each cell inside the
@@ -519,9 +496,9 @@ def _cut_sweep(carrier: IntervalSet, sets: Sequence[IntervalSet]):
             if head is None:
                 continue
             hx, ha = head
-            if not at or _lt(hx, bx) or (ba and not ha and _eq(hx, bx)):
+            if not at or lt(hx, bx) or (ba and not ha and eq(hx, bx)):
                 at, bx, ba = [i], hx, ha
-            elif ha == ba and _eq(hx, bx):
+            elif ha == ba and eq(hx, bx):
                 at.append(i)
         if inside[own]:
             yield x, bx, not after, ba, first, inside
@@ -542,25 +519,6 @@ def _cut_sweep(carrier: IntervalSet, sets: Sequence[IntervalSet]):
         x, after = bx, ba
 
 
-def _root(vn: int, vd: int, sn: int, sd: int) -> tuple[int, int]:
-    """The crossing x0 = v / s of a law difference s x - v, for v = vn/vd and
-    a slope s = sn/sd != 0 (vd, sd > 0), as an integer pair (n, d), d > 0."""
-    n, d = vn * sd, vd * sn
-    return (-n, -d) if d < 0 else (n, d)
-
-
-def _crossing(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction) -> tuple[int, int, int]:
-    """(s, n, d) for the laws a1 x + b1 and a2 x + b2: s has the sign of
-    a1 - a2, and when s != 0, x0 = n/d (d > 0) is where they cross, so that
-    (a1 x + b1) - (a2 x + b2) = (a1 - a2)(x - x0).  n = d = 0 when s = 0."""
-    a1d, a2d = a1._denominator, a2._denominator
-    s = a1._numerator * a2d - a2._numerator * a1d
-    if s == 0:
-        return 0, 0, 0
-    b1d, b2d = b1._denominator, b2._denominator
-    return (s, *_root(b2._numerator * b1d - b1._numerator * b2d, b1d * b2d, s, a1d * a2d))
-
-
 def _abs_piece(p: Piece) -> tuple[Piece, ...]:
     """|u| on one piece, as (p,) when |u| = u there.  u = a (x - root), so
     |u| is u right of the root and -u left of it when a > 0, and the other
@@ -569,14 +527,14 @@ def _abs_piece(p: Piece) -> tuple[Piece, ...]:
     an = a._numerator
     if an == 0:
         return (p,) if b._numerator >= 0 else (Piece(iv, a, -b),)
-    n, d = _root(-b._numerator, b._denominator, an, a._denominator)
-    lo_side = _side(iv.lo, n, d)
+    _, n, d = crossing(a, b, _ZERO, _ZERO)
+    lo_side = side(iv.lo, n, d)
     if lo_side >= 0:
         # right of the root; a point piece at the root, where u = 0, keeps u
-        if an > 0 or (lo_side == 0 and _eq(iv.lo, iv.hi)):
+        if an > 0 or (lo_side == 0 and eq(iv.lo, iv.hi)):
             return (p,)
         return (Piece(iv, -a, -b),)
-    if _side(iv.hi, n, d) <= 0:
+    if side(iv.hi, n, d) <= 0:
         return (p,) if an < 0 else (Piece(iv, -a, -b),)
     root = Fraction(n, d)
     left, right = ((-a, -b), (a, b)) if an > 0 else ((a, b), (-a, -b))
@@ -584,53 +542,31 @@ def _abs_piece(p: Piece) -> tuple[Piece, ...]:
             Piece(Interval(root, iv.hi, False, iv.hi_closed), *right))
 
 
-def _above(iv: Interval, n: int, d: int) -> "Interval | None":
-    """iv n (x0, +inf) for x0 = n/d."""
-    lo_side = _side(iv.lo, n, d)
-    if lo_side > 0:
+def _half(iv: Interval, n: int, d: int, right: bool) -> "Interval | None":
+    """iv n (x0, +inf) when right, else iv n (-inf, x0), for x0 = n/d."""
+    sign = 1 if right else -1
+    near = side(iv.lo if right else iv.hi, n, d) * sign
+    if near > 0:
         return iv
-    if _side(iv.hi, n, d) > 0:
-        return Interval(iv.lo if lo_side == 0 else Fraction(n, d), iv.hi,
-                        False, iv.hi_closed)
-    return None
+    if side(iv.hi if right else iv.lo, n, d) * sign <= 0:
+        return None
+    if right:
+        return Interval(iv.lo if near == 0 else Fraction(n, d), iv.hi, False, iv.hi_closed)
+    return Interval(iv.lo, iv.hi if near == 0 else Fraction(n, d), iv.lo_closed, False)
 
 
-def _below(iv: Interval, n: int, d: int) -> "Interval | None":
-    """iv n (-inf, x0) for x0 = n/d."""
-    hi_side = _side(iv.hi, n, d)
-    if hi_side < 0:
-        return iv
-    if _side(iv.lo, n, d) < 0:
-        return Interval(iv.lo, iv.hi if hi_side == 0 else Fraction(n, d),
-                        iv.lo_closed, False)
-    return None
-
-
-def _level_root(p: Piece, c: Fraction) -> tuple[int, int]:
-    """x0 with a x0 + b = c on a sloped piece: a x + b - c = a (x - x0)."""
+def _linear(p: Piece, c: Fraction, up: bool) -> "Interval | None":
+    """{x in piece : a x + b > c} when up, {x in piece : a x + b < c}
+    otherwise.  A sloped piece (always bounded) has a x + b - c = a (x - x0)
+    at the level crossing x0, so it keeps its part right of x0 when the
+    sign of a agrees with the direction and its part left of x0 when not."""
     a, b = p.slope, p.intercept
-    cd, bd = c._denominator, b._denominator
-    return _root(c._numerator * bd - b._numerator * cd, cd * bd,
-                 a._numerator, a._denominator)
-
-
-def _linear_gt(p: Piece, c: Fraction) -> "Interval | None":
-    """{x in piece : a x + b > c}: a sloped piece (always bounded) keeps its
-    part right of x0 when a > 0 and its part left of x0 when a < 0."""
-    an = p.slope._numerator
-    if an == 0:
-        return p.interval if _lt(c, p.intercept) else None
-    n, d = _level_root(p, c)
-    return _above(p.interval, n, d) if an > 0 else _below(p.interval, n, d)
-
-
-def _linear_lt(p: Piece, c: Fraction) -> "Interval | None":
-    """{x in piece : a x + b < c}, the mirror of `_linear_gt`."""
-    an = p.slope._numerator
-    if an == 0:
-        return p.interval if _lt(p.intercept, c) else None
-    n, d = _level_root(p, c)
-    return _below(p.interval, n, d) if an > 0 else _above(p.interval, n, d)
+    if a._numerator == 0:
+        if up:
+            return p.interval if lt(c, b) else None
+        return p.interval if lt(b, c) else None
+    s, n, d = crossing(a, b, _ZERO, c)
+    return _half(p.interval, n, d, (s > 0) == up)
 
 
 def min_of(fns: Sequence[PiecewiseFn]) -> PiecewiseFn:
@@ -651,9 +587,9 @@ def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
     u._same_domain(v)
     pieces = []
     for cell, (a1, b1), (a2, b2) in u._cells_with(v):
-        s, n, d = _crossing(a1, b1, a2, b2)
+        s, n, d = crossing(a1, b1, a2, b2)
         if s == 0:
-            if not _lt(b2, b1):
+            if not lt(b2, b1):
                 pieces.append(Piece(cell, a1, b1))
             else:
                 pieces.append(Piece(cell, a2, b2))
@@ -661,12 +597,12 @@ def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
         # u is the lower law left of the crossing x0 when a1 > a2 and right
         # of it when a1 < a2
         left, right = ((a1, b1), (a2, b2)) if s > 0 else ((a2, b2), (a1, b1))
-        lo_side = _side(cell.lo, n, d)
+        lo_side = side(cell.lo, n, d)
         if lo_side >= 0:
             # right of x0; on the point cell x0 the two laws tie: keep u's
-            point_at_x0 = lo_side == 0 and _eq(cell.lo, cell.hi)
+            point_at_x0 = lo_side == 0 and eq(cell.lo, cell.hi)
             pieces.append(Piece(cell, *((a1, b1) if point_at_x0 else right)))
-        elif _side(cell.hi, n, d) <= 0:
+        elif side(cell.hi, n, d) <= 0:
             pieces.append(Piece(cell, *left))
         else:
             x0 = Fraction(n, d)
@@ -683,8 +619,8 @@ def _coalesced(pieces: Sequence[Piece]) -> tuple[Piece, ...]:
         if out:
             last = out[-1]
             lv, iv = last.interval, p.interval
-            if (lv.hi_closed != iv.lo_closed and _eq(lv.hi, iv.lo)
-                    and _eq(last.slope, p.slope) and _eq(last.intercept, p.intercept)):
+            if (lv.hi_closed != iv.lo_closed and eq(lv.hi, iv.lo)
+                    and eq(last.slope, p.slope) and eq(last.intercept, p.intercept)):
                 out[-1] = Piece(Interval(lv.lo, iv.hi, lv.lo_closed, iv.hi_closed),
                                 p.slope, p.intercept)
                 continue

@@ -23,11 +23,10 @@ the answer open.
 Each level test is one merge walk over sorted parts that builds no set:
 `IntervalSet.subset_up_to_null` for 'one', `IntervalSet.meets` for 'zero'.
 The members already lie in the carrier, so a query clips its set to the
-carrier only for the threshold and the tail.  The endpoint arithmetic runs
-on the integer `_numerator`/`_denominator` slots of the `Fraction` values:
-`EndFn.at` builds one `Fraction(n, d)` per endpoint, the crossing bounds
-are integer ceilings by floor division, and the tail fit solves for a, b
-and c by integer Cramer's rule.
+carrier only for the threshold and the tail.  The endpoint arithmetic is
+the integer-pair kernel of :mod:`linfweak.rational`: `EndFn.at` builds one
+`Fraction` per endpoint, the crossing bounds are integer ceilings, and the
+tail fit solves for a, b and c by integer Cramer's rule.
 
 Each base is read once, when built, as the point of the one-point
 compactification X_inf = X u {inf} where it concentrates (a 0-1 measure is
@@ -50,6 +49,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .piecewise import PiecewiseFn
 from .points import ExtPoint
+from .rational import cauchy_bound, diff, end_value, fit_abc
 from .sets import (Domain, Interval, IntervalSet, NEG_INF, POS_INF,
                    SetAlgebraError, is_finite, ivl, rat)
 
@@ -57,6 +57,7 @@ ONE = "one"
 ZERO = "zero"
 UNDETERMINED = "undetermined"
 
+_ZERO = Fraction(0)
 CHECK_LEVELS = 8    # levels checked one by one when a base is built
 COMPACT_SCAN = 64   # members searched for a compact closure in the carrier
 MINIMAX_BUDGET = 8  # dyadic steps of the minimax compacts and opens
@@ -81,17 +82,7 @@ class EndFn:
     lin: Fraction = Fraction(0)
 
     def at(self, ell: int) -> Fraction:
-        # const + inv/l + lin*l over the one denominator cd*id*ld*l, from
-        # the integer slots; Fraction(n, d) reduces it once
-        c, i, m = self.const, self.inv, self.lin
-        n, d = c._numerator, c._denominator
-        if i._numerator:
-            idl = i._denominator * ell
-            n, d = n * idl + i._numerator * d, d * idl
-        if m._numerator:
-            md = m._denominator
-            n, d = n * md + m._numerator * ell * d, d * md
-        return Fraction(n, d)
+        return end_value(self.const, self.inv, self.lin, ell)
 
     def limit(self) -> Union[Fraction, float]:
         if self.lin > 0:
@@ -124,37 +115,11 @@ class BasePart:
         return [e for e in (self.lo, self.hi) if e is not None]
 
 
-def _diff(x: Fraction, y: Fraction) -> tuple[int, int]:
-    """x - y as an integer pair (n, d), d > 0 and not reduced."""
-    xd, yd = x._denominator, y._denominator
-    return x._numerator * yd - y._numerator * xd, xd * yd
-
-
 def _crossing_bound(f: EndFn, g: EndFn) -> Optional[int]:
     """An index beyond which f - g keeps one sign: bound the roots of
     (f.lin-g.lin) l^2 + (f.const-g.const) l + (f.inv-g.inv) = 0."""
-    return _pair_bound(_diff(f.lin, g.lin), _diff(f.const, g.const),
-                       _diff(f.inv, g.inv))
-
-
-def _pair_bound(a: tuple[int, int], b: tuple[int, int],
-                c: tuple[int, int]) -> Optional[int]:
-    """`_crossing_bound` on the coefficients a, b, c of a l^2 + b l + c as
-    integer pairs (n, d) with d > 0: a root -c/b when a = 0, else the Cauchy
-    bound 1 + max(|b|, |c|)/|a|; ceilings by floor division."""
-    (an, ad), (bn, bd), (cn, cd) = a, b, c
-    if an == 0:
-        if bn == 0:
-            return None  # constant difference, no crossing
-        # root = -c/b = -(cn*bd) / (cd*bn), with the sign moved to the top
-        num, den = -cn * bd, cd * bn
-        if den < 0:
-            num, den = -num, -den
-        return -(-num // den) + 1 if num > 0 else 1
-    # max(|b|, |c|) / |a| as num/den; ceil(1 + x) + 1 = ceil(x) + 2
-    bn, cn = abs(bn), abs(cn)
-    mn, md = (bn, bd) if bn * cd >= cn * bd else (cn, cd)
-    return -(-(mn * ad) // (md * abs(an))) + 2
+    return cauchy_bound(diff(f.lin, g.lin), diff(f.const, g.const),
+                        diff(f.inv, g.inv))
 
 
 @dataclass(frozen=True)
@@ -173,12 +138,11 @@ class BaseFormula:
     def raw_at(self, m: int) -> IntervalSet:
         return IntervalSet.of(*[p.at(m) for p in self.parts])
 
-    def raw_threshold(self, constants: Sequence[Fraction]) -> int:
+    def raw_threshold(self) -> int:
         """A raw index beyond which every order relation between base
-        endpoints and the given constants is frozen.  Measures of derived
-        sets are exactly a + b/m + c*m past this index."""
+        endpoints is frozen; `FilterBaseMeasure._threshold` adds the
+        constants of a query."""
         fns = [f for p in self.parts for f in p.endpoint_fns()]
-        fns = fns + [EndFn(rat(c)) for c in constants]
         worst = 1
         for i in range(len(fns)):
             for j in range(i + 1, len(fns)):
@@ -204,7 +168,7 @@ class FilterBaseMeasure:
         # frozen, so every reader can share them
         self._members: dict[int, IntervalSet] = {}
         self._endpoint_fns = [f for p in formula.parts for f in p.endpoint_fns()]
-        self._base_threshold = formula.raw_threshold([])
+        self._base_threshold = formula.raw_threshold()
         # past raw level `frozen` no endpoint order changes, so positive
         # measure there is positive measure at every later level
         frozen = self._base_threshold + 1
@@ -245,17 +209,17 @@ class FilterBaseMeasure:
         return b
 
     def _threshold(self, constants: Sequence[Fraction]) -> int:
-        """`formula.raw_threshold(constants)` from the stored base threshold:
-        only base-constant pairs can raise it, since two constants never
-        cross (their bound is None or 1).  Against a constant k, f - k has
-        the coefficients f.lin, f.const - k and f.inv."""
+        """A raw index past which no order between base endpoints and the
+        constants changes, so measures of derived sets are a + b/m + c*m.
+        Two constants never cross: only base-constant pairs raise it.
+        Against a constant k, f - k has the coefficients f.lin - 0,
+        f.const - k and f.inv - 0."""
         worst = self._base_threshold
         consts = [rat(k) for k in constants]
         for f in self._endpoint_fns:
-            a = f.lin._numerator, f.lin._denominator
-            c = f.inv._numerator, f.inv._denominator
+            a, c = diff(f.lin, _ZERO), diff(f.inv, _ZERO)
             for k in consts:
-                b = _pair_bound(a, _diff(f.const, k), c)
+                b = cauchy_bound(a, diff(f.const, k), c)
                 if b is not None and b > worst:
                     worst = b
         return worst
@@ -316,7 +280,7 @@ class FilterBaseMeasure:
             samples.append(v)
         m1, m2, m3, m4 = idx
         v1, v2, v3, v4 = samples
-        a, b, c = _fit_abc((m1, v1), (m2, v2), (m3, v3))
+        a, b, c = fit_abc((m1, v1), (m2, v2), (m3, v3))
         if a + b / m4 + c * m4 != v4:
             raise OracleConsistencyError("tail measure is not of the stabilized "
                                          "form a + b/m + c*m; threshold too small")
@@ -358,34 +322,6 @@ def _base_limit(formula: BaseFormula, probe: int,
 
 def _point_list(points: Sequence[Union[Fraction, float]]) -> str:
     return "[" + ", ".join(str(q) for q in points) + "]"
-
-
-def _fit_abc(p1, p2, p3) -> tuple[Fraction, Fraction, Fraction]:
-    """Solve v = a + b/l + c*l through three (l, v) samples at distinct
-    integer l.  Times l, the system is v_i l_i = a l_i + b + c l_i^2, with
-    integer matrix rows (l_i, 1, l_i^2).  With the v_i over the common
-    denominator D = d1 d2 d3, Cramer's rule gives a, b and c as integer
-    determinants over D times the matrix determinant, which is the
-    Vandermonde product (l2 - l1)(l3 - l1)(l3 - l2) up to sign."""
-    (l1, v1), (l2, v2), (l3, v3) = p1, p2, p3
-    v1, v2, v3 = rat(v1), rat(v2), rat(v3)
-    d1, d2, d3 = v1._denominator, v2._denominator, v3._denominator
-    den = d1 * d2 * d3
-    # right-hand sides v_i l_i over the common denominator den
-    r1 = v1._numerator * d2 * d3 * l1
-    r2 = v2._numerator * d1 * d3 * l2
-    r3 = v3._numerator * d1 * d2 * l3
-    q1, q2, q3 = l1 * l1, l2 * l2, l3 * l3
-    # det [[l_i, 1, l_i^2]] = -(l2 - l1)(l3 - l1)(l3 - l2)
-    det = -(l2 - l1) * (l3 - l1) * (l3 - l2)
-    # Cramer: the column of the unknown replaced by (r1, r2, r3), expanded
-    # along that column by its cofactors
-    a = r1 * (q3 - q2) + r2 * (q1 - q3) + r3 * (q2 - q1)
-    b = (r1 * (l3 * q2 - l2 * q3) + r2 * (l1 * q3 - l3 * q1)
-         + r3 * (l2 * q1 - l1 * q2))
-    c = r1 * (l2 - l3) + r2 * (l3 - l1) + r3 * (l1 - l2)
-    scale = det * den
-    return Fraction(a, scale), Fraction(b, scale), Fraction(c, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -8,37 +8,15 @@ the carrier for every set-level computation in this package: superlevel sets,
 neighborhood bases, filter bases, compact/open test families.
 
 Endpoints are ``fractions.Fraction`` values (plain ``int`` is accepted
-too); the two infinities are the floats ``math.inf`` / ``-math.inf``, which
-compare correctly against ``Fraction``.  An endpoint is finite exactly when
-its type is ``Fraction`` or ``int`` (never ``bool``): :func:`is_finite`
-tests the type itself, not ``isinstance``, because ``Fraction`` is a
-``numbers.Rational`` and every ``isinstance`` against it goes through ABC
-dispatch.  Measure is a ``Fraction``, or ``math.inf`` for unbounded sets.
-
-The interval and piecewise sweeps compare ends and values through one
-private kernel, :func:`_lt` and :func:`_eq`, never through ``Fraction``'s
-operators, whose ``numbers.Rational`` dispatch makes each comparison about
-four times as slow as the kernel's.  Two ``Fraction`` values are compared by the cross
-products of their ``_numerator``/``_denominator`` slots (a normalized
-``Fraction`` has a positive denominator).  The kernel reads the slots, not
-the public ``numerator``/``denominator``: those are Python-level
-properties, and a kernel built on them is no faster than ``Fraction <``.
-An infinite end is told apart by ``type(e) is float`` and its sign, never
-by identity with ``NEG_INF``/``POS_INF``: every ``-math.inf`` is a new
-float object.  Any other pair of types, such as an ``int`` end, falls back
-to the plain operator.
-
-The same slots carry the arithmetic of the sweeps.  :func:`_side` gives
-the sign of e - n/d for an end e and a point n/d handed over as an
-unreduced integer pair (d > 0), by one cross product, so the piecewise
-layer builds no ``Fraction`` for a crossing it only compares.  Lengths are
-integer pairs as well (:func:`_length`): :meth:`IntervalSet.measure` sums
-them as one pair and reduces it once, with the gcd of its final
-``Fraction(n, d)``.  :func:`_normalize` checks the order of its parts in
-one ``_lt``/``_eq`` pass and sorts them only when some are out of order;
-:meth:`IntervalSet.union` merges two sorted part lists and never sorts.
-:meth:`IntervalSet.is_null` reads the parts (a set is null iff every part
-is a point) and builds no measure.
+too) or the infinities ``NEG_INF``/``POS_INF``; measure is a ``Fraction``,
+or ``math.inf`` for unbounded sets.  Every end is compared and every length
+worked out through the kernel in :mod:`linfweak.rational`, which states the
+convention for ends and integer pairs.  :meth:`IntervalSet.measure` sums
+the lengths as one pair and reduces it once.  :func:`_normalize` checks the
+order of its parts in one ``lt``/``eq`` pass and sorts them only when some
+are out of order; :meth:`IntervalSet.union` merges two sorted part lists
+and never sorts.  :meth:`IntervalSet.is_null` reads the parts (a set is
+null iff every part is a point) and builds no measure.
 
 Three predicates answer by one merge walk over the two sorted part lists
 and build no set.  :meth:`IntervalSet.subset_up_to_null` is a cover walk: a
@@ -60,11 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .rational import NEG_INF, POS_INF, eq, is_finite, lt, total_length
+
 Rat = Fraction
 Endpoint = Union[Fraction, float]  # float is only ever +-math.inf
-
-NEG_INF = -math.inf
-POS_INF = math.inf
 
 
 def rat(x) -> Fraction:
@@ -74,55 +51,6 @@ def rat(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"refusing to coerce float {x!r}; pass a Fraction or string")
     return Fraction(x)
-
-
-def is_finite(e: Endpoint) -> bool:
-    t = type(e)
-    return t is Fraction or t is int
-
-
-_INFINITIES = (NEG_INF, POS_INF)
-
-
-def _lt(x, y) -> bool:
-    """x < y for two ends or values, without ``Fraction`` operator dispatch."""
-    tx, ty = type(x), type(y)
-    if tx is Fraction:
-        if ty is Fraction:
-            return x._numerator * y._denominator < y._numerator * x._denominator
-        if ty is float and y in _INFINITIES:
-            return y > 0
-    elif tx is float and ty is Fraction and x in _INFINITIES:
-        return x < 0
-    return x < y
-
-
-def _eq(x, y) -> bool:
-    """x == y for two ends or values, without ``Fraction`` operator dispatch."""
-    if x is y:
-        return True
-    tx, ty = type(x), type(y)
-    if tx is Fraction:
-        if ty is Fraction:
-            return x._numerator == y._numerator and x._denominator == y._denominator
-        if ty is float and y in _INFINITIES:
-            return False
-    elif tx is float and ty is Fraction and x in _INFINITIES:
-        return False
-    return x == y
-
-
-def _side(e, n: int, d: int) -> int:
-    """The sign of e - n/d (d > 0) for an end or value e, by one cross
-    product; no ``Fraction`` is built for n/d."""
-    t = type(e)
-    if t is Fraction:
-        x, y = e._numerator * d, n * e._denominator
-    elif t is float:
-        return 1 if e > 0 else -1
-    else:
-        x, y = e * d, n
-    return (x > y) - (x < y)
 
 
 def _as_endpoint(x) -> Endpoint:
@@ -153,13 +81,13 @@ class Interval:
     def __post_init__(self):
         lo, hi = self.lo, self.hi
         lo_finite, hi_finite = is_finite(lo), is_finite(hi)
-        if not lo_finite and not _eq(lo, NEG_INF):
+        if not lo_finite and not eq(lo, NEG_INF):
             raise SetAlgebraError(f"bad lower endpoint {lo!r}")
-        if not hi_finite and not _eq(hi, POS_INF):
+        if not hi_finite and not eq(hi, POS_INF):
             raise SetAlgebraError(f"bad upper endpoint {hi!r}")
         # -inf < every finite end < +inf, so only two finite ends can clash
-        if lo_finite and hi_finite and not _lt(lo, hi):
-            if _lt(hi, lo):
+        if lo_finite and hi_finite and not lt(lo, hi):
+            if lt(hi, lo):
                 raise SetAlgebraError(f"empty interval: lo={lo} > hi={hi}")
             if not (self.lo_closed and self.hi_closed):
                 raise SetAlgebraError("degenerate interval must be closed; empty "
@@ -172,22 +100,21 @@ class Interval:
     # -- queries ------------------------------------------------------------
 
     def is_point(self) -> bool:
-        return _eq(self.lo, self.hi)
+        return eq(self.lo, self.hi)
 
     def is_bounded(self) -> bool:
         return is_finite(self.lo) and is_finite(self.hi)
 
     def length(self) -> Union[Fraction, float]:
-        n, d = _length(self)
-        return POS_INF if d == 0 else Fraction(n, d)
+        return total_length((self,))
 
     def contains(self, x: Fraction) -> bool:
         lo, hi = self.lo, self.hi
-        if _lt(x, lo) or _lt(hi, x):
+        if lt(x, lo) or lt(hi, x):
             return False
-        if not self.lo_closed and _eq(x, lo):
+        if not self.lo_closed and eq(x, lo):
             return False
-        if not self.hi_closed and _eq(x, hi):
+        if not self.hi_closed and eq(x, hi):
             return False
         return True
 
@@ -216,20 +143,6 @@ class Interval:
                               "]" if self.hi_closed else ")")
 
 
-def _length(iv: Interval) -> tuple[int, int]:
-    """hi - lo as an integer pair (n, d), d > 0 and not reduced; (1, 0) for
-    an unbounded interval."""
-    lo, hi = iv.lo, iv.hi
-    if type(lo) is not Fraction or type(hi) is not Fraction:
-        if not iv.is_bounded():
-            return 1, 0
-        lo, hi = Fraction(lo), Fraction(hi)  # int ends
-    ld, hd = lo._denominator, hi._denominator
-    if ld == hd:
-        return hi._numerator - lo._numerator, hd
-    return hi._numerator * ld - lo._numerator * hd, ld * hd
-
-
 def ivl(lo, hi, lo_closed=True, hi_closed=False) -> "Interval | None":
     """Build an interval, returning None when it would be empty."""
     lo = _as_endpoint(lo)
@@ -238,9 +151,9 @@ def ivl(lo, hi, lo_closed=True, hi_closed=False) -> "Interval | None":
         lo_closed = False
     if not is_finite(hi):
         hi_closed = False
-    if _lt(hi, lo):
+    if lt(hi, lo):
         return None
-    if not (lo_closed and hi_closed) and _eq(lo, hi):
+    if not (lo_closed and hi_closed) and eq(lo, hi):
         return None
     return Interval(lo, hi, lo_closed, hi_closed)
 
@@ -268,34 +181,34 @@ def point(a):
 
 
 def _intersect_intervals(a: Interval, b: Interval) -> "Interval | None":
-    if _eq(a.lo, b.lo):
+    if eq(a.lo, b.lo):
         lo, lo_closed = a.lo, a.lo_closed and b.lo_closed
     else:
-        lo, lo_closed = (a.lo, a.lo_closed) if _lt(b.lo, a.lo) else (b.lo, b.lo_closed)
-    if _eq(a.hi, b.hi):
+        lo, lo_closed = (a.lo, a.lo_closed) if lt(b.lo, a.lo) else (b.lo, b.lo_closed)
+    if eq(a.hi, b.hi):
         hi, hi_closed = a.hi, a.hi_closed and b.hi_closed
     else:
-        hi, hi_closed = (a.hi, a.hi_closed) if _lt(a.hi, b.hi) else (b.hi, b.hi_closed)
-    if not _lt(lo, hi) and (not (lo_closed and hi_closed) or _lt(hi, lo)):
+        hi, hi_closed = (a.hi, a.hi_closed) if lt(a.hi, b.hi) else (b.hi, b.hi_closed)
+    if not lt(lo, hi) and (not (lo_closed and hi_closed) or lt(hi, lo)):
         return None
     return Interval(lo, hi, lo_closed, hi_closed)
 
 
 def _ends_before(a: Interval, b: Interval) -> bool:
     """a stops strictly left of b's right end (same end: a open, b closed)."""
-    return _lt(a.hi, b.hi) or (b.hi_closed and not a.hi_closed and _eq(a.hi, b.hi))
+    return lt(a.hi, b.hi) or (b.hi_closed and not a.hi_closed and eq(a.hi, b.hi))
 
 
 def _mergeable(cur: Interval, nxt: Interval) -> bool:
-    if _lt(nxt.lo, cur.hi):
+    if lt(nxt.lo, cur.hi):
         return True
-    return (cur.hi_closed or nxt.lo_closed) and _eq(nxt.lo, cur.hi)
+    return (cur.hi_closed or nxt.lo_closed) and eq(nxt.lo, cur.hi)
 
 
 def _starts_after(a: Interval, b: Interval) -> bool:
     """a starts right of b: a.lo > b.lo, or a open and b closed at one lo.
     Parts already in this order need no sort."""
-    return _lt(b.lo, a.lo) or (b.lo_closed and not a.lo_closed and _eq(a.lo, b.lo))
+    return lt(b.lo, a.lo) or (b.lo_closed and not a.lo_closed and eq(a.lo, b.lo))
 
 
 def _normalize(parts: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -314,9 +227,9 @@ def _join_sorted(items: list[Interval]) -> tuple[Interval, ...]:
             continue
         cur = out[-1]
         if _mergeable(cur, p):
-            if _lt(cur.hi, p.hi):
+            if lt(cur.hi, p.hi):
                 hi, hi_closed = p.hi, p.hi_closed
-            elif _eq(p.hi, cur.hi):
+            elif eq(p.hi, cur.hi):
                 hi, hi_closed = cur.hi, cur.hi_closed or p.hi_closed
             else:
                 hi, hi_closed = cur.hi, cur.hi_closed
@@ -404,19 +317,19 @@ class IntervalSet:
         for p in self.parts:
             hi = p.hi
             pos = p.lo
-            if _eq(pos, hi):
+            if eq(pos, hi):
                 continue  # a point part is null
             while True:
                 if j == len(cover):
                     return False
                 q = cover[j]
-                if not _lt(pos, q.hi):
+                if not lt(pos, q.hi):
                     j += 1  # q ends at or before pos
                     continue
-                if _lt(pos, q.lo):
+                if lt(pos, q.lo):
                     return False  # (pos, min(q.lo, hi)) is not covered
                 pos = q.hi
-                if not _lt(pos, hi):
+                if not lt(pos, hi):
                     break  # q covers the rest of p and may cover later parts
                 j += 1
         return True
@@ -429,38 +342,25 @@ class IntervalSet:
         i = j = 0
         while i < len(a) and j < len(b):
             p, q = a[i], b[j]
-            lo = q.lo if _lt(p.lo, q.lo) else p.lo
-            if _lt(p.hi, q.hi):
-                if _lt(lo, p.hi):
+            lo = q.lo if lt(p.lo, q.lo) else p.lo
+            if lt(p.hi, q.hi):
+                if lt(lo, p.hi):
                     return True
                 i += 1
             else:
-                if _lt(lo, q.hi):
+                if lt(lo, q.hi):
                     return True
                 j += 1
         return False
 
     def is_null(self) -> bool:
         # parts are never empty, so the measure is 0 iff every part is a point
-        return all(_eq(p.lo, p.hi) for p in self.parts)
+        return all(eq(p.lo, p.hi) for p in self.parts)
 
     # -- measure --------------------------------------------------------------
 
     def measure(self) -> Union[Fraction, float]:
-        # the lengths summed as one integer pair n/d, reduced once; d stays
-        # the larger of two denominators when one divides the other
-        n, d = 0, 1
-        for p in self.parts:
-            pn, pd = _length(p)
-            if pd == 0:
-                return POS_INF
-            if d % pd == 0:
-                n += pn * (d // pd)
-            elif pd % d == 0:
-                n, d = n * (pd // d) + pn, pd
-            else:
-                n, d = n * pd + pn * d, d * pd
-        return Fraction(n, d)
+        return total_length(self.parts)
 
     # -- boolean algebra --------------------------------------------------------
 

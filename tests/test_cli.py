@@ -1,4 +1,5 @@
 import io
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -307,6 +308,31 @@ class TestBudgets:
         assert code == 2 and out == ""
         assert "'budget-j' is not valid for task 'corpus'" in err
 
+    @pytest.mark.parametrize("text", [
+        "task = weaknull\nfamily = tents\nsubseq = 5, 3\n",
+        "task = weaknull\nfamily = tents\nsubseq = 0, 3\n",
+        "task = weaknull-at\nfamily = tents\npoint = 1/30\nsubseq = 3, 2\n",
+        # the term 3000000 would be built before the engine saw the list
+        "task = weaknull-at\nfamily = dyadic-indicators-plus\n"
+        "point = 1/1152921504606846976\nsubseq = 1, 3000000\n",
+    ], ids=("decreasing", "index-zero", "decreasing-at-a-point", "past-budget-k"))
+    def test_explicit_subseq_rejected_before_the_engine(self, tmp_path, monkeypatch,
+                                                       text):
+        import linfweak.cli as cli
+        monkeypatch.setattr(cli, "test_weak_null", _never)
+        monkeypatch.setattr(cli, "test_weak_null_at", _never)
+        task = text.split("\n")[0].split(" = ")[1]
+        code, out, err = invoke([task, write(tmp_path, "p.cfg", text)])
+        assert code == 2 and out == ""
+        assert err.startswith("input error: subseq must list strictly increasing "
+                              "indices in [1, 48] (budget-k)")
+
+    def test_explicit_subseq_up_to_budget_k_accepted(self, tmp_path):
+        cfg = write(tmp_path, "p.cfg",
+                    "task = weaknull\nfamily = tents\nsubseq = 1, 3, 60\n")
+        code, out, err = invoke(["weaknull", cfg, "--budget-k=60", "--format", "machine"])
+        assert code == 0 and "result.kind = nonnull-certified" in out
+
     def test_largest_budgets_accepted(self, tmp_path):
         from linfweak.cli import MAX_BUDGET_J, MAX_BUDGET_K
         cfg = write(tmp_path, "p.cfg",
@@ -367,6 +393,17 @@ class TestInputErrors:
         code, out, err = invoke([task, write(tmp_path, "p.cfg", text)])
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and "Traceback" not in err
+
+    def test_result_value_past_the_digit_limit_is_input_error(self, tmp_path):
+        # every literal has 3001 digits, but ess_sup_norm = 10^6000 has 6001
+        n = "1" + "0" * 3000
+        cfg = write(tmp_path, "p.cfg", f"task = essrange\ndomain = (0, {n})\n"
+                                       f"function = (0, {n}) {n} 0\n")
+        for fmt in ("human", "machine"):
+            code, out, err = invoke(["essrange", cfg, "--format", fmt])
+            assert code == 2 and out == ""
+            assert err.startswith("input error: a result value has more than "
+                                  f"{sys.get_int_max_str_digits()} digits")
 
     def test_largest_finite_model_accepted(self, tmp_path, monkeypatch):
         import linfweak.cli as cli

@@ -1,11 +1,10 @@
-import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import grid_points, interval_sets, rationals
-from linfweak.sets import (Domain, Interval, IntervalSet, SetAlgebraError, _eq, _lt, _side,
+from linfweak.sets import (Domain, Interval, IntervalSet, SetAlgebraError,
                            closed, complement, first_overlap, ico, intersect,
                            is_compact_subset, is_finite, ivl, measure, opened,
                            point, union, NEG_INF, POS_INF)
@@ -387,52 +386,8 @@ class TestIntervalValidation:
         assert not any(is_finite(e) for e in (True, POS_INF, NEG_INF, 0.5, "1"))
 
 
-# Infinities made afresh on every draw: none is the object NEG_INF or POS_INF.
-fresh_infinities = st.sampled_from(
-    (lambda: -math.inf, lambda: float("inf"), lambda: float("-inf"),
-     lambda: math.inf * 2)).map(lambda make: make())
-big_fractions = st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40))
-kernel_values = st.one_of(rationals(), big_fractions, st.integers(-10**6, 10**6),
-                          fresh_infinities)
-
-
-@st.composite
-def kernel_pairs(draw):
-    """Two ends or values: independent draws, the same object twice, or two
-    distinct Fraction objects of equal value."""
-    kind = draw(st.sampled_from(("any", "same", "equal")))
-    if kind == "any":
-        return draw(kernel_values), draw(kernel_values)
-    if kind == "same":
-        x = draw(kernel_values)
-        return x, x
-    x = draw(st.one_of(rationals(), big_fractions))
-    k = draw(st.integers(2, 10**6))
-    return x, F(x.numerator * k, x.denominator * k)
-
-
 class TestComparisonKernel:
-    """`_lt`/`_eq` read Fraction slots; they must agree with `<`/`==`."""
-
-    @given(kernel_pairs())
-    def test_agrees_with_the_operators(self, pair):
-        x, y = pair
-        assert _lt(x, y) == (x < y) and _lt(y, x) == (y < x)
-        assert _eq(x, y) == (x == y) and _eq(y, x) == (y == x)
-
-    @given(kernel_values, st.integers(-10**6, 10**6), st.integers(1, 10**6),
-           st.integers(1, 50))
-    def test_side_agrees_with_the_operators(self, e, n, d, k):
-        # the crossing n/d comes unreduced, so it is scaled here by k
-        x0 = F(n, d)
-        assert _side(e, n * k, d * k) == (e > x0) - (e < x0)
-
-    def test_fresh_infinities_are_not_the_constants(self):
-        neg, pos = -math.inf, float("inf")
-        assert neg is not NEG_INF and pos is not POS_INF
-        assert _eq(neg, NEG_INF) and _eq(pos, POS_INF)
-        assert _lt(neg, F(-10**9)) and _lt(F(10**9), pos) and _lt(neg, pos)
-        assert not _lt(pos, F(0)) and not _eq(F(0), neg)
+    """`int` ends go through the kernel's plain-operator fallback."""
 
     def test_int_ends_take_the_fallback(self):
         # is_finite accepts int ends; the kernel compares them with the operators
