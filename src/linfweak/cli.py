@@ -60,13 +60,14 @@ def _policy_from(problem: ProblemFile) -> Policy:
         bad = [a for a in grid if a <= 0]
         if bad:
             raise ProblemError(f"alpha-grid entries must be positive: {bad}")
-        policy.alpha_grid = sorted(grid)
+        policy.alpha_grid = sorted(set(grid))  # a repeated alpha adds no cell
     subseq = problem.get("subseq")
     if subseq is not None:
         named = {name: fn for name, fn in DEFAULT_STRATEGIES}
         parts = [p.strip() for p in subseq.split(",")]
         if all(p in named for p in parts):
-            policy.strategies = [(p, named[p]) for p in parts]
+            # the first occurrence of each name: a repeat adds no row
+            policy.strategies = [(p, named[p]) for p in dict.fromkeys(parts)]
         else:
             try:
                 indices = [int(p) for p in parts]

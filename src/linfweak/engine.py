@@ -177,16 +177,15 @@ def intersection_measure(family: SequenceFamily, subseq: Sequence[int],
     for k in subseq[:J]:
         s = family.term(k).superlevel(alpha)
         inter = s if inter is None else inter.intersect(s)
-    return _identity_checked(inter, v_inf(family, subseq, J), alpha)
+    return _identity_checked(inter, v_inf(family, subseq, J).superlevel(alpha))
 
 
-def _identity_checked(inter: IntervalSet, vj: PiecewiseFn, alpha: Fraction,
+def _identity_checked(inter: IntervalSet, above: IntervalSet,
                       window: Optional[IntervalSet] = None):
     """The measure of the superlevel intersection, after checking that it
-    equals the measure of { v_J > alpha } computed from v_J (both inside the
-    window, when one is given)."""
+    equals the measure of { v_J > alpha } (`above`, computed from v_J; both
+    inside the window, when one is given)."""
     direct = inter.measure()
-    above = vj.superlevel(alpha)
     via_v = (above if window is None else above.intersect(window)).measure()
     if direct != via_v:
         raise EngineError(
@@ -194,13 +193,31 @@ def _identity_checked(inter: IntervalSet, vj: PiecewiseFn, alpha: Fraction,
     return direct
 
 
+@dataclass
+class _CallStore:
+    """The exact objects of one engine call, each built once however many
+    alphas, windows, rows or subsequences share it.  A store belongs to one
+    call and is never kept at module level.
+
+    minima       subsequence prefix -> v_J
+    term_levels  alpha -> k -> A_alpha(u_k)
+    vj_levels    alpha -> prefix -> { v_J > alpha }
+
+    The level sets are keyed by alpha first, so that a walk hashes its
+    alpha once and each cell looks up an int or a tuple of ints.
+    """
+
+    minima: dict = field(default_factory=dict)
+    term_levels: dict = field(default_factory=dict)
+    vj_levels: dict = field(default_factory=dict)
+
+
 def _prefix_minima(family: SequenceFamily, subseq: Sequence[int],
                    minima: dict):
-    """Yield v_1, v_2, ... along subseq, each v_J as min(v_{J-1}, |u_kJ|).
+    """Yield (prefix, v_J) for J = 1, 2, ... along subseq, each v_J as
+    min(v_{J-1}, |u_kJ|) and each prefix the tuple of the first J indices.
 
-    `minima` maps subsequence prefixes to their v_J.  It belongs to one
-    engine call (never to the module), so a prefix is built once per call
-    however many alphas, windows, rows or subsequences share it.
+    `minima` maps prefixes to their v_J (see `_CallStore`).
     """
     if subseq:
         _check_subseq(subseq, 1)
@@ -214,27 +231,37 @@ def _prefix_minima(family: SequenceFamily, subseq: Sequence[int],
                 cached = min_of([vj, cached])
             minima[prefix] = cached
         vj = cached
-        yield vj
+        yield prefix, vj
 
 
 def _walk(family: SequenceFamily, subseq: Sequence[int], alpha: Fraction,
-          minima: dict, window: Optional[IntervalSet] = None):
+          store: _CallStore, window: Optional[IntervalSet] = None):
     """Yield (J, intersection measure) for J = 1, 2, ... along subseq.
 
     The subsequence is walked once: the superlevel intersection of step J is
     the one of step J-1 intersected with A_alpha(u_kJ), and v_J comes from
     `_prefix_minima`.  With a window, the intersection starts from the
-    window and both sides of the identity are measured inside it; v_J
-    depends on neither alpha nor the window, so one `minima` serves every
-    (window, alpha).  Each cell is checked against the criterion identity
-    as in `intersection_measure`.
+    window and both sides of the identity are measured inside it.  Neither
+    A_alpha(u_k), v_J nor { v_J > alpha } depends on the window, so the
+    store serves them to every (window, row) of the call.  Each cell is
+    checked against the criterion identity as in `intersection_measure`.
     """
     inter = window
-    for J, (k, vj) in enumerate(zip(subseq, _prefix_minima(family, subseq, minima)),
-                                start=1):
-        s = family.term(k).superlevel(alpha)
+    levels = store.term_levels.setdefault(alpha, {})
+    above_of = store.vj_levels.setdefault(alpha, {})
+    for J, (prefix, vj) in enumerate(_prefix_minima(family, subseq, store.minima),
+                                     start=1):
+        k = prefix[-1]
+        s = levels.get(k)
+        if s is None:
+            s = levels[k] = family.term(k).superlevel(alpha)
+        above = above_of.get(prefix)
+        if above is None:
+            # v_1 is u_k1 itself when u_k1 >= 0, and so is its level set
+            above = above_of[prefix] = (
+                s if J == 1 and vj is family.term(k) else vj.superlevel(alpha))
         inter = s if inter is None else inter.intersect(s)
-        yield J, _identity_checked(inter, vj, alpha, window)
+        yield J, _identity_checked(inter, above, window)
 
 
 def _check_subseq(subseq, J):
@@ -339,7 +366,7 @@ def _try_summable_disjoint(family, policy):
         subseq = [strat(j) for j in range(1, j_zero + 1)]
         if subseq[-1] > policy.k_max:
             continue
-        *_, vj = _prefix_minima(family, subseq, minima)
+        *_, (_, vj) = _prefix_minima(family, subseq, minima)
         checks[name] = vj.ess_sup_norm()
         if checks[name] != 0:
             raise EngineError(f"summable-disjoint pigeonhole violated on {name}")
@@ -386,7 +413,7 @@ def _try_escape_bound(family, policy):
         j_bound = math.floor(2 * w / step) + 2
         row = {"eps": eps, "window": w, "J_bound": j_bound}
         if j_bound <= policy.j_max + 4:
-            *_, vj = _prefix_minima(family, range(1, j_bound + 1), minima)
+            *_, (_, vj) = _prefix_minima(family, range(1, j_bound + 1), minima)
             row["identity_norm"] = vj.ess_sup_norm()
             if row["identity_norm"] > eps:
                 raise EngineError("escape counting bound violated on identity")
@@ -418,7 +445,7 @@ def _try_kernel_witness(family, policy):
         return None
     cert = certs[0]
     checked = dict(_walk(family, list(range(1, min(policy.j_max, 12) + 1)),
-                         cert.alpha, {}))
+                         cert.alpha, _CallStore()))
     table = []
     for J in range(1, policy.j_max + 1):
         k_J = J
@@ -473,24 +500,25 @@ _SCHEMES = (_try_eventual_constant, _try_summable_disjoint,
 
 def _inconclusive(family, policy):
     return Verdict(family.name, INCONCLUSIVE, scheme=None,
-                   evidence={"table": _evidence_table(family, policy, {})},
+                   evidence={"table": _evidence_table(
+                       family, policy, _spot_alphas(family, policy), _CallStore())},
                    trust="no certificate scheme applied; the table shows exact "
                          "measures for the tested (alpha, subsequence, J) cells "
                          "only and decides nothing beyond them")
 
 
-def _evidence_table(family, policy, minima, window=None):
+def _evidence_table(family, policy, alphas, store, window=None):
     """The exact evidence table over the (alpha, subsequence, J) cells.
 
-    The cells are every alpha of the grid, every strategy (indices up to
-    k_max) and every extra subsequence, with J <= j_max; a row ends at its
-    first null intersection.  Each subsequence is walked once per alpha
-    (see `_walk`), so every cell extends the previous cell's intersection by
-    one set and v_J comes from `minima`; the criterion identity (sets
-    against v_J) is still checked on every cell.  With a window every cell
-    is measured inside it: the localized table is this one, per window.
+    The cells are every alpha of `alphas` (`_spot_alphas`), every strategy
+    (indices up to k_max) and every extra subsequence, with J <= j_max; a
+    row ends at its first null intersection.  Each subsequence is walked
+    once per alpha (see `_walk`), so every cell extends the previous cell's
+    intersection by one set, and v_J and both level sets come from the
+    store; the criterion identity (sets against v_J) is still checked on
+    every cell.  With a window every cell is measured inside it: the
+    localized table is this one, per window.
     """
-    alphas = _spot_alphas(family, policy)
     strategies = []
     for name, strat in policy.resolved_strategies():
         subseq = []
@@ -506,7 +534,7 @@ def _evidence_table(family, policy, minima, window=None):
              for subseq in policy.extra_subsequences for alpha in alphas]
     table = []
     for label, subseq, alpha in rows:
-        for J, m in islice(_walk(family, subseq, alpha, minima, window),
+        for J, m in islice(_walk(family, subseq, alpha, store, window),
                            policy.j_max):
             table.append({"alpha": alpha, "subsequence": label, "J": J,
                           "measure": m})

@@ -30,7 +30,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy, Verdict,
-                     Witness, _evidence_table, test_weak_null)
+                     Witness, _CallStore, _evidence_table, _spot_alphas,
+                     test_weak_null)
 from .families import (ExplicitListFamily, LowerEnvelope, MonotoneEnvelope,
                        SequenceFamily, SuperlevelKernel, SupportEnvelope,
                        TranslateFamily)
@@ -389,14 +390,16 @@ _LOCAL_SCHEMES = (_local_translate, _local_kernel, _local_floor, _local_vanishin
 
 def _local_inconclusive(family, x0, policy, ell_max):
     """The global evidence table inside each non-empty canonical
-    neighborhood, its rows tagged with ell; v_J is shared by every window."""
+    neighborhood, its rows tagged with ell.  The alphas, v_J and the level
+    sets are shared by every window through one store."""
     rows = []
-    minima: dict = {}
+    alphas = _spot_alphas(family, policy)
+    store = _CallStore()
     for ell in range(1, ell_max + 1):
         w = neighborhood(family.domain, x0, ell)
         if not w.is_empty():
             rows += [{"ell": ell, **row}
-                     for row in _evidence_table(family, policy, minima, w)]
+                     for row in _evidence_table(family, policy, alphas, store, w)]
     return Verdict(family.name, INCONCLUSIVE, evidence={"x0": str(x0), "table": rows},
                    trust="no local scheme applied; exact restricted measures "
                          "for the tested cells only")

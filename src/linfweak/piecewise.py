@@ -37,6 +37,17 @@ sign of a slope, since a x + b - c = a (x - x0); no point is sampled.
 ``exceeds`` is that one walk: it builds no difference function u - v, so
 ``ne_set`` and the monotone-envelope check validate no new function.
 
+The two kernels behind v_J = min_j |u_kj| and its level sets build each
+output object once.  `_min2` keeps each common cell as local ends and flags
+(no cell ``Interval``) and joins each winning law to the open run as it is
+emitted, by the rule of `_coalesced`; a run becomes one ``Piece`` at the
+end, or stays the input piece whose ends and law it has.  `_level_set`,
+behind ``superlevel``, ``gt_set`` and ``support``, emits each piece's part
+above the upper level and part below the lower level in x order, joins
+touching parts as they come and returns the parts as they stand, with no
+sorting or normalizing pass; a part that is a whole piece is that piece's
+own ``Interval``.
+
 That arithmetic is the kernel of :mod:`linfweak.rational`: each crossing
 x0 is an unreduced integer pair (``crossing``), each cell end is compared
 with it by one cross product (``side``), and a ``Fraction`` is built only
@@ -414,32 +425,18 @@ class PiecewiseFn:
 
     def gt_set(self, c) -> IntervalSet:
         """{ x : u(x) > c }, exact with strict-inequality endpoint flags."""
-        c = rat(c)
-        return IntervalSet.of(*[_linear(p, c, True) for p in self.pieces])
+        return _level_set(self.pieces, rat(c), None)
 
     def superlevel(self, alpha) -> IntervalSet:
         """A_alpha(u) = { x : |u(x)| > alpha }, alpha > 0."""
         alpha = rat(alpha)
-        if alpha <= 0:
+        if alpha._numerator <= 0:
             raise ValueError("superlevel requires alpha > 0")
-        below = -alpha
-        parts = []
-        for p in self.pieces:
-            parts.append(_linear(p, alpha, True))
-            parts.append(_linear(p, below, False))
-        return IntervalSet.of(*parts)
+        return _level_set(self.pieces, alpha, -alpha)
 
     def support(self) -> IntervalSet:
-        """{ u != 0 } up to a null set (per-piece; sloped pieces count whole)."""
-        parts = []
-        for p in self.pieces:
-            if eq(p.slope, _ZERO):
-                if not eq(p.intercept, _ZERO):
-                    parts.append(p.interval)
-            else:
-                parts.append(_linear(p, _ZERO, True))
-                parts.append(_linear(p, _ZERO, False))
-        return IntervalSet.of(*parts)
+        """{ u != 0 }: a sloped piece loses only its root."""
+        return _level_set(self.pieces, _ZERO, _ZERO)
 
     def exceeds(self, other: "PiecewiseFn") -> IntervalSet:
         """{ x : u(x) > v(x) }, exact with strict-inequality endpoint flags.
@@ -542,31 +539,76 @@ def _abs_piece(p: Piece) -> tuple[Piece, ...]:
             Piece(Interval(root, iv.hi, False, iv.hi_closed), *right))
 
 
+def _half_ends(iv: Interval, n: int, d: int, right: bool):
+    """iv n (x0, +inf) when right, else iv n (-inf, x0), for x0 = n/d, as
+    (lo, hi, lo_closed, hi_closed, whole), where whole is iv itself when the
+    part is all of iv and None otherwise; None when the part is empty."""
+    lo, hi = iv.lo, iv.hi
+    if right:
+        near = side(lo, n, d)
+        if near > 0:
+            return lo, hi, iv.lo_closed, iv.hi_closed, iv
+        if side(hi, n, d) <= 0:
+            return None
+        return lo if near == 0 else Fraction(n, d), hi, False, iv.hi_closed, None
+    near = side(hi, n, d)
+    if near < 0:
+        return lo, hi, iv.lo_closed, iv.hi_closed, iv
+    if side(lo, n, d) >= 0:
+        return None
+    return lo, hi if near == 0 else Fraction(n, d), iv.lo_closed, False, None
+
+
 def _half(iv: Interval, n: int, d: int, right: bool) -> "Interval | None":
     """iv n (x0, +inf) when right, else iv n (-inf, x0), for x0 = n/d."""
-    sign = 1 if right else -1
-    near = side(iv.lo if right else iv.hi, n, d) * sign
-    if near > 0:
-        return iv
-    if side(iv.hi if right else iv.lo, n, d) * sign <= 0:
+    got = _half_ends(iv, n, d, right)
+    if got is None:
         return None
-    if right:
-        return Interval(iv.lo if near == 0 else Fraction(n, d), iv.hi, False, iv.hi_closed)
-    return Interval(iv.lo, iv.hi if near == 0 else Fraction(n, d), iv.lo_closed, False)
+    return got[4] or Interval(*got[:4])
 
 
-def _linear(p: Piece, c: Fraction, up: bool) -> "Interval | None":
-    """{x in piece : a x + b > c} when up, {x in piece : a x + b < c}
-    otherwise.  A sloped piece (always bounded) has a x + b - c = a (x - x0)
-    at the level crossing x0, so it keeps its part right of x0 when the
-    sign of a agrees with the direction and its part left of x0 when not."""
-    a, b = p.slope, p.intercept
-    if a._numerator == 0:
-        if up:
-            return p.interval if lt(c, b) else None
-        return p.interval if lt(b, c) else None
-    s, n, d = crossing(a, b, _ZERO, c)
-    return _half(p.interval, n, d, (s > 0) == up)
+def _level_set(pieces: Sequence[Piece], up, down) -> IntervalSet:
+    """{ a x + b > up } united with { a x + b < down } over the pieces, in one
+    walk (a level of None adds nothing).  Each piece gives its parts in x
+    order: a sloped piece has a x + b - c = a (x - x0) at the crossing x0 of
+    the level c, so its part below comes first when a > 0 and its part above
+    when a < 0.  The pieces are ordered and disjoint, hence so are the
+    parts: a part that starts where the open run ends, one of the two ends
+    closed, extends the run, and each run becomes one Interval when it
+    closes, or stays the piece's own interval when it is that whole
+    interval."""
+    out = []
+    lo = hi = None  # the open run; lo is None until the first part
+    lo_closed = hi_closed = False
+    whole = None
+    for p in pieces:
+        iv, a, b = p.interval, p.slope, p.intercept
+        an = a._numerator
+        if an == 0:
+            if (up is None or not lt(up, b)) and (down is None or not lt(b, down)):
+                continue
+            cuts = ((iv.lo, iv.hi, iv.lo_closed, iv.hi_closed, iv),)
+        else:
+            cuts = []
+            # (level, keep the part right of its crossing), in x order
+            for c, right in (((down, False), (up, True)) if an > 0
+                             else ((up, False), (down, True))):
+                if c is not None:
+                    _, n, d = crossing(a, b, _ZERO, c)
+                    got = _half_ends(iv, n, d, right)
+                    if got is not None:
+                        cuts.append(got)
+        for part_lo, part_hi, part_lo_closed, part_hi_closed, part in cuts:
+            if lo is not None and (hi_closed or part_lo_closed) and eq(part_lo, hi):
+                hi, hi_closed, whole = part_hi, part_hi_closed, None
+                continue
+            if lo is not None:
+                out.append(whole or Interval(lo, hi, lo_closed, hi_closed))
+            lo, hi, lo_closed, hi_closed, whole = (part_lo, part_hi, part_lo_closed,
+                                                   part_hi_closed, part)
+    if lo is not None:
+        out.append(whole or Interval(lo, hi, lo_closed, hi_closed))
+    return IntervalSet(tuple(out))
 
 
 def min_of(fns: Sequence[PiecewiseFn]) -> PiecewiseFn:
@@ -584,31 +626,85 @@ def min_of(fns: Sequence[PiecewiseFn]) -> PiecewiseFn:
 
 
 def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
+    """min(u, v) in one walk over the two piece lists, advancing whichever
+    piece ends first.  Each common cell stays four local ends and flags.
+    The law that wins on it (or on each side of the crossing that cuts it)
+    extends the open run when the run ends where the cell starts, one end
+    closed and one open, with the same slope and intercept, as `_coalesced`
+    would join them.  A run becomes one Piece when the walk ends: the input
+    piece whose law it carries, when the run has that piece's own ends, or
+    one new Interval and Piece."""
     u._same_domain(v)
-    pieces = []
-    for cell, (a1, b1), (a2, b2) in u._cells_with(v):
-        s, n, d = crossing(a1, b1, a2, b2)
-        if s == 0:
-            if not lt(b2, b1):
-                pieces.append(Piece(cell, a1, b1))
-            else:
-                pieces.append(Piece(cell, a2, b2))
-            continue
-        # u is the lower law left of the crossing x0 when a1 > a2 and right
-        # of it when a1 < a2
-        left, right = ((a1, b1), (a2, b2)) if s > 0 else ((a2, b2), (a1, b1))
-        lo_side = side(cell.lo, n, d)
-        if lo_side >= 0:
-            # right of x0; on the point cell x0 the two laws tie: keep u's
-            point_at_x0 = lo_side == 0 and eq(cell.lo, cell.hi)
-            pieces.append(Piece(cell, *((a1, b1) if point_at_x0 else right)))
-        elif side(cell.hi, n, d) <= 0:
-            pieces.append(Piece(cell, *left))
+    ps, qs = u.pieces, v.pieces
+    runs = []  # [lo, hi, lo_closed, hi_closed, slope, intercept, the piece
+    #            whose law the run carries]
+    i = j = 0
+    while i < len(ps) and j < len(qs):
+        p, q = ps[i], qs[j]
+        pv, qv = p.interval, q.interval
+        # the common cell, and which piece ends first
+        plo, qlo = pv.lo, qv.lo
+        if eq(plo, qlo):
+            lo, lo_closed = plo, pv.lo_closed and qv.lo_closed
+        elif lt(qlo, plo):
+            lo, lo_closed = plo, pv.lo_closed
         else:
-            x0 = Fraction(n, d)
-            pieces.append(Piece(Interval(cell.lo, x0, cell.lo_closed, True), *left))
-            pieces.append(Piece(Interval(x0, cell.hi, False, cell.hi_closed), *right))
-    return PiecewiseFn(u.domain, _coalesced(pieces))
+            lo, lo_closed = qlo, qv.lo_closed
+        phi, qhi = pv.hi, qv.hi
+        if eq(phi, qhi):
+            hi, hi_closed = phi, pv.hi_closed and qv.hi_closed
+            if pv.hi_closed == qv.hi_closed:
+                i += 1
+                j += 1
+            elif qv.hi_closed:
+                i += 1
+            else:
+                j += 1
+        elif lt(phi, qhi):
+            hi, hi_closed = phi, pv.hi_closed
+            i += 1
+        else:
+            hi, hi_closed = qhi, qv.hi_closed
+            j += 1
+        if not lt(lo, hi) and (not (lo_closed and hi_closed) or lt(hi, lo)):
+            continue  # the pieces do not meet
+        a1, b1, a2, b2 = p.slope, p.intercept, q.slope, q.intercept
+        s, n, d = crossing(a1, b1, a2, b2)
+        end, end_closed, cut = hi, hi_closed, False
+        if s == 0:
+            win = q if lt(b2, b1) else p
+        else:
+            # u is the lower law left of the crossing x0 when a1 > a2 and
+            # right of it when a1 < a2
+            left, right = (p, q) if s > 0 else (q, p)
+            lo_side = side(lo, n, d)
+            if lo_side >= 0:
+                # right of x0; on the point cell x0 the two laws tie: keep u's
+                win = p if lo_side == 0 and eq(lo, hi) else right
+            else:
+                win = left
+                cut = side(hi, n, d) > 0
+                if cut:
+                    end, end_closed = Fraction(n, d), True
+        a, b = win.slope, win.intercept
+        last = runs[-1] if runs else None
+        if (last is not None and last[3] != lo_closed and eq(last[1], lo)
+                and (last[4] is a or eq(last[4], a)) and (last[5] is b or eq(last[5], b))):
+            last[1], last[3] = end, end_closed
+        else:
+            runs.append([lo, end, lo_closed, end_closed, a, b, win])
+        if cut:
+            # cut at the crossing: the other law wins right of it
+            runs.append([end, hi, False, hi_closed, right.slope, right.intercept, right])
+    pieces = []
+    for lo, hi, lo_closed, hi_closed, a, b, source in runs:
+        iv = source.interval
+        if (lo_closed == iv.lo_closed and hi_closed == iv.hi_closed
+                and eq(lo, iv.lo) and eq(hi, iv.hi)):
+            pieces.append(source)
+        else:
+            pieces.append(Piece(Interval(lo, hi, lo_closed, hi_closed), a, b))
+    return PiecewiseFn(u.domain, tuple(pieces))
 
 
 def _coalesced(pieces: Sequence[Piece]) -> tuple[Piece, ...]:

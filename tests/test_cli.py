@@ -161,6 +161,32 @@ class TestTasks:
         assert "result.kind = null-certified" in out
         assert f"result.evidence.vanishing_from = {k0}" in out
 
+    @pytest.mark.parametrize("repeat", [
+        "alpha-grid = 1/2, 1/4, 1/2\nsubseq = identity, odd\n",
+        "alpha-grid = 1/2, 1/4\nsubseq = identity, odd, identity\n",
+        "alpha-grid = 1/4, 1/2, 1/4, 1/2\nsubseq = identity, identity, odd\n",
+    ], ids=("alpha", "strategy", "both"))
+    def test_repeated_alpha_or_strategy_gives_one_row_per_cell(self, tmp_path, repeat):
+        # ell-max past k-max: the local kernel declines and the table answers
+        base = "task = weaknull-at\nfamily = tents\npoint = 0\nell-max = 49\nbudget-j = 3\n"
+
+        def rows(text):
+            code, out, _ = invoke(["weaknull-at", write(tmp_path, "p.cfg", text),
+                                   "--format", "machine"])
+            assert code == 3 and "result.kind = inconclusive" in out
+            table = {}
+            for line in out.splitlines():
+                if line.startswith("result.evidence.table."):
+                    key, value = line[len("result.evidence.table."):].split(" = ")
+                    n, field = key.split(".")
+                    table.setdefault(int(n), {})[field] = value
+            return [table[n] for n in sorted(table)]
+
+        got = rows(base + repeat)
+        cells = [(r["ell"], r["alpha"], r["subsequence"], r["J"]) for r in got]
+        assert len(cells) == len(set(cells))
+        assert got == rows(base + "alpha-grid = 1/2, 1/4\nsubseq = identity, odd\n")
+
     def test_essrange(self, tmp_path):
         cfg = write(tmp_path, "p.cfg",
                     "task = essrange\ndomain = [0,1)\n"

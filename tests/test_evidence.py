@@ -200,3 +200,50 @@ class TestIdentityGuard:
         monkeypatch.setattr(engine, "min_of", _first_term_only)
         with pytest.raises(EngineError, match="criterion identity violated"):
             test_weak_null(family_by_name("tents"))
+
+
+class TestOneBuildPerCall:
+    """Within one engine call each A_alpha(u_k) is built once per (k, alpha)
+    and each { v_J > alpha } once per (prefix, alpha), however many windows,
+    rows and subsequences share them; the rows stay the cell-by-cell
+    rebuild."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        built, keep = {}, []
+        superlevel = PiecewiseFn.superlevel
+
+        def counted(u, alpha):
+            keep.append(u)  # no id is reused while the counts are read
+            key = (id(u), alpha)
+            built[key] = built.get(key, 0) + 1
+            return superlevel(u, alpha)
+
+        monkeypatch.setattr(PiecewiseFn, "superlevel", counted)
+        return built
+
+    @pytest.mark.parametrize("name", BARE)
+    def test_global_table(self, name, monkeypatch):
+        policy = Policy(j_max=8)
+        rebuilt = rebuilt_table(bare(name), policy)
+        built = self._count_builds(monkeypatch)
+        verdict = test_weak_null(bare(name), policy)
+        assert verdict.evidence["table"] == rebuilt
+        assert built and max(built.values()) == 1
+
+    @pytest.mark.parametrize("name", BARE)
+    def test_local_table(self, name, monkeypatch):
+        family, x0, policy, ell_max = bare(name), ExtPoint.at(0), Policy(j_max=6), 8
+        windows = [(ell, neighborhood(family.domain, x0, ell))
+                   for ell in range(1, ell_max + 1)]
+        rebuilt = [{"ell": ell, **row} for ell, w in windows if not w.is_empty()
+                   for row in rebuilt_table(family, policy, w)]
+        built = self._count_builds(monkeypatch)
+        grids = []
+        grid = engine.default_alpha_grid
+        monkeypatch.setattr(engine, "default_alpha_grid",
+                            lambda *args: grids.append(args) or grid(*args))
+        verdict = localize._local_inconclusive(family, x0, policy, ell_max)
+        assert verdict.evidence["table"] == rebuilt
+        assert built and max(built.values()) == 1
+        assert len(grids) == 1

@@ -9,6 +9,7 @@ from conftest import (ORACLE_DOMAIN, function_probes, grid_points, interval_sets
 from linfweak.piecewise import (EvaluationError, Piece, PiecewiseFn,
                                 UnsupportedOperationError, _coalesced, min_of)
 from linfweak.corpus import FAMILIES, family_by_name
+from linfweak.engine import default_alpha_grid
 from linfweak.families import MappedStepFamily, TentFamily
 from linfweak.sets import (NEG_INF, POS_INF, Domain, Interval, IntervalSet,
                            SetAlgebraError, closed, ico, ioc, ivl, opened, point)
@@ -724,6 +725,37 @@ class TestKernelDifferential:
         triples = [(p.interval, p.slope, p.intercept) for p in u.pieces]
         rng.shuffle(triples)
         assert PiecewiseFn.from_pieces(u.domain, triples) == u
+
+
+DEPTH_FAMILIES = ("tents", "escape-translates", "sided-translates",
+                  "dyadic-indicators-plus", "summable-disjoint")
+DEPTH_STRATEGIES = {"identity": lambda j: j, "even": lambda j: 2 * j,
+                    "odd": lambda j: 2 * j - 1, "dyadic": lambda j: 2 ** j}
+
+
+class TestBenchmarkDepth:
+    """The v_J folds of the evidence families, J up to 48 along each default
+    strategy (indices up to 96), and their level sets at the default alpha
+    grid, against the Fraction-operator reference at every J."""
+
+    @pytest.mark.parametrize("strategy", DEPTH_STRATEGIES)
+    @pytest.mark.parametrize("name", DEPTH_FAMILIES)
+    def test_v_j_folds_and_level_sets(self, name, strategy):
+        family = family_by_name(name)
+        alphas = default_alpha_grid(family, 12)
+        ks = [DEPTH_STRATEGIES[strategy](j) for j in range(1, 49)]
+        terms = [family.term(k).abs_fn() for k in ks if k <= 96]
+        vj = want = None
+        for t in terms:
+            got = min_of([t] if vj is None else [vj, t])
+            want = ref_min_of([t]) if vj is None else _ref_min2(want, t)
+            _assert_same(got, want, *([t] if vj is None else [vj, t]))
+            vj = got
+            _assert_canonical(vj.pieces)
+            for alpha in alphas:
+                _assert_same(vj.superlevel(alpha), ref_superlevel(vj, alpha), vj)
+                _assert_same(vj.gt_set(alpha), ref_gt_set(vj, alpha), vj)
+            _assert_same(vj.support(), ref_support(vj), vj)
 
 
 # -- the cut sweep ------------------------------------------------------------
