@@ -11,7 +11,8 @@ certifies non-nullity through a kernel or norm-floor witness.  Everything
 else is reported as Inconclusive together with the exact evidence table.
 
 Schemes, tried in `_SCHEMES` order; the first verdict wins:
-  eventual-constant      explicit lists that repeat their last term
+  eventual-constant      families whose terms equal one tail f from some
+                         k0 on (`eventual_tail`): null iff f = 0 a.e.
   summable-disjoint      finitely many disjoint indicator layers force
                          v_J = 0 once J exceeds the layer count
   disjoint-supports      any two indices already give a null intersection
@@ -39,8 +40,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from .enclosure import RatInterval, sin_of_pi_multiple
 from .families import (CertificateError, CertReport, DisjointSupports,
-                       EscapeBound, ExplicitListFamily, MonotoneEnvelope,
-                       NormLimit, SequenceFamily, SinReciprocalFamily,
+                       EscapeBound, MonotoneEnvelope, NormLimit,
+                       SequenceFamily, SinReciprocalFamily,
                        SummableDisjointFamily, SuperlevelKernel,
                        verify_certificate, verify_norm_bound)
 from .numtheory import dyadic_divisibility_subsequence, nested_midpoint
@@ -328,11 +329,11 @@ def _spot_alphas(family, policy):
 
 
 def _try_eventual_constant(family, policy):
-    if not isinstance(family, ExplicitListFamily):
+    found = family.eventual_tail()
+    if found is None:
         return None
-    tail = family.tail_constant()
+    start, tail = found
     c = tail.ess_sup_norm()
-    start = len(family.terms)
     if c == 0:
         return Verdict(family.name, NULL, scheme="eventual-constant",
                        evidence={"tail_norm": c, "list_length": start},

@@ -17,13 +17,14 @@ through `PiecewiseFn.exceeds`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .enclosure import RatInterval, pi_enclosure, sin_of_pi_multiple, sin_of_rational
 from .piecewise import PiecewiseFn
-from .points import ExtPoint, WitnessPoint
+from .points import ExtPoint, WitnessPoint, accumulates_at
 from .sets import (Domain, IntervalSet, first_overlap, ico, ioc, ivl, opened,
                    point, rat)
 
@@ -75,8 +76,9 @@ class DisjointSupports:
 @dataclass(frozen=True)
 class SuperlevelKernel:
     """kernel(k) is a positive-measure subset of A_alpha(u_k), nested
-    decreasing in k; optionally the kernels accumulate at a point of the
-    one-point compactification."""
+    decreasing in k; optionally every kernel accumulates at a point of the
+    one-point compactification (has positive measure in each of its
+    neighborhoods)."""
     alpha: Fraction
     kernel: Callable[[int], IntervalSet]
     accumulation: Optional[ExtPoint] = None
@@ -100,6 +102,16 @@ class SuperlevelKernel:
                                   f"kernel({k}) is not nested in kernel({k-1})",
                                   counterexample_k=k, witness=ker.difference(prev))
             prev = ker
+        at, carrier = self.accumulation, family.domain.carrier
+        if at is not None and prev is not None and \
+                not accumulates_at(prev, at, carrier):
+            # each kernel holds the later ones up to a null set, so the
+            # kernels accumulate at the point up to the first k that fails
+            k = next(k for k in range(1, budget + 1)
+                     if not accumulates_at(self.kernel(k), at, carrier))
+            return CertReport(self.name, False, budget,
+                              f"kernel({k}) does not accumulate at {at}",
+                              counterexample_k=k, witness=self.kernel(k))
         return CertReport(self.name, True, budget)
 
 
@@ -252,6 +264,12 @@ class SequenceFamily:
     def certificates_of(self, kind) -> list:
         return [c for c in self.certificates if isinstance(c, kind)]
 
+    def eventual_tail(self, x0: Optional[ExtPoint] = None):
+        """(k0, f) when u_k = f near x0 for every k >= k0 (on the whole
+        carrier when x0 is None), exactly; None when the family's form
+        gives no such tail."""
+        return None
+
     def abs_mapped(self) -> "SequenceFamily":
         """The family |u_k|.  All certificate kinds here only constrain |u_k|,
         so they carry over unchanged."""
@@ -287,8 +305,9 @@ class ExplicitListFamily(SequenceFamily):
     def _term(self, k):
         return self.terms[k - 1] if k <= len(self.terms) else self.terms[-1]
 
-    def tail_constant(self) -> PiecewiseFn:
-        return self.terms[-1]
+    def eventual_tail(self, x0=None):
+        """The last term, on the whole carrier, from k0 = len(terms) on."""
+        return len(self.terms), self.terms[-1]
 
     def abs_mapped(self):
         return ExplicitListFamily(self.domain, [t.abs_fn() for t in self.terms],
@@ -338,6 +357,22 @@ class TranslateFamily(SequenceFamily):
         if not pts:
             return (Fraction(0), Fraction(0))
         return (pts[0], pts[-1])
+
+    def eventual_tail(self, x0=None):
+        """At a finite point: once every breakpoint has moved left of the
+        unit ball around x0, u_k is the right tail limit of the profile on
+        the ball, from k0 = ceil((last breakpoint - (x0 - 1)) / step) + 1 on.
+        The tail is u_k0 on the ball, checked exactly to be that constant.
+        Far translates settle near no point at infinity."""
+        if x0 is None or x0.is_infinite:
+            return None
+        lo = x0.x - 1
+        k0 = max(math.ceil((self.breakpoint_span()[1] - lo) / self.step) + 1, 1)
+        tail = self.term(k0).restrict(IntervalSet.of(opened(lo, x0.x + 1)))
+        if tail.add_const(-self.tail_limits()[1]).ess_sup_norm() != 0:
+            raise CertificateError("translate tail analysis produced a wrong "
+                                   "threshold", k=k0)
+        return k0, tail
 
     def abs_mapped(self):
         return TranslateFamily(self.profile.abs_fn(), self.step,

@@ -6,11 +6,14 @@ every term restricted to each (small enough) neighborhood of x0.  The
 canonical neighborhood base is balls (x0 - 1/l, x0 + 1/l) n X for finite x0
 and complements of an exhausting family of compacts for the point at
 infinity.  The criterion is monotone in the neighborhood (smaller windows
-only weaken it), so exact limits at x0 decide the localized verdict: a lower
-bound on |u_k| with a positive limit value t at x0 makes the family non-null
-there, with the constant kernel A_{t/2}(floor) as witness, and an upper
-bound valid for every k >= k0 with no positive limit value there makes it
-null.  No null verdict depends on `ell_max`.
+only weaken it), so exact limits at x0 decide the localized verdict, by two
+rules.  Nested kernels inside the superlevel sets with positive measure in
+every neighborhood of x0 make the family non-null there: the tail ray of a
+translate family at infinity, the kernels of a certificate that accumulate
+at x0, or the constant kernel A_{t/2}(f) of an eventual tail or lower bound
+f of |u_k| with a positive limit value t at x0.  An upper bound valid for
+every k >= k0 with no positive limit value at x0 makes it null.  Neither
+rule depends on `ell_max`, which bounds only the evidence table.
 
 When no local scheme applies, the evidence table is the engine's global
 table (`engine._evidence_table`, same alphas, subsequences and J) run inside
@@ -25,18 +28,16 @@ all escape routes together).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
 from .engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy, Verdict,
                      Witness, _CallStore, _evidence_table, _spot_alphas,
                      test_weak_null)
-from .families import (ExplicitListFamily, LowerEnvelope, MonotoneEnvelope,
-                       SequenceFamily, SuperlevelKernel, SupportEnvelope,
-                       TranslateFamily)
+from .families import (LowerEnvelope, MonotoneEnvelope, SequenceFamily,
+                       SuperlevelKernel, SupportEnvelope, TranslateFamily)
 from .piecewise import PiecewiseFn
-from .points import ExtPoint
+from .points import ExtPoint, accumulates_at, escape_points
 from .sets import Domain, IntervalSet, closed, is_finite, opened, point
 
 __all__ = ["ExtPoint", "neighborhood", "compact_exhaustion", "escape_points",
@@ -63,39 +64,6 @@ def neighborhood(domain: Domain, x0: ExtPoint, ell: int) -> IntervalSet:
     r = Fraction(1, ell)
     ball = IntervalSet.of(opened(x0.x - r, x0.x + r))
     return carrier.intersect(ball)
-
-
-def escape_points(carrier: IntervalSet) -> tuple[list[Fraction], bool, bool]:
-    """Finite boundary points not in the carrier, plus flags for escapes to
-    -inf / +inf.  These are the routes a set can take toward the point at
-    infinity."""
-    finite = []
-    to_neg = to_pos = False
-    for p in carrier.parts:
-        if is_finite(p.lo):
-            if not p.lo_closed:
-                finite.append(p.lo)
-        else:
-            to_neg = True
-        if is_finite(p.hi):
-            if not p.hi_closed:
-                finite.append(p.hi)
-        else:
-            to_pos = True
-    return sorted(set(finite)), to_neg, to_pos
-
-
-def accumulates_at(s: IntervalSet, x0: ExtPoint, carrier: IntervalSet) -> bool:
-    """Exact test: does s have positive measure in every neighborhood of x0?
-    A part of positive length does when its closure reaches x0; the point at
-    infinity is reached by an unbounded part or through an escape point of
-    the carrier."""
-    if not x0.is_infinite:
-        return any(not p.is_point() and p.lo <= x0.x <= p.hi for p in s.parts)
-    escapes = escape_points(carrier)[0]
-    return any(not p.is_point() and
-               (not p.is_bounded() or any(p.lo <= q <= p.hi for q in escapes))
-               for p in s.parts)
 
 
 def in_closure(domain: Domain, x0: ExtPoint) -> bool:
@@ -137,16 +105,19 @@ def essential_range_at(u: PiecewiseFn, x0: ExtPoint) -> IntervalSet:
     whose closure reaches x0 (through the carrier's escape routes, for the
     point at infinity) contribute, each with its limit value there."""
     _validate_point(u.domain, x0)
+    return IntervalSet.of(*[point(v) for v in _limit_values(u, x0)])
+
+
+def _limit_values(u: PiecewiseFn, x0: ExtPoint):
+    """The limit value at x0 of each non-null piece whose closure reaches it."""
     pts = escape_points(u.domain.carrier)[0] if x0.is_infinite else [x0.x]
-    vals: list[Fraction] = []
     for p in u.pieces:
         if p.is_null():
             continue
         iv = p.interval
         if x0.is_infinite and not iv.is_bounded():
-            vals.append(p.intercept)  # unbounded pieces have slope 0
-        vals += [p.value(q) for q in pts if iv.lo <= q <= iv.hi]
-    return IntervalSet.of(*[point(v) for v in vals])
+            yield p.intercept  # unbounded pieces have slope 0
+        yield from (p.value(q) for q in pts if iv.lo <= q <= iv.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +129,20 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
     """Weak nullity of the family at a point of the one-point compactification.
 
     Globally null families are null at every point (the restricted criterion
-    is weaker).  Otherwise the local schemes are tried in `_LOCAL_SCHEMES`
-    order and the first verdict wins: the witnesses first (translate tail
-    limits, kernels accumulating at x0, lower bounds with a positive limit
-    value at x0), then the vanishing upper bounds.  ell_max (at least 1) is
-    the number of canonical neighborhoods the kernel witness and the evidence
-    table look at; no null verdict depends on it.
+    is weaker).  Otherwise the two local rules are tried in `_LOCAL_SCHEMES`
+    order and the first verdict wins: the kernel witnesses, then the
+    vanishing upper bounds.  Both read the family's eventual tail at x0
+    (`_tail_at`), built once per call.  ell_max (at least 1) bounds only the
+    evidence table that answers when neither rule does: it is the number of
+    canonical neighborhoods the table looks at, and no certified verdict
+    depends on it.
     """
     if ell_max < 1:
         raise EngineError(f"ell_max must be at least 1, got {ell_max}")
     policy = policy or Policy()
     _validate_point(family.domain, x0)
     if family.evaluable:
-        return _local_evaluable(family, x0, policy, ell_max)
+        return _local_evaluable(family, x0)
 
     global_verdict = test_weak_null(family, policy)
     if global_verdict.is_null:
@@ -182,8 +154,9 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
                     cert_reports=global_verdict.cert_reports)
         return v
 
+    tail = _tail_at(family, x0)
     for scheme in _LOCAL_SCHEMES:
-        verdict = scheme(family, x0, policy, ell_max)
+        verdict = scheme(family, x0, policy, tail)
         if verdict is not None:
             return verdict
     return _local_inconclusive(family, x0, policy, ell_max)
@@ -192,150 +165,99 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
 test_weak_null_at.__test__ = False  # not a pytest case
 
 
-def _local_translate(family, x0, policy, ell_max):
-    if not isinstance(family, TranslateFamily):
-        return None
-    l_neg, l_pos = family.tail_limits()
-    lo_bp, hi_bp = family.breakpoint_span()
-    step = family.step
-    if x0.is_infinite:
-        if l_neg == 0 and l_pos == 0:
-            return None  # the global escape scheme should have caught this
-        side = l_neg if l_neg != 0 else l_pos
-        alpha = abs(side) / 2
-        sup = family.profile.superlevel(alpha)
-        ray = None
-        for p in sup.parts:
-            if (l_neg != 0 and not is_finite(p.lo)) or \
-               (l_neg == 0 and not is_finite(p.hi)):
-                ray = p
-        if ray is None:
-            return None
-        def kernel(k, _ray=ray, _s=step):
-            return IntervalSet.of(_ray).shift(-k * _s)
-        table = [{"ell": ell, "J": J, "note": "unbounded kernel ray in window"}
-                 for ell in range(1, ell_max + 1) for J in (1, policy.j_max)]
-        wit = Witness(alpha, "identity", kernel, table)
-        return Verdict(family.name, NONNULL, scheme="local-translate-tail",
-                       witness=wit,
-                       evidence={"x0": str(x0), "tail_limits": (str(l_neg), str(l_pos)),
-                                 "alpha": alpha},
-                       trust="the profile keeps |value| > alpha on an unbounded "
-                             "ray; its translates stay inside every neighborhood "
-                             "of infinity with infinite measure, exactly",
-                       )
-    # finite point: far translates are identically the right tail value on a ball
-    x = x0.x
-    radius = Fraction(1, 1)
-    window = neighborhood(family.domain, x0, 1)
-    thresh = math.ceil((hi_bp - (x - radius)) / step) + 1
-    thresh = max(thresh, 1)
-    if l_pos == 0:
-        restricted_norm = family.term(thresh).restrict(window).ess_sup_norm() \
-            if not window.is_empty() else Fraction(0)
-        if restricted_norm != 0:
-            raise EngineError("translate tail analysis produced a wrong threshold")
-        return Verdict(family.name, NULL, scheme="local-translate-vanishing",
-                       evidence={"x0": str(x0), "threshold": thresh,
-                                 "window_radius": radius},
-                       trust=f"u_k is identically 0 on the window for every "
-                             f"k >= {thresh} (all breakpoints lie left of the "
-                             f"shifted window), so v_J vanishes there for "
-                             f"J >= {thresh} along every subsequence; exact")
-    alpha = abs(l_pos) / 2
-    def kernel(k, _w=window):
-        return _w
-    table = [{"J": J, "k_J": thresh + J, "kernel_measure": window.measure()}
-             for J in range(1, policy.j_max + 1)]
-    wit = Witness(alpha, f"k_j = {thresh} + j", kernel, table)
-    return Verdict(family.name, NONNULL, scheme="local-translate-constant",
-                   witness=wit,
-                   evidence={"x0": str(x0), "tail_value": l_pos},
-                   trust=f"u_k is identically {l_pos} on the window for every "
-                         f"k >= {thresh}; exact")
-
-
-def _local_kernel(family, x0, policy, ell_max):
-    """Non-null at the certificate's accumulation point only: there the
-    nested kernels enter every neighborhood.  That they enter a window at
-    another point says nothing, since a window of radius 1/ell_max still
-    holds the accumulation point when x0 lies closer to it."""
-    for cert in family.certificates_of(SuperlevelKernel):
-        if cert.accumulation is None or cert.accumulation != x0:
-            continue
-        rows = []
-        ok = True
-        for ell in range(1, ell_max + 1):
-            w = neighborhood(family.domain, x0, ell)
-            if w.is_empty():
-                ok = False
-                break
-            k_star = None
-            for k in range(1, policy.k_max + 1):
-                ker = cert.kernel(k)
-                if ker.measure() > 0 and ker.subset_up_to_null(w):
-                    k_star = k
-                    break
-            if k_star is None:
-                ok = False
-                break
-            rows.append({"ell": ell, "k_star": k_star,
-                         "kernel_measure_in_window":
-                             cert.kernel(k_star).intersect(w).measure()})
-        if ok:
-            wit = Witness(cert.alpha, f"k_j = k*(ell) + j", cert.kernel, rows)
-            return Verdict(family.name, NONNULL, scheme="local-superlevel-kernel",
-                           witness=wit,
-                           evidence={"x0": str(x0), "alpha": cert.alpha},
-                           trust=f"for every tested neighborhood the nested "
-                                 f"kernels enter it and keep positive measure, "
-                                 f"so no finite intersection restricted to it "
-                                 f"is null; kernels verified to the budget and "
-                                 f"trusted beyond (ell <= {ell_max})")
-    return None
-
-
 def _top_limit(u: PiecewiseFn, x0: ExtPoint) -> Fraction:
     """The largest limit value of |u| at x0 (0 when there is none)."""
-    rng = essential_range_at(u.abs_fn(), x0)
-    return max((p.hi for p in rng.parts), default=Fraction(0))
+    return max(map(abs, _limit_values(u, x0)), default=Fraction(0))
 
 
-def _local_floor(family, x0, policy, ell_max):
-    """Non-null where a lower bound on |u_k|, fixed from some index on, has a
-    positive limit value t at x0: the constant kernel A_{t/2}(floor) lies in
-    every A_{t/2}(u_k) from that index on, with positive measure in every
+def _tail_at(family, x0):
+    """(k0, f, t) when u_k = f near x0 for every k >= k0
+    (`SequenceFamily.eventual_tail`), with t the largest limit value of |f|
+    at x0; None when the family gives no tail there."""
+    found = family.eventual_tail(x0)
+    if found is None:
+        return None
+    k0, f = found
+    return k0, f, _top_limit(f, x0)
+
+
+def _tail_ray(family: TranslateFamily):
+    """The profile keeps |value| > alpha = |l|/2 on a ray toward a side
+    whose limit l is not 0 (the left side first).  A_alpha(u_k) is
+    A_alpha(profile) shifted by -k*step: a left ray shifted so lies in
+    every earlier one, and a right ray shifted by one step lies in every
+    later one."""
+    l_neg, l_pos = family.tail_limits()
+    if l_neg == 0 and l_pos == 0:
+        return None
+    alpha = abs(l_neg or l_pos) / 2
+    left = l_neg != 0
+    ray = IntervalSet.of(next(p for p in family.profile.superlevel(alpha).parts
+                              if not is_finite(p.lo if left else p.hi)))
+    fixed = ray.shift(-family.step)
+    kernel = (lambda k: ray.shift(-k * family.step)) if left else (lambda k: fixed)
+    return ("local-translate-tail", alpha, 0, kernel,
+            {"tail_limits": (str(l_neg), str(l_pos))},
+            "the profile keeps |value| > alpha on an unbounded ray, which "
+            "has infinite measure in every neighborhood of infinity; exact")
+
+
+def _kernels(family, x0, tail):
+    """The kernel witnesses at x0, in the order they are tried, each as
+    (scheme, alpha, k0, kernel, evidence, why): kernel(k) lies in
+    A_alpha(u_j) for k0 < j <= k and keeps positive measure in every
     neighborhood of x0."""
-    floors = [(c.floor, "identity", "local-lower-envelope",
-               "|u_k| >= |floor| verified up to the certificate budget and "
-               "trusted beyond") for c in family.certificates_of(LowerEnvelope)]
-    if isinstance(family, ExplicitListFamily):
-        floors.insert(0, (family.tail_constant(), f"k_j = {len(family.terms)} + j",
-                          "local-eventual-constant", "the tail repeats; exact"))
-    for floor, subsequence, scheme, why in floors:
-        top = _top_limit(floor, x0)
+    if x0.is_infinite and isinstance(family, TranslateFamily):
+        ray = _tail_ray(family)
+        if ray is not None:
+            yield ray
+    for cert in family.certificates_of(SuperlevelKernel):
+        if cert.accumulation == x0:
+            yield ("local-superlevel-kernel", cert.alpha, 0, cert.kernel, {},
+                   "the kernels, their nesting and their accumulation at the "
+                   "point verified up to the certificate budget and trusted "
+                   "beyond")
+    floors = [] if tail is None else [
+        (*tail, "local-eventual-constant",
+         f"u_k equals the tail f near the point for k >= {tail[0]}; exact")]
+    floors += [(0, c.floor, _top_limit(c.floor, x0), "local-lower-envelope",
+                "|u_k| >= |f| verified up to the certificate budget and "
+                "trusted beyond") for c in family.certificates_of(LowerEnvelope)]
+    for k0, floor, top, scheme, why in floors:
         if top > 0:
             kset = floor.superlevel(top / 2)
-            wit = Witness(top / 2, subsequence, lambda k: kset,
-                          [{"note": "constant kernel accumulates at the point",
-                            "limit_value": top}])
-            return Verdict(family.name, NONNULL, scheme=scheme, witness=wit,
-                           evidence={"x0": str(x0), "alpha": top / 2},
-                           trust=f"the floor keeps positive superlevel mass in "
-                                 f"every neighborhood of the point; {why}")
+            yield (scheme, top / 2, k0, lambda k, _s=kset: _s, {},
+                   f"the constant kernel A_alpha(f), where |f| has the limit "
+                   f"value {top} = 2 alpha at the point; {why}")
+
+
+def _local_kernel(family, x0, policy, tail):
+    """Non-null where nested kernels inside the superlevel sets keep
+    positive measure in every neighborhood of x0 (`_kernels`): then no
+    finite superlevel intersection restricted to a neighborhood is null."""
+    for scheme, alpha, k0, kernel, evidence, why in _kernels(family, x0, tail):
+        table = [{"J": J, "k_J": k0 + J, "kernel_measure": kernel(k0 + J).measure()}
+                 for J in range(1, policy.j_max + 1)]
+        wit = Witness(alpha, f"k_j = {k0} + j" if k0 else "identity", kernel, table)
+        return Verdict(family.name, NONNULL, scheme=scheme, witness=wit,
+                       evidence={"x0": str(x0), **evidence, "alpha": alpha},
+                       trust="kernel(k_J) lies in A_alpha(u_kj) for every "
+                             "j <= J and has positive measure in every "
+                             "neighborhood of the point, so no finite "
+                             "superlevel intersection restricted to one is "
+                             "null; " + why)
     return None
 
 
-def _local_vanishing(family, x0, policy, ell_max):
+def _local_vanishing(family, x0, policy, tail):
     """Null from the first index k0 <= k_max at which a bound on |u_k|, valid
     for every k >= k0, has no positive limit value at x0: the terms then stay
     below every alpha on some neighborhood of x0 from k0 on."""
     carrier, ks = family.domain.carrier, range(1, policy.k_max + 1)
     bounds = []  # (scheme, candidate k0s, vanishes at x0, the bound)
-    if isinstance(family, ExplicitListFamily):
-        bounds.append(("local-eventual-constant", [len(family.terms)],
-                       lambda k: _top_limit(family.tail_constant(), x0) == 0,
-                       "u_k is the repeated tail for k >= {k0}; exact"))
+    if tail is not None:
+        bounds.append(("local-eventual-constant", [tail[0]], lambda k: tail[2] == 0,
+                       "u_k equals the tail near the point for k >= {k0}; exact"))
     bounds += [("local-support-envelope", ks,
                 lambda k, c=c: not accumulates_at(c.envelope(k), x0, carrier),
                 "supp(u_k) lies in the nested envelope({k0}) for k >= {k0}; "
@@ -358,7 +280,7 @@ def _local_vanishing(family, x0, policy, ell_max):
     return None
 
 
-def _local_evaluable(family, x0, policy, ell_max):
+def _local_evaluable(family, x0):
     """sin(1/(kx)): |u_k| <= 1/(kx) <= 2/(k x0) on the window (x0/2, 3x0/2),
     an exact vanishing envelope at every finite point x0 > 0."""
     if x0.is_infinite:
@@ -385,7 +307,7 @@ def _local_evaluable(family, x0, policy, ell_max):
 
 
 # Tried in order after the global verdict; the first verdict wins.
-_LOCAL_SCHEMES = (_local_translate, _local_kernel, _local_floor, _local_vanishing)
+_LOCAL_SCHEMES = (_local_kernel, _local_vanishing)
 
 
 def _local_inconclusive(family, x0, policy, ell_max):

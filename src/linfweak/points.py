@@ -1,4 +1,5 @@
-"""Points of the one-point compactification, and symbolic witness points."""
+"""Points of the one-point compactification, the exact test of a set
+accumulating at one, and symbolic witness points."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .sets import rat
+from .sets import IntervalSet, is_finite, rat
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,39 @@ class ExtPoint:
         if text in ("inf", "+inf", "infinity"):
             return ExtPoint.infinity()
         return ExtPoint.at(parse_rat(text))
+
+
+def escape_points(carrier: IntervalSet) -> tuple[list[Fraction], bool, bool]:
+    """Finite boundary points not in the carrier, plus flags for escapes to
+    -inf / +inf.  These are the routes a set can take toward the point at
+    infinity."""
+    finite = []
+    to_neg = to_pos = False
+    for p in carrier.parts:
+        if is_finite(p.lo):
+            if not p.lo_closed:
+                finite.append(p.lo)
+        else:
+            to_neg = True
+        if is_finite(p.hi):
+            if not p.hi_closed:
+                finite.append(p.hi)
+        else:
+            to_pos = True
+    return sorted(set(finite)), to_neg, to_pos
+
+
+def accumulates_at(s: IntervalSet, x0: ExtPoint, carrier: IntervalSet) -> bool:
+    """Exact test: does s have positive measure in every neighborhood of x0?
+    A part of positive length does when its closure reaches x0; the point at
+    infinity is reached by an unbounded part or through an escape point of
+    the carrier."""
+    if not x0.is_infinite:
+        return any(not p.is_point() and p.lo <= x0.x <= p.hi for p in s.parts)
+    escapes = escape_points(carrier)[0]
+    return any(not p.is_point() and
+               (not p.is_bounded() or any(p.lo <= q <= p.hi for q in escapes))
+               for p in s.parts)
 
 
 @dataclass(frozen=True)

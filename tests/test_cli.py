@@ -161,14 +161,24 @@ class TestTasks:
         assert "result.kind = null-certified" in out
         assert f"result.evidence.vanishing_from = {k0}" in out
 
+    def test_weaknull_at_tents_nonnull_at_zero_with_the_largest_ell_max(self, tmp_path):
+        # no window search: ell-max past budget-k leaves the kernel witness as is
+        cfg = write(tmp_path, "p.cfg",
+                    "task = weaknull-at\nfamily = tents\npoint = 0\nell-max = 64\n")
+        code, out, _ = invoke(["weaknull-at", cfg, "--format", "machine"])
+        assert code == 0
+        assert "result.kind = nonnull-certified" in out
+        assert "result.scheme = local-superlevel-kernel" in out
+
     @pytest.mark.parametrize("repeat", [
         "alpha-grid = 1/2, 1/4, 1/2\nsubseq = identity, odd\n",
         "alpha-grid = 1/2, 1/4\nsubseq = identity, odd, identity\n",
         "alpha-grid = 1/4, 1/2, 1/4, 1/2\nsubseq = identity, identity, odd\n",
     ], ids=("alpha", "strategy", "both"))
     def test_repeated_alpha_or_strategy_gives_one_row_per_cell(self, tmp_path, repeat):
-        # ell-max past k-max: the local kernel declines and the table answers
-        base = "task = weaknull-at\nfamily = tents\npoint = 0\nell-max = 49\nbudget-j = 3\n"
+        # the tents at 1/30 vanish near it only from k = 61 on, past budget-k
+        # 48, so no local rule answers and the table does
+        base = "task = weaknull-at\nfamily = tents\npoint = 1/30\nell-max = 49\nbudget-j = 3\n"
 
         def rows(text):
             code, out, _ = invoke(["weaknull-at", write(tmp_path, "p.cfg", text),

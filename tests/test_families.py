@@ -14,7 +14,8 @@ from linfweak.families import (CertificateError, DisjointSupports,
                                SummableDisjointFamily, SuperlevelKernel,
                                verify_certificate, verify_norm_bound)
 from linfweak.piecewise import PiecewiseFn
-from linfweak.sets import Domain, IntervalSet, ico
+from linfweak.points import ExtPoint
+from linfweak.sets import Domain, IntervalSet, ico, opened
 
 DOM = Domain.open_interval(-1, 1)
 PIECEWISE = [name for name in FAMILIES if not family_by_name(name).evaluable]
@@ -39,6 +40,33 @@ class TestTerms:
         fam = ExplicitListFamily(DOM, [u], name="single")
         assert fam.term(1) is u
         assert fam.term(7) is u  # the last term repeats
+
+    def test_explicit_tail_is_the_last_term_everywhere(self):
+        u, v = (PiecewiseFn.constant(DOM, c) for c in (F(1, 3), F(1, 5)))
+        fam = ExplicitListFamily(DOM, [u, v], name="pair")
+        for x0 in (None, ExtPoint.at(0), ExtPoint.infinity()):
+            assert fam.eventual_tail(x0) == (2, v)
+
+    def test_translate_tail_is_the_right_limit_on_the_unit_ball(self):
+        # the sided profile is 0 from its last breakpoint 0 on: u_k vanishes
+        # on (x0 - 1, x0 + 1) once x0 - 1 + k > 0
+        fam = sided_translates()
+        for x0, k0 in ((F(0), 2), (F(-3), 5), (F(5, 2), 1)):
+            k, tail = fam.eventual_tail(ExtPoint.at(x0))
+            assert k == k0
+            assert tail.domain.carrier == IntervalSet.of(opened(x0 - 1, x0 + 1))
+            assert tail.ess_sup_norm() == 0
+        assert fam.eventual_tail() is None
+        assert fam.eventual_tail(ExtPoint.infinity()) is None
+        assert tents().eventual_tail(ExtPoint.at(0)) is None
+
+    def test_translate_tail_with_a_wrong_threshold_is_refused(self):
+        # breakpoints misreported as ending at -10 give k0 = 1, but u_1 is
+        # still 1 on (-4, -2), not the right limit 0; the exact check says so
+        fam = sided_translates()
+        fam.breakpoint_span = lambda: (F(-10), F(-10))
+        with pytest.raises(CertificateError, match="wrong threshold"):
+            fam.eventual_tail(ExtPoint.at(-3))
 
     def test_index_starts_at_one(self):
         with pytest.raises(ValueError):
@@ -81,6 +109,14 @@ class TestCertificates:
         bad = SuperlevelKernel(F(1, 2), lambda k: IntervalSet.empty())
         rep = verify_certificate(fam, bad, budget=3)
         assert not rep.passed and "null" in rep.detail
+
+    def test_kernel_failure_wrong_accumulation_point(self):
+        # the plateaus (-1/k, 0) u (0, 1/k) reach 1/8 only up to k = 8
+        fam = tents()
+        kernel = fam.certificates_of(SuperlevelKernel)[0].kernel
+        rep = SuperlevelKernel(F(1, 2), kernel, ExtPoint.at(F(1, 8))).verify(fam, 20)
+        assert not rep.passed and rep.counterexample_k == 9
+        assert "does not accumulate at 1/8" in rep.detail
 
     def test_norm_limit_verified_against_deviation(self):
         fam = tents()

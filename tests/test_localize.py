@@ -8,14 +8,15 @@ from linfweak.corpus import (CORPUS, LOCAL_CORPUS, center_segment,
 from linfweak.engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy,
                              test_weak_null)
 from linfweak.families import (IndicatorFamily, LowerEnvelope, SuperlevelKernel,
-                               SupportEnvelope)
+                               SupportEnvelope, TranslateFamily)
 from linfweak.localize import (accumulates_at, compact_exhaustion,
                                essential_range, essential_range_at,
                                essential_range_in, escape_points, in_closure,
                                neighborhood, test_weak_null_at)
 from linfweak.piecewise import PiecewiseFn
 from linfweak.points import ExtPoint
-from linfweak.sets import Domain, IntervalSet, closed, ico, ivl, opened, point
+from linfweak.sets import (NEG_INF, POS_INF, Domain, IntervalSet, closed, ico,
+                           ivl, opened, point)
 
 X = Domain.open_interval(-1, 1)
 
@@ -225,6 +226,17 @@ class TestKernelAccumulation:
         v = test_weak_null_at(family_by_name(name), ExtPoint.at(0), Policy())
         assert v.kind == NONNULL and v.scheme == "local-superlevel-kernel"
 
+    @pytest.mark.parametrize("ell_max", [1, 6, 64])
+    @pytest.mark.parametrize("k_max", [20, 48, 256])
+    def test_tents_nonnull_at_zero_for_every_budget(self, ell_max, k_max):
+        # the kernels accumulate at 0 for every k; no window search is made
+        v = test_weak_null_at(family_by_name("tents"), ExtPoint.at(0),
+                              Policy(k_max=k_max), ell_max=ell_max)
+        assert v.kind == NONNULL and v.scheme == "local-superlevel-kernel"
+        assert v.witness.subsequence == "identity"
+        assert [row["kernel_measure"] for row in v.witness.table] == \
+            [F(2, J) for J in range(1, 13)]
+
     def test_certificate_without_accumulation_point_is_skipped(self):
         # the piled blocks with their kernel certificate alone, stripped of
         # its accumulation point: no local scheme may certify anything
@@ -348,10 +360,9 @@ class TestLocalSweep:
 class TestBudgetsNeverFlipKinds:
     """ell_max and k_max may make a scheme decline; they never turn one
     certified kind into the other.  At -1/20 the tents decline for
-    k_max = 20 and are null from k = 41 on for the larger budgets.  (At 0
-    the kernel witness needs k_max >= ell_max; the sweep covers 0.)"""
+    k_max = 20 and are null from k = 41 on for the larger budgets."""
 
-    POINTS = ["-1/20", "1/8", "1/3", "1/2", "inf"]
+    POINTS = ["0", "-1/20", "1/8", "1/3", "1/2", "inf"]
 
     @pytest.mark.parametrize("name", ["tents", "dyadic-indicators-plus",
                                       "sided-translates", "dini-nonnull"])
@@ -365,6 +376,48 @@ class TestBudgetsNeverFlipKinds:
                                        ell_max=ell_max).kind
                      for ell_max in (1, 6, 64) for k_max in (20, 48, 256)}
             assert len(kinds - {INCONCLUSIVE}) == 1, f"{pt}: {kinds}"
+
+
+def _rising_translates():
+    """Profile 0 on (-inf, 0], x on (0, 1), 1 on [1, inf), step 1: every
+    A_{1/2}(u_k) = (1/2 - k, inf) grows with k."""
+    profile = PiecewiseFn.from_pieces(Domain.real_line(), [
+        (ivl(NEG_INF, 0, False, True), 0, 0), (opened(0, 1), 1, 0),
+        (ivl(1, POS_INF, True, False), 0, 1)])
+    return TranslateFamily(profile, F(1), name="rising-translates")
+
+
+class TestTranslateTails:
+    @pytest.mark.parametrize("make", [_rising_translates, sided_translates],
+                             ids=["rising", "sided"])
+    def test_tail_ray_kernels_are_nested_in_every_earlier_superlevel_set(self, make):
+        fam = make()
+        v = test_weak_null_at(fam, ExtPoint.infinity(), Policy())
+        assert v.kind == NONNULL and v.scheme == "local-translate-tail"
+        alpha, kernel = v.witness.alpha, v.witness.kernel
+        assert alpha == F(1, 2)
+        for k in range(1, 9):
+            ker = kernel(k)
+            assert accumulates_at(ker, ExtPoint.infinity(), fam.domain.carrier)
+            if k > 1:
+                assert ker.subset_up_to_null(kernel(k - 1))
+            for j in range(1, k + 1):
+                assert ker.subset_up_to_null(fam.term(j).superlevel(alpha)), (j, k)
+
+    def test_rising_kernel_is_the_first_step_of_the_ray(self):
+        v = test_weak_null_at(_rising_translates(), ExtPoint.infinity(), Policy())
+        for k in (1, 2, 8):
+            assert v.witness.kernel(k) == IntervalSet.of(opened(F(-1, 2), POS_INF))
+
+    @pytest.mark.parametrize("x0,k0", [(F(0), 3), (F(-3), 6), (F(5, 2), 1)])
+    def test_rising_nonnull_at_finite_points_by_the_tail(self, x0, k0):
+        # u_k = 1 on the unit ball around x0 once x0 - 1 + k >= 1
+        v = test_weak_null_at(_rising_translates(), ExtPoint.at(x0), Policy())
+        assert v.kind == NONNULL and v.scheme == "local-eventual-constant"
+        assert v.witness.alpha == F(1, 2)
+        assert v.witness.subsequence == f"k_j = {k0} + j"
+        for k in (k0 + 1, k0 + 5):
+            assert v.witness.kernel(k) == IntervalSet.of(opened(x0 - 1, x0 + 1))
 
 
 class TestLowerEnvelope:
