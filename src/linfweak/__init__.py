@@ -18,10 +18,10 @@ from .sets import (Domain, Interval, IntervalSet, Rat, rat, closed, opened,
 from .piecewise import PiecewiseFn, Piece, UnsupportedOperationError
 from .families import (SequenceFamily, ExplicitListFamily, IndicatorFamily,
                        TranslateFamily, TentFamily, SummableDisjointFamily,
-                       SinReciprocalFamily, DisjointSupports, SuperlevelKernel,
-                       EscapeBound, MonotoneEnvelope, NormLimit,
-                       SupportEnvelope, LowerEnvelope, verify_certificate,
-                       CertificateError)
+                       SinReciprocalFamily, DisjointSupports, DisjointLayers,
+                       SuperlevelKernel, EscapeBound, MonotoneEnvelope,
+                       NormLimit, SupportEnvelope, LowerEnvelope,
+                       verify_certificate, CertificateError)
 from .engine import (Policy, Verdict, Witness, NormFloorWitness, test_weak_null,
                      v_inf, intersection_measure, witness_lower_bound)
 from .localize import (ExtPoint, essential_range, essential_range_at,

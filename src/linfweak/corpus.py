@@ -102,9 +102,10 @@ def _escape_profile() -> PiecewiseFn:
 
 
 def escape_translates() -> SequenceFamily:
-    """u_k(x) = u(x + k) for a tent profile vanishing off [-1, 1]."""
+    """u_k(x) = u(x + k) for a tent profile vanishing off [-1, 1], so that
+    supp(u_k) lies in [-1 - k, 1 - k]."""
     return TranslateFamily(_escape_profile(), F(1), name="escape-translates",
-                           certificates=(EscapeBound(lambda eps: F(1)),))
+                           certificates=(EscapeBound(F(1), F(1)),))
 
 
 def _step_down_profile() -> PiecewiseFn:

@@ -10,14 +10,15 @@ alpha, so the engine certifies nullity only through one of the schemes below
 certifies non-nullity through a kernel or norm-floor witness.  Everything
 else is reported as Inconclusive together with the exact evidence table.
 
-Schemes, tried in `_SCHEMES` order; the first verdict wins:
+Schemes, tried in `_SCHEMES` order, read only what a family declares (its
+certificates and `eventual_tail`), never its class; the first verdict wins:
   eventual-constant      families whose terms equal one tail f from some
                          k0 on (`eventual_tail`): null iff f = 0 a.e.
-  summable-disjoint      finitely many disjoint indicator layers force
-                         v_J = 0 once J exceeds the layer count
+  summable-disjoint      supports inside L layers of disjoint sets
+                         (`DisjointLayers`) force v_J = 0 for every J > L
   disjoint-supports      any two indices already give a null intersection
-  escape-bound           a translate family whose profile vanishes at
-                         infinity; counting forces v_J below each eps
+  escape-bound           supports inside windows that escape to -inf
+                         (`EscapeBound`); counting forces v_J = 0
   norm-limit             ||u_k|| -> 0 is strong convergence
   superlevel-kernel      nested positive-measure kernels inside the
                          superlevel sets refute nullity
@@ -39,15 +40,14 @@ from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 from .enclosure import RatInterval, sin_of_pi_multiple
-from .families import (CertificateError, CertReport, DisjointSupports,
-                       EscapeBound, MonotoneEnvelope, NormLimit,
-                       SequenceFamily, SinReciprocalFamily,
-                       SummableDisjointFamily, SuperlevelKernel,
-                       verify_certificate, verify_norm_bound)
+from .families import (CertificateError, CertReport, DisjointLayers,
+                       DisjointSupports, EscapeBound, MonotoneEnvelope,
+                       NormLimit, SequenceFamily, SinReciprocalFamily,
+                       SuperlevelKernel, verify_certificate, verify_norm_bound)
 from .numtheory import dyadic_divisibility_subsequence, nested_midpoint
 from .piecewise import PiecewiseFn, min_of
 from .points import WitnessPoint
-from .sets import IntervalSet, POS_INF, first_overlap, rat
+from .sets import IntervalSet, POS_INF, rat
 
 
 class EngineError(ValueError):
@@ -117,6 +117,15 @@ class Witness:
     subsequence: str
     kernel: Optional[Callable[[int], IntervalSet]]
     table: list[dict] = field(default_factory=list)
+
+
+def kernel_witness(alpha: Fraction, k0: int,
+                   kernel: Callable[[int], IntervalSet], j_max: int) -> Witness:
+    """The kernel witness along k_j = k0 + j (the identity when k0 = 0),
+    with the measure of kernel(k_J) for each J <= j_max."""
+    table = [{"J": J, "k_J": k0 + J, "kernel_measure": kernel(k0 + J).measure()}
+             for J in range(1, j_max + 1)]
+    return Witness(alpha, f"k_j = {k0} + j" if k0 else "identity", kernel, table)
 
 
 @dataclass
@@ -340,9 +349,7 @@ def _try_eventual_constant(family, policy):
                        trust="exact: the repeated tail term vanishes a.e.")
     alpha = c / 2
     kernel_set = tail.superlevel(alpha)
-    table = [{"J": J, "k_J": start + J, "kernel_measure": kernel_set.measure()}
-             for J in range(1, policy.j_max + 1)]
-    wit = Witness(alpha, f"k_j = {start} + j", lambda k: kernel_set, table)
+    wit = kernel_witness(alpha, start, lambda k: kernel_set, policy.j_max)
     return Verdict(family.name, NONNULL, scheme="eventual-constant", witness=wit,
                    evidence={"tail_norm": c},
                    trust="exact: along the repeated tail every intersection "
@@ -350,17 +357,11 @@ def _try_eventual_constant(family, policy):
 
 
 def _try_summable_disjoint(family, policy):
-    if not isinstance(family, SummableDisjointFamily):
+    certs = family.certificates_of(DisjointLayers)
+    if not certs:
         return None
-    budget = policy.cert_budget
-    for idx, (_, gen) in enumerate(family.layers):
-        found = first_overlap([gen(k) for k in range(1, budget + 1)])
-        if found is not None:
-            i, j, overlap = found
-            raise CertificateError(
-                f"layer {idx} of {family.name} is not disjoint "
-                f"at indices {i + 1},{j + 1}", k=j + 1, witness=overlap)
-    j_zero = len(family.layers) + 1
+    cert = certs[0]
+    j_zero = len(cert.layers) + 1
     checks = {}
     minima: dict = {}
     for name, strat in policy.resolved_strategies():
@@ -371,9 +372,9 @@ def _try_summable_disjoint(family, policy):
         checks[name] = vj.ess_sup_norm()
         if checks[name] != 0:
             raise EngineError(f"summable-disjoint pigeonhole violated on {name}")
-    ev = {"layers": len(family.layers), "forcing_J": j_zero,
+    ev = {"layers": len(cert.layers), "forcing_J": j_zero,
           "spot_norms": {n: str(v) for n, v in checks.items()}}
-    if family.tail_bound is not None:
+    if cert.tail_declared:
         ev["declared_tail"] = "sum_{i>I} |a_i| <= tail(I), supplied"
     return Verdict(family.name, NULL, scheme="summable-disjoint", evidence=ev,
                    trust="pigeonhole over the disjoint layers: any J > layer "
@@ -406,19 +407,16 @@ def _try_escape_bound(family, policy):
     if not certs:
         return None
     cert = certs[0]
-    step = family.step
-    table = []
-    minima: dict = {}
-    for eps in [Fraction(1, 2 ** n) for n in range(0, 7)]:
-        w = rat(cert.window(eps))
-        j_bound = math.floor(2 * w / step) + 2
-        row = {"eps": eps, "window": w, "J_bound": j_bound}
-        if j_bound <= policy.j_max + 4:
-            *_, (_, vj) = _prefix_minima(family, range(1, j_bound + 1), minima)
-            row["identity_norm"] = vj.ess_sup_norm()
-            if row["identity_norm"] > eps:
-                raise EngineError("escape counting bound violated on identity")
-        table.append(row)
+    w, step = rat(cert.width), rat(cert.step)
+    j_bound = math.floor(2 * w / step) + 2
+    row = {"window": w, "J_bound": j_bound}
+    if j_bound <= policy.j_max + 4:
+        *_, (_, vj) = _prefix_minima(family, range(1, j_bound + 1), {})
+        row["identity_norm"] = vj.ess_sup_norm()
+        if row["identity_norm"] != 0:
+            raise EngineError("escape counting bound violated on identity")
+    # the window is the same for every eps: each row shows that v_J = 0
+    table = [{"eps": Fraction(1, 2 ** n), **row} for n in range(0, 7)]
     return Verdict(family.name, NULL, scheme="escape-bound",
                    evidence={"table": table, "step": step},
                    trust="for each eps at most floor(2K/step)+1 translates "
@@ -447,18 +445,12 @@ def _try_kernel_witness(family, policy):
     cert = certs[0]
     checked = dict(_walk(family, list(range(1, min(policy.j_max, 12) + 1)),
                          cert.alpha, _CallStore()))
-    table = []
-    for J in range(1, policy.j_max + 1):
-        k_J = J
-        ker_m = cert.kernel(k_J).measure()
-        row = {"J": J, "k_J": k_J, "kernel_measure": ker_m}
-        if J in checked:
-            inter = checked[J]
-            row["intersection_measure"] = inter
-            if inter != POS_INF and inter < ker_m:
+    wit = kernel_witness(cert.alpha, 0, cert.kernel, policy.j_max)
+    for row in wit.table:
+        if row["J"] in checked:
+            inter = row["intersection_measure"] = checked[row["J"]]
+            if inter != POS_INF and inter < row["kernel_measure"]:
                 raise EngineError("kernel exceeds the intersection it certifies")
-        table.append(row)
-    wit = Witness(cert.alpha, "identity", cert.kernel, table)
     return Verdict(family.name, NONNULL, scheme="superlevel-kernel", witness=wit,
                    evidence={"alpha": cert.alpha},
                    trust="kernel(k_J) is nested inside every A_alpha(u_kj), "
@@ -473,14 +465,11 @@ def _try_monotone_nonnull(family, policy):
         return None
     cert = limits[0]
     alpha = cert.limit / 2
-    table = []
-    for J in range(1, policy.j_max + 1):
-        m = family.term(J).superlevel(alpha).measure()
-        if m == 0:
-            raise EngineError("monotone family with positive norm limit has a "
-                              "null superlevel set; certificates inconsistent")
-        table.append({"J": J, "k_J": J, "kernel_measure": m})
-    wit = Witness(alpha, "identity", lambda k: family.term(k).superlevel(alpha), table)
+    wit = kernel_witness(alpha, 0, lambda k: family.term(k).superlevel(alpha),
+                         policy.j_max)
+    if any(row["kernel_measure"] == 0 for row in wit.table):
+        raise EngineError("monotone family with positive norm limit has a "
+                          "null superlevel set; certificates inconsistent")
     return Verdict(family.name, NONNULL, scheme="monotone-norm-floor", witness=wit,
                    evidence={"limit": cert.limit, "alpha": alpha},
                    trust="|u_k| is non-increasing, so the J-fold intersection "

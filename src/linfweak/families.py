@@ -1,18 +1,21 @@
 """Sequence families u_1, u_2, ... with machine-checkable certificates.
 
 A family produces its k-th term on demand.  Certificates are declarations
-about the whole family (disjoint supports, superlevel kernels, escape
-windows, monotone envelopes, norm limits, support and lower envelopes).
-Each one spot-checks its own claim exactly for k up to a verification budget
-(`verify`); the verdict engine runs those checks first and trusts the claim
-beyond the budget, and every verdict records that trust boundary.
+about the whole family (disjoint supports and layers, superlevel kernels,
+escape bounds, monotone envelopes, norm limits, support and lower
+envelopes).  Each one spot-checks its own claim exactly on the terms for k up
+to a verification budget (`verify`); the verdict engine runs those checks
+first and trusts the claim beyond the budget, and every verdict records that
+trust boundary.  Verdicts read these and the hooks `eventual_tail` and
+`tail_ray`, never a family's class; `_AbsMapped`, the one |u_k| image, keeps
+them all.
 
 Every check is linear in the budget in the terms it builds and the tests it
 makes: one pass over the terms, each tested against one other object at
-most.  Disjoint supports are checked by one sweep (`sets.first_overlap`)
-that tests each support against the union of the later ones, n - 1 tests
-instead of n^2 / 2 pairs; the monotone envelope compares consecutive terms
-through `PiecewiseFn.exceeds`.
+most.  Disjoint sets are checked by one sweep (`sets.first_overlap`) that
+tests each set against the union of the later ones, n - 1 tests instead of
+n^2 / 2 pairs; the monotone envelope compares consecutive terms through
+`PiecewiseFn.exceeds`.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import Callable, Optional, Sequence
 from .enclosure import RatInterval, pi_enclosure, sin_of_pi_multiple, sin_of_rational
 from .piecewise import PiecewiseFn
 from .points import ExtPoint, WitnessPoint, accumulates_at
-from .sets import (Domain, IntervalSet, first_overlap, ico, ioc, ivl, opened,
-                   point, rat)
+from .sets import (Domain, IntervalSet, closed, first_overlap, ico, ioc,
+                   is_finite, opened, point, rat)
 
 
 class CertificateError(ValueError):
@@ -54,7 +57,15 @@ class CertReport:
     witness: Optional[object] = None
 
 
-_EPS_PROBE = [Fraction(1, 2 ** n) for n in range(0, 7)]
+def _support_report(name, family, budget, bound, what) -> CertReport:
+    """Check that supp(u_k) lies in bound(k) up to a null set for k <= budget;
+    a failure names the first k that breaks it and the part outside."""
+    for k in range(1, budget + 1):
+        supp, within = family.term(k).support(), bound(k)
+        if not supp.subset_up_to_null(within):
+            return CertReport(name, False, budget, f"supp(u_{k}) escapes {what}({k})",
+                              counterexample_k=k, witness=supp.difference(within))
+    return CertReport(name, True, budget)
 
 
 @dataclass(frozen=True)
@@ -71,6 +82,31 @@ class DisjointSupports:
                               f"supports of u_{i+1} and u_{j+1} overlap",
                               counterexample_k=j + 1, witness=overlap)
         return CertReport(self.name, True, budget)
+
+
+@dataclass(frozen=True)
+class DisjointLayers:
+    """supp(u_k) lies in the union over i of layer_i(k), and each layer's
+    sets are mutually disjoint up to null sets, so a point lies in the
+    supports of at most len(layers) terms.  `tail_declared` records that a
+    bound on the layers beyond the listed ones was supplied."""
+    layers: tuple[Callable[[int], IntervalSet], ...]
+    tail_declared: bool = False
+    name = "disjoint-layers"
+
+    def verify(self, family, budget) -> CertReport:
+        built = [[gen(k) for k in range(1, budget + 1)] for gen in self.layers]
+        for idx, sets in enumerate(built):
+            found = first_overlap(sets)
+            if found is not None:
+                i, j, overlap = found
+                return CertReport(self.name, False, budget,
+                                  f"layer {idx} of {family.name} is not disjoint "
+                                  f"at indices {i + 1},{j + 1}",
+                                  counterexample_k=j + 1, witness=overlap)
+        return _support_report(self.name, family, budget,
+                               lambda k: IntervalSet.of(*(s[k - 1] for s in built)),
+                               "layers")
 
 
 @dataclass(frozen=True)
@@ -117,28 +153,22 @@ class SuperlevelKernel:
 
 @dataclass(frozen=True)
 class EscapeBound:
-    """For a translate family: |profile| < eps off [-window(eps), window(eps)]."""
-    window: Callable[[Fraction], Fraction]
-    note: str = ""
+    """supp(u_k) lies in [-width - k*step, width - k*step]: the terms escape
+    to -inf, and a point meets the supports of at most
+    floor(2*width/step) + 1 of them."""
+    width: Fraction
+    step: Fraction
     name = "escape-bound"
 
+    def __post_init__(self):
+        if rat(self.width) < 0 or rat(self.step) <= 0:
+            raise ValueError("an escape bound needs width >= 0 and step > 0")
+
     def verify(self, family, budget) -> CertReport:
-        if not isinstance(family, TranslateFamily):
-            return CertReport(self.name, False, 0,
-                              "escape bounds apply to translate families only")
-        profile = family.profile
-        for eps in _EPS_PROBE:
-            w = rat(self.window(eps))
-            window = IntervalSet.of(ivl(-w, w, True, True))
-            outside = profile.domain.carrier.difference(window)
-            if outside.is_empty():
-                continue
-            tail_sup = profile.restrict(outside).ess_sup_norm()
-            if tail_sup >= eps:
-                return CertReport(self.name, False, budget,
-                                  f"|profile| reaches {tail_sup} >= {eps} outside the window",
-                                  witness=eps)
-        return CertReport(self.name, True, budget)
+        w, step = rat(self.width), rat(self.step)
+        return _support_report(self.name, family, budget,
+                               lambda k: IntervalSet.of(closed(-w - k * step, w - k * step)),
+                               "window")
 
 
 @dataclass(frozen=True)
@@ -193,19 +223,13 @@ class SupportEnvelope:
     name = "support-envelope"
 
     def verify(self, family, budget) -> CertReport:
-        prev = None
-        for k in range(1, budget + 1):
-            env = self.envelope(k)
-            supp = family.term(k).support()
-            if not supp.subset_up_to_null(env):
-                return CertReport(self.name, False, budget,
-                                  f"supp(u_{k}) escapes envelope({k})",
-                                  counterexample_k=k, witness=supp.difference(env))
-            if prev is not None and not env.subset_up_to_null(prev):
+        envs = [self.envelope(k) for k in range(1, budget + 1)]
+        for k in range(2, budget + 1):
+            if not envs[k - 1].subset_up_to_null(envs[k - 2]):
                 return CertReport(self.name, False, budget,
                                   f"envelope({k}) not nested", counterexample_k=k)
-            prev = env
-        return CertReport(self.name, True, budget)
+        return _support_report(self.name, family, budget, lambda k: envs[k - 1],
+                               "envelope")
 
 
 @dataclass(frozen=True)
@@ -270,6 +294,14 @@ class SequenceFamily:
         gives no such tail."""
         return None
 
+    def tail_ray(self):
+        """(alpha, kernel, limits) when A_alpha(u_k) holds a ray toward an
+        infinite end for every k: kernel(k) lies in A_alpha(u_j) for every
+        j <= k and has infinite measure in every neighborhood of infinity,
+        and limits are those of |u_k| at -inf and +inf.  None when the
+        family's form gives no such ray."""
+        return None
+
     def abs_mapped(self) -> "SequenceFamily":
         """The family |u_k|.  All certificate kinds here only constrain |u_k|,
         so they carry over unchanged."""
@@ -288,6 +320,13 @@ class _AbsMapped(SequenceFamily):
 
     def _term(self, k):
         return self.inner.term(k).abs_fn()
+
+    def eventual_tail(self, x0=None):
+        found = self.inner.eventual_tail(x0)
+        return None if found is None else (found[0], found[1].abs_fn())
+
+    def tail_ray(self):
+        return self.inner.tail_ray()  # A_alpha(|u_k|) is A_alpha(u_k)
 
 
 class ExplicitListFamily(SequenceFamily):
@@ -309,11 +348,6 @@ class ExplicitListFamily(SequenceFamily):
         """The last term, on the whole carrier, from k0 = len(terms) on."""
         return len(self.terms), self.terms[-1]
 
-    def abs_mapped(self):
-        return ExplicitListFamily(self.domain, [t.abs_fn() for t in self.terms],
-                                  f"abs({self.name})", self.norm_bound,
-                                  self.certificates)
-
 
 class IndicatorFamily(SequenceFamily):
     """u_k = indicator of sets(k)."""
@@ -325,9 +359,6 @@ class IndicatorFamily(SequenceFamily):
 
     def _term(self, k):
         return PiecewiseFn.indicator(self.domain, self.sets(k))
-
-    def abs_mapped(self):
-        return self
 
 
 class TranslateFamily(SequenceFamily):
@@ -347,11 +378,6 @@ class TranslateFamily(SequenceFamily):
     def _term(self, k):
         return self.profile.translate(k * self.step)
 
-    def tail_limits(self) -> tuple[Fraction, Fraction]:
-        """(limit at -inf, limit at +inf) of the profile, exact."""
-        first, last = self.profile.pieces[0], self.profile.pieces[-1]
-        return (first.intercept, last.intercept)
-
     def breakpoint_span(self) -> tuple[Fraction, Fraction]:
         pts = self.profile.breakpoints()
         if not pts:
@@ -369,14 +395,27 @@ class TranslateFamily(SequenceFamily):
         lo = x0.x - 1
         k0 = max(math.ceil((self.breakpoint_span()[1] - lo) / self.step) + 1, 1)
         tail = self.term(k0).restrict(IntervalSet.of(opened(lo, x0.x + 1)))
-        if tail.add_const(-self.tail_limits()[1]).ess_sup_norm() != 0:
+        if tail.add_const(-self.profile.pieces[-1].intercept).ess_sup_norm() != 0:
             raise CertificateError("translate tail analysis produced a wrong "
                                    "threshold", k=k0)
         return k0, tail
 
-    def abs_mapped(self):
-        return TranslateFamily(self.profile.abs_fn(), self.step,
-                               f"abs({self.name})", self.certificates)
+    def tail_ray(self):
+        """The profile keeps |value| > alpha = |l|/2 on a ray toward a side
+        whose limit l is not 0 (the left side first).  A_alpha(u_k) is
+        A_alpha(profile) shifted by -k*step: a left ray shifted so lies in
+        every earlier one, and a right ray shifted by one step lies in every
+        later one."""
+        l_neg, l_pos = self.profile.pieces[0].intercept, self.profile.pieces[-1].intercept
+        if l_neg == 0 and l_pos == 0:
+            return None
+        alpha = abs(l_neg or l_pos) / 2
+        left = l_neg != 0
+        ray = IntervalSet.of(next(p for p in self.profile.superlevel(alpha).parts
+                                  if not is_finite(p.lo if left else p.hi)))
+        fixed = ray.shift(-self.step)
+        kernel = (lambda k: ray.shift(-k * self.step)) if left else (lambda k: fixed)
+        return alpha, kernel, (abs(l_neg), abs(l_pos))
 
 
 class TentFamily(SequenceFamily):
@@ -422,20 +461,17 @@ class TentFamily(SequenceFamily):
             pieces.append((ico(hi_foot, 1), 0, 0))
         return PiecewiseFn.from_pieces(self.domain, [p for p in pieces if p is not None])
 
-    def abs_mapped(self):
-        return self
-
 
 class SummableDisjointFamily(SequenceFamily):
     """u_k = sum_i coef_i * indicator(layer_i(k)) where each layer is a family
     of mutually disjoint sets.  The layer list is finite and exact; an
-    optional declared tail bound describes the idealized infinite sum.
+    optional declared tail bound describes the idealized infinite sum.  The
+    family declares its layer sets as a `DisjointLayers` certificate, after
+    the given ones.
 
     Each term is one `PiecewiseFn.layer_sum`: a single cut sweep over the
     carrier and the layer sets, with no indicator or partial sum built on
-    the way.  |u_k| keeps this layer form (with |coef_i|) only when all
-    coefficients have one sign; layers of opposite sign may overlap and
-    cancel, so otherwise `abs_mapped` takes |.| of each term."""
+    the way."""
 
     def __init__(self, domain: Domain, layers: Sequence[tuple[Fraction, Callable[[int], IntervalSet]]],
                  name="summable-disjoint",
@@ -443,21 +479,14 @@ class SummableDisjointFamily(SequenceFamily):
                  certificates: Sequence[Certificate] = ()):
         if not layers:
             raise ValueError("need at least one layer")
-        coefs = [rat(c) for c, _ in layers]
-        super().__init__(domain, name, sum(abs(c) for c in coefs), certificates)
         self.layers = [(rat(c), gen) for c, gen in layers]
-        self.tail_bound = tail_bound
+        declared = DisjointLayers(tuple(gen for _, gen in self.layers),
+                                  tail_bound is not None)
+        super().__init__(domain, name, sum(abs(c) for c, _ in self.layers),
+                         tuple(certificates) + (declared,))
 
     def _term(self, k):
         return PiecewiseFn.layer_sum(self.domain, [(gen(k), c) for c, gen in self.layers])
-
-    def abs_mapped(self):
-        coefs = [c for c, _ in self.layers]
-        if not (all(c >= 0 for c in coefs) or all(c <= 0 for c in coefs)):
-            return _AbsMapped(self)
-        return SummableDisjointFamily(
-            self.domain, [(abs(c), gen) for c, gen in self.layers],
-            f"abs({self.name})", self.tail_bound, self.certificates)
 
 
 class MappedStepFamily(SequenceFamily):
@@ -467,7 +496,7 @@ class MappedStepFamily(SequenceFamily):
     def __init__(self, inner: SequenceFamily, coeffs: Sequence[Fraction],
                  name: Optional[str] = None):
         coeffs = [rat(c) for c in coeffs]
-        certs = tuple(c for c in inner.certificates if isinstance(c, DisjointSupports))
+        certs = tuple(inner.certificates_of(DisjointSupports))
         bound = None
         if inner.norm_bound is not None:
             m = inner.norm_bound

@@ -8,10 +8,11 @@ and complements of an exhausting family of compacts for the point at
 infinity.  The criterion is monotone in the neighborhood (smaller windows
 only weaken it), so exact limits at x0 decide the localized verdict, by two
 rules.  Nested kernels inside the superlevel sets with positive measure in
-every neighborhood of x0 make the family non-null there: the tail ray of a
-translate family at infinity, the kernels of a certificate that accumulate
-at x0, or the constant kernel A_{t/2}(f) of an eventual tail or lower bound
-f of |u_k| with a positive limit value t at x0.  An upper bound valid for
+every neighborhood of x0 make the family non-null there: the tail ray that
+a family declares at infinity (`SequenceFamily.tail_ray`), the kernels of a
+certificate that accumulate at x0, or the constant kernel A_{t/2}(f) of an
+eventual tail or lower bound f of |u_k| with a positive limit value t at
+x0.  An upper bound valid for
 every k >= k0 with no positive limit value at x0 makes it null.  Neither
 rule depends on `ell_max`, which bounds only the evidence table.
 
@@ -32,13 +33,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy, Verdict,
-                     Witness, _CallStore, _evidence_table, _spot_alphas,
+                     _CallStore, _evidence_table, _spot_alphas, kernel_witness,
                      test_weak_null)
 from .families import (LowerEnvelope, MonotoneEnvelope, SequenceFamily,
-                       SuperlevelKernel, SupportEnvelope, TranslateFamily)
+                       SuperlevelKernel, SupportEnvelope)
 from .piecewise import PiecewiseFn
 from .points import ExtPoint, accumulates_at, escape_points
-from .sets import Domain, IntervalSet, closed, is_finite, opened, point
+from .sets import Domain, IntervalSet, closed, opened, point
 
 __all__ = ["ExtPoint", "neighborhood", "compact_exhaustion", "escape_points",
            "accumulates_at", "in_closure", "essential_range", "essential_range_in",
@@ -181,36 +182,18 @@ def _tail_at(family, x0):
     return k0, f, _top_limit(f, x0)
 
 
-def _tail_ray(family: TranslateFamily):
-    """The profile keeps |value| > alpha = |l|/2 on a ray toward a side
-    whose limit l is not 0 (the left side first).  A_alpha(u_k) is
-    A_alpha(profile) shifted by -k*step: a left ray shifted so lies in
-    every earlier one, and a right ray shifted by one step lies in every
-    later one."""
-    l_neg, l_pos = family.tail_limits()
-    if l_neg == 0 and l_pos == 0:
-        return None
-    alpha = abs(l_neg or l_pos) / 2
-    left = l_neg != 0
-    ray = IntervalSet.of(next(p for p in family.profile.superlevel(alpha).parts
-                              if not is_finite(p.lo if left else p.hi)))
-    fixed = ray.shift(-family.step)
-    kernel = (lambda k: ray.shift(-k * family.step)) if left else (lambda k: fixed)
-    return ("local-translate-tail", alpha, 0, kernel,
-            {"tail_limits": (str(l_neg), str(l_pos))},
-            "the profile keeps |value| > alpha on an unbounded ray, which "
-            "has infinite measure in every neighborhood of infinity; exact")
-
-
 def _kernels(family, x0, tail):
     """The kernel witnesses at x0, in the order they are tried, each as
     (scheme, alpha, k0, kernel, evidence, why): kernel(k) lies in
     A_alpha(u_j) for k0 < j <= k and keeps positive measure in every
     neighborhood of x0."""
-    if x0.is_infinite and isinstance(family, TranslateFamily):
-        ray = _tail_ray(family)
-        if ray is not None:
-            yield ray
+    ray = family.tail_ray() if x0.is_infinite else None
+    if ray is not None:
+        alpha, kernel, limits = ray
+        yield ("local-translate-tail", alpha, 0, kernel,
+               {"tail_limits": tuple(map(str, limits))},
+               "the profile keeps |value| > alpha on an unbounded ray, which "
+               "has infinite measure in every neighborhood of infinity; exact")
     for cert in family.certificates_of(SuperlevelKernel):
         if cert.accumulation == x0:
             yield ("local-superlevel-kernel", cert.alpha, 0, cert.kernel, {},
@@ -236,9 +219,7 @@ def _local_kernel(family, x0, policy, tail):
     positive measure in every neighborhood of x0 (`_kernels`): then no
     finite superlevel intersection restricted to a neighborhood is null."""
     for scheme, alpha, k0, kernel, evidence, why in _kernels(family, x0, tail):
-        table = [{"J": J, "k_J": k0 + J, "kernel_measure": kernel(k0 + J).measure()}
-                 for J in range(1, policy.j_max + 1)]
-        wit = Witness(alpha, f"k_j = {k0} + j" if k0 else "identity", kernel, table)
+        wit = kernel_witness(alpha, k0, kernel, policy.j_max)
         return Verdict(family.name, NONNULL, scheme=scheme, witness=wit,
                        evidence={"x0": str(x0), **evidence, "alpha": alpha},
                        trust="kernel(k_J) lies in A_alpha(u_kj) for every "

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from linfweak.corpus import (CORPUS, dyadic_indicators, dyadic_indicators_plus,
-                             family_by_name, tents)
+from linfweak.corpus import (CORPUS, LOCAL_CORPUS, dyadic_indicators,
+                             dyadic_indicators_plus, family_by_name, tents)
 from linfweak.engine import (EngineError, NONNULL, INCONCLUSIVE, Policy,
                              intersection_measure, test_weak_null, v_inf,
                              witness_lower_bound)
@@ -12,10 +12,11 @@ from linfweak.enclosure import sin_of_pi_multiple
 from linfweak.families import (CertificateError, ExplicitListFamily,
                                IndicatorFamily, MappedStepFamily, NormLimit,
                                SinReciprocalFamily, SuperlevelKernel)
+from linfweak.localize import test_weak_null_at
 from linfweak.numtheory import (dyadic_divisibility_subsequence, lcm_list,
                                 nested_midpoint, prime_power_nondivisor)
 from linfweak.piecewise import PiecewiseFn
-from linfweak.points import WitnessPoint
+from linfweak.points import ExtPoint, WitnessPoint
 from linfweak.sets import Domain, IntervalSet, ico, opened
 
 DOM = Domain.open_interval(-1, 1)
@@ -143,13 +144,24 @@ class TestExclusivityGuard:
 
 
 class TestAbsEquivalence:
+    """A family and its |u_k| image get the same verdict by the same scheme,
+    globally and at every local corpus point: the image keeps every
+    certificate and hook of the family."""
+
     @pytest.mark.parametrize("name", [i.family for i in CORPUS
                                       if i.family != "sin-reciprocal"])
     def test_verdict_matches_abs_family(self, name):
         fam = family_by_name(name)
         v1 = test_weak_null(fam, Policy())
         v2 = test_weak_null(fam.abs_mapped(), Policy())
-        assert v1.kind == v2.kind
+        assert (v1.kind, v1.scheme) == (v2.kind, v2.scheme)
+
+    @pytest.mark.parametrize("name,point", [(f, p) for f, p, _ in LOCAL_CORPUS])
+    def test_local_verdict_matches_abs_family(self, name, point):
+        fam, x0 = family_by_name(name), ExtPoint.parse(point)
+        v1 = test_weak_null_at(fam, x0, Policy())
+        v2 = test_weak_null_at(fam.abs_mapped(), x0, Policy())
+        assert (v1.kind, v1.scheme) == (v2.kind, v2.scheme)
 
 
 class TestCompositionStability:

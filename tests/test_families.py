@@ -1,21 +1,27 @@
+import ast
+import importlib
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+
+import linfweak
 
 from linfweak.corpus import (FAMILIES, dyadic_indicators,
                              dyadic_indicators_plus, escape_translates,
                              family_by_name, sided_translates,
                              summable_disjoint, tents)
-from linfweak.engine import Policy, _try_summable_disjoint
-from linfweak.families import (CertificateError, DisjointSupports,
+from linfweak.engine import test_weak_null
+from linfweak.families import (CertificateError, DisjointLayers,
+                               DisjointSupports, EscapeBound,
                                ExplicitListFamily, IndicatorFamily,
-                               MonotoneEnvelope, NormLimit,
+                               MonotoneEnvelope, NormLimit, SequenceFamily,
                                SummableDisjointFamily, SuperlevelKernel,
                                verify_certificate, verify_norm_bound)
 from linfweak.piecewise import PiecewiseFn
 from linfweak.points import ExtPoint
-from linfweak.sets import Domain, IntervalSet, ico, opened
+from linfweak.sets import NEG_INF, Domain, IntervalSet, ico, opened
 
 DOM = Domain.open_interval(-1, 1)
 PIECEWISE = [name for name in FAMILIES if not family_by_name(name).evaluable]
@@ -127,10 +133,17 @@ class TestCertificates:
         assert not rep.passed
 
     def test_escape_bound_on_wrong_kind(self):
+        # supp(u_1) = [1/4, 1/2) is not inside the window [-2, 0]
         fam = dyadic_indicators()
-        from linfweak.families import EscapeBound
-        rep = verify_certificate(fam, EscapeBound(lambda eps: F(1)), budget=4)
+        rep = verify_certificate(fam, EscapeBound(F(1), F(1)), budget=4)
         assert not rep.passed
+        assert rep.counterexample_k == 1
+        assert rep.witness == IntervalSet.of(ico(F(1, 4), F(1, 2)))
+
+    @pytest.mark.parametrize("width,step", [(F(-1), F(1)), (F(1), F(0)), (F(1), F(-1))])
+    def test_escape_bound_needs_a_positive_step(self, width, step):
+        with pytest.raises(ValueError, match="width >= 0 and step > 0"):
+            EscapeBound(width, step)
 
     def test_unknown_certificate_rejected(self):
         with pytest.raises(TypeError, match="unknown certificate"):
@@ -197,8 +210,7 @@ class TestStructure:
         fam = SummableDisjointFamily(Domain.open_interval(0, 1),
                                      [(F(-1, 2), block), (F(0), block), (F(-2), wide)])
         mapped = fam.abs_mapped()
-        assert isinstance(mapped, SummableDisjointFamily)
-        assert [c for c, _ in mapped.layers] == [F(1, 2), F(0), F(2)]
+        assert mapped.certificates_of(DisjointLayers) == fam.certificates_of(DisjointLayers)
         for k in range(1, 9):
             assert mapped.term(k).pieces == fam.term(k).abs_fn().pieces
 
@@ -235,8 +247,87 @@ class TestOverlapReports:
 
     def test_summable_layer_reports_the_first_pair(self):
         fam = SummableDisjointFamily(self.WIDE, [(F(1), _two_overlaps)])
-        with pytest.raises(CertificateError) as exc:
-            _try_summable_disjoint(fam, Policy())
-        assert "at indices 1,5" in str(exc.value)
-        assert exc.value.k == 5
-        assert exc.value.witness == self.WITNESS
+        (cert,) = fam.certificates_of(DisjointLayers)
+        rep = cert.verify(fam, 20)
+        assert not rep.passed
+        assert "at indices 1,5" in rep.detail
+        assert rep.counterexample_k == 5
+        assert rep.witness == self.WITNESS
+
+
+class _Declared(SequenceFamily):
+    """The terms of `inner` with one more certificate declared on them."""
+
+    def __init__(self, inner, extra):
+        super().__init__(inner.domain, inner.name, inner.norm_bound,
+                         inner.certificates + (extra,))
+        self.inner = inner
+
+    def _term(self, k):
+        return self.inner.term(k)
+
+
+def _first_term_layer(k):
+    """One layer holding supp(tent_1) = (-1, 0) u (0, 1), empty after it:
+    disjoint, so only the support containment can fail."""
+    return IntervalSet.of(opened(-1, 1)) if k == 1 else IntervalSet.empty()
+
+
+class TestWrongDeclarations:
+    """Structure declared on a family that lacks it fails its exact check at
+    a named index, and the engine refuses to answer (CertificateError, which
+    the CLI turns into exit 4) instead of giving a null verdict."""
+
+    CASES = {
+        # supp(u_2) = (-1, 0) u (0, 1) lies in no layer set of index 2
+        "layers-on-tents": ("tents", DisjointLayers((_first_term_layer,)), 2,
+                            IntervalSet.of(opened(-1, 0), opened(0, 1))),
+        # supp(u_1) = [1/4, 1/2) and the window [-2, 0]
+        "escape-on-dyadic": ("dyadic-indicators", EscapeBound(F(1), F(1)), 1,
+                             IntervalSet.of(ico(F(1, 4), F(1, 2)))),
+        # supp(u_1) = (-inf, 0) shifted by -1, and the window [-2, 0]
+        "escape-on-sided": ("sided-translates", EscapeBound(F(1), F(1)), 1,
+                            IntervalSet.of(opened(NEG_INF, -2))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fails_at_a_named_index(self, case):
+        name, cert, k, outside = self.CASES[case]
+        fam = _Declared(family_by_name(name), cert)
+        rep = cert.verify(fam, 20)
+        assert not rep.passed
+        assert rep.counterexample_k == k and rep.detail.startswith(f"supp(u_{k}) escapes")
+        assert rep.witness == outside
+        with pytest.raises(CertificateError, match=f"certificate {cert.name} failed") as exc:
+            test_weak_null(fam)
+        assert exc.value.k == k
+
+
+def _family_classes(cls=SequenceFamily):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _family_classes(sub)
+
+
+def test_no_isinstance_on_a_family_class():
+    """Verdicts read what a family declares, never its class: no module of
+    the package calls isinstance with SequenceFamily or a subclass of it."""
+    package = Path(linfweak.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    for path in modules:
+        if path.stem != "__init__":
+            importlib.import_module(f"linfweak.{path.stem}")
+    family_names = {c.__name__ for c in _family_classes()}
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                name = getattr(kind, "id", None) or getattr(kind, "attr", None)
+                if name in family_names:
+                    found.append(f"{path.name}:{node.lineno} isinstance(_, {name})")
+    assert "TranslateFamily" in family_names and "_AbsMapped" in family_names
+    assert not found, found
