@@ -47,6 +47,7 @@ from .families import (CertificateError, CertReport, DisjointLayers,
 from .numtheory import dyadic_divisibility_subsequence, nested_midpoint
 from .piecewise import PiecewiseFn, min_of
 from .points import WitnessPoint
+from .rational import min_abs
 from .sets import IntervalSet, POS_INF, rat
 
 
@@ -95,11 +96,14 @@ class Policy:
         return self.strategies if self.strategies is not None else DEFAULT_STRATEGIES
 
 
+_POWERS = tuple(Fraction(1, 2 ** n) for n in range(0, 9))
+
+
 def default_alpha_grid(family: SequenceFamily, k_max: int) -> list[Fraction]:
     """Powers 1/2^n, n <= 8, plus every distinct nonzero |piece value| of the
     first k_max terms; piecewise-constant families change superlevel sets
     only at those thresholds."""
-    grid = {Fraction(1, 2 ** n) for n in range(0, 9)}
+    grid = set(_POWERS)
     if not family.evaluable:
         for k in range(1, k_max + 1):
             for v in family.term(k).piece_value_candidates():
@@ -337,6 +341,19 @@ def _spot_alphas(family, policy):
     return policy.alpha_grid or default_alpha_grid(family, min(policy.k_max, 12))
 
 
+def _spot_alpha(family, policy) -> Fraction:
+    """The first alpha of `_spot_alphas`, without building or sorting the
+    grid: the policy's own first alpha, else the least of 1/256 and the
+    nonzero |piece values| of the first min(k_max, 12) terms."""
+    if policy.alpha_grid:
+        return policy.alpha_grid[0]
+    alpha = _POWERS[-1]
+    if not family.evaluable:
+        for k in range(1, min(policy.k_max, 12) + 1):
+            alpha = min_abs(family.term(k).pieces, alpha)
+    return alpha
+
+
 def _try_eventual_constant(family, policy):
     found = family.eventual_tail()
     if found is None:
@@ -374,8 +391,9 @@ def _try_summable_disjoint(family, policy):
             raise EngineError(f"summable-disjoint pigeonhole violated on {name}")
     ev = {"layers": len(cert.layers), "forcing_J": j_zero,
           "spot_norms": {n: str(v) for n, v in checks.items()}}
-    if cert.tail_declared:
-        ev["declared_tail"] = "sum_{i>I} |a_i| <= tail(I), supplied"
+    if cert.tail_bound is not None:
+        ev["declared_tail"] = (f"sum_{{i>I}} |a_i| <= tail(I), checked for "
+                               f"I < {len(cert.layers)} against the listed layers")
     return Verdict(family.name, NULL, scheme="summable-disjoint", evidence=ev,
                    trust="pigeonhole over the disjoint layers: any J > layer "
                          "count makes v_J vanish identically, for every "
@@ -385,19 +403,19 @@ def _try_summable_disjoint(family, policy):
 def _try_disjoint_supports(family, policy):
     if not family.certificates_of(DisjointSupports):
         return None
-    alphas = _spot_alphas(family, policy)
+    alpha = _spot_alpha(family, policy)
     spot = {}
     for name, strat in policy.resolved_strategies():
         subseq = [strat(1), strat(2)]
         if subseq[-1] > policy.k_max:
             continue
-        m = intersection_measure(family, subseq, alphas[0], 2)
+        m = intersection_measure(family, subseq, alpha, 2)
         spot[name] = m
         if m != 0:
             raise EngineError("disjoint supports but positive pair intersection")
     return Verdict(family.name, NULL, scheme="disjoint-supports",
                    evidence={"pair_measures": {n: str(v) for n, v in spot.items()},
-                             "alpha_spot": alphas[0]},
+                             "alpha_spot": alpha},
                    trust="any two distinct indices give a null superlevel "
                          "intersection for every alpha; " + _trust_note(policy))
 

@@ -14,8 +14,14 @@ Every check is linear in the budget in the terms it builds and the tests it
 makes: one pass over the terms, each tested against one other object at
 most.  Disjoint sets are checked by one sweep (`sets.first_overlap`) that
 tests each set against the union of the later ones, n - 1 tests instead of
-n^2 / 2 pairs; the monotone envelope compares consecutive terms through
-`PiecewiseFn.exceeds`.
+n^2 / 2 pairs.  A check that only asks whether a set is null asks it by a
+walk that builds no set: the monotone and lower envelopes compare terms by
+`PiecewiseFn.exceeds_somewhere`, and the support bounds of
+`SupportEnvelope`, `EscapeBound` and `DisjointLayers` (one shared loop,
+`_support_report`) by `PiecewiseFn.vanishes_off`.  Only a failing check
+builds its witness, {|u_k| > |u_(k-1)|}, {|floor| > |u_k|} or
+supp(u_k) \\ bound(k), so every failure report keeps its detail, its index
+and its witness.
 """
 
 from __future__ import annotations
@@ -58,13 +64,16 @@ class CertReport:
 
 
 def _support_report(name, family, budget, bound, what) -> CertReport:
-    """Check that supp(u_k) lies in bound(k) up to a null set for k <= budget;
-    a failure names the first k that breaks it and the part outside."""
+    """Check that supp(u_k) lies in bound(k) up to a null set for k <= budget
+    by `PiecewiseFn.vanishes_off`, which builds no set; a failure names the
+    first k that breaks it, and only then are supp(u_k) and the part outside
+    bound(k), its witness, built."""
     for k in range(1, budget + 1):
-        supp, within = family.term(k).support(), bound(k)
-        if not supp.subset_up_to_null(within):
+        u, within = family.term(k), bound(k)
+        if not u.vanishes_off(within):
             return CertReport(name, False, budget, f"supp(u_{k}) escapes {what}({k})",
-                              counterexample_k=k, witness=supp.difference(within))
+                              counterexample_k=k,
+                              witness=u.support().difference(within))
     return CertReport(name, True, budget)
 
 
@@ -88,13 +97,30 @@ class DisjointSupports:
 class DisjointLayers:
     """supp(u_k) lies in the union over i of layer_i(k), and each layer's
     sets are mutually disjoint up to null sets, so a point lies in the
-    supports of at most len(layers) terms.  `tail_declared` records that a
-    bound on the layers beyond the listed ones was supplied."""
+    supports of at most len(layers) terms.  A `tail_bound` declares
+    sum_{i>I} |a_i| <= tail(I) for the idealized infinite sum of layers,
+    a_i being the `coefficients` of the listed layers i = 1 .. L; any true
+    bound meets tail(I) >= sum_{I<i<=L} |a_i|, which `verify` checks
+    exactly for I = 0 .. L-1."""
     layers: tuple[Callable[[int], IntervalSet], ...]
-    tail_declared: bool = False
+    coefficients: tuple[Fraction, ...] = ()
+    tail_bound: Optional[Callable[[int], Fraction]] = None
     name = "disjoint-layers"
 
+    def __post_init__(self):
+        if self.tail_bound is not None and len(self.coefficients) != len(self.layers):
+            raise ValueError("a tail bound needs one coefficient per layer")
+
     def verify(self, family, budget) -> CertReport:
+        if self.tail_bound is not None:
+            for I in range(len(self.coefficients)):
+                listed = sum(abs(rat(c)) for c in self.coefficients[I:])
+                declared = rat(self.tail_bound(I))
+                if declared < listed:
+                    return CertReport(self.name, False, budget,
+                                      f"tail({I}) = {declared} is below the listed "
+                                      f"sum_{{{I}<i<={len(self.layers)}}} |a_i| = {listed}",
+                                      witness=listed)
         built = [[gen(k) for k in range(1, budget + 1)] for gen in self.layers]
         for idx, sets in enumerate(built):
             found = first_overlap(sets)
@@ -181,11 +207,10 @@ class MonotoneEnvelope:
         prev = family.term(1).abs_fn()
         for k in range(2, budget + 1):
             cur = family.term(k).abs_fn()
-            bad = cur.exceeds(prev)
-            if not bad.is_null():
+            if cur.exceeds_somewhere(prev):
                 return CertReport(self.name, False, budget,
                                   f"|u_{k}| exceeds |u_{k-1}| on a positive set",
-                                  counterexample_k=k, witness=bad)
+                                  counterexample_k=k, witness=cur.exceeds(prev))
             prev = cur
         return CertReport(self.name, True, budget)
 
@@ -243,11 +268,11 @@ class LowerEnvelope:
     def verify(self, family, budget) -> CertReport:
         floor = self.floor.abs_fn()
         for k in range(1, budget + 1):
-            bad = floor.exceeds(family.term(k).abs_fn())
-            if not bad.is_null():
+            cur = family.term(k).abs_fn()
+            if floor.exceeds_somewhere(cur):
                 return CertReport(self.name, False, budget,
                                   f"|floor| exceeds |u_{k}| on a positive set",
-                                  counterexample_k=k, witness=bad)
+                                  counterexample_k=k, witness=floor.exceeds(cur))
         return CertReport(self.name, True, budget)
 
 
@@ -466,8 +491,9 @@ class SummableDisjointFamily(SequenceFamily):
     """u_k = sum_i coef_i * indicator(layer_i(k)) where each layer is a family
     of mutually disjoint sets.  The layer list is finite and exact; an
     optional declared tail bound describes the idealized infinite sum.  The
-    family declares its layer sets as a `DisjointLayers` certificate, after
-    the given ones.
+    family declares its layer sets, coefficients and tail bound as a
+    `DisjointLayers` certificate, after the given ones, which checks the
+    tail bound against the listed layers.
 
     Each term is one `PiecewiseFn.layer_sum`: a single cut sweep over the
     carrier and the layer sets, with no indicator or partial sum built on
@@ -481,7 +507,7 @@ class SummableDisjointFamily(SequenceFamily):
             raise ValueError("need at least one layer")
         self.layers = [(rat(c), gen) for c, gen in layers]
         declared = DisjointLayers(tuple(gen for _, gen in self.layers),
-                                  tail_bound is not None)
+                                  tuple(c for c, _ in self.layers), tail_bound)
         super().__init__(domain, name, sum(abs(c) for c, _ in self.layers),
                          tuple(certificates) + (declared,))
 

@@ -35,7 +35,18 @@ where a law changes sign (in ``abs_fn``) and where it crosses a level (in
 ``superlevel`` and ``gt_set``), the side each law wins on follows from the
 sign of a slope, since a x + b - c = a (x - x0); no point is sampled.
 ``exceeds`` is that one walk: it builds no difference function u - v, so
-``ne_set`` and the monotone-envelope check validate no new function.
+``ne_set`` validates no new function.
+
+Two null tests answer the certificate checks without building any
+``Interval``, ``IntervalSet`` or function.  ``exceeds_somewhere`` asks
+whether {u > v} has positive measure: the walk of ``exceeds`` on local cell
+ends, which answers at the first cell of positive length that decides it.
+``vanishes_off(s)`` asks whether supp(u) \\ s is null: up to null sets
+supp(u) is the union of the non-point pieces whose law is not 0, since a
+sloped piece loses only its root, so it is the cover walk of
+``IntervalSet.subset_up_to_null`` over those pieces and the parts of s.  A
+check builds the set itself (``exceeds``, ``support``) only when the test
+fails, as the witness it reports.
 
 The two kernels behind v_J = min_j |u_kj| and its level sets build each
 output object once.  `_min2` keeps each common cell as local ends and flags
@@ -74,8 +85,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .rational import crossing, eq, is_finite, lt, max_abs, side
-from .sets import (Domain, Interval, IntervalSet, SetAlgebraError, _ends_before,
-                   _intersect_intervals, _join_sorted, _starts_after, rat)
+from .sets import (Domain, Interval, IntervalSet, SetAlgebraError, _covered,
+                   _ends_before, _intersect_intervals, _join_sorted, _starts_after,
+                   rat)
 
 _ZERO = Fraction(0)
 
@@ -456,11 +468,56 @@ class PiecewiseFn:
                 parts.append(got)
         return IntervalSet(_join_sorted(parts))
 
+    def exceeds_somewhere(self, other: "PiecewiseFn") -> bool:
+        """Is { x : u(x) > v(x) } of positive measure?  The walk of
+        `exceeds`, keeping each common cell as its two ends: it answers True
+        at the first cell of positive length where u > v on a part of
+        positive length (u - v = (a1 - a2)(x - x0): when a1 = a2, b2 < b1;
+        when a1 > a2, hi is right of x0; when a1 < a2, lo is left of it).
+        A cell that is a point decides nothing, so pieces that end together
+        are passed together.  Nothing is built."""
+        self._same_domain(other)
+        ps, qs = self.pieces, other.pieces
+        i = j = 0
+        while i < len(ps) and j < len(qs):
+            p, q = ps[i], qs[j]
+            pv, qv = p.interval, q.interval
+            lo = pv.lo if lt(qv.lo, pv.lo) else qv.lo
+            phi, qhi = pv.hi, qv.hi
+            if lt(phi, qhi):
+                hi = phi
+                i += 1
+            elif lt(qhi, phi):
+                hi = qhi
+                j += 1
+            else:
+                hi = phi
+                i += 1
+                j += 1
+            if not lt(lo, hi):
+                continue
+            s, n, d = crossing(p.slope, p.intercept, q.slope, q.intercept)
+            if s == 0:
+                if lt(q.intercept, p.intercept):
+                    return True
+            elif side(hi, n, d) > 0 if s > 0 else side(lo, n, d) < 0:
+                return True
+        return False
+
+    def vanishes_off(self, s: IntervalSet) -> bool:
+        """Is supp(u) \\ s null?  Up to null sets supp(u) is the union of the
+        non-point pieces whose law is not 0, since a sloped piece loses only
+        its root; so this is the cover walk of
+        `IntervalSet.subset_up_to_null` over those pieces and the parts of
+        s.  Nothing is built."""
+        return _covered((p.interval for p in self.pieces
+                         if p.slope._numerator or p.intercept._numerator), s.parts)
+
     def ne_set(self, other: "PiecewiseFn") -> IntervalSet:
         return self.exceeds(other).union(other.exceeds(self))
 
     def ae_equal(self, other: "PiecewiseFn") -> bool:
-        return self.ne_set(other).is_null()
+        return not (self.exceeds_somewhere(other) or other.exceeds_somewhere(self))
 
     def __str__(self) -> str:
         bits = ", ".join(f"{p.interval}: {p.slope}*x+{p.intercept}" for p in self.pieces)

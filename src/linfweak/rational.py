@@ -154,6 +154,32 @@ def max_abs(pieces: Iterable) -> Fraction:
     return Fraction(best_n, best_d)
 
 
+def min_abs(pieces: Iterable, cap: Fraction) -> Fraction:
+    """The smallest nonzero |a x + b| below `cap` at the interval ends of
+    the non-null pieces (as in `max_abs`), or `cap` itself when none lies
+    below it; compared as pairs, one ``Fraction`` built for a new value."""
+    best_n, best_d = cap._numerator, cap._denominator
+    found = False
+    for p in pieces:
+        iv = p.interval
+        lo, hi = iv.lo, iv.hi
+        if eq(lo, hi):
+            continue
+        a, b = p.slope, p.intercept
+        an, bn, bd = a._numerator, b._numerator, b._denominator
+        if an == 0:
+            if bn and abs(bn) * best_d < best_n * bd:
+                best_n, best_d, found = abs(bn), bd, True
+            continue
+        ad = a._denominator
+        for x in (lo, hi):
+            xn, xd = (x._numerator, x._denominator) if type(x) is Fraction else (x, 1)
+            n, d = abs(an * xn * bd + bn * ad * xd), ad * xd * bd
+            if n and n * best_d < best_n * d:
+                best_n, best_d, found = n, d, True
+    return Fraction(best_n, best_d) if found else cap
+
+
 def end_value(const: Fraction, inv: Fraction, lin: Fraction, ell: int) -> Fraction:
     """const + inv/l + lin*l at the integer l >= 1, over the one denominator
     cd*id*ld*l; ``Fraction(n, d)`` reduces it once."""

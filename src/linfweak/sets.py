@@ -19,7 +19,8 @@ and never sorts.  :meth:`IntervalSet.is_null` reads the parts (a set is
 null iff every part is a point) and builds no measure.
 
 Three predicates answer by one merge walk over the two sorted part lists
-and build no set.  :meth:`IntervalSet.subset_up_to_null` is a cover walk: a
+and build no set.  :meth:`IntervalSet.subset_up_to_null` is a cover walk
+(`_covered`, which ``PiecewiseFn.vanishes_off`` runs over pieces): a
 position runs from each part's lo through the parts of the other set that
 reach past it, and only a gap of positive length answers "not null" (a
 single point missing between two parts moves the position nowhere).
@@ -211,6 +212,35 @@ def _starts_after(a: Interval, b: Interval) -> bool:
     return lt(b.lo, a.lo) or (b.lo_closed and not a.lo_closed and eq(a.lo, b.lo))
 
 
+def _covered(spans: Iterable[Interval], cover: Sequence[Interval]) -> bool:
+    """Is the union of `spans` minus the union of `cover` null?  The spans
+    are disjoint and in order (they may touch), the cover is the parts of a
+    set.  `pos` runs from each span's lo through the parts of `cover` that
+    reach past it, and a positive gap before the next part of `cover` (or
+    before the span's hi, when `cover` runs out) answers False.  A gap of
+    one point between two parts of `cover` moves `pos` nowhere."""
+    j = 0
+    for p in spans:
+        hi = p.hi
+        pos = p.lo
+        if eq(pos, hi):
+            continue  # a point span is null
+        while True:
+            if j == len(cover):
+                return False
+            q = cover[j]
+            if not lt(pos, q.hi):
+                j += 1  # q ends at or before pos
+                continue
+            if lt(pos, q.lo):
+                return False  # (pos, min(q.lo, hi)) is not covered
+            pos = q.hi
+            if not lt(pos, hi):
+                break  # q covers the rest of p and may cover later spans
+            j += 1
+    return True
+
+
 def _normalize(parts: Iterable[Interval]) -> tuple[Interval, ...]:
     items = list(parts)
     if any(_starts_after(p, q) for p, q in zip(items, items[1:])):
@@ -307,32 +337,8 @@ class IntervalSet:
         return True
 
     def subset_up_to_null(self, other: "IntervalSet") -> bool:
-        """Is self \\ other null?  One cover walk: `pos` runs from each
-        part's lo through the parts of `other` that reach past it, and a
-        positive gap before the next part of `other` (or before the part's
-        hi, when `other` runs out) answers False.  A gap of one point
-        between two parts of `other` moves `pos` nowhere."""
-        cover = other.parts
-        j = 0
-        for p in self.parts:
-            hi = p.hi
-            pos = p.lo
-            if eq(pos, hi):
-                continue  # a point part is null
-            while True:
-                if j == len(cover):
-                    return False
-                q = cover[j]
-                if not lt(pos, q.hi):
-                    j += 1  # q ends at or before pos
-                    continue
-                if lt(pos, q.lo):
-                    return False  # (pos, min(q.lo, hi)) is not covered
-                pos = q.hi
-                if not lt(pos, hi):
-                    break  # q covers the rest of p and may cover later parts
-                j += 1
-        return True
+        """Is self \\ other null?  One cover walk (`_covered`)."""
+        return _covered(self.parts, other.parts)
 
     def meets(self, other: "IntervalSet") -> bool:
         """Do self and other meet in positive measure?  The intersection

@@ -10,6 +10,9 @@ from linfweak.sets import Domain, IntervalSet, closed, ivl, point
 settings.register_profile(
     "default", deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+# twenty times the examples, for the exact-kernel differentials:
+#   pytest tests/test_piecewise.py -k Differential --hypothesis-profile=deep
+settings.register_profile("deep", settings.get_profile("default"), max_examples=2000)
 settings.load_profile("default")
 
 

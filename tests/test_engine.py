@@ -3,11 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from linfweak.corpus import (CORPUS, LOCAL_CORPUS, dyadic_indicators,
+from linfweak.corpus import (CORPUS, FAMILIES, LOCAL_CORPUS, dyadic_indicators,
                              dyadic_indicators_plus, family_by_name, tents)
 from linfweak.engine import (EngineError, NONNULL, INCONCLUSIVE, Policy,
-                             intersection_measure, test_weak_null, v_inf,
-                             witness_lower_bound)
+                             _spot_alpha, _spot_alphas, intersection_measure,
+                             test_weak_null, v_inf, witness_lower_bound)
 from linfweak.enclosure import sin_of_pi_multiple
 from linfweak.families import (CertificateError, ExplicitListFamily,
                                IndicatorFamily, MappedStepFamily, NormLimit,
@@ -17,7 +17,7 @@ from linfweak.numtheory import (dyadic_divisibility_subsequence, lcm_list,
                                 nested_midpoint, prime_power_nondivisor)
 from linfweak.piecewise import PiecewiseFn
 from linfweak.points import ExtPoint, WitnessPoint
-from linfweak.sets import Domain, IntervalSet, ico, opened
+from linfweak.sets import Domain, IntervalSet, ico, opened, point
 
 DOM = Domain.open_interval(-1, 1)
 
@@ -106,6 +106,34 @@ class TestVerdicts:
     def test_verdicts_carry_cert_reports(self):
         v = test_weak_null(tents())
         assert any(r.certificate == "superlevel-kernel" for r in v.cert_reports)
+
+
+class TestSpotAlpha:
+    """The one alpha the disjoint-supports scheme reads is the first alpha
+    of the grid `_spot_alphas` builds and sorts."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_corpus_families(self, name):
+        fam = family_by_name(name)
+        assert _spot_alpha(fam, Policy()) == _spot_alphas(fam, Policy())[0]
+
+    def test_piece_values_below_the_finest_power(self):
+        # end values 1/700, 1/700 + 1/5000 and -1/300; a null piece's value
+        # (1/1000) and the 4th term's (1/2000) do not count at k_max = 3
+        small = PiecewiseFn.from_pieces(DOM, [
+            (opened(-1, 0), 0, F(-1, 300)), (point(0), 0, F(1, 1000)),
+            (opened(0, 1), F(1, 5000), F(1, 700))])
+        terms = [PiecewiseFn.constant(DOM, F(1, 2)), small, small,
+                 PiecewiseFn.constant(DOM, F(1, 2000))]
+        fam = ExplicitListFamily(DOM, terms)
+        for policy, want in ((Policy(k_max=3), F(1, 700)), (Policy(), F(1, 2000))):
+            assert _spot_alpha(fam, policy) == _spot_alphas(fam, policy)[0] == want
+
+    def test_a_policy_grid_gives_its_first_alpha(self):
+        policy = Policy(alpha_grid=[F(3, 4), F(1, 8)])
+        for name in ("dyadic-indicators", "tents"):
+            fam = family_by_name(name)
+            assert _spot_alpha(fam, policy) == _spot_alphas(fam, policy)[0] == F(3, 4)
 
 
 class TestExclusivityGuard:

@@ -17,11 +17,12 @@ from linfweak.families import (CertificateError, DisjointLayers,
                                DisjointSupports, EscapeBound,
                                ExplicitListFamily, IndicatorFamily,
                                MonotoneEnvelope, NormLimit, SequenceFamily,
-                               SummableDisjointFamily, SuperlevelKernel,
-                               verify_certificate, verify_norm_bound)
+                               SummableDisjointFamily, SupportEnvelope,
+                               SuperlevelKernel, verify_certificate,
+                               verify_norm_bound)
 from linfweak.piecewise import PiecewiseFn
 from linfweak.points import ExtPoint
-from linfweak.sets import NEG_INF, Domain, IntervalSet, ico, opened
+from linfweak.sets import NEG_INF, Domain, IntervalSet, ico, ioc, opened
 
 DOM = Domain.open_interval(-1, 1)
 PIECEWISE = [name for name in FAMILIES if not family_by_name(name).evaluable]
@@ -288,6 +289,10 @@ class TestWrongDeclarations:
         # supp(u_1) = (-inf, 0) shifted by -1, and the window [-2, 0]
         "escape-on-sided": ("sided-translates", EscapeBound(F(1), F(1)), 1,
                             IntervalSet.of(opened(NEG_INF, -2))),
+        # supp(u_2) = (-1, 0) u (0, 1) and the envelope (-1/2, 1/2)
+        "envelope-on-tents": ("tents", SupportEnvelope(
+            lambda k: IntervalSet.of(opened(F(-1, k), F(1, k)))), 2,
+            IntervalSet.of(ioc(-1, F(-1, 2)), ico(F(1, 2), 1))),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -301,6 +306,48 @@ class TestWrongDeclarations:
         with pytest.raises(CertificateError, match=f"certificate {cert.name} failed") as exc:
             test_weak_null(fam)
         assert exc.value.k == k
+
+    def test_support_envelope_names_its_envelope(self):
+        _, cert, _, _ = self.CASES["envelope-on-tents"]
+        rep = cert.verify(_Declared(family_by_name("tents"), cert), 20)
+        assert rep.detail == "supp(u_2) escapes envelope(2)"
+        assert str(rep.witness) == "(-1,-1/2] u [1/2,1)"
+
+
+class TestDeclaredTail:
+    """A summable family's declared tail bound must meet the sum of the
+    listed layers past each I: tail(I) >= sum_{I<i<=L} |a_i|."""
+
+    @staticmethod
+    def _family(tail):
+        layers = family_by_name("summable-disjoint").layers
+        return SummableDisjointFamily(Domain.open_interval(0, 1), layers,
+                                      tail_bound=tail)
+
+    def test_the_corpus_tail_passes(self):
+        fam = family_by_name("summable-disjoint")
+        (cert,) = fam.certificates_of(DisjointLayers)
+        assert cert.coefficients == tuple(F(1, 2 ** i) for i in range(1, 7))
+        assert cert.verify(fam, 20).passed
+
+    @pytest.mark.parametrize("tail, detail", [
+        (lambda i: 0, "tail(0) = 0 is below the listed sum_{0<i<=6} |a_i| = 63/64"),
+        # 2^-I is right; at I = 5 only a_6 = 1/64 is left, above 1/128
+        (lambda i: F(1, 2 ** i) if i < 5 else F(1, 128),
+         "tail(5) = 1/128 is below the listed sum_{5<i<=6} |a_i| = 1/64"),
+    ])
+    def test_a_wrong_tail_fails_and_names_I(self, tail, detail):
+        fam = self._family(tail)
+        (cert,) = fam.certificates_of(DisjointLayers)
+        rep = cert.verify(fam, 20)
+        assert not rep.passed and rep.detail == detail
+        with pytest.raises(CertificateError,
+                           match="certificate disjoint-layers failed: tail"):
+            test_weak_null(fam)
+
+    def test_a_tail_needs_one_coefficient_per_layer(self):
+        with pytest.raises(ValueError, match="one coefficient per layer"):
+            DisjointLayers((_first_term_layer,), (), lambda i: F(1))
 
 
 def _family_classes(cls=SequenceFamily):

@@ -615,9 +615,10 @@ def _assert_same(got, want, *inputs):
 
 
 class TestKernelDifferential:
-    """min_of, abs_fn, superlevel, gt_set, support, measure, exceeds and
-    ess_sup_norm against the Fraction-operator reference, piece by piece and
-    part by part."""
+    """min_of, abs_fn, superlevel, gt_set, support, measure, exceeds,
+    ess_sup_norm and the null tests exceeds_somewhere and vanishes_off
+    against the Fraction-operator reference, piece by piece and part by
+    part."""
 
     @given(st.booleans().flatmap(lambda unb: st.lists(kernel_fns(unb), min_size=1,
                                                       max_size=4)))
@@ -702,6 +703,31 @@ class TestKernelDifferential:
         assert u.exceeds(half) == IntervalSet.of(ivl(NEG_INF, 0, False, True))
         assert half.exceeds(u) == IntervalSet.of(ivl(0, POS_INF, False, False))
         assert u.exceeds(u).is_empty()
+
+    @given(st.booleans().flatmap(lambda unb: st.tuples(kernel_fns(unb), kernel_fns(unb))))
+    def test_exceeds_somewhere(self, pair):
+        u, v = pair
+        assert u.exceeds_somewhere(v) == (not ref_exceeds(u, v).is_null())
+        # u <= v with crossings inside cells: min(u, v) exceeds neither
+        low = min_of([u, v])
+        assert not low.exceeds_somewhere(u) and not low.exceeds_somewhere(v)
+        assert not u.exceeds_somewhere(u.abs_fn())
+
+    @given(st.booleans().flatmap(kernel_fns), interval_sets(max_parts=4))
+    def test_vanishes_off(self, u, s):
+        assert u.vanishes_off(s) == ref_support(u).subset_up_to_null(s)
+        # the support itself and every set that holds it
+        assert u.vanishes_off(ref_support(u))
+        assert u.vanishes_off(ref_support(u).union(s))
+
+    def test_vanishes_off_counts_a_sloped_piece_minus_its_root(self):
+        # x on [-1, 1] vanishes only at its root 0; a zero piece needs no cover
+        u = PiecewiseFn.from_pieces(DOM11, [(ico(-1, 0), 1, 0), (ico(0, 1), 1, 0),
+                                            (point(1), 0, 0)])
+        assert u.vanishes_off(IntervalSet.of(ico(-1, 0), opened(0, 1)))
+        assert not u.vanishes_off(IntervalSet.of(ico(-1, 0), opened(F(1, 2), 1)))
+        zero = PiecewiseFn.constant(DOM11, 0)
+        assert zero.vanishes_off(IntervalSet.empty())
 
     @given(st.booleans().flatmap(kernel_fns), st.sampled_from(KERNEL_VALUES[1:]))
     def test_ess_sup_norm(self, u, c):
@@ -881,3 +907,18 @@ def test_corpus_terms_match_the_reference_builds(name):
         mp.setattr(PiecewiseFn, "layer_sum", staticmethod(ref_layer_sum))
         want = _piecewise_images(name)
     assert _piecewise_images(name) == want
+
+
+@pytest.mark.parametrize("name", [n for n in FAMILIES if not family_by_name(n).evaluable])
+def test_null_tests_agree_with_the_sets_on_corpus_terms(name):
+    """exceeds_somewhere and vanishes_off answer as the sets they replace
+    do, on every ordered pair of the first 12 terms and their |.| images
+    (each term's own support among the sets)."""
+    fam = family_by_name(name)
+    terms = [fam.term(k) for k in range(1, 13)]
+    terms += [u.abs_fn() for u in terms]
+    supports = [u.support() for u in terms]
+    for u, supp in zip(terms, supports):
+        for v, other in zip(terms, supports):
+            assert u.exceeds_somewhere(v) == (not u.exceeds(v).is_null())
+            assert u.vanishes_off(other) == supp.subset_up_to_null(other)
