@@ -96,19 +96,29 @@ class Policy:
         return self.strategies if self.strategies is not None else DEFAULT_STRATEGIES
 
 
+# Descending, so _POWERS[-1] is the floor of every default grid.
 _POWERS = tuple(Fraction(1, 2 ** n) for n in range(0, 9))
+_SPOT_TERMS = 12
+
+
+def _grid_terms(family: SequenceFamily, k_max: int):
+    """The terms whose nonzero |piece values| join the default alpha grid:
+    the first k_max, none for an evaluable family."""
+    if family.evaluable:
+        return ()
+    return (family.term(k) for k in range(1, k_max + 1))
 
 
 def default_alpha_grid(family: SequenceFamily, k_max: int) -> list[Fraction]:
     """Powers 1/2^n, n <= 8, plus every distinct nonzero |piece value| of the
     first k_max terms; piecewise-constant families change superlevel sets
-    only at those thresholds."""
+    only at those thresholds.  `_spot_alpha` finds the least element from
+    the same `_POWERS` and `_grid_terms` without building the grid."""
     grid = set(_POWERS)
-    if not family.evaluable:
-        for k in range(1, k_max + 1):
-            for v in family.term(k).piece_value_candidates():
-                if v > 0:
-                    grid.add(v)
+    for u in _grid_terms(family, k_max):
+        for v in u.piece_value_candidates():
+            if v > 0:
+                grid.add(v)
     return sorted(grid)
 
 
@@ -338,19 +348,18 @@ def _trust_note(policy: Policy) -> str:
 
 
 def _spot_alphas(family, policy):
-    return policy.alpha_grid or default_alpha_grid(family, min(policy.k_max, 12))
+    return policy.alpha_grid or default_alpha_grid(family, min(policy.k_max, _SPOT_TERMS))
 
 
 def _spot_alpha(family, policy) -> Fraction:
     """The first alpha of `_spot_alphas`, without building or sorting the
-    grid: the policy's own first alpha, else the least of 1/256 and the
-    nonzero |piece values| of the first min(k_max, 12) terms."""
+    grid: the policy's own first alpha, else the least of the finest power
+    and the nonzero |piece values| of the same grid terms."""
     if policy.alpha_grid:
         return policy.alpha_grid[0]
     alpha = _POWERS[-1]
-    if not family.evaluable:
-        for k in range(1, min(policy.k_max, 12) + 1):
-            alpha = min_abs(family.term(k).pieces, alpha)
+    for u in _grid_terms(family, min(policy.k_max, _SPOT_TERMS)):
+        alpha = min_abs(u.pieces, alpha)
     return alpha
 
 

@@ -517,7 +517,7 @@ class PiecewiseFn:
         return self.exceeds(other).union(other.exceeds(self))
 
     def ae_equal(self, other: "PiecewiseFn") -> bool:
-        return not (self.exceeds_somewhere(other) or other.exceeds_somewhere(self))
+        return self.ne_set(other).is_null()
 
     def __str__(self) -> str:
         bits = ", ".join(f"{p.interval}: {p.slope}*x+{p.intercept}" for p in self.pieces)

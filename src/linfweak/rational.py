@@ -128,11 +128,10 @@ def total_length(spans: Iterable) -> Union[Fraction, float]:
     return Fraction(n, d)
 
 
-def max_abs(pieces: Iterable) -> Fraction:
-    """The largest |a x + b| at the interval ends of the non-null pieces
-    (`slope` a, `intercept` b, `interval` with `lo` and `hi`), 0 for none,
-    compared as pairs; a flat piece gives |b| and may be unbounded."""
-    best_n, best_d = 0, 1
+def _end_abs(pieces: Iterable):
+    """The pairs (n, d), unreduced, of |a x + b| at the interval ends of the
+    non-null pieces (`slope` a, `intercept` b, `interval` with `lo` and
+    `hi`); a flat piece gives |b| once and may be unbounded."""
     for p in pieces:
         iv = p.interval
         lo, hi = iv.lo, iv.hi
@@ -141,42 +140,34 @@ def max_abs(pieces: Iterable) -> Fraction:
         a, b = p.slope, p.intercept
         an, bn, bd = a._numerator, b._numerator, b._denominator
         if an == 0:
-            if abs(bn) * best_d > best_n * bd:
-                best_n, best_d = abs(bn), bd
+            yield abs(bn), bd
             continue
         # a x + b = (an xn bd + bn ad xd) / (ad xd bd) at x = xn / xd
         ad = a._denominator
         for x in (lo, hi):
             xn, xd = (x._numerator, x._denominator) if type(x) is Fraction else (x, 1)
-            n, d = abs(an * xn * bd + bn * ad * xd), ad * xd * bd
-            if n * best_d > best_n * d:
-                best_n, best_d = n, d
+            yield abs(an * xn * bd + bn * ad * xd), ad * xd * bd
+
+
+def max_abs(pieces: Iterable) -> Fraction:
+    """The largest |a x + b| at the interval ends of the non-null pieces
+    (`_end_abs`), 0 for none, compared as pairs."""
+    best_n, best_d = 0, 1
+    for n, d in _end_abs(pieces):
+        if n * best_d > best_n * d:
+            best_n, best_d = n, d
     return Fraction(best_n, best_d)
 
 
 def min_abs(pieces: Iterable, cap: Fraction) -> Fraction:
     """The smallest nonzero |a x + b| below `cap` at the interval ends of
-    the non-null pieces (as in `max_abs`), or `cap` itself when none lies
-    below it; compared as pairs, one ``Fraction`` built for a new value."""
+    the non-null pieces (`_end_abs`), or `cap` itself when none lies below
+    it; compared as pairs, one ``Fraction`` built for a new value."""
     best_n, best_d = cap._numerator, cap._denominator
     found = False
-    for p in pieces:
-        iv = p.interval
-        lo, hi = iv.lo, iv.hi
-        if eq(lo, hi):
-            continue
-        a, b = p.slope, p.intercept
-        an, bn, bd = a._numerator, b._numerator, b._denominator
-        if an == 0:
-            if bn and abs(bn) * best_d < best_n * bd:
-                best_n, best_d, found = abs(bn), bd, True
-            continue
-        ad = a._denominator
-        for x in (lo, hi):
-            xn, xd = (x._numerator, x._denominator) if type(x) is Fraction else (x, 1)
-            n, d = abs(an * xn * bd + bn * ad * xd), ad * xd * bd
-            if n and n * best_d < best_n * d:
-                best_n, best_d, found = n, d, True
+    for n, d in _end_abs(pieces):
+        if n and n * best_d < best_n * d:
+            best_n, best_d, found = n, d, True
     return Fraction(best_n, best_d) if found else cap
 
 

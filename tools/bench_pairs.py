@@ -8,8 +8,8 @@ pair, with the side that runs first alternating from pair to pair.  For
 every workload and each end-to-end metric of BENCHMARK.json the output holds
 the per-pair values, the medians and quartiles of each side and the number
 of pairs the change won (by the metric's `better` direction).  It also holds
-one traced pass per side (`--trace 1`) of each `--traced` workload.  Runs go
-one at a time, so the two sides never share the host.  Standard library
+one traced pass per side (`--trace 1`) of verdict-mix, on seed 7 for 8 s.
+Runs go one at a time, so the two sides never share the host.  Standard library
 only; the raw result line of every run is kept in the output too.
 """
 
@@ -23,6 +23,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TRACED = "verdict-mix"
+TRACE_SEED = 7
+TRACE_SECONDS = 8
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -60,11 +63,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True,
                         help="seed of the first pair; pair i of workload w uses "
                              "seed + 100 w + i")
-    parser.add_argument("--workloads", nargs="+",
-                        default=["verdict-mix", "evidence-deep", "dual-models"])
-    parser.add_argument("--traced", nargs="*", default=["verdict-mix"])
-    parser.add_argument("--trace-seed", type=int, default=7)
-    parser.add_argument("--trace-seconds", type=float, default=8)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -72,7 +70,8 @@ def main(argv=None) -> int:
 
     result = {"command": " ".join(["python3", "tools/bench_pairs.py"] + (argv or sys.argv[1:])),
               "pairs": args.pairs, "seconds": args.seconds, "workloads": {}, "traced": {}}
-    for w, workload in enumerate(args.workloads):
+    workloads = [entry["name"] for entry in spec["workloads"]]
+    for w, workload in enumerate(workloads):
         pairs = []
         for i in range(args.pairs):
             seed = args.seed + 100 * w + i
@@ -89,11 +88,10 @@ def main(argv=None) -> int:
                         for m in spec["end_to_end"]},
             "correct": {s: all(p[s]["correct"] for p in pairs) for s in SIDES},
             "runs": pairs}
-    for workload in args.traced:
-        result["traced"][workload] = {
-            "seed": args.trace_seed, "seconds": args.trace_seconds,
-            **{side: run_bench(checkouts[side], workload, args.trace_seed,
-                               args.trace_seconds, 1)["metrics"] for side in SIDES}}
+    result["traced"][TRACED] = {
+        "seed": TRACE_SEED, "seconds": TRACE_SECONDS,
+        **{side: run_bench(checkouts[side], TRACED, TRACE_SEED, TRACE_SECONDS, 1)["metrics"]
+           for side in SIDES}}
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
 
