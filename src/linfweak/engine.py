@@ -10,8 +10,9 @@ alpha, so the engine certifies nullity only through one of the schemes below
 certifies non-nullity through a kernel or norm-floor witness.  Everything
 else is reported as Inconclusive together with the exact evidence table.
 
-Schemes, tried in `_SCHEMES` order, read only what a family declares (its
-certificates and `eventual_tail`), never its class; the first verdict wins:
+Schemes, tried in `_LEADING_SCHEMES` then `_NONNULL_SCHEMES` order, read
+only what a family declares (its certificates and `eventual_tail`), never
+its class; the first verdict wins:
   eventual-constant      families whose terms equal one tail f from some
                          k0 on (`eventual_tail`): null iff f = 0 a.e.
   summable-disjoint      supports inside L layers of disjoint sets
@@ -26,9 +27,11 @@ certificates and `eventual_tail`), never its class; the first verdict wins:
                          Dini-type equivalence) refutes nullity
 The last two can only certify non-nullity.  A null verdict is checked
 against each of them, and a family on which one of them also gives a
-verdict is rejected as inconsistent.  Evaluable families (sin(1/(kx))) take
-the divisibility witness instead: certified norm floors at number-theoretic
-points refute nullity.
+verdict is rejected as inconsistent.  The certificate checks, the first
+five schemes and that check are `_certified_verdict`, which a localized
+question shares (`localize.test_weak_null_at`).  Evaluable families
+(sin(1/(kx))) take the divisibility witness instead: certified norm floors
+at number-theoretic points refute nullity.
 """
 
 from __future__ import annotations
@@ -304,14 +307,30 @@ def _check_subseq(subseq, J):
 
 def test_weak_null(family: SequenceFamily, policy: Optional[Policy] = None) -> Verdict:
     policy = policy or Policy()
-    nb = verify_norm_bound(family, min(policy.cert_budget, policy.k_max))
-    if not nb.passed:
-        raise CertificateError(f"norm bound check failed: {nb.detail}",
-                               k=nb.counterexample_k, witness=nb.witness)
-
     if family.evaluable:
+        _check_norm_bound(family, policy)
         return _sin_dichotomy_verdict(family, policy)
+    verdict, reports = _certified_verdict(family, policy)
+    if verdict is None:
+        verdict = (_first_verdict(_NONNULL_SCHEMES, family, policy)
+                   or _inconclusive(family, policy))
+    verdict.cert_reports = reports
+    return verdict
 
+
+test_weak_null.__test__ = False  # not a pytest case
+
+
+def _certified_verdict(family: SequenceFamily,
+                      policy: Policy) -> tuple[Optional[Verdict], list[CertReport]]:
+    """The part of the verdict that a localized question shares with the
+    global one, for a piecewise family: the norm bound and every
+    certificate checked (a failure raises `CertificateError`), then the
+    first verdict of `_LEADING_SCHEMES`, or None.  A null verdict is checked
+    against every scheme of `_NONNULL_SCHEMES`, and one that also gives a
+    verdict raises `EngineError`.  Returns the verdict and the certificate
+    reports."""
+    _check_norm_bound(family, policy)
     reports = [verify_certificate(family, c, policy.cert_budget)
                for c in family.certificates]
     for rep in reports:
@@ -319,26 +338,30 @@ def test_weak_null(family: SequenceFamily, policy: Optional[Policy] = None) -> V
             raise CertificateError(
                 f"certificate {rep.certificate} failed: {rep.detail}",
                 k=rep.counterexample_k, witness=rep.witness)
+    verdict = _first_verdict(_LEADING_SCHEMES, family, policy)
+    if verdict is not None and verdict.is_null:
+        refuted = _first_verdict(_NONNULL_SCHEMES, family, policy)
+        if refuted is not None:
+            raise EngineError(
+                f"inconsistent family {family.name}: scheme {verdict.scheme} "
+                f"certifies nullity but {refuted.scheme} certifies non-nullity")
+    return verdict, reports
 
-    for scheme in _SCHEMES:
+
+def _check_norm_bound(family, policy):
+    nb = verify_norm_bound(family, min(policy.cert_budget, policy.k_max))
+    if not nb.passed:
+        raise CertificateError(f"norm bound check failed: {nb.detail}",
+                               k=nb.counterexample_k, witness=nb.witness)
+
+
+def _first_verdict(schemes, family, policy) -> Optional[Verdict]:
+    """The verdict of the first scheme that gives one, tried in order."""
+    for scheme in schemes:
         verdict = scheme(family, policy)
         if verdict is not None:
-            break
-    else:
-        verdict = _inconclusive(family, policy)
-    if verdict.is_null:
-        for rival in _NONNULL_SCHEMES:
-            refuted = rival(family, policy)
-            if refuted is not None:
-                raise EngineError(
-                    f"inconsistent family {family.name}: scheme {verdict.scheme} "
-                    f"certifies nullity but {refuted.scheme} certifies "
-                    f"non-nullity")
-    verdict.cert_reports = reports
-    return verdict
-
-
-test_weak_null.__test__ = False  # not a pytest case
+            return verdict
+    return None
 
 
 def _trust_note(policy: Policy) -> str:
@@ -442,13 +465,12 @@ def _try_escape_bound(family, policy):
         row["identity_norm"] = vj.ess_sup_norm()
         if row["identity_norm"] != 0:
             raise EngineError("escape counting bound violated on identity")
-    # the window is the same for every eps: each row shows that v_J = 0
-    table = [{"eps": Fraction(1, 2 ** n), **row} for n in range(0, 7)]
     return Verdict(family.name, NULL, scheme="escape-bound",
-                   evidence={"table": table, "step": step},
-                   trust="for each eps at most floor(2K/step)+1 translates "
-                         "meet the window, so any J >= floor(2K/step)+2 "
-                         "indices force v_J <= eps; " + _trust_note(policy))
+                   evidence={"table": [row], "step": step},
+                   trust="supp(u_k) lies in [-K - k*step, K - k*step], so at "
+                         "most floor(2K/step)+1 translates meet any point and "
+                         "any J >= floor(2K/step)+2 indices force v_J = 0; "
+                         + _trust_note(policy))
 
 
 def _try_norm_limit_null(family, policy):
@@ -505,14 +527,15 @@ def _try_monotone_nonnull(family, policy):
                          + _trust_note(policy))
 
 
-# Schemes that can only certify non-nullity; a null verdict is checked
-# against each of them.
-_NONNULL_SCHEMES = (_try_kernel_witness, _try_monotone_nonnull)
+# Tried in order by `_certified_verdict`; the first verdict wins.  All but
+# eventual-constant can only certify nullity.
+_LEADING_SCHEMES = (_try_eventual_constant, _try_summable_disjoint,
+                    _try_disjoint_supports, _try_escape_bound,
+                    _try_norm_limit_null)
 
-# Tried in order; the first verdict wins.
-_SCHEMES = (_try_eventual_constant, _try_summable_disjoint,
-            _try_disjoint_supports, _try_escape_bound,
-            _try_norm_limit_null) + _NONNULL_SCHEMES
+# Schemes that can only certify non-nullity, tried in order after
+# `_LEADING_SCHEMES`; a null verdict is checked against each of them.
+_NONNULL_SCHEMES = (_try_kernel_witness, _try_monotone_nonnull)
 
 
 def _inconclusive(family, policy):

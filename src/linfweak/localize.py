@@ -33,8 +33,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy, Verdict,
-                     _CallStore, _evidence_table, _spot_alphas, kernel_witness,
-                     test_weak_null)
+                     _CallStore, _certified_verdict, _evidence_table,
+                     _spot_alphas, kernel_witness)
 from .families import (LowerEnvelope, MonotoneEnvelope, SequenceFamily,
                        SuperlevelKernel, SupportEnvelope)
 from .piecewise import PiecewiseFn
@@ -129,14 +129,22 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
                       policy: Optional[Policy] = None, ell_max: int = 6) -> Verdict:
     """Weak nullity of the family at a point of the one-point compactification.
 
-    Globally null families are null at every point (the restricted criterion
-    is weaker).  Otherwise the two local rules are tried in `_LOCAL_SCHEMES`
-    order and the first verdict wins: the kernel witnesses, then the
-    vanishing upper bounds.  Both read the family's eventual tail at x0
-    (`_tail_at`), built once per call.  ell_max (at least 1) bounds only the
-    evidence table that answers when neither rule does: it is the number of
-    canonical neighborhoods the table looks at, and no certified verdict
-    depends on it.
+    Restricting the terms to a neighborhood of x0 only shrinks every
+    superlevel intersection, so the one global fact a localized verdict can
+    use is "globally null": then the family is null at every point.  A
+    question therefore runs the part of the global verdict that can find
+    that (`engine._certified_verdict`): the norm bound and every certificate
+    are checked exactly as for the global verdict, a failure raises, and a
+    null verdict is still checked against the non-null schemes.  It skips
+    what could only decide a global non-null or inconclusive verdict, which
+    says nothing about x0: the global kernel and monotone-floor witnesses
+    and the global evidence table.  Otherwise the two local rules are tried
+    in `_LOCAL_SCHEMES` order and the first verdict wins: the kernel
+    witnesses, then the vanishing upper bounds.  Both read the family's
+    eventual tail at x0 (`_tail_at`), built once per call.  ell_max (at
+    least 1) bounds only the evidence table that answers when neither rule
+    does: it is the number of canonical neighborhoods the table looks at,
+    and no certified verdict depends on it.
     """
     if ell_max < 1:
         raise EngineError(f"ell_max must be at least 1, got {ell_max}")
@@ -145,15 +153,14 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
     if family.evaluable:
         return _local_evaluable(family, x0)
 
-    global_verdict = test_weak_null(family, policy)
-    if global_verdict.is_null:
-        v = Verdict(family.name, NULL, scheme="global-" + global_verdict.scheme,
-                    evidence={"x0": str(x0), "from_global": True},
-                    trust="globally null, hence null at every point: restricting "
-                          "terms to a window only shrinks every superlevel "
-                          "intersection; " + global_verdict.trust,
-                    cert_reports=global_verdict.cert_reports)
-        return v
+    global_verdict, reports = _certified_verdict(family, policy)
+    if global_verdict is not None and global_verdict.is_null:
+        return Verdict(family.name, NULL, scheme="global-" + global_verdict.scheme,
+                       evidence={"x0": str(x0), "from_global": True},
+                       trust="globally null, hence null at every point: restricting "
+                             "terms to a window only shrinks every superlevel "
+                             "intersection; " + global_verdict.trust,
+                       cert_reports=reports)
 
     tail = _tail_at(family, x0)
     for scheme in _LOCAL_SCHEMES:
@@ -287,7 +294,7 @@ def _local_evaluable(family, x0):
                          f"window, an exact strong-convergence envelope")
 
 
-# Tried in order after the global verdict; the first verdict wins.
+# Tried in order after the global null check; the first verdict wins.
 _LOCAL_SCHEMES = (_local_kernel, _local_vanishing)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings, strategies as st
 
 from linfweak.piecewise import PiecewiseFn
-from linfweak.sets import Domain, IntervalSet, closed, ivl, point
+from linfweak.sets import NEG_INF, POS_INF, Domain, IntervalSet, closed, ivl, point
 
 settings.register_profile(
     "default", deadline=None,
@@ -25,7 +25,8 @@ def rationals(draw, lo=-8, hi=8, max_den=12):
 
 @st.composite
 def interval_sets(draw, max_parts=3, bounded=True):
-    """Random normalized interval sets with rational endpoints."""
+    """Random normalized interval sets with rational endpoints; unless
+    `bounded`, sometimes with a left and/or a right ray added."""
     n = draw(st.integers(0, max_parts))
     parts = []
     for _ in range(n):
@@ -37,6 +38,11 @@ def interval_sets(draw, max_parts=3, bounded=True):
         if lo == hi:
             lo_c = hi_c = True
         parts.append(ivl(lo, hi, lo_c, hi_c))
+    if not bounded:
+        if draw(st.booleans()):
+            parts.append(ivl(NEG_INF, draw(rationals()), False, draw(st.booleans())))
+        if draw(st.booleans()):
+            parts.append(ivl(draw(rationals()), POS_INF, draw(st.booleans()), False))
     return IntervalSet.of(*parts)
 
 

@@ -149,26 +149,44 @@ class TestExclusivityGuard:
         assert (v.kind, v.scheme) == (NONNULL, "eventual-constant")
         assert [r.certificate for r in v.cert_reports] == ["superlevel-kernel"]
 
-    def test_null_verdict_with_a_verifying_kernel_is_rejected(self):
-        dini = family_by_name("dini-null")
-        block = IntervalSet.of(opened(0, F(1, 2)))
+    # each certificate, added to dini-null, verifies and contradicts its
+    # norm-limit null verdict
+    RIVALS = {
         # |u_k| = 1/k on the block, so this kernel verifies up to k = 99
-        kernel = SuperlevelKernel(F(1, 100), lambda k: block)
-        fam = type(dini)(dini.domain, "dini-null", dini.norm_bound,
-                         dini.certificates + (kernel,))
+        "kernel": SuperlevelKernel(F(1, 100),
+                                   lambda k: IntervalSet.of(opened(0, F(1, 2)))),
+        # | 1/k - 1/2 | <= 1/2 for every k, so this second limit verifies too
+        "monotone-floor": NormLimit(F(1, 2), lambda k: F(1, 2)),
+    }
+
+    @staticmethod
+    def _dini_null_with(cert):
+        dini = family_by_name("dini-null")
+        return type(dini)(dini.domain, "dini-null", dini.norm_bound,
+                          dini.certificates + (cert,))
+
+    def test_null_verdict_with_a_verifying_kernel_is_rejected(self):
+        fam = self._dini_null_with(self.RIVALS["kernel"])
         with pytest.raises(EngineError, match="inconsistent family dini-null: "
                            "scheme norm-limit certifies nullity but "
                            "superlevel-kernel certifies non-nullity"):
             test_weak_null(fam)
 
     def test_null_verdict_is_checked_against_the_monotone_floor(self):
-        dini = family_by_name("dini-null")
-        # | 1/k - 1/2 | <= 1/2 for every k, so this second limit verifies too
-        loose = NormLimit(F(1, 2), lambda k: F(1, 2))
-        fam = type(dini)(dini.domain, "dini-null", dini.norm_bound,
-                         dini.certificates + (loose,))
+        fam = self._dini_null_with(self.RIVALS["monotone-floor"])
         with pytest.raises(EngineError):
             test_weak_null(fam)
+
+    @pytest.mark.parametrize("rival", sorted(RIVALS))
+    @pytest.mark.parametrize("point", ("1/4", "0", "inf"))
+    def test_a_localized_question_runs_the_same_check(self, rival, point):
+        # the global null verdict answers every point, so it is checked first
+        fam = self._dini_null_with(self.RIVALS[rival])
+        with pytest.raises(EngineError) as globally:
+            test_weak_null(fam)
+        with pytest.raises(EngineError) as locally:
+            test_weak_null_at(fam, ExtPoint.parse(point))
+        assert str(locally.value) == str(globally.value)
 
 
 class TestAbsEquivalence:

@@ -165,12 +165,9 @@ def _global_case(name):
 
 
 def _local_tents_at_0(monkeypatch):
-    """Only the local table can catch the corruption: the global verdict is
-    computed before it and handed to `test_weak_null_at` as is."""
-    family = bare("tents")
-    found = test_weak_null(family, Policy(j_max=4))
-    monkeypatch.setattr(localize, "test_weak_null", lambda fam, policy: found)
-    return lambda: test_weak_null_at(family, ExtPoint.at(0), Policy(j_max=4))
+    """Only the local table can catch the corruption: a question at a point
+    builds no global evidence table."""
+    return lambda: test_weak_null_at(bare("tents"), ExtPoint.at(0), Policy(j_max=4))
 
 
 GUARDED = {**{name: _global_case(name) for name in BARE},
@@ -200,6 +197,34 @@ class TestIdentityGuard:
         monkeypatch.setattr(engine, "min_of", _first_term_only)
         with pytest.raises(EngineError, match="criterion identity violated"):
             test_weak_null(family_by_name("tents"))
+
+
+def _never(*args):
+    raise AssertionError("the global evidence table was built")
+
+
+class TestLocalQuestionBuildsNoGlobalTable:
+    """A question at a point asks the global verdict only whether it is
+    null: a family that no certificate decides gets the evidence tables of
+    the point's windows and never the global one."""
+
+    def test_tables_only_for_the_non_empty_windows(self, monkeypatch):
+        family, x0, ell_max = bare("tents"), ExtPoint.parse("1/30"), 6
+        windows = []
+        table = engine._evidence_table
+
+        def counted(fam, policy, alphas, store, window=None):
+            windows.append(window)
+            return table(fam, policy, alphas, store, window)
+
+        monkeypatch.setattr(engine, "_evidence_table", counted)
+        monkeypatch.setattr(localize, "_evidence_table", counted)
+        monkeypatch.setattr(engine, "_inconclusive", _never)
+        verdict = test_weak_null_at(family, x0, Policy(), ell_max)
+        assert verdict.kind == INCONCLUSIVE
+        want = [w for w in (neighborhood(family.domain, x0, ell)
+                            for ell in range(1, ell_max + 1)) if not w.is_empty()]
+        assert windows == want
 
 
 class TestOneBuildPerCall:

@@ -20,6 +20,7 @@ from linfweak.families import (CertificateError, DisjointLayers,
                                SummableDisjointFamily, SupportEnvelope,
                                SuperlevelKernel, verify_certificate,
                                verify_norm_bound)
+from linfweak.localize import test_weak_null_at
 from linfweak.piecewise import PiecewiseFn
 from linfweak.points import ExtPoint
 from linfweak.sets import NEG_INF, Domain, IntervalSet, ico, ioc, opened
@@ -305,6 +306,16 @@ class TestWrongDeclarations:
         assert rep.witness == outside
         with pytest.raises(CertificateError, match=f"certificate {cert.name} failed") as exc:
             test_weak_null(fam)
+        assert exc.value.k == k
+
+    @pytest.mark.parametrize("case,point", [
+        *((case, "inf") for case in sorted(CASES)), ("envelope-on-tents", "1/2")])
+    def test_a_localized_question_checks_every_certificate(self, case, point):
+        # every certificate is checked on every question, at a point too
+        name, cert, k, _ = self.CASES[case]
+        fam = _Declared(family_by_name(name), cert)
+        with pytest.raises(CertificateError, match=f"certificate {cert.name} failed") as exc:
+            test_weak_null_at(fam, ExtPoint.parse(point))
         assert exc.value.k == k
 
     def test_support_envelope_names_its_envelope(self):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import grid_points, interval_sets, rationals
+from conftest import grid_points, interval_sets
 from linfweak.sets import (Domain, Interval, IntervalSet, SetAlgebraError,
                            closed, complement, first_overlap, ico, intersect,
                            is_compact_subset, is_finite, ivl, measure, opened,
@@ -12,6 +12,10 @@ from linfweak.sets import (Domain, Interval, IntervalSet, SetAlgebraError,
 
 def S(*parts):
     return IntervalSet.of(*parts)
+
+
+# up to five bounded parts, sometimes a left and/or a right ray
+WITH_RAYS = interval_sets(max_parts=5, bounded=False)
 
 
 class TestUnion:
@@ -112,7 +116,7 @@ class TestCompactSubset:
 
 
 class TestProperties:
-    @given(interval_sets(), interval_sets())
+    @given(interval_sets(bounded=False), interval_sets(bounded=False))
     def test_de_morgan(self, a, b):
         box = Domain(S(closed(-20, 20)))
         a = a.intersect(box.carrier)
@@ -124,41 +128,30 @@ class TestProperties:
         rhs2 = complement(a, box).union(complement(b, box))
         assert lhs2 == rhs2
 
-    @given(interval_sets(), interval_sets())
+    @given(interval_sets(bounded=False), interval_sets(bounded=False))
     def test_finite_additivity_on_disjoint(self, a, b):
         b = b.difference(a)
         assert a.intersect(b).is_empty()
         assert measure(a.union(b)) == measure(a) + measure(b)
 
-    @given(interval_sets())
+    @given(interval_sets(bounded=False))
     def test_normalize_idempotent(self, s):
         assert IntervalSet.of(*s.parts) == s
 
-    @given(interval_sets())
+    @given(interval_sets(bounded=False))
     def test_complement_measure(self, a):
         box = Domain(S(closed(-20, 20)))
         a = a.intersect(box.carrier)
         assert measure(a) + measure(complement(a, box)) == measure(box.carrier)
 
-    @given(interval_sets(), interval_sets())
+    @given(interval_sets(bounded=False), interval_sets(bounded=False))
     def test_union_measure_subadditive(self, a, b):
         assert measure(a.union(b)) <= measure(a) + measure(b)
 
-    @given(interval_sets())
+    @given(interval_sets(bounded=False))
     def test_interior_closure_sandwich(self, s):
         assert s.interior().is_subset(s)
         assert s.is_subset(s.closure())
-
-
-@st.composite
-def sets_with_rays(draw):
-    """interval_sets, sometimes with a left and/or a right ray added."""
-    s = draw(interval_sets(max_parts=5))
-    if draw(st.booleans()):
-        s = s.union(S(ivl(NEG_INF, draw(rationals()), False, draw(st.booleans()))))
-    if draw(st.booleans()):
-        s = s.union(S(ivl(draw(rationals()), POS_INF, draw(st.booleans()), False)))
-    return s
 
 
 class TestSweepOracles:
@@ -166,14 +159,14 @@ class TestSweepOracles:
     both build their parts in order, so the result must already be in
     normal form."""
 
-    @given(sets_with_rays(), sets_with_rays())
+    @given(WITH_RAYS, WITH_RAYS)
     def test_intersect_membership(self, a, b):
         got = a.intersect(b)
         assert IntervalSet.of(*got.parts) == got
         for x in grid_points(a, b):
             assert got.contains(x) == (a.contains(x) and b.contains(x))
 
-    @given(sets_with_rays(), sets_with_rays())
+    @given(WITH_RAYS, WITH_RAYS)
     def test_difference_membership(self, a, b):
         got = a.difference(b)
         assert IntervalSet.of(*got.parts) == got
@@ -234,7 +227,7 @@ class TestFirstOverlap:
     def test_against_pairwise_loop(self, sets):
         assert first_overlap(sets) == ref_first_overlap(sets)
 
-    @given(st.lists(interval_sets(), max_size=5))
+    @given(st.lists(interval_sets(bounded=False), max_size=5))
     def test_against_pairwise_loop_on_fractions(self, sets):
         assert first_overlap(sets) == ref_first_overlap(sets)
 
@@ -271,7 +264,7 @@ def walk_sets(draw):
         return IntervalSet.real_line()
     if kind == 1:
         return IntervalSet.empty()
-    s = draw(grid_sets()) if kind < 7 else draw(sets_with_rays())
+    s = draw(grid_sets()) if kind < 7 else draw(WITH_RAYS)
     if draw(st.integers(0, 4)) == 0:
         s = s.union(S(ivl(NEG_INF, draw(st.integers(-1, 1)), False, draw(st.booleans()))))
     return s
@@ -284,7 +277,7 @@ class TestCoverWalks:
         assert a.meets(b) == (not a.intersect(b).is_null())
         assert a.is_subset(b) == a.difference(b).is_empty()
 
-    @given(interval_sets(), interval_sets())
+    @given(interval_sets(bounded=False), interval_sets(bounded=False))
     def test_against_difference_and_intersection_on_fractions(self, a, b):
         assert a.subset_up_to_null(b) == a.difference(b).is_null()
         assert a.meets(b) == b.meets(a) == (not a.intersect(b).is_null())
@@ -314,7 +307,7 @@ class TestCoverWalks:
 
 
 class TestUnionAndNullity:
-    @given(sets_with_rays(), sets_with_rays())
+    @given(WITH_RAYS, WITH_RAYS)
     def test_union_against_sorting_all_parts(self, a, b):
         # union merges the two sorted part lists instead of sorting them all
         got = a.union(b)
@@ -330,7 +323,7 @@ class TestUnionAndNullity:
 
 
 class TestCompactCore:
-    @given(sets_with_rays(), st.integers(1, 12).map(lambda n: F(n, 6)),
+    @given(WITH_RAYS, st.integers(1, 12).map(lambda n: F(n, 6)),
            st.integers(1, 20).map(lambda n: F(n, 2)))
     def test_compact_subset_keeping_the_inner_probes(self, s, eps, bound):
         core = s.compact_core(eps, bound)
