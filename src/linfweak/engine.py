@@ -487,11 +487,10 @@ def _try_norm_limit_null(family, policy):
     return None
 
 
-def _try_kernel_witness(family, policy):
-    certs = family.certificates_of(SuperlevelKernel)
-    if not certs:
-        return None
-    cert = certs[0]
+def _checked_kernel_witness(family, cert, policy):
+    """The kernel witness of the certificate, with the measure of the
+    J-fold superlevel intersection at its alpha in each row J <= min(j_max,
+    12); raises `EngineError` where the kernel's measure exceeds it."""
     checked = dict(_walk(family, list(range(1, min(policy.j_max, 12) + 1)),
                          cert.alpha, _CallStore()))
     wit = kernel_witness(cert.alpha, 0, cert.kernel, policy.j_max)
@@ -500,8 +499,28 @@ def _try_kernel_witness(family, policy):
             inter = row["intersection_measure"] = checked[row["J"]]
             if inter != POS_INF and inter < row["kernel_measure"]:
                 raise EngineError("kernel exceeds the intersection it certifies")
+    return wit
+
+
+def _check_kernel_past_budget(family: SequenceFamily, policy: Policy) -> None:
+    """Run the check of `_checked_kernel_witness` on the family's first
+    kernel certificate where certificate verification leaves it open.
+    `SuperlevelKernel.verify` puts kernel(J) inside A_alpha(u_j) for every
+    j <= J <= cert_budget, so the kernel cannot exceed those intersections;
+    only when cert_budget < min(j_max, 12) do some rows of the check
+    decide anything."""
+    certs = family.certificates_of(SuperlevelKernel)
+    if certs and policy.cert_budget < min(policy.j_max, 12):
+        _checked_kernel_witness(family, certs[0], policy)
+
+
+def _try_kernel_witness(family, policy):
+    certs = family.certificates_of(SuperlevelKernel)
+    if not certs:
+        return None
+    wit = _checked_kernel_witness(family, certs[0], policy)
     return Verdict(family.name, NONNULL, scheme="superlevel-kernel", witness=wit,
-                   evidence={"alpha": cert.alpha},
+                   evidence={"alpha": wit.alpha},
                    trust="kernel(k_J) is nested inside every A_alpha(u_kj), "
                          "j <= J, with positive measure, so no J nullifies "
                          "the intersection; " + _trust_note(policy))

@@ -7,8 +7,8 @@ from linfweak.corpus import (CORPUS, LOCAL_CORPUS, center_segment,
                              ring_indicators, sided_translates, tents)
 from linfweak.engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy,
                              test_weak_null)
-from linfweak.families import (IndicatorFamily, LowerEnvelope, SuperlevelKernel,
-                               SupportEnvelope, TranslateFamily)
+from linfweak.families import (CertificateError, IndicatorFamily, LowerEnvelope,
+                               SuperlevelKernel, SupportEnvelope, TranslateFamily)
 from linfweak.localize import (accumulates_at, compact_exhaustion,
                                essential_range, essential_range_at,
                                essential_range_in, escape_points, in_closure,
@@ -258,6 +258,39 @@ class TestKernelAccumulation:
         assert test_weak_null_at(bare, ExtPoint.at(0), Policy()).kind == INCONCLUSIVE
         v = test_weak_null_at(bare, ExtPoint.at(F(1, 8)), Policy())
         assert v.kind == NULL and v.evidence["vanishing_from"] == 4
+
+
+class TestKernelPastBudget:
+    """A kernel that verifies up to a short cert_budget but exceeds its
+    superlevel intersections later is refused at a point as it is globally."""
+
+    @staticmethod
+    def _stalled_kernel_family():
+        # the piled blocks [0, 2^-(k+1)) with a kernel that stops shrinking
+        # at k = 4: |kernel(5)| = 1/32 > |A_1/2(u_5)| = 1/64
+        fam = dyadic_indicators_plus()
+        kernel = lambda k: IntervalSet.of(opened(0, F(1, 2 ** (min(k, 4) + 1))))
+        return IndicatorFamily(fam.domain, fam.sets, name="stalled-kernel",
+                               certificates=(SuperlevelKernel(
+                                   F(1, 2), kernel, ExtPoint.at(0)),))
+
+    @pytest.mark.parametrize("x0", ["0", "1/8", "inf"])
+    def test_short_budget_raises_at_a_point_as_globally(self, x0):
+        fam, policy = self._stalled_kernel_family(), Policy(cert_budget=4)
+        msg = "kernel exceeds the intersection it certifies"
+        with pytest.raises(EngineError, match=msg):
+            test_weak_null(fam, policy)
+        with pytest.raises(EngineError, match=msg):
+            test_weak_null_at(fam, ExtPoint.parse(x0), policy)
+
+    @pytest.mark.parametrize("x0", ["0", "inf"])
+    def test_default_budget_refuses_the_certificate(self, x0):
+        fam = self._stalled_kernel_family()
+        for ask in (lambda: test_weak_null(fam),
+                    lambda: test_weak_null_at(fam, ExtPoint.parse(x0))):
+            with pytest.raises(CertificateError, match="kernel.5. escapes") as exc:
+                ask()
+            assert exc.value.k == 5
 
 
 class TestEllMax:

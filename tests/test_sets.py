@@ -128,7 +128,7 @@ class TestProperties:
         rhs2 = complement(a, box).union(complement(b, box))
         assert lhs2 == rhs2
 
-    @given(interval_sets(bounded=False), interval_sets(bounded=False))
+    @given(interval_sets(), interval_sets())
     def test_finite_additivity_on_disjoint(self, a, b):
         b = b.difference(a)
         assert a.intersect(b).is_empty()
@@ -144,7 +144,7 @@ class TestProperties:
         a = a.intersect(box.carrier)
         assert measure(a) + measure(complement(a, box)) == measure(box.carrier)
 
-    @given(interval_sets(bounded=False), interval_sets(bounded=False))
+    @given(interval_sets(), interval_sets())
     def test_union_measure_subadditive(self, a, b):
         assert measure(a.union(b)) <= measure(a) + measure(b)
 
