@@ -172,10 +172,6 @@ class Verdict:
     def is_nonnull(self) -> bool:
         return self.kind == NONNULL
 
-    @property
-    def definite(self) -> bool:
-        return self.kind != INCONCLUSIVE
-
 
 # ---------------------------------------------------------------------------
 # the two exact quantities of the criterion

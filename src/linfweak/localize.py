@@ -149,7 +149,9 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
     eventual tail at x0 (`_tail_at`), built once per call.  ell_max (at
     least 1) bounds only the evidence table that answers when neither rule
     does: it is the number of canonical neighborhoods the table looks at,
-    and no certified verdict depends on it.
+    and no certified verdict depends on it.  Whichever rule answers, the
+    verdict carries the reports of the certificate checks, as the global
+    verdict does.
     """
     if ell_max < 1:
         raise EngineError(f"ell_max must be at least 1, got {ell_max}")
@@ -173,8 +175,11 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
     for scheme in _LOCAL_SCHEMES:
         verdict = scheme(family, x0, policy, tail)
         if verdict is not None:
-            return verdict
-    return _local_inconclusive(family, x0, policy, ell_max)
+            break
+    else:
+        verdict = _local_inconclusive(family, x0, policy, ell_max)
+    verdict.cert_reports = reports
+    return verdict
 
 
 test_weak_null_at.__test__ = False  # not a pytest case

@@ -28,36 +28,37 @@ built for them.  ``layer_sum`` labels a cell by the sum of the coefficients
 of the layers that hold it and joins none, so its pieces are those of the
 pairwise sum of the scaled indicators; no indicator or partial sum is built.
 
-Binary operations walk the two sorted piece lists once, advancing whichever
-piece ends first, so each costs time linear in the pieces of its operands.
-Where two laws cross (in ``min_of``, and in ``exceeds``, the set {u > v}),
-where a law changes sign (in ``abs_fn``) and where it crosses a level (in
-``superlevel`` and ``gt_set``), the side each law wins on follows from the
-sign of a slope, since a x + b - c = a (x - x0); no point is sampled.
-``exceeds`` is that one walk: it builds no difference function u - v, so
-``ne_set`` validates no new function.
+Every binary operation reads one walk over the two sorted piece lists,
+`_cells_with`, which advances whichever piece ends first and yields each
+non-empty common cell as local ends and flags with its two pieces, building
+nothing; each operation costs time linear in the pieces of its operands.
+Where two laws cross (in ``min_of``, and in {u > v}), where a law changes
+sign (in ``abs_fn``) and where it crosses a level (in ``superlevel`` and
+``gt_set``), the side each law wins on follows from the sign of a slope,
+since a x + b - c = a (x - x0); no point is sampled, and `_half_ends` cuts
+a cell at x0 on local ends.
 
-Two null tests answer the certificate checks without building any
-``Interval``, ``IntervalSet`` or function.  ``exceeds_somewhere`` asks
-whether {u > v} has positive measure: the walk of ``exceeds`` on local cell
-ends, which answers at the first cell of positive length that decides it.
-``vanishes_off(s)`` asks whether supp(u) \\ s is null: up to null sets
+The set {u > v} is one lazy walk over its parts, one per common cell
+(`_exceeds_parts`); no difference function u - v is built.  ``exceeds``
+joins the parts into the set, and the null test ``exceeds_somewhere``
+stops at the first part of positive length, building nothing, as does
+``ae_equal``, which asks it both ways.  The other null test,
+``vanishes_off(s)``, asks whether supp(u) \\ s is null: up to null sets
 supp(u) is the union of the non-point pieces whose law is not 0, since a
 sloped piece loses only its root, so it is the cover walk of
 ``IntervalSet.subset_up_to_null`` over those pieces and the parts of s.  A
-check builds the set itself (``exceeds``, ``support``) only when the test
-fails, as the witness it reports.
+certificate check builds the set itself (``exceeds``, ``support``) only
+when the test fails, as the witness it reports.
 
 The two kernels behind v_J = min_j |u_kj| and its level sets build each
-output object once.  `_min2` keeps each common cell as local ends and flags
-(no cell ``Interval``) and joins each winning law to the open run as it is
-emitted, by the rule of `_coalesced`; a run becomes one ``Piece`` at the
-end, or stays the input piece whose ends and law it has.  `_level_set`,
-behind ``superlevel``, ``gt_set`` and ``support``, emits each piece's part
-above the upper level and part below the lower level in x order, joins
-touching parts as they come and returns the parts as they stand, with no
-sorting or normalizing pass; a part that is a whole piece is that piece's
-own ``Interval``.
+output object once.  `_min2` joins the law that wins on each common cell to
+the open run as it is emitted, by the rule of `_coalesced`; a run becomes
+one ``Piece`` at the end, or stays the input piece whose ends and law it
+has.  `_level_set`, behind ``superlevel``, ``gt_set`` and ``support``,
+emits each piece's part above the upper level and part below the lower
+level in x order, joins touching parts as they come and returns the parts
+as they stand, with no sorting or normalizing pass; a part that is a whole
+piece is that piece's own ``Interval``.
 
 That arithmetic is the kernel of :mod:`linfweak.rational`: each crossing
 x0 is an unreduced integer pair (``crossing``), each cell end is compared
@@ -86,8 +87,7 @@ from typing import Iterable, Sequence
 
 from .rational import crossing, eq, is_finite, lt, max_abs, side
 from .sets import (Domain, Interval, IntervalSet, SetAlgebraError, _covered,
-                   _ends_before, _intersect_intervals, _join_sorted, _starts_after,
-                   rat)
+                   _join_sorted, _starts_after, rat)
 
 _ZERO = Fraction(0)
 
@@ -327,23 +327,42 @@ class PiecewiseFn:
     # -- combination helpers ---------------------------------------------------
 
     def _cells_with(self, other: "PiecewiseFn"):
-        """Common refinement: yields (interval, (a1,b1), (a2,b2)) from left to
-        right, sweeping both piece lists and advancing whichever piece ends
-        first."""
+        """The common refinement, from left to right: yields (lo, hi,
+        lo_closed, hi_closed, p, q) for each non-empty meet of a piece p of
+        self and a piece q of other.  One walk over the two piece lists,
+        advancing whichever piece ends first (an open end before a closed
+        one at the same place) and both when they end alike; nothing is
+        built."""
         ps, qs = self.pieces, other.pieces
         i = j = 0
         while i < len(ps) and j < len(qs):
             p, q = ps[i], qs[j]
-            cell = _intersect_intervals(p.interval, q.interval)
-            if cell is not None:
-                yield cell, (p.slope, p.intercept), (q.slope, q.intercept)
-            if _ends_before(p.interval, q.interval):
-                i += 1
-            elif _ends_before(q.interval, p.interval):
-                j += 1
+            pv, qv = p.interval, q.interval
+            plo, qlo = pv.lo, qv.lo
+            if eq(plo, qlo):
+                lo, lo_closed = plo, pv.lo_closed and qv.lo_closed
+            elif lt(qlo, plo):
+                lo, lo_closed = plo, pv.lo_closed
             else:
+                lo, lo_closed = qlo, qv.lo_closed
+            phi, qhi = pv.hi, qv.hi
+            if eq(phi, qhi):
+                hi, hi_closed = phi, pv.hi_closed and qv.hi_closed
+                if pv.hi_closed == qv.hi_closed:
+                    i += 1
+                    j += 1
+                elif qv.hi_closed:
+                    i += 1
+                else:
+                    j += 1
+            elif lt(phi, qhi):
+                hi, hi_closed = phi, pv.hi_closed
                 i += 1
+            else:
+                hi, hi_closed = qhi, qv.hi_closed
                 j += 1
+            if lt(lo, hi) or (lo_closed and hi_closed and eq(lo, hi)):
+                yield lo, hi, lo_closed, hi_closed, p, q
 
     def _same_domain(self, other: "PiecewiseFn"):
         if self.domain.carrier != other.domain.carrier:
@@ -366,8 +385,9 @@ class PiecewiseFn:
 
     def add(self, other: "PiecewiseFn") -> "PiecewiseFn":
         self._same_domain(other)
-        triples = [(cell, a1 + a2, b1 + b2)
-                   for cell, (a1, b1), (a2, b2) in self._cells_with(other)]
+        triples = [(Interval(lo, hi, lo_closed, hi_closed), p.slope + q.slope,
+                    p.intercept + q.intercept)
+                   for lo, hi, lo_closed, hi_closed, p, q in self._cells_with(other)]
         return PiecewiseFn.from_pieces(self.domain, triples)
 
     def sub(self, other: "PiecewiseFn") -> "PiecewiseFn":
@@ -394,8 +414,9 @@ class PiecewiseFn:
         else:
             raise UnsupportedOperationError(
                 "product of two non-step piecewise-linear functions leaves the class")
-        triples = [(cell, c * a, c * b)
-                   for cell, (_, c), (a, b) in step._cells_with(lin)]
+        triples = [(Interval(lo, hi, lo_closed, hi_closed), p.intercept * q.slope,
+                    p.intercept * q.intercept)
+                   for lo, hi, lo_closed, hi_closed, p, q in step._cells_with(lin)]
         return PiecewiseFn.from_pieces(self.domain, triples)
 
     def compose_poly(self, coeffs: Sequence) -> "PiecewiseFn":
@@ -451,58 +472,19 @@ class PiecewiseFn:
         return _level_set(self.pieces, _ZERO, _ZERO)
 
     def exceeds(self, other: "PiecewiseFn") -> IntervalSet:
-        """{ x : u(x) > v(x) }, exact with strict-inequality endpoint flags.
-        One walk over the common cells; u - v = (a1 - a2)(x - x0) on a cell,
-        so u wins right of the crossing x0 when a1 > a2 and left of it when
-        a1 < a2.  No difference function is built."""
+        """{ x : u(x) > v(x) }, exact with strict-inequality endpoint flags:
+        the parts of `_exceeds_parts`, joined."""
         self._same_domain(other)
-        parts = []
-        for cell, (a1, b1), (a2, b2) in self._cells_with(other):
-            s, n, d = crossing(a1, b1, a2, b2)
-            if s == 0:
-                if lt(b2, b1):
-                    parts.append(cell)
-                continue
-            got = _half(cell, n, d, s > 0)
-            if got is not None:
-                parts.append(got)
-        return IntervalSet(_join_sorted(parts))
+        return IntervalSet(_join_sorted([
+            Interval(lo, hi, lo_closed, hi_closed)
+            for lo, hi, lo_closed, hi_closed, _ in _exceeds_parts(self, other)]))
 
     def exceeds_somewhere(self, other: "PiecewiseFn") -> bool:
         """Is { x : u(x) > v(x) } of positive measure?  The walk of
-        `exceeds`, keeping each common cell as its two ends: it answers True
-        at the first cell of positive length where u > v on a part of
-        positive length (u - v = (a1 - a2)(x - x0): when a1 = a2, b2 < b1;
-        when a1 > a2, hi is right of x0; when a1 < a2, lo is left of it).
-        A cell that is a point decides nothing, so pieces that end together
-        are passed together.  Nothing is built."""
+        `exceeds`, stopped at the first part of positive length; nothing is
+        built."""
         self._same_domain(other)
-        ps, qs = self.pieces, other.pieces
-        i = j = 0
-        while i < len(ps) and j < len(qs):
-            p, q = ps[i], qs[j]
-            pv, qv = p.interval, q.interval
-            lo = pv.lo if lt(qv.lo, pv.lo) else qv.lo
-            phi, qhi = pv.hi, qv.hi
-            if lt(phi, qhi):
-                hi = phi
-                i += 1
-            elif lt(qhi, phi):
-                hi = qhi
-                j += 1
-            else:
-                hi = phi
-                i += 1
-                j += 1
-            if not lt(lo, hi):
-                continue
-            s, n, d = crossing(p.slope, p.intercept, q.slope, q.intercept)
-            if s == 0:
-                if lt(q.intercept, p.intercept):
-                    return True
-            elif side(hi, n, d) > 0 if s > 0 else side(lo, n, d) < 0:
-                return True
-        return False
+        return any(lt(part[0], part[1]) for part in _exceeds_parts(self, other))
 
     def vanishes_off(self, s: IntervalSet) -> bool:
         """Is supp(u) \\ s null?  Up to null sets supp(u) is the union of the
@@ -517,7 +499,9 @@ class PiecewiseFn:
         return self.exceeds(other).union(other.exceeds(self))
 
     def ae_equal(self, other: "PiecewiseFn") -> bool:
-        return self.ne_set(other).is_null()
+        """Are {u > v} and {v > u} both null?  Two null tests; no set is
+        built."""
+        return not (self.exceeds_somewhere(other) or other.exceeds_somewhere(self))
 
     def __str__(self) -> str:
         bits = ", ".join(f"{p.interval}: {p.slope}*x+{p.intercept}" for p in self.pieces)
@@ -596,32 +580,42 @@ def _abs_piece(p: Piece) -> tuple[Piece, ...]:
             Piece(Interval(root, iv.hi, False, iv.hi_closed), *right))
 
 
-def _half_ends(iv: Interval, n: int, d: int, right: bool):
-    """iv n (x0, +inf) when right, else iv n (-inf, x0), for x0 = n/d, as
-    (lo, hi, lo_closed, hi_closed, whole), where whole is iv itself when the
-    part is all of iv and None otherwise; None when the part is empty."""
-    lo, hi = iv.lo, iv.hi
+def _half_ends(lo, hi, lo_closed: bool, hi_closed: bool, n: int, d: int,
+               right: bool):
+    """The part of the cell from lo to hi right of x0 = n/d (when right) or
+    left of it, as (lo, hi, lo_closed, hi_closed, whole), whole telling
+    whether it is the whole cell; None when it is empty.  The far end is
+    compared first, so an empty part costs one comparison."""
     if right:
-        near = side(lo, n, d)
-        if near > 0:
-            return lo, hi, iv.lo_closed, iv.hi_closed, iv
         if side(hi, n, d) <= 0:
             return None
-        return lo if near == 0 else Fraction(n, d), hi, False, iv.hi_closed, None
-    near = side(hi, n, d)
-    if near < 0:
-        return lo, hi, iv.lo_closed, iv.hi_closed, iv
+        near = side(lo, n, d)
+        if near > 0:
+            return lo, hi, lo_closed, hi_closed, True
+        return lo if near == 0 else Fraction(n, d), hi, False, hi_closed, False
     if side(lo, n, d) >= 0:
         return None
-    return lo, hi if near == 0 else Fraction(n, d), iv.lo_closed, False, None
+    near = side(hi, n, d)
+    if near < 0:
+        return lo, hi, lo_closed, hi_closed, True
+    return lo, hi if near == 0 else Fraction(n, d), lo_closed, False, False
 
 
-def _half(iv: Interval, n: int, d: int, right: bool) -> "Interval | None":
-    """iv n (x0, +inf) when right, else iv n (-inf, x0), for x0 = n/d."""
-    got = _half_ends(iv, n, d, right)
-    if got is None:
-        return None
-    return got[4] or Interval(*got[:4])
+def _exceeds_parts(u: PiecewiseFn, v: PiecewiseFn):
+    """The parts of {u > v} in x order, at most one per common cell, as
+    `_half_ends` gives them.  On a cell u - v = (a1 - a2)(x - x0), so u wins
+    right of the crossing x0 when a1 > a2, left of it when a1 < a2, and on
+    the whole cell or nowhere when a1 = a2.  Lazy, and nothing is built but
+    the crossing of a cell that it cuts."""
+    for lo, hi, lo_closed, hi_closed, p, q in u._cells_with(v):
+        s, n, d = crossing(p.slope, p.intercept, q.slope, q.intercept)
+        if s == 0:
+            if lt(q.intercept, p.intercept):
+                yield lo, hi, lo_closed, hi_closed, True
+        else:
+            got = _half_ends(lo, hi, lo_closed, hi_closed, n, d, s > 0)
+            if got is not None:
+                yield got
 
 
 def _level_set(pieces: Sequence[Piece], up, down) -> IntervalSet:
@@ -644,7 +638,7 @@ def _level_set(pieces: Sequence[Piece], up, down) -> IntervalSet:
         if an == 0:
             if (up is None or not lt(up, b)) and (down is None or not lt(b, down)):
                 continue
-            cuts = ((iv.lo, iv.hi, iv.lo_closed, iv.hi_closed, iv),)
+            cuts = ((iv.lo, iv.hi, iv.lo_closed, iv.hi_closed, True),)
         else:
             cuts = []
             # (level, keep the part right of its crossing), in x order
@@ -652,17 +646,17 @@ def _level_set(pieces: Sequence[Piece], up, down) -> IntervalSet:
                              else ((up, False), (down, True))):
                 if c is not None:
                     _, n, d = crossing(a, b, _ZERO, c)
-                    got = _half_ends(iv, n, d, right)
+                    got = _half_ends(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed, n, d, right)
                     if got is not None:
                         cuts.append(got)
-        for part_lo, part_hi, part_lo_closed, part_hi_closed, part in cuts:
+        for part_lo, part_hi, part_lo_closed, part_hi_closed, part_whole in cuts:
             if lo is not None and (hi_closed or part_lo_closed) and eq(part_lo, hi):
                 hi, hi_closed, whole = part_hi, part_hi_closed, None
                 continue
             if lo is not None:
                 out.append(whole or Interval(lo, hi, lo_closed, hi_closed))
-            lo, hi, lo_closed, hi_closed, whole = (part_lo, part_hi, part_lo_closed,
-                                                   part_hi_closed, part)
+            lo, hi, lo_closed, hi_closed = part_lo, part_hi, part_lo_closed, part_hi_closed
+            whole = iv if part_whole else None
     if lo is not None:
         out.append(whole or Interval(lo, hi, lo_closed, hi_closed))
     return IntervalSet(tuple(out))
@@ -683,48 +677,17 @@ def min_of(fns: Sequence[PiecewiseFn]) -> PiecewiseFn:
 
 
 def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
-    """min(u, v) in one walk over the two piece lists, advancing whichever
-    piece ends first.  Each common cell stays four local ends and flags.
-    The law that wins on it (or on each side of the crossing that cuts it)
+    """min(u, v) in one walk over the common cells (`_cells_with`).  The law
+    that wins on a cell (or on each side of the crossing that cuts it)
     extends the open run when the run ends where the cell starts, one end
     closed and one open, with the same slope and intercept, as `_coalesced`
     would join them.  A run becomes one Piece when the walk ends: the input
     piece whose law it carries, when the run has that piece's own ends, or
     one new Interval and Piece."""
     u._same_domain(v)
-    ps, qs = u.pieces, v.pieces
     runs = []  # [lo, hi, lo_closed, hi_closed, slope, intercept, the piece
     #            whose law the run carries]
-    i = j = 0
-    while i < len(ps) and j < len(qs):
-        p, q = ps[i], qs[j]
-        pv, qv = p.interval, q.interval
-        # the common cell, and which piece ends first
-        plo, qlo = pv.lo, qv.lo
-        if eq(plo, qlo):
-            lo, lo_closed = plo, pv.lo_closed and qv.lo_closed
-        elif lt(qlo, plo):
-            lo, lo_closed = plo, pv.lo_closed
-        else:
-            lo, lo_closed = qlo, qv.lo_closed
-        phi, qhi = pv.hi, qv.hi
-        if eq(phi, qhi):
-            hi, hi_closed = phi, pv.hi_closed and qv.hi_closed
-            if pv.hi_closed == qv.hi_closed:
-                i += 1
-                j += 1
-            elif qv.hi_closed:
-                i += 1
-            else:
-                j += 1
-        elif lt(phi, qhi):
-            hi, hi_closed = phi, pv.hi_closed
-            i += 1
-        else:
-            hi, hi_closed = qhi, qv.hi_closed
-            j += 1
-        if not lt(lo, hi) and (not (lo_closed and hi_closed) or lt(hi, lo)):
-            continue  # the pieces do not meet
+    for lo, hi, lo_closed, hi_closed, p, q in u._cells_with(v):
         a1, b1, a2, b2 = p.slope, p.intercept, q.slope, q.intercept
         s, n, d = crossing(a1, b1, a2, b2)
         end, end_closed, cut = hi, hi_closed, False

@@ -12,6 +12,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 # twenty times the examples, for the exact-kernel differentials:
 #   pytest tests/test_piecewise.py -k Differential --hypothesis-profile=deep
+# and for the set walks:
+#   pytest tests/test_sets.py -k "SweepOracles or CoverWalks or FirstOverlap" \
+#       --hypothesis-profile=deep
 settings.register_profile("deep", settings.get_profile("default"), max_examples=2000)
 settings.load_profile("default")
 

@@ -148,6 +148,21 @@ class TestLocalVerdicts:
                                     Policy())
         assert verdict.kind == expected
 
+    @pytest.mark.parametrize("name,pt", [("tents", "0"), ("tents", "1/30"),
+                                         ("sided-translates", "inf"),
+                                         ("dini-nonnull", "inf")])
+    def test_local_rules_carry_the_certificate_reports(self, name, pt):
+        # a kernel rule, the evidence table, the translate tail and the lower
+        # envelope: each reports the certificate checks it ran, as the
+        # global verdict does
+        fam = family_by_name(name)
+        local = test_weak_null_at(fam, ExtPoint.parse(pt), Policy(), ell_max=2)
+        assert not local.scheme or local.scheme.startswith("local-")
+        assert local.cert_reports
+        assert ([(r.certificate, r.passed, r.checked_upto) for r in local.cert_reports]
+                == [(r.certificate, r.passed, r.checked_upto)
+                    for r in test_weak_null(fam, Policy()).cert_reports])
+
     def test_point_outside_closure_is_an_engine_error(self):
         # the CLI rejects such a point as input; API callers get EngineError
         with pytest.raises(EngineError, match="not in the closure"):

@@ -429,8 +429,36 @@ class TestTies:
 #
 # The reference below is the arithmetic of the piecewise layer written with
 # Fraction operators: each crossing is (b2 - b1) / (a1 - a2), each level
-# root (c - b) / a, each length hi - lo.  The sweeps themselves
-# (`_cells_with`, `_coalesced`) are shared.
+# root (c - b) / a, each length hi - lo.  Its common cells are an all-pairs
+# loop (`ref_cells`), which `TestCellWalkDifferential` checks the one cell
+# walk `_cells_with` against; `_coalesced` is shared.
+
+
+def _ref_meet(a, b):
+    """a n b as (lo, hi, lo_closed, hi_closed), or None when empty."""
+    if a.lo > b.lo:
+        lo, lo_closed = a.lo, a.lo_closed
+    elif b.lo > a.lo:
+        lo, lo_closed = b.lo, b.lo_closed
+    else:
+        lo, lo_closed = a.lo, a.lo_closed and b.lo_closed
+    if a.hi < b.hi:
+        hi, hi_closed = a.hi, a.hi_closed
+    elif b.hi < a.hi:
+        hi, hi_closed = b.hi, b.hi_closed
+    else:
+        hi, hi_closed = a.hi, a.hi_closed and b.hi_closed
+    if lo < hi or (lo == hi and lo_closed and hi_closed):
+        return lo, hi, lo_closed, hi_closed
+    return None
+
+
+def ref_cells(u, v):
+    """The non-empty meets of every piece p of u with every piece q of v,
+    as (lo, hi, lo_closed, hi_closed, p, q): p-major order is x order,
+    since the pieces of u are disjoint and in order."""
+    return [(*meet, p, q) for p in u.pieces for q in v.pieces
+            if (meet := _ref_meet(p.interval, q.interval)) is not None]
 
 
 def _ref_split(cell, x0, left, right, tie):
@@ -444,7 +472,9 @@ def _ref_split(cell, x0, left, right, tie):
 
 def _ref_min2(u, v):
     pieces = []
-    for cell, (a1, b1), (a2, b2) in u._cells_with(v):
+    for lo, hi, lo_closed, hi_closed, p, q in ref_cells(u, v):
+        cell = Interval(lo, hi, lo_closed, hi_closed)
+        (a1, b1), (a2, b2) = (p.slope, p.intercept), (q.slope, q.intercept)
         if a1 == a2:
             pieces.append(Piece(cell, *((a1, b1) if b1 <= b2 else (a2, b2))))
             continue
@@ -527,12 +557,17 @@ KERNEL_SLOPES = (F(0), F(1), F(-1), F(3), F(-2), F(1, 2), F(-5, 3))
 KERNEL_VALUES = (F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4))
 
 
+KERNEL_CUTS = st.lists(rationals(lo=-3, hi=3, max_den=3), max_size=5)
+
+
 @st.composite
-def kernel_fns(draw, unbounded):
+def kernel_fns(draw, unbounded, drawn=None):
     """Random functions on the real line (whose outer pieces are constant
-    rays) or on [-4, 4], with integer and fractional cuts, point pieces,
-    null gaps and laws through chosen (cut, value) anchors."""
-    drawn = draw(st.lists(rationals(lo=-3, hi=3, max_den=3), max_size=5))
+    rays) or on [-4, 4], with integer and fractional cuts (`drawn`, unless
+    given), point pieces, null gaps and laws through chosen (cut, value)
+    anchors."""
+    if drawn is None:
+        drawn = draw(KERNEL_CUTS)
     cuts = sorted({c for c in drawn if -4 < c < 4})
     ends = ([NEG_INF] if unbounded else [F(-4)]) + cuts + \
         ([POS_INF] if unbounded else [F(4)])
@@ -712,6 +747,8 @@ class TestKernelDifferential:
         low = min_of([u, v])
         assert not low.exceeds_somewhere(u) and not low.exceeds_somewhere(v)
         assert not u.exceeds_somewhere(u.abs_fn())
+        assert u.ae_equal(v) == u.ne_set(v).is_null() == v.ae_equal(u)
+        assert low.ae_equal(low.add(PiecewiseFn.constant(low.domain, 0)))
 
     @given(st.booleans().flatmap(kernel_fns), interval_sets(max_parts=4, bounded=False))
     def test_vanishes_off(self, u, s):
@@ -751,6 +788,52 @@ class TestKernelDifferential:
         triples = [(p.interval, p.slope, p.intercept) for p in u.pieces]
         rng.shuffle(triples)
         assert PiecewiseFn.from_pieces(u.domain, triples) == u
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Two `kernel_fns` on one domain, half the time on the same cuts, so
+    that each shared cut meets with both owners drawn independently: left,
+    right, a point piece or a null gap."""
+    unbounded = draw(st.booleans())
+    cuts = draw(KERNEL_CUTS) if draw(st.booleans()) else None
+    return draw(kernel_fns(unbounded, cuts)), draw(kernel_fns(unbounded, cuts))
+
+
+class TestCellWalkDifferential:
+    """The one walk over two piece lists, `_cells_with`, against the
+    all-pairs reference `ref_cells`: the same cells in the same order, each
+    with the same ends, flags and pieces."""
+
+    @staticmethod
+    def _assert_cells(u, v):
+        got, want = list(u._cells_with(v)), ref_cells(u, v)
+        assert [cell[:4] for cell in got] == [cell[:4] for cell in want]
+        for (*_, p, q), (*_, ref_p, ref_q) in zip(got, want):
+            assert p is ref_p and q is ref_q
+
+    @given(kernel_pairs(), st.booleans())
+    def test_cells(self, pair, int_ends):
+        u, v = pair
+        if int_ends:
+            u = _with_int_ends(u)
+        self._assert_cells(u, v)
+        self._assert_cells(v, u)
+        self._assert_cells(u, u)
+
+    def test_touching_ends_with_mixed_flags(self):
+        # u owns 0 from the left and v from the right: the walk passes the
+        # point cell {0} between the two open rays
+        line = Domain.real_line()
+        u = PiecewiseFn.from_pieces(line, [(ivl(NEG_INF, 0, False, True), 0, 1),
+                                           (ivl(0, POS_INF, False, False), 0, 2)])
+        v = PiecewiseFn.from_pieces(line, [(ivl(NEG_INF, 0, False, False), 0, 3),
+                                           (ivl(0, POS_INF, True, False), 0, 4)])
+        cells = [(lo, hi, lo_closed, hi_closed, p.intercept, q.intercept)
+                 for lo, hi, lo_closed, hi_closed, p, q in u._cells_with(v)]
+        assert cells == [(NEG_INF, 0, False, False, 1, 3), (0, 0, True, True, 1, 4),
+                         (0, POS_INF, False, False, 2, 4)]
+        self._assert_cells(u, v)
 
 
 DEPTH_FAMILIES = ("tents", "escape-translates", "sided-translates",
