@@ -12,16 +12,18 @@ them all.
 
 Every check is linear in the budget in the terms it builds and the tests it
 makes: one pass over the terms, each tested against one other object at
-most.  Disjoint sets are checked by one sweep (`sets.first_overlap`) that
-tests each set against the union of the later ones, n - 1 tests instead of
-n^2 / 2 pairs.  A check that only asks whether a set is null asks it by a
-walk that builds no set: the monotone and lower envelopes compare terms by
+most.  Disjoint sets are checked by one sort of all their parts by lo and
+one sweep over them (`sets.first_overlap`), with no union and no loop over
+pairs.  A check that only asks whether a set is null asks it by a walk that builds
+no set: the monotone and lower envelopes compare terms by
 `PiecewiseFn.exceeds_somewhere`, and the support bounds of
 `SupportEnvelope`, `EscapeBound` and `DisjointLayers` (one shared loop,
-`_support_report`) by `PiecewiseFn.vanishes_off`.  Only a failing check
-builds its witness, {|u_k| > |u_(k-1)|}, {|floor| > |u_k|} or
-supp(u_k) \\ bound(k), so every failure report keeps its detail, its index
-and its witness.
+`_support_report`) by `PiecewiseFn.vanishes_off`.  The norm checks,
+`verify_norm_bound` and `NormLimit`, compare the largest |value| at the
+piece ends (`rational.max_abs_pair`) with M, or with L +- dev, as integer
+pairs.  Only a failing check builds its witness, {|u_k| > |u_(k-1)|},
+{|floor| > |u_k|}, supp(u_k) \\ bound(k) or the norm ||u_k||, so every
+failure report keeps its detail, its index and its witness.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import Callable, Optional, Sequence
 from .enclosure import RatInterval, pi_enclosure, sin_of_pi_multiple, sin_of_rational
 from .piecewise import PiecewiseFn
 from .points import ExtPoint, WitnessPoint, accumulates_at
+from .rational import deviates, max_abs_pair, side
 from .sets import (Domain, IntervalSet, closed, first_overlap, ico, ioc,
                    is_finite, opened, point, rat)
 
@@ -225,13 +228,15 @@ class NormLimit:
     name = "norm-limit"
 
     def verify(self, family, budget) -> CertReport:
+        limit = rat(self.limit)
         for k in range(1, budget + 1):
             dev = rat(self.deviation(k))
             if dev < 0:
                 return CertReport(self.name, False, budget, "negative deviation bound",
                                   counterexample_k=k)
-            norm = family.term(k).ess_sup_norm()
-            if abs(norm - self.limit) > dev:
+            n, d = max_abs_pair(family.term(k).pieces)
+            if deviates(n, d, limit, dev):
+                norm = Fraction(n, d)
                 return CertReport(self.name, False, budget,
                                   f"||u_{k}|| = {norm} deviates from {self.limit} by more "
                                   f"than {dev}", counterexample_k=k, witness=norm)
@@ -517,10 +522,14 @@ class SummableDisjointFamily(SequenceFamily):
 
 class MappedStepFamily(SequenceFamily):
     """p(u_k) - p(0) for a polynomial p over a step-function family.  Terms
-    vanish wherever u_k does, so disjoint-support certificates carry over."""
+    vanish wherever u_k does, so disjoint-support certificates carry over.
+    A term is one `PiecewiseFn.compose_poly` with p - p(0), the coefficients
+    with c0 replaced by 0: p(u_k) - p(0) has the pieces of p(u_k)."""
 
     def __init__(self, inner: SequenceFamily, coeffs: Sequence[Fraction],
                  name: Optional[str] = None):
+        if not coeffs:
+            raise ValueError("a polynomial image needs at least one coefficient")
         coeffs = [rat(c) for c in coeffs]
         certs = tuple(inner.certificates_of(DisjointSupports))
         bound = None
@@ -530,10 +539,10 @@ class MappedStepFamily(SequenceFamily):
         super().__init__(inner.domain, name or f"poly({inner.name})", bound, certs)
         self.inner = inner
         self.coeffs = coeffs
+        self._shifted = [Fraction(0)] + coeffs[1:]
 
     def _term(self, k):
-        base = self.inner.term(k)
-        return base.compose_poly(self.coeffs).add_const(-self.coeffs[0])
+        return self.inner.term(k).compose_poly(self._shifted)
 
 
 class SinTermHandle:
@@ -605,10 +614,12 @@ def verify_norm_bound(family: SequenceFamily, budget: int) -> CertReport:
         return CertReport("norm-bound", False, 0, "no declared norm bound")
     if family.evaluable:
         return CertReport("norm-bound", True, 0, "declared for evaluable family")
+    bound = family.norm_bound
     for k in range(1, budget + 1):
-        n = family.term(k).ess_sup_norm()
-        if n > family.norm_bound:
+        n, d = max_abs_pair(family.term(k).pieces)
+        if side(bound, n, d) < 0:
+            norm = Fraction(n, d)
             return CertReport("norm-bound", False, budget,
-                              f"||u_{k}|| = {n} > declared {family.norm_bound}",
-                              counterexample_k=k, witness=n)
+                              f"||u_{k}|| = {norm} > declared {bound}",
+                              counterexample_k=k, witness=norm)
     return CertReport("norm-bound", True, budget)

@@ -85,7 +85,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rational import crossing, eq, is_finite, lt, max_abs, side
+from .rational import crossing, eq, is_finite, lt, max_abs, poly_values, side
 from .sets import (Domain, Interval, IntervalSet, SetAlgebraError, _covered,
                    _join_sorted, _starts_after, rat)
 
@@ -421,20 +421,14 @@ class PiecewiseFn:
 
     def compose_poly(self, coeffs: Sequence) -> "PiecewiseFn":
         """p(u) for a polynomial p given by coefficients [c0, c1, ...];
-        u must be a step function."""
+        u must be a step function.  The pieces are u's, each with the value
+        p(level), worked out once per distinct level (`poly_values`)."""
         if not self.is_step():
             raise UnsupportedOperationError("polynomial composition needs a step function")
-        cs = [rat(c) for c in coeffs]
-        triples = []
-        for p in self.pieces:
-            v = p.intercept
-            acc = Fraction(0)
-            power = Fraction(1)
-            for c in cs:
-                acc += c * power
-                power *= v
-            triples.append((p.interval, Fraction(0), acc))
-        return PiecewiseFn.from_pieces(self.domain, triples)
+        pieces = self.pieces
+        values = poly_values([rat(c) for c in coeffs], [p.intercept for p in pieces])
+        return PiecewiseFn(self.domain, tuple(
+            Piece(p.interval, _ZERO, v) for p, v in zip(pieces, values)))
 
     def translate(self, d) -> "PiecewiseFn":
         """x -> u(x + d); the domain carrier moves by -d."""

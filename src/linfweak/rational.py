@@ -23,13 +23,22 @@ normalized ``Fraction`` has a positive denominator); the public
 Any other pair of types, such as an ``int`` end, falls back to the operator.
 :func:`lt`, :func:`eq`, :func:`side` and :func:`crossing` run on every cell
 of every sweep: each calls no other kernel, and callers import them by name.
+
+The certificate checks use three more kernels.  A sort of many ends keys
+them by (:func:`approx`, end), so that it compares floats and reaches a
+``Fraction`` comparison only on a float tie.  :func:`max_abs_pair` keeps
+the norm of a piecewise function as a pair, which :func:`side` compares
+with a bound and :func:`deviates` with a limit and a deviation; only a
+failing check reduces it to a ``Fraction``.  :func:`poly_values` works out
+a polynomial at each distinct level by Horner's rule on integers and
+builds one ``Fraction`` per level.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -67,6 +76,21 @@ def eq(x, y) -> bool:
     elif tx is float and ty is Fraction and x in _INFINITIES:
         return False
     return x == y
+
+
+def approx(e) -> float:
+    """e as the nearest float, or an infinity of e's sign past the float
+    range.  The rounding is correct, so it never reverses an order: x < y
+    gives approx(x) <= approx(y).  A sort by (approx(e), e) compares
+    floats and falls back to the exact ends only on a float tie."""
+    t = type(e)
+    if t is float:
+        return e
+    n, d = (e._numerator, e._denominator) if t is Fraction else (e, 1)
+    try:
+        return n / d
+    except OverflowError:
+        return POS_INF if n > 0 else NEG_INF
 
 
 def side(e, n: int, d: int) -> int:
@@ -149,14 +173,25 @@ def _end_abs(pieces: Iterable):
             yield abs(an * xn * bd + bn * ad * xd), ad * xd * bd
 
 
-def max_abs(pieces: Iterable) -> Fraction:
+def max_abs_pair(pieces: Iterable) -> tuple[int, int]:
     """The largest |a x + b| at the interval ends of the non-null pieces
-    (`_end_abs`), 0 for none, compared as pairs."""
+    (`_end_abs`), (0, 1) for none, as an unreduced pair."""
     best_n, best_d = 0, 1
     for n, d in _end_abs(pieces):
         if n * best_d > best_n * d:
             best_n, best_d = n, d
-    return Fraction(best_n, best_d)
+    return best_n, best_d
+
+
+def max_abs(pieces: Iterable) -> Fraction:
+    """`max_abs_pair` as a ``Fraction``, reduced once."""
+    return Fraction(*max_abs_pair(pieces))
+
+
+def deviates(n: int, d: int, c: Fraction, r: Fraction) -> bool:
+    """|n/d - c| > r for a pair n/d, by one cross product."""
+    cn, cd = c._numerator, c._denominator
+    return abs(n * cd - cn * d) * r._denominator > r._numerator * d * cd
 
 
 def min_abs(pieces: Iterable, cap: Fraction) -> Fraction:
@@ -169,6 +204,33 @@ def min_abs(pieces: Iterable, cap: Fraction) -> Fraction:
         if n and n * best_d < best_n * d:
             best_n, best_d, found = n, d, True
     return Fraction(best_n, best_d) if found else cap
+
+
+def poly_values(coeffs: Sequence[Fraction], values: Iterable[Fraction]) -> list[Fraction]:
+    """p(v) for each v of `values`, p = c0 + c1 t + ... + cm t^m given by
+    its coefficients; p = 0 when there are none.  Over the common
+    denominator D of the coefficients, C_i = c_i D are integers, and at
+    v = n/d, p(v) = (C_m n^m + C_(m-1) n^(m-1) d + ... + C_0 d^m) / (D d^m),
+    worked out by Horner's rule on integers.  Each distinct value is worked
+    out once, and its ``Fraction`` is built and reduced once."""
+    den = 1
+    for c in coeffs:
+        den = math.lcm(den, c._denominator)
+    top, *rest = [c._numerator * (den // c._denominator) for c in reversed(coeffs)] or [0]
+    seen: dict = {}
+    out = []
+    for v in values:
+        key = v._numerator, v._denominator
+        got = seen.get(key)
+        if got is None:
+            n, d = key
+            acc, dm = top, 1
+            for c in rest:
+                dm *= d
+                acc = acc * n + c * dm
+            got = seen[key] = Fraction(acc, den * dm)
+        out.append(got)
+    return out
 
 
 def end_value(const: Fraction, inv: Fraction, lin: Fraction, ell: int) -> Fraction:

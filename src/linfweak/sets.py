@@ -27,9 +27,13 @@ single point missing between two parts moves the position nowhere).
 :meth:`IntervalSet.meets` asks max(lo) < min(hi) of the pairs that the
 intersection sweep would visit.  :meth:`IntervalSet.is_subset` checks that
 each part lies in the first part of the other set that reaches its hi.
-:func:`first_overlap` finds the first pair of sets that meet in positive
-measure with one sweep over a running union, not a loop over all pairs,
-and builds only the intersection it returns.
+:func:`first_overlap` finds the first of n sets that meets another in
+positive measure by one sort of all their parts by lo and one sweep, with
+no running union and no loop over pairs; only then does it ask `meets` of
+that set and the ones after it, and it builds only the intersection it
+returns.  Both sorts here, that one and the one in :func:`_normalize`, key
+an end by ``rational.approx`` first, so they compare floats and compare
+``Fraction`` ends only on a float tie.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .rational import NEG_INF, POS_INF, eq, is_finite, lt, total_length
+from .rational import NEG_INF, POS_INF, approx, eq, is_finite, lt, total_length
 
 Rat = Fraction
 Endpoint = Union[Fraction, float]  # float is only ever +-math.inf
@@ -244,7 +248,7 @@ def _covered(spans: Iterable[Interval], cover: Sequence[Interval]) -> bool:
 def _normalize(parts: Iterable[Interval]) -> tuple[Interval, ...]:
     items = list(parts)
     if any(_starts_after(p, q) for p, q in zip(items, items[1:])):
-        items.sort(key=lambda p: (p.lo, not p.lo_closed))
+        items.sort(key=lambda p: (approx(p.lo), p.lo, not p.lo_closed))
     return _join_sorted(items)
 
 
@@ -550,23 +554,31 @@ def first_overlap(sets: Sequence[IntervalSet]) -> "tuple[int, int, IntervalSet] 
     measure, with their intersection; None when the sets are pairwise
     disjoint up to null sets.
 
-    One sweep from the right keeps the union of the sets after i, so the
-    smallest i whose set meets that union is found with n - 1 unions and
-    n - 1 `meets` walks, each one merge of sorted parts, not n^2 / 2
-    intersections; its partner j is then the smallest index whose set meets
-    set i, and theirs is the one intersection built.
+    One sweep over the non-point parts of all sets, sorted by lo, finds i
+    and builds nothing.  A part of positive length meets another in
+    positive measure iff the one that comes later starts left of the
+    other's hi.  Parts of one set never do so, since a later part of a set
+    starts at or right of the hi of each earlier one.  So a part meets an
+    earlier part iff it starts left of the largest hi so far, and a later
+    part iff the part right after it starts left of its hi; either way the
+    other part is of another set.  i is the smallest set with such a part,
+    and `IntervalSet.meets` finds j among the sets after it: theirs is the
+    one intersection built.
     """
-    first = None
-    later = IntervalSet.empty()
-    for i in range(len(sets) - 2, -1, -1):
-        later = sets[i + 1].union(later)
-        if sets[i].meets(later):
+    spans = sorted((approx(p.lo), p.lo, p.hi, i) for i, s in enumerate(sets)
+                   for p in s.parts if not eq(p.lo, p.hi))
+    first = len(sets)
+    top = NEG_INF
+    for t, (_, lo, hi, i) in enumerate(spans, 1):
+        if i < first and (lt(lo, top) or t < len(spans) and lt(spans[t][1], hi)):
             first = i
-    if first is None:
+        if lt(top, hi):
+            top = hi
+    if first == len(sets):
         return None
-    for j in range(first + 1, len(sets)):
-        if sets[first].meets(sets[j]):
-            return first, j, sets[first].intersect(sets[j])
+    s = sets[first]
+    j = next(j for j in range(first + 1, len(sets)) if s.meets(sets[j]))
+    return first, j, s.intersect(sets[j])
 
 
 def is_compact_subset(k: IntervalSet, g: IntervalSet) -> bool:

@@ -16,7 +16,8 @@ from linfweak.engine import test_weak_null
 from linfweak.families import (CertificateError, DisjointLayers,
                                DisjointSupports, EscapeBound,
                                ExplicitListFamily, IndicatorFamily,
-                               MonotoneEnvelope, NormLimit, SequenceFamily,
+                               MappedStepFamily, MonotoneEnvelope, NormLimit,
+                               SequenceFamily,
                                SummableDisjointFamily, SupportEnvelope,
                                SuperlevelKernel, verify_certificate,
                                verify_norm_bound)
@@ -162,6 +163,87 @@ class TestCertificates:
         lying.norm_bound = F(1, 2)
         rep = verify_norm_bound(lying, 5)
         assert not rep.passed
+
+
+class TestNormReports:
+    """The norm checks compare integer pairs and build ||u_k|| only for a
+    failing report, which keeps its detail, its index and its witness.  The
+    tents have ||u_k|| = 1 for every k."""
+
+    def test_failing_norm_bound_keeps_its_report(self):
+        # ||1_[0, 1/2)|| = 1 against a declared 1/2
+        lying = IndicatorFamily(DOM, lambda k: IntervalSet.of(ico(0, F(1, 2))))
+        lying.norm_bound = F(1, 2)
+        rep = verify_norm_bound(lying, 5)
+        assert (rep.certificate, rep.passed, rep.checked_upto) == ("norm-bound", False, 5)
+        assert rep.detail == "||u_1|| = 1 > declared 1/2"
+        assert rep.counterexample_k == 1
+        assert type(rep.witness) is F and rep.witness == 1
+
+    def test_norm_bound_fails_at_the_first_large_term(self):
+        # norms 3/4, 1 and 3/2 (1/n + 1/2 on (0, 1/2)) against 4/5
+        fam = ExplicitListFamily(DOM, [PiecewiseFn.step(
+            DOM, [(IntervalSet.of(opened(0, F(1, 2))), F(1, n) + F(1, 2))])
+            for n in (4, 2, 1)], norm_bound=F(4, 5))
+        rep = verify_norm_bound(fam, 3)
+        assert rep.detail == "||u_2|| = 1 > declared 4/5"
+        assert rep.counterexample_k == 2 and rep.witness == 1
+
+    @pytest.mark.parametrize("bound", [F(1), 1])
+    def test_norm_equal_to_the_bound_passes(self, bound):
+        fam = tents()
+        fam.norm_bound = bound
+        assert verify_norm_bound(fam, 20).passed
+
+    @pytest.mark.parametrize("limit,dev,side", [
+        (F(1, 2), F(1, 4), "above"),   # 1 > 1/2 + 1/4
+        (F(2), F(1, 2), "below"),      # 1 < 2 - 1/2
+        (F(-1, 2), F(1), "above"),     # 1 > -1/2 + 1
+    ])
+    def test_norm_limit_fails_on_either_side(self, limit, dev, side):
+        rep = NormLimit(limit, lambda k: dev).verify(tents(), 20)
+        assert (rep.certificate, rep.passed, rep.checked_upto) == ("norm-limit", False, 20)
+        assert rep.detail == f"||u_1|| = 1 deviates from {limit} by more than {dev}"
+        assert rep.counterexample_k == 1
+        assert type(rep.witness) is F and rep.witness == 1
+
+    def test_norm_limit_fails_at_the_first_deviating_term(self):
+        # norms 3/4, 1 and 3/2 against 1/2 +- 1/2: u_3 deviates by 1
+        fam = ExplicitListFamily(DOM, [PiecewiseFn.step(
+            DOM, [(IntervalSet.of(opened(0, F(1, 2))), F(1, n) + F(1, 2))])
+            for n in (4, 2, 1)])
+        rep = NormLimit(F(1, 2), lambda k: F(1, 2)).verify(fam, 3)
+        assert rep.detail == "||u_3|| = 3/2 deviates from 1/2 by more than 1/2"
+        assert rep.counterexample_k == 3 and rep.witness == F(3, 2)
+
+    @pytest.mark.parametrize("limit,dev", [
+        (F(1, 2), F(1, 2)), (F(3, 2), F(1, 2)), (F(1), F(0)), (1, 0), (F(0), 1)])
+    def test_norm_limit_passes_at_the_boundary(self, limit, dev):
+        # | ||u_k|| - limit | = dev exactly, or an int limit and deviation
+        assert NormLimit(limit, lambda k: dev).verify(tents(), 20).passed
+
+    def test_negative_deviation_is_reported_first(self):
+        # at k = 1 the norm also deviates from 5 by more than 1; the
+        # negative bound is named, with no witness
+        rep = NormLimit(F(5), lambda k: F(-1)).verify(tents(), 20)
+        assert rep.detail == "negative deviation bound"
+        assert rep.counterexample_k == 1 and rep.witness is None
+        rep = NormLimit(F(1), lambda k: F(-1) if k == 3 else F(0)).verify(tents(), 20)
+        assert rep.detail == "negative deviation bound" and rep.counterexample_k == 3
+
+
+class TestMappedStep:
+    def test_no_coefficients_is_refused(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            MappedStepFamily(dyadic_indicators(), [])
+
+    @pytest.mark.parametrize("coeffs,value", [
+        ([F(3), F(-2)], F(-2)), ([5], F(0)), ([1, 2, 3], F(5)), ([F(0), F(0), F(1)], F(1))])
+    def test_terms_vanish_off_the_support(self, coeffs, value):
+        # p(u_2) - p(0) on the block [1/8, 1/4) of the dyadic indicators
+        u = MappedStepFamily(dyadic_indicators(), coeffs).term(2)
+        block = IntervalSet.of(ico(F(1, 8), F(1, 4)))
+        assert u.ae_equal(PiecewiseFn.step(DOM, [(block, value)]))
 
 
 class TestStructure:

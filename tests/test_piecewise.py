@@ -10,7 +10,7 @@ from linfweak.piecewise import (EvaluationError, Piece, PiecewiseFn,
                                 UnsupportedOperationError, _coalesced, min_of)
 from linfweak.corpus import FAMILIES, family_by_name
 from linfweak.engine import default_alpha_grid
-from linfweak.families import MappedStepFamily, TentFamily
+from linfweak.families import MappedStepFamily, SummableDisjointFamily, TentFamily
 from linfweak.sets import (NEG_INF, POS_INF, Domain, Interval, IntervalSet,
                            SetAlgebraError, closed, ico, ioc, ivl, opened, point)
 
@@ -834,6 +834,71 @@ class TestCellWalkDifferential:
         assert cells == [(NEG_INF, 0, False, False, 1, 3), (0, 0, True, True, 1, 4),
                          (0, POS_INF, False, False, 2, 4)]
         self._assert_cells(u, v)
+
+
+def ref_compose_poly(u, coeffs):
+    """p(u) piece for piece: Horner's rule in Fraction operators at each
+    piece's level, on u's own intervals."""
+    pieces = []
+    for p in u.pieces:
+        acc = F(0)
+        for c in reversed(coeffs):
+            acc = acc * p.intercept + c
+        pieces.append(Piece(p.interval, F(0), acc))
+    return tuple(pieces)
+
+
+@st.composite
+def levelled_steps(draw):
+    """Step functions whose levels come from a pool of one to six drawn
+    values, zero and negative ones among them: few pools repeat levels
+    often, large ones give distinct levels."""
+    u = draw(piecewise_fns(step=True))
+    pool = draw(st.lists(st.one_of(st.just(F(0)), rationals(), rationals(max_den=1000)),
+                         min_size=1, max_size=6))
+    return PiecewiseFn(u.domain, tuple(
+        Piece(p.interval, F(0), pool[draw(st.integers(0, len(pool) - 1))])
+        for p in u.pieces))
+
+
+POLY_COEFFS = st.lists(st.one_of(st.just(F(0)), st.integers(-4, 4), rationals(lo=-3, hi=3)),
+                       max_size=5)
+
+
+def _negative_blocks():
+    """Blocks of height -5/2 on [2^-(k+1), 3 2^-(k+2)), one layer of a
+    summable family."""
+    return SummableDisjointFamily(Domain.open_interval(-1, 1), [
+        (F(-5, 2), lambda k: IntervalSet.of(ico(F(1, 2 ** (k + 1)), F(3, 2 ** (k + 2)))))],
+        name="negative-blocks")
+
+
+class TestComposePolyDifferential:
+    """compose_poly, one integer Horner pass per distinct level, against
+    Horner's rule in Fraction operators, piece for piece; and the terms of
+    `MappedStepFamily`, one compose_poly with p - p(0), against
+    p(u_k) shifted by -p(0)."""
+
+    @given(levelled_steps(), POLY_COEFFS)
+    def test_compose_poly(self, u, coeffs):
+        got = u.compose_poly(coeffs)
+        assert got.domain == u.domain
+        assert got.pieces == ref_compose_poly(u, coeffs)
+        assert all(type(p.slope) is F and type(p.intercept) is F for p in got.pieces)
+
+    def test_no_coefficients_give_zero(self):
+        u = chi(IntervalSet.of(ico(0, F(1, 2))))
+        assert [p.intercept for p in u.compose_poly([]).pieces] == [0, 0]
+
+    @given(st.sampled_from(("dyadic-indicators", "summable-disjoint", "negative-blocks")),
+           POLY_COEFFS.filter(bool))
+    def test_mapped_step_terms(self, name, coeffs):
+        inner = _negative_blocks() if name == "negative-blocks" else family_by_name(name)
+        mapped = MappedStepFamily(inner, coeffs)
+        for k in range(1, 21):
+            u = inner.term(k)
+            want = PiecewiseFn(u.domain, ref_compose_poly(u, coeffs)).add_const(-F(coeffs[0]))
+            assert mapped.term(k).pieces == want.pieces
 
 
 DEPTH_FAMILIES = ("tents", "escape-translates", "sided-translates",

@@ -13,9 +13,9 @@ from fractions import Fraction as F
 from hypothesis import given, strategies as st
 
 from conftest import rationals
-from linfweak.rational import (NEG_INF, POS_INF, cauchy_bound, crossing, diff,
-                               end_value, eq, fit_abc, lt, max_abs, side,
-                               total_length)
+from linfweak.rational import (NEG_INF, POS_INF, approx, cauchy_bound, crossing,
+                               deviates, diff, end_value, eq, fit_abc, lt, max_abs,
+                               max_abs_pair, poly_values, side, total_length)
 
 # Infinities made afresh on every draw: none is the object NEG_INF or POS_INF.
 fresh_infinities = st.sampled_from(
@@ -151,6 +151,46 @@ class TestPairArithmetic:
         values = [abs(b) if a == 0 else max(abs(a * x + b) for x in iv)
                   for a, b, iv in given_pieces if iv.lo != iv.hi]
         assert type(got) is F and got == max(values, default=F(0))
+
+    @given(st.lists(pieces(), max_size=6))
+    def test_max_abs_pair(self, given_pieces):
+        n, d = max_abs_pair(given_pieces)
+        assert type(n) is int and type(d) is int and d > 0
+        assert F(n, d) == max_abs(given_pieces)
+
+    @given(pairs, fractions, coefficients.map(abs))
+    def test_deviates(self, pair, c, r):
+        n, d = pair
+        assert deviates(n, d, c, r) == (abs(F(n, d) - c) > r)
+        # at the boundary |n/d - c| = r exactly it does not deviate
+        assert not deviates(n, d, F(n, d) - r, r)
+        assert not deviates(n, d, F(n, d) + r, r)
+
+    @given(st.lists(st.one_of(coefficients, st.integers(-5, 5).map(F)), max_size=5),
+           st.lists(st.one_of(st.sampled_from((F(0), F(1), F(-1), F(2, 3))), fractions),
+                    max_size=6))
+    def test_poly_values(self, coeffs, values):
+        got = poly_values(coeffs, values)
+        want = []
+        for v in values:
+            acc = F(0)
+            for c in reversed(coeffs):
+                acc = acc * v + c
+            want.append(acc)
+        assert all(type(x) is F for x in got) and got == want
+
+    @given(kernel_pairs())
+    def test_approx_keeps_the_order(self, pair):
+        x, y = pair
+        if lt(x, y):
+            assert approx(x) <= approx(y)
+        assert approx(x) == float(x)
+
+    def test_approx_past_the_float_range(self):
+        big = 10 ** 400
+        assert approx(F(big, 3)) == POS_INF and approx(F(-big, 3)) == NEG_INF
+        assert approx(big) == POS_INF and approx(-big) == NEG_INF
+        assert approx(F(1, big)) == 0.0
 
     @given(coefficients, coefficients, coefficients, st.integers(1, 10**6))
     def test_end_value(self, const, inv, lin, ell):

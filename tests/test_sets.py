@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import grid_points, interval_sets
+from conftest import grid_points, interval_sets, within_seconds
 from linfweak.sets import (Domain, Interval, IntervalSet, SetAlgebraError,
                            closed, complement, first_overlap, ico, intersect,
                            is_compact_subset, is_finite, ivl, measure, opened,
@@ -222,7 +222,80 @@ def grid_sets(draw):
     return S(*parts)
 
 
+def _minus_block(k, lo_closed=True, hi_closed=False):
+    """Set k of `dyadic-indicators-minus`: [2^-k, 3 2^-(k+1))."""
+    return ivl(F(1, 2 ** k), F(3, 2 ** (k + 1)), lo_closed, hi_closed)
+
+
+@st.composite
+def budget_sets(draw):
+    """Up to 24 sets of the shape the certificate budget checks: set k holds
+    the block of `dyadic-indicators-minus`, so the sets come in descending
+    order, one part each, with drawn flags.  Some sets also hold a point (at
+    a block end or inside a block) or a ray, or hold only a point; when
+    clashes are drawn, some sets start at an earlier block's lo with other
+    flags, or widen their block over earlier ones."""
+    kinds = ["block"] * 8 + ["point", "only-point", "ray"]
+    if draw(st.booleans()):
+        kinds += ["same-lo", "wide"]
+    sets = []
+    for k in range(1, draw(st.integers(0, 24)) + 1):
+        kind = draw(st.sampled_from(kinds))
+        flags = draw(st.booleans()), draw(st.booleans())
+        parts = [] if kind == "only-point" else [_minus_block(k, *flags)]
+        if kind in ("point", "only-point"):
+            j = draw(st.integers(1, k))
+            parts.append(point(draw(st.sampled_from(
+                (F(1, 2 ** j), F(3, 2 ** (j + 1)), F(5, 2 ** (j + 2)))))))
+        elif kind == "ray":
+            end = draw(st.integers(-2, 2))
+            parts.append(ivl(NEG_INF, end, False, flags[0]) if draw(st.booleans())
+                         else ivl(end, POS_INF, flags[1], False))
+        elif kind == "same-lo":
+            j = draw(st.integers(1, k))
+            parts = [ivl(F(1, 2 ** j), F(1, 2 ** j) + F(draw(st.integers(1, 3)), 2 ** (j + 2)),
+                         *flags)]
+        elif kind == "wide":
+            parts = [ivl(F(1, 2 ** k), F(1, 2 ** (k - draw(st.integers(1, min(k, 3))))),
+                         *flags)]
+        sets.append(S(*parts))
+    return sets
+
+
 class TestFirstOverlap:
+    @given(budget_sets())
+    def test_against_pairwise_loop_at_budget_size(self, sets):
+        assert first_overlap(sets) == ref_first_overlap(sets)
+
+    def test_many_disjoint_sets_in_bounded_time(self):
+        # 4000 blocks of dyadic-indicators-minus, none joining another in a
+        # union; a quadratic sweep over a running union needs about 11 s
+        sets = [S(_minus_block(k)) for k in range(1, 4001)]
+        with within_seconds(2):
+            assert first_overlap(sets) is None
+            # a last set reaching over the block before it: the pair is the
+            # last two, named without a loop over the pairs before them
+            last = S(ico(F(1, 2 ** 4001), F(1, 2 ** 3999)))
+            assert first_overlap(sets + [last]) == (3999, 4000, S(_minus_block(4000)))
+
+    def test_ends_closer_than_a_float(self):
+        # 1/3 and 1/3 + 10^-30 are one float apart at most: the sweep orders
+        # them exactly, so the later block does not reach into the earlier
+        eps = F(1, 10 ** 30)
+        third = F(1, 3)
+        sets = [S(ico(third + eps, 1)), S(ico(third, third + eps / 2))]
+        assert first_overlap(sets) is None
+        sets[1] = S(ico(third, third + 2 * eps))
+        assert first_overlap(sets) == (0, 1, S(ico(third + eps, third + 2 * eps)))
+
+    def test_ends_past_the_float_range(self):
+        big = 10 ** 400
+        sets = [S(ico(big + 1, 10 * big)), S(ico(-10 * big, -big)), S(ico(big, big + 1)),
+                S(ivl(NEG_INF, -10 * big, False, True))]
+        assert first_overlap(sets) is None
+        sets.append(S(ico(-big - 1, -big + 1)))
+        assert first_overlap(sets) == (1, 4, S(ico(-big - 1, -big)))
+
     @given(st.lists(grid_sets(), max_size=7))
     def test_against_pairwise_loop(self, sets):
         assert first_overlap(sets) == ref_first_overlap(sets)
