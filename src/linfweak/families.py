@@ -14,8 +14,8 @@ Every check is linear in the budget in the terms it builds and the tests it
 makes: one pass over the terms, each tested against one other object at
 most.  Disjoint sets are checked by one sort of all their parts by lo and
 one sweep over them (`sets.first_overlap`), with no union and no loop over
-pairs.  A check that only asks whether a set is null asks it by a walk that builds
-no set: the monotone and lower envelopes compare terms by
+pairs.  A check that only asks whether a set is null asks it by a walk
+that builds no set: the monotone and lower envelopes compare terms by
 `PiecewiseFn.exceeds_somewhere`, and the support bounds of
 `SupportEnvelope`, `EscapeBound` and `DisjointLayers` (one shared loop,
 `_support_report`) by `PiecewiseFn.vanishes_off`.  The norm checks,

@@ -237,14 +237,6 @@ class TestMappedStep:
         with pytest.raises(ValueError, match="at least one coefficient"):
             MappedStepFamily(dyadic_indicators(), [])
 
-    @pytest.mark.parametrize("coeffs,value", [
-        ([F(3), F(-2)], F(-2)), ([5], F(0)), ([1, 2, 3], F(5)), ([F(0), F(0), F(1)], F(1))])
-    def test_terms_vanish_off_the_support(self, coeffs, value):
-        # p(u_2) - p(0) on the block [1/8, 1/4) of the dyadic indicators
-        u = MappedStepFamily(dyadic_indicators(), coeffs).term(2)
-        block = IntervalSet.of(ico(F(1, 8), F(1, 4)))
-        assert u.ae_equal(PiecewiseFn.step(DOM, [(block, value)]))
-
 
 class TestStructure:
     @given(st.integers(1, 12), st.sampled_from([F(1, 4), F(1, 2), F(7, 8)]))

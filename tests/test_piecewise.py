@@ -886,10 +886,6 @@ class TestComposePolyDifferential:
         assert got.pieces == ref_compose_poly(u, coeffs)
         assert all(type(p.slope) is F and type(p.intercept) is F for p in got.pieces)
 
-    def test_no_coefficients_give_zero(self):
-        u = chi(IntervalSet.of(ico(0, F(1, 2))))
-        assert [p.intercept for p in u.compose_poly([]).pieces] == [0, 0]
-
     @given(st.sampled_from(("dyadic-indicators", "summable-disjoint", "negative-blocks")),
            POLY_COEFFS.filter(bool))
     def test_mapped_step_terms(self, name, coeffs):
