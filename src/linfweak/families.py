@@ -418,14 +418,16 @@ class TranslateFamily(SequenceFamily):
         """At a finite point: once every breakpoint has moved left of the
         unit ball around x0, u_k is the right tail limit of the profile on
         the ball, from k0 = ceil((last breakpoint - (x0 - 1)) / step) + 1 on.
-        The tail is u_k0 on the ball, checked exactly to be that constant.
-        Far translates settle near no point at infinity."""
+        The tail is u_k0 on the ball; each of its non-point pieces is
+        checked exactly to have slope 0 and that constant.  Far translates
+        settle near no point at infinity."""
         if x0 is None or x0.is_infinite:
             return None
         lo = x0.x - 1
         k0 = max(math.ceil((self.breakpoint_span()[1] - lo) / self.step) + 1, 1)
         tail = self.term(k0).restrict(IntervalSet.of(opened(lo, x0.x + 1)))
-        if tail.add_const(-self.profile.pieces[-1].intercept).ess_sup_norm() != 0:
+        limit = self.profile.pieces[-1].intercept
+        if any(p.slope or p.intercept != limit for p in tail.pieces if not p.is_null()):
             raise CertificateError("translate tail analysis produced a wrong "
                                    "threshold", k=k0)
         return k0, tail

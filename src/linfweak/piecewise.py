@@ -1,17 +1,18 @@
 """Piecewise-linear functions with exact rational arithmetic.
 
 A function is a finite list of pieces (interval, slope, intercept) whose
-intervals partition the domain carrier up to a Lebesgue-null set.  The class
-is closed under |.|, pointwise min, linear combinations, products with step
-functions and polynomial composition with step functions, and superlevel
-sets { |u| > alpha } are exact interval sets.  Functions are identified
-almost everywhere; point evaluation uses literal piece membership with a
-left-piece fallback at breakpoints that fall in measure-zero gaps.
+intervals partition the domain carrier up to a Lebesgue-null set.  A verdict
+needs |u|, pointwise min, the superlevel sets A_alpha(u) = { |u| > alpha }
+and null tests, and the class offers those, all exact, with polynomial
+composition of step functions, translation and restriction to build terms.
+Functions are identified almost everywhere; point evaluation uses literal
+piece membership with a left-piece fallback at breakpoints that fall in
+measure-zero gaps.
 
 Results of ``min_of`` are canonical: no two touching pieces (one closed and
 one open end at the same point) share slope and intercept, so each maximal
 affine run is one piece.  Merging such pieces changes no point value.
-``from_pieces``, the algebra and ``translate`` keep the cells they are
+``from_pieces``, the constructors and ``translate`` keep the cells they are
 given, since family terms feed ``piece_value_candidates`` and breakpoint
 spans piece by piece.
 
@@ -28,37 +29,38 @@ built for them.  ``layer_sum`` labels a cell by the sum of the coefficients
 of the layers that hold it and joins none, so its pieces are those of the
 pairwise sum of the scaled indicators; no indicator or partial sum is built.
 
-Every binary operation reads one walk over the two sorted piece lists,
-`_cells_with`, which advances whichever piece ends first and yields each
-non-empty common cell as local ends and flags with its two pieces, building
-nothing; each operation costs time linear in the pieces of its operands.
-Where two laws cross (in ``min_of``, and in {u > v}), where a law changes
-sign (in ``abs_fn``) and where it crosses a level (in ``superlevel`` and
-``gt_set``), the side each law wins on follows from the sign of a slope,
-since a x + b - c = a (x - x0); no point is sampled, and `_half_ends` cuts
-a cell at x0 on local ends.
+Both binary operations, min(u, v) and {u > v}, read one walk over the two
+sorted piece lists, `_cells_with`, which advances whichever piece ends
+first and yields each non-empty common cell as local ends and flags with
+its two pieces, building nothing; each costs time linear in the pieces of
+its operands.  Where two laws cross (in ``min_of``, and in {u > v}), where
+a law changes sign (in ``abs_fn``) and where it crosses a level (in
+``superlevel`` and ``support``), the side each law wins on follows from the
+sign of a slope, since a x + b - c = a (x - x0); no point is sampled, and
+`_half_ends` cuts a cell at x0 on local ends.
 
 The set {u > v} is one lazy walk over its parts, one per common cell
 (`_exceeds_parts`); no difference function u - v is built.  ``exceeds``
 joins the parts into the set, and the null test ``exceeds_somewhere``
-stops at the first part of positive length, building nothing, as does
-``ae_equal``, which asks it both ways.  The other null test,
-``vanishes_off(s)``, asks whether supp(u) \\ s is null: up to null sets
-supp(u) is the union of the non-point pieces whose law is not 0, since a
-sloped piece loses only its root, so it is the cover walk of
+stops at the first part of positive length, building nothing.  The other
+null test, ``vanishes_off(s)``, asks whether supp(u) \\ s is null: up to
+null sets supp(u) is the union of the non-point pieces whose law is not 0,
+since a sloped piece loses only its root, so it is the cover walk of
 ``IntervalSet.subset_up_to_null`` over those pieces and the parts of s.  A
 certificate check builds the set itself (``exceeds``, ``support``) only
 when the test fails, as the witness it reports.
 
 The two kernels behind v_J = min_j |u_kj| and its level sets build each
-output object once.  `_min2` joins the law that wins on each common cell to
-the open run as it is emitted, by the rule of `_coalesced`; a run becomes
-one ``Piece`` at the end, or stays the input piece whose ends and law it
-has.  `_level_set`, behind ``superlevel``, ``gt_set`` and ``support``,
-emits each piece's part above the upper level and part below the lower
-level in x order, joins touching parts as they come and returns the parts
-as they stand, with no sorting or normalizing pass; a part that is a whole
-piece is that piece's own ``Interval``.
+output object once.  ``min_of`` joins the touching pieces of one law in its
+first input (`_coalesced`) and folds the others in with `_min2`, which
+joins the law that wins on each common cell to the open run as it is
+emitted, by the same rule; a run becomes one ``Piece`` at the end, or stays
+the input piece whose ends and law it has.  `_level_set`, behind
+``superlevel`` and ``support``, emits each piece's part above the upper
+level and part below the lower level in x order, joins touching parts as
+they come and returns the parts as they stand, with no sorting or
+normalizing pass; a part that is a whole piece is that piece's own
+``Interval``.
 
 That arithmetic is the kernel of :mod:`linfweak.rational`: each crossing
 x0 is an unreduced integer pair (``crossing``), each cell end is compared
@@ -370,29 +372,6 @@ class PiecewiseFn:
 
     # -- algebra ------------------------------------------------------------------
 
-    def scale(self, c) -> "PiecewiseFn":
-        c = rat(c)
-        return PiecewiseFn(self.domain, tuple(
-            Piece(p.interval, c * p.slope, c * p.intercept) for p in self.pieces))
-
-    def negate(self) -> "PiecewiseFn":
-        return self.scale(-1)
-
-    def add_const(self, c) -> "PiecewiseFn":
-        c = rat(c)
-        return PiecewiseFn(self.domain, tuple(
-            Piece(p.interval, p.slope, p.intercept + c) for p in self.pieces))
-
-    def add(self, other: "PiecewiseFn") -> "PiecewiseFn":
-        self._same_domain(other)
-        triples = [(Interval(lo, hi, lo_closed, hi_closed), p.slope + q.slope,
-                    p.intercept + q.intercept)
-                   for lo, hi, lo_closed, hi_closed, p, q in self._cells_with(other)]
-        return PiecewiseFn.from_pieces(self.domain, triples)
-
-    def sub(self, other: "PiecewiseFn") -> "PiecewiseFn":
-        return self.add(other.negate())
-
     def abs_fn(self) -> "PiecewiseFn":
         """|u|; u itself when no piece changes (u >= 0 everywhere)."""
         pieces = []
@@ -402,22 +381,6 @@ class PiecewiseFn:
             changed = changed or got[0] is not p
             pieces += got
         return PiecewiseFn(self.domain, tuple(pieces)) if changed else self
-
-    def product(self, other: "PiecewiseFn") -> "PiecewiseFn":
-        """Pointwise product; one factor must be a step function so the result
-        stays piecewise-linear."""
-        self._same_domain(other)
-        if self.is_step():
-            step, lin = self, other
-        elif other.is_step():
-            step, lin = other, self
-        else:
-            raise UnsupportedOperationError(
-                "product of two non-step piecewise-linear functions leaves the class")
-        triples = [(Interval(lo, hi, lo_closed, hi_closed), p.intercept * q.slope,
-                    p.intercept * q.intercept)
-                   for lo, hi, lo_closed, hi_closed, p, q in step._cells_with(lin)]
-        return PiecewiseFn.from_pieces(self.domain, triples)
 
     def compose_poly(self, coeffs: Sequence) -> "PiecewiseFn":
         """p(u) for a polynomial p given by coefficients [c0, c1, ...];
@@ -449,10 +412,6 @@ class PiecewiseFn:
         return PiecewiseFn.from_pieces(Domain(carrier), triples)
 
     # -- level sets -------------------------------------------------------------
-
-    def gt_set(self, c) -> IntervalSet:
-        """{ x : u(x) > c }, exact with strict-inequality endpoint flags."""
-        return _level_set(self.pieces, rat(c), None)
 
     def superlevel(self, alpha) -> IntervalSet:
         """A_alpha(u) = { x : |u(x)| > alpha }, alpha > 0."""
@@ -488,14 +447,6 @@ class PiecewiseFn:
         s.  Nothing is built."""
         return _covered((p.interval for p in self.pieces
                          if p.slope._numerator or p.intercept._numerator), s.parts)
-
-    def ne_set(self, other: "PiecewiseFn") -> IntervalSet:
-        return self.exceeds(other).union(other.exceeds(self))
-
-    def ae_equal(self, other: "PiecewiseFn") -> bool:
-        """Are {u > v} and {v > u} both null?  Two null tests; no set is
-        built."""
-        return not (self.exceeds_somewhere(other) or other.exceeds_somewhere(self))
 
     def __str__(self) -> str:
         bits = ", ".join(f"{p.interval}: {p.slope}*x+{p.intercept}" for p in self.pieces)
@@ -614,14 +565,13 @@ def _exceeds_parts(u: PiecewiseFn, v: PiecewiseFn):
 
 def _level_set(pieces: Sequence[Piece], up, down) -> IntervalSet:
     """{ a x + b > up } united with { a x + b < down } over the pieces, in one
-    walk (a level of None adds nothing).  Each piece gives its parts in x
-    order: a sloped piece has a x + b - c = a (x - x0) at the crossing x0 of
-    the level c, so its part below comes first when a > 0 and its part above
-    when a < 0.  The pieces are ordered and disjoint, hence so are the
-    parts: a part that starts where the open run ends, one of the two ends
-    closed, extends the run, and each run becomes one Interval when it
-    closes, or stays the piece's own interval when it is that whole
-    interval."""
+    walk; down <= up.  Each piece gives its parts in x order: a sloped piece
+    has a x + b - c = a (x - x0) at the crossing x0 of the level c, so its
+    part below comes first when a > 0 and its part above when a < 0.  The
+    pieces are ordered and disjoint, hence so are the parts: a part that
+    starts where the open run ends, one of the two ends closed, extends the
+    run, and each run becomes one Interval when it closes, or stays the
+    piece's own interval when it is that whole interval."""
     out = []
     lo = hi = None  # the open run; lo is None until the first part
     lo_closed = hi_closed = False
@@ -630,7 +580,7 @@ def _level_set(pieces: Sequence[Piece], up, down) -> IntervalSet:
         iv, a, b = p.interval, p.slope, p.intercept
         an = a._numerator
         if an == 0:
-            if (up is None or not lt(up, b)) and (down is None or not lt(b, down)):
+            if not lt(up, b) and not lt(b, down):
                 continue
             cuts = ((iv.lo, iv.hi, iv.lo_closed, iv.hi_closed, True),)
         else:
@@ -638,11 +588,10 @@ def _level_set(pieces: Sequence[Piece], up, down) -> IntervalSet:
             # (level, keep the part right of its crossing), in x order
             for c, right in (((down, False), (up, True)) if an > 0
                              else ((up, False), (down, True))):
-                if c is not None:
-                    _, n, d = crossing(a, b, _ZERO, c)
-                    got = _half_ends(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed, n, d, right)
-                    if got is not None:
-                        cuts.append(got)
+                _, n, d = crossing(a, b, _ZERO, c)
+                got = _half_ends(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed, n, d, right)
+                if got is not None:
+                    cuts.append(got)
         for part_lo, part_hi, part_lo_closed, part_hi_closed, part_whole in cuts:
             if lo is not None and (hi_closed or part_lo_closed) and eq(part_lo, hi):
                 hi, hi_closed, whole = part_hi, part_hi_closed, None
@@ -658,13 +607,15 @@ def _level_set(pieces: Sequence[Piece], up, down) -> IntervalSet:
 
 def min_of(fns: Sequence[PiecewiseFn]) -> PiecewiseFn:
     """Exact pointwise minimum in canonical form; breakpoints appear at
-    crossing abscissae."""
+    crossing abscissae.  The first function's touching pieces of one law
+    are joined before the fold, so that `_min2`, which keeps the first
+    law where two laws tie on a point cell, starts from a canonical run."""
     if not fns:
         raise ValueError("min_of needs at least one function")
     out = fns[0]
-    if len(fns) == 1:
-        pieces = _coalesced(out.pieces)
-        return out if len(pieces) == len(out.pieces) else PiecewiseFn(out.domain, pieces)
+    pieces = _coalesced(out.pieces)
+    if len(pieces) != len(out.pieces):
+        out = PiecewiseFn(out.domain, pieces)
     for f in fns[1:]:
         out = _min2(out, f)
     return out

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from linfweak.piecewise import PiecewiseFn
-from linfweak.sets import NEG_INF, POS_INF, Domain, IntervalSet, closed, ivl, point
+from linfweak.piecewise import Piece, PiecewiseFn
+from linfweak.sets import NEG_INF, POS_INF, Domain, Interval, IntervalSet, closed, ivl, point
 
 settings.register_profile(
     "default", deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-# twenty times the examples, for the exact-kernel differentials:
-#   pytest tests/test_piecewise.py -k Differential --hypothesis-profile=deep
+# twenty times the examples, for the exact-kernel differentials and grid oracles:
+#   pytest tests/test_piecewise.py -k "Differential or GridOracles" \
+#       --hypothesis-profile=deep
 # and for the set walks:
 #   pytest tests/test_sets.py -k "SweepOracles or CoverWalks or FirstOverlap" \
 #       --hypothesis-profile=deep
@@ -101,6 +102,81 @@ def function_probes(*fns, extra=()):
     sets = [IntervalSet.of(p.interval) for f in fns for p in f.pieces]
     return [x for x in grid_points(*sets, *extra)
             if all(any(p.interval.contains(x) for p in f.pieces) for f in fns)]
+
+
+# -- test-side references: common cells, {u > v} and a.e. equality in plain
+# Fraction operators, and builders of scaled and shifted functions.  None of
+# them calls the piecewise kernels that the tests check.
+
+
+def _ref_meet(a, b):
+    """a n b as (lo, hi, lo_closed, hi_closed), or None when empty."""
+    if a.lo > b.lo:
+        lo, lo_closed = a.lo, a.lo_closed
+    elif b.lo > a.lo:
+        lo, lo_closed = b.lo, b.lo_closed
+    else:
+        lo, lo_closed = a.lo, a.lo_closed and b.lo_closed
+    if a.hi < b.hi:
+        hi, hi_closed = a.hi, a.hi_closed
+    elif b.hi < a.hi:
+        hi, hi_closed = b.hi, b.hi_closed
+    else:
+        hi, hi_closed = a.hi, a.hi_closed and b.hi_closed
+    if lo < hi or (lo == hi and lo_closed and hi_closed):
+        return lo, hi, lo_closed, hi_closed
+    return None
+
+
+def ref_cells(u, v):
+    """The non-empty meets of every piece p of u with every piece q of v,
+    as (lo, hi, lo_closed, hi_closed, p, q): p-major order is x order,
+    since the pieces of u are disjoint and in order."""
+    return [(*meet, p, q) for p in u.pieces for q in v.pieces
+            if (meet := _ref_meet(p.interval, q.interval)) is not None]
+
+
+def _ref_gt(p, c):
+    """{a x + b > c} on the piece."""
+    a, b, iv = p.slope, p.intercept, p.interval
+    if a == 0:
+        return iv if b > c else None
+    x0 = (c - b) / a
+    if a > 0:
+        if x0 < iv.lo:
+            return iv
+        return Interval(x0, iv.hi, False, iv.hi_closed) if x0 < iv.hi else None
+    if iv.hi < x0:
+        return iv
+    return Interval(iv.lo, x0, iv.lo_closed, False) if iv.lo < x0 else None
+
+
+def ref_exceeds(u, v):
+    """{u > v}: on each common cell {(a1 - a2) x + b1 - b2 > 0}."""
+    return IntervalSet.of(*[
+        _ref_gt(Piece(Interval(lo, hi, lo_closed, hi_closed), p.slope - q.slope,
+                      p.intercept - q.intercept), Fraction(0))
+        for lo, hi, lo_closed, hi_closed, p, q in ref_cells(u, v)])
+
+
+def ref_ae_equal(u, v):
+    """u = v almost everywhere: two affine laws agree on a cell of positive
+    length only when they are the same law."""
+    assert u.domain.carrier == v.domain.carrier
+    return all((p.slope, p.intercept) == (q.slope, q.intercept)
+               for lo, hi, _, _, p, q in ref_cells(u, v) if lo < hi)
+
+
+def scaled(u, c):
+    """c u, piece for piece."""
+    return PiecewiseFn(u.domain, tuple(
+        Piece(p.interval, c * p.slope, c * p.intercept) for p in u.pieces))
+
+
+def shifted(u, c):
+    """u + c, piece for piece."""
+    return PiecewiseFn(u.domain, tuple(
+        Piece(p.interval, p.slope, p.intercept + c) for p in u.pieces))
 
 
 class WallClockLimit(AssertionError):

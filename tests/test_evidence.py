@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import shifted
 from linfweak import engine, localize
 from linfweak.corpus import family_by_name
 from linfweak.engine import (INCONCLUSIVE, EngineError, Policy,
@@ -189,7 +190,7 @@ class TestIdentityGuard:
     def test_corrupted_abs(self, case, monkeypatch):
         run = GUARDED[case](monkeypatch)
         abs_fn = PiecewiseFn.abs_fn
-        monkeypatch.setattr(PiecewiseFn, "abs_fn", lambda u: abs_fn(u).add_const(1))
+        monkeypatch.setattr(PiecewiseFn, "abs_fn", lambda u: shifted(abs_fn(u), 1))
         with pytest.raises(EngineError, match="criterion identity violated"):
             run()
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import linfweak
 
+from conftest import ref_ae_equal
 from linfweak.corpus import (FAMILIES, dyadic_indicators,
                              dyadic_indicators_plus, escape_translates,
                              family_by_name, sided_translates,
@@ -19,12 +20,14 @@ from linfweak.families import (CertificateError, DisjointLayers,
                                MappedStepFamily, MonotoneEnvelope, NormLimit,
                                SequenceFamily,
                                SummableDisjointFamily, SupportEnvelope,
-                               SuperlevelKernel, verify_certificate,
+                               SuperlevelKernel, TranslateFamily,
+                               verify_certificate,
                                verify_norm_bound)
 from linfweak.localize import test_weak_null_at
 from linfweak.piecewise import PiecewiseFn
 from linfweak.points import ExtPoint
-from linfweak.sets import NEG_INF, Domain, IntervalSet, ico, ioc, opened
+from linfweak.sets import (NEG_INF, POS_INF, Domain, IntervalSet, closed, ico, ioc,
+                           ivl, opened)
 
 DOM = Domain.open_interval(-1, 1)
 PIECEWISE = [name for name in FAMILIES if not family_by_name(name).evaluable]
@@ -34,7 +37,7 @@ class TestTerms:
     def test_dyadic_indicator_term(self):
         fam = dyadic_indicators()
         u2 = fam.term(2)
-        assert u2.ae_equal(PiecewiseFn.indicator(
+        assert ref_ae_equal(u2, PiecewiseFn.indicator(
             DOM, IntervalSet.of(ico(F(1, 8), F(1, 4)))))
 
     def test_translate_term_shifts(self):
@@ -76,6 +79,29 @@ class TestTerms:
         fam.breakpoint_span = lambda: (F(-10), F(-10))
         with pytest.raises(CertificateError, match="wrong threshold"):
             fam.eventual_tail(ExtPoint.at(-3))
+
+    # 1 left of -1, x - 1/2 on [-1, 0], then 1/2: a right limit that is not 0
+    HALF_LIMIT = PiecewiseFn.from_pieces(Domain.real_line(), [
+        (ivl(NEG_INF, -1, False, False), 0, 1), (closed(-1, 0), 1, F(-1, 2)),
+        (ivl(0, POS_INF, False, False), 0, F(1, 2))])
+
+    def test_translate_tail_with_a_nonzero_right_limit(self):
+        fam = TranslateFamily(self.HALF_LIMIT, name="half-limit")
+        for x0, k0 in ((F(0), 2), (F(-3), 5), (F(5, 2), 1)):
+            k, tail = fam.eventual_tail(ExtPoint.at(x0))
+            assert k == k0
+            assert [(p.slope, p.intercept) for p in tail.pieces] == [(0, F(1, 2))]
+
+    @pytest.mark.parametrize("span, x0", [
+        ((F(-10), F(-10)), F(-3)),     # u_1 is 1 on (-4, -2)
+        # u_1 is x + 1/2 on (-3/2, -1]: the limit's intercept, but a slope
+        ((F(-2), F(-2)), F(-1, 2)),
+    ], ids=("on-the-left-limit", "on-the-ramp"))
+    def test_translate_tail_off_a_nonzero_right_limit_is_refused(self, span, x0):
+        fam = TranslateFamily(self.HALF_LIMIT, name="half-limit")
+        fam.breakpoint_span = lambda: span
+        with pytest.raises(CertificateError, match="wrong threshold"):
+            fam.eventual_tail(ExtPoint.at(x0))
 
     def test_index_starts_at_one(self):
         with pytest.raises(ValueError):
@@ -250,7 +276,7 @@ class TestStructure:
         fam = family_by_name(name)
         mapped = fam.abs_mapped()
         assert mapped.certificates == fam.certificates
-        assert mapped.term(4).ae_equal(fam.term(4).abs_fn())
+        assert ref_ae_equal(mapped.term(4), fam.term(4).abs_fn())
 
     def test_summable_terms_are_layer_sums(self):
         fam = summable_disjoint(4)
