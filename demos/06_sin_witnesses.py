@@ -5,17 +5,20 @@ avoided by some prime power p^m, the point x = (pi/p^m * lcm)^{-1} keeps
 every |u_kj| above sin(pi/p^m); subsequences that defeat every prime power
 must contain a dyadic divisibility chain, along which nested midpoints keep
 every |u_kj| above 1/sqrt(2).  All bounds are certified rational enclosures.
+The family declares that chain as a `PointFloor` certificate; its floor
+points tend to 0, so the localized verdict is non-null at 0 and at inf, and
+its `DecayEnvelope` makes it null at every finite point x0 > 0.
 Run me: python demos/06_sin_witnesses.py
 """
 
 from fractions import Fraction as F
 
-from linfweak import test_weak_null, witness_lower_bound
+from linfweak import test_weak_null, test_weak_null_at, witness_lower_bound
 from linfweak.enclosure import sin_of_pi_multiple
 from linfweak.families import SinReciprocalFamily
 from linfweak.numtheory import (dyadic_divisibility_subsequence, lcm_list,
                                 nested_midpoint, prime_power_nondivisor)
-from linfweak.points import WitnessPoint
+from linfweak.points import ExtPoint, WitnessPoint
 
 fam = SinReciprocalFamily()
 WIDTH = F(1, 10 ** 9)
@@ -53,3 +56,9 @@ v = test_weak_null(fam)
 print("verdict:", v.kind, "| scheme:", v.scheme)
 print("norm floor delta =", v.witness.delta, f"~ {float(v.witness.delta):.9f}")
 print(v.trust)
+
+print()
+print("-- localized verdicts --")
+for pt in ("0", "1/100", "inf"):
+    lv = test_weak_null_at(fam, ExtPoint.parse(pt))
+    print(f"at {pt}: {lv.kind} | scheme: {lv.scheme}")

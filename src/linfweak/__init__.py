@@ -20,8 +20,8 @@ from .families import (SequenceFamily, ExplicitListFamily, IndicatorFamily,
                        TranslateFamily, TentFamily, SummableDisjointFamily,
                        SinReciprocalFamily, DisjointSupports, DisjointLayers,
                        SuperlevelKernel, EscapeBound, MonotoneEnvelope,
-                       NormLimit, SupportEnvelope, LowerEnvelope,
-                       verify_certificate, CertificateError)
+                       NormLimit, SupportEnvelope, LowerEnvelope, PointFloor,
+                       DecayEnvelope, verify_certificate, CertificateError)
 from .engine import (Policy, Verdict, Witness, NormFloorWitness, test_weak_null,
                      v_inf, intersection_measure, witness_lower_bound)
 from .localize import (ExtPoint, essential_range, essential_range_at,

@@ -294,4 +294,7 @@ LOCAL_CORPUS: list[tuple[str, str, str]] = [
     ("zero-family", "inf", NULL),
     ("dyadic-indicators", "0", NULL),
     ("ring-indicators", "0", NULL),
+    ("sin-reciprocal", "0", NONNULL),
+    ("sin-reciprocal", "1/100", NULL),
+    ("sin-reciprocal", "inf", NONNULL),
 ]

@@ -25,13 +25,14 @@ its class; the first verdict wins:
                          superlevel sets refute nullity
   monotone-norm-floor    a monotone envelope with ||u_k|| -> c > 0 (the
                          Dini-type equivalence) refutes nullity
-The last two can only certify non-nullity.  A null verdict is checked
+  divisibility-point-witness  certified norm floors at the points of a
+                         `PointFloor` (sin(1/(kx))) refute nullity
+The last three can only certify non-nullity.  A null verdict is checked
 against each of them, and a family on which one of them also gives a
 verdict is rejected as inconsistent.  The certificate checks, the first
 five schemes and that check are `_certified_verdict`, which a localized
-question shares (`localize.test_weak_null_at`).  Evaluable families
-(sin(1/(kx))) take the divisibility witness instead: certified norm floors
-at number-theoretic points refute nullity.
+question shares (`localize.test_weak_null_at`).  Every family takes this
+one walk.
 """
 
 from __future__ import annotations
@@ -42,12 +43,11 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
-from .enclosure import RatInterval, sin_of_pi_multiple
+from .enclosure import RatInterval
 from .families import (CertificateError, CertReport, DisjointLayers,
                        DisjointSupports, EscapeBound, MonotoneEnvelope,
-                       NormLimit, SequenceFamily, SinReciprocalFamily,
-                       SuperlevelKernel, verify_certificate, verify_norm_bound)
-from .numtheory import dyadic_divisibility_subsequence, nested_midpoint
+                       NormLimit, PointFloor, SequenceFamily, SuperlevelKernel,
+                       verify_certificate, verify_norm_bound)
 from .piecewise import PiecewiseFn, min_of
 from .points import WitnessPoint
 from .rational import min_abs
@@ -104,21 +104,21 @@ _POWERS = tuple(Fraction(1, 2 ** n) for n in range(0, 9))
 _SPOT_TERMS = 12
 
 
-def _grid_terms(family: SequenceFamily, k_max: int):
-    """The terms whose nonzero |piece values| join the default alpha grid:
-    the first k_max, none for an evaluable family."""
-    if family.evaluable:
-        return ()
-    return (family.term(k) for k in range(1, k_max + 1))
+def _piecewise_terms(family: SequenceFamily, ks) -> list[PiecewiseFn]:
+    """u_k for k in ks; a family without piecewise terms
+    (`SequenceFamily.has_piecewise_terms`) raises `EngineError`."""
+    if not family.has_piecewise_terms():
+        raise EngineError(f"{family.name} has no piecewise terms")
+    return [family.term(k) for k in ks]
 
 
 def default_alpha_grid(family: SequenceFamily, k_max: int) -> list[Fraction]:
     """Powers 1/2^n, n <= 8, plus every distinct nonzero |piece value| of the
     first k_max terms; piecewise-constant families change superlevel sets
     only at those thresholds.  `_spot_alpha` finds the least element from
-    the same `_POWERS` and `_grid_terms` without building the grid."""
+    the same `_POWERS` and terms without building the grid."""
     grid = set(_POWERS)
-    for u in _grid_terms(family, k_max):
+    for u in _piecewise_terms(family, range(1, k_max + 1)):
         for v in u.piece_value_candidates():
             if v > 0:
                 grid.add(v)
@@ -180,9 +180,7 @@ class Verdict:
 def v_inf(family: SequenceFamily, subseq: Sequence[int], J: int) -> PiecewiseFn:
     """v_J = pointwise min of |u_k1|, ..., |u_kJ|."""
     _check_subseq(subseq, J)
-    if family.evaluable:
-        raise EngineError("v_inf needs piecewise-representable terms")
-    return min_of([family.term(k).abs_fn() for k in subseq[:J]])
+    return min_of([u.abs_fn() for u in _piecewise_terms(family, subseq[:J])])
 
 
 def intersection_measure(family: SequenceFamily, subseq: Sequence[int],
@@ -194,11 +192,9 @@ def intersection_measure(family: SequenceFamily, subseq: Sequence[int],
     """
     alpha = rat(alpha)
     _check_subseq(subseq, J)
-    if family.evaluable:
-        raise EngineError("intersection_measure needs piecewise terms")
     inter = None
-    for k in subseq[:J]:
-        s = family.term(k).superlevel(alpha)
+    for u in _piecewise_terms(family, subseq[:J]):
+        s = u.superlevel(alpha)
         inter = s if inter is None else inter.intersect(s)
     return _identity_checked(inter, v_inf(family, subseq, J).superlevel(alpha))
 
@@ -303,9 +299,6 @@ def _check_subseq(subseq, J):
 
 def test_weak_null(family: SequenceFamily, policy: Optional[Policy] = None) -> Verdict:
     policy = policy or Policy()
-    if family.evaluable:
-        _check_norm_bound(family, policy)
-        return _sin_dichotomy_verdict(family, policy)
     verdict, reports = _certified_verdict(family, policy)
     if verdict is None:
         verdict = (_first_verdict(_NONNULL_SCHEMES, family, policy)
@@ -320,9 +313,9 @@ test_weak_null.__test__ = False  # not a pytest case
 def _certified_verdict(family: SequenceFamily,
                       policy: Policy) -> tuple[Optional[Verdict], list[CertReport]]:
     """The part of the verdict that a localized question shares with the
-    global one, for a piecewise family: the norm bound and every
-    certificate checked (a failure raises `CertificateError`), then the
-    first verdict of `_LEADING_SCHEMES`, or None.  A null verdict is checked
+    global one, for every family: the norm bound and every certificate
+    checked (a failure raises `CertificateError`), then the first verdict
+    of `_LEADING_SCHEMES`, or None.  A null verdict is checked
     against every scheme of `_NONNULL_SCHEMES`, and one that also gives a
     verdict raises `EngineError`.  Returns the verdict and the certificate
     reports."""
@@ -377,7 +370,7 @@ def _spot_alpha(family, policy) -> Fraction:
     if policy.alpha_grid:
         return policy.alpha_grid[0]
     alpha = _POWERS[-1]
-    for u in _grid_terms(family, min(policy.k_max, _SPOT_TERMS)):
+    for u in _piecewise_terms(family, range(1, min(policy.k_max, _SPOT_TERMS) + 1)):
         alpha = min_abs(u.pieces, alpha)
     return alpha
 
@@ -542,6 +535,36 @@ def _try_monotone_nonnull(family, policy):
                          + _trust_note(policy))
 
 
+def _floor_witness(family, cert: PointFloor, policy) -> NormFloorWitness:
+    """The floors of the certificate for J <= min(j_max, 5), each certified
+    by one enclosure of |u_kj(x_J)| per j <= J (`witness_lower_bound`);
+    raises `EngineError` where one is not certified."""
+    chain, points = cert.points(min(policy.j_max, 5))
+    rows = []
+    for J, x in enumerate(points, start=1):
+        wb = witness_lower_bound(family, chain, J, x, cert.delta)
+        if not wb.certified:
+            raise EngineError(f"norm floor not certified at J={J}: {wb.status}")
+        rows.append({"J": J, "indices": chain[:J], "point": str(x), "floor": cert.delta,
+                     "enclosure_los": [e.lo for e in wb.enclosures]})
+    return NormFloorWitness(chain, cert.delta, rows)
+
+
+def _try_point_floor(family, policy):
+    """Non-null along the `PointFloor` chain, where v_J keeps the floor at
+    x_J for every J."""
+    certs = family.certificates_of(PointFloor)
+    if not certs:
+        return None
+    wit = _floor_witness(family, certs[0], policy)
+    return Verdict(family.name, NONNULL, scheme="divisibility-point-witness", witness=wit,
+                   evidence={"delta": wit.delta, "subsequence": wit.subsequence},
+                   trust=f"norm floors certified for J <= {len(wit.rows)}; the "
+                         f"nested midpoint construction extends to every J, and "
+                         f"any other subsequence carries a prime-power witness "
+                         f"instead (declared)")
+
+
 # Tried in order by `_certified_verdict`; the first verdict wins.  All but
 # eventual-constant can only certify nullity.
 _LEADING_SCHEMES = (_try_eventual_constant, _try_summable_disjoint,
@@ -550,7 +573,7 @@ _LEADING_SCHEMES = (_try_eventual_constant, _try_summable_disjoint,
 
 # Schemes that can only certify non-nullity, tried in order after
 # `_LEADING_SCHEMES`; a null verdict is checked against each of them.
-_NONNULL_SCHEMES = (_try_kernel_witness, _try_monotone_nonnull)
+_NONNULL_SCHEMES = (_try_kernel_witness, _try_monotone_nonnull, _try_point_floor)
 
 
 def _inconclusive(family, policy):
@@ -599,7 +622,7 @@ def _evidence_table(family, policy, alphas, store, window=None):
 
 
 # ---------------------------------------------------------------------------
-# sin(1/(kx)): witness machinery
+# point enclosures
 
 
 @dataclass
@@ -624,8 +647,8 @@ def witness_lower_bound(family: SequenceFamily, subseq: Sequence[int], J: int,
     """
     delta = rat(delta)
     _check_subseq(subseq, J)
-    if not family.evaluable:
-        raise EngineError("witness_lower_bound applies to evaluable families")
+    if family.has_piecewise_terms():
+        raise EngineError("witness_lower_bound needs point-enclosure terms")
     if not family.point_in_domain(x):
         raise EngineError(f"witness point {x} lies outside the domain")
     enclosures = []
@@ -641,38 +664,3 @@ def witness_lower_bound(family: SequenceFamily, subseq: Sequence[int], J: int,
         status = "refuted" if enc.hi < delta else "inconclusive"
         break
     return WitnessBound(status, delta, enclosures)
-
-
-def _sin_dichotomy_verdict(family: SinReciprocalFamily, policy: Policy) -> Verdict:
-    """Certified norm floors along the dyadic-divisibility subsequence.
-
-    Any subsequence of the naturals either admits a prime power dividing none
-    of its entries (then the lcm points give a sin(pi/p^m) floor) or contains
-    a divisibility chain of this dyadic shape (then nested midpoints give a
-    1/sqrt(2) floor); either way v_J never reaches 0.
-    """
-    depth = min(policy.j_max, 5)
-    ks = dyadic_divisibility_subsequence(1, depth)
-    floor_enc = sin_of_pi_multiple(Fraction(1, 4), Fraction(1, 10 ** 9))
-    # rounding the certified floor down to a dyadic keeps it valid and small
-    delta = Fraction(floor_enc.lo.numerator * 2 ** 48
-                     // floor_enc.lo.denominator, 2 ** 48)
-    rows = []
-    for J in range(1, depth + 1):
-        prefix = ks[:J + 1]
-        m0 = nested_midpoint(prefix)
-        x = WitnessPoint.inv_pi_multiple(m0)
-        wb = witness_lower_bound(family, prefix[1:], J, x, delta)
-        if not wb.certified:
-            raise EngineError(f"norm floor not certified at J={J}: {wb.status}")
-        rows.append({"J": J, "indices": prefix[1:], "point": str(x),
-                     "floor": delta,
-                     "enclosure_los": [e.lo for e in wb.enclosures]})
-    wit = NormFloorWitness(ks[1:], delta, rows)
-    return Verdict(family.name, NONNULL, scheme="divisibility-point-witness",
-                   witness=wit,
-                   evidence={"delta": delta, "subsequence": ks[1:]},
-                   trust=f"norm floors certified for J <= {depth}; the nested "
-                         f"midpoint construction extends to every J, and any "
-                         f"other subsequence carries a prime-power witness "
-                         f"instead (declared)")

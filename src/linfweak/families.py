@@ -3,12 +3,14 @@
 A family produces its k-th term on demand.  Certificates are declarations
 about the whole family (disjoint supports and layers, superlevel kernels,
 escape bounds, monotone envelopes, norm limits, support and lower
-envelopes).  Each one spot-checks its own claim exactly on the terms for k up
-to a verification budget (`verify`); the verdict engine runs those checks
-first and trusts the claim beyond the budget, and every verdict records that
-trust boundary.  Verdicts read these and the hooks `eventual_tail` and
-`tail_ray`, never a family's class; `_AbsMapped`, the one |u_k| image, keeps
-them all.
+envelopes, point floors and decay envelopes).  Each one spot-checks its own
+claim exactly on the terms for k up to a verification budget (`verify`); the
+verdict engine runs those checks first and trusts the claim beyond the
+budget, and every verdict records that trust boundary.  Verdicts read these
+and the hooks `eventual_tail` and `tail_ray`, never a family's class;
+`_AbsMapped`, the one |u_k| image, keeps them all.  Terms that are not
+`PiecewiseFn`s (sin(1/(kx))'s enclosure handles) are refused by the exact
+kernels (`has_piecewise_terms`).
 
 Every check is linear in the budget in the terms it builds and the tests it
 makes: one pass over the terms, each tested against one other object at
@@ -34,6 +36,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .enclosure import RatInterval, pi_enclosure, sin_of_pi_multiple, sin_of_rational
+from .numtheory import dyadic_divisibility_subsequence, nested_midpoint
 from .piecewise import PiecewiseFn
 from .points import ExtPoint, WitnessPoint, accumulates_at
 from .rational import deviates, max_abs_pair, side
@@ -281,6 +284,41 @@ class LowerEnvelope:
         return CertReport(self.name, True, budget)
 
 
+@dataclass(frozen=True)
+class PointFloor:
+    """|sin(1/(k_j x_J))| >= delta for j <= J and every J, along the dyadic
+    divisibility chain k_j (`numtheory.dyadic_divisibility_subsequence`), at
+    the nested midpoints x_J = 1/(m_J pi) of its first J links, which tend
+    to 0.  `numtheory.nested_midpoint` puts each m_J/k_j mod 1 in [1/4, 1/2],
+    so the floor holds for 0 < delta <= sin(pi/4), which `verify` certifies;
+    the verdict that reads the certificate encloses the floors themselves."""
+    delta: Fraction
+    name = "point-floor"
+
+    def points(self, depth: int) -> tuple[list[int], list[WitnessPoint]]:
+        """The chain k_1 .. k_depth and the points x_1 .. x_depth."""
+        ks = dyadic_divisibility_subsequence(1, depth)
+        return ks[1:], [WitnessPoint.inv_pi_multiple(nested_midpoint(ks[:J + 1]))
+                        for J in range(1, depth + 1)]
+
+    def verify(self, family, budget) -> CertReport:
+        bound = sin_of_pi_multiple(Fraction(1, 4), Fraction(1, 10 ** 9)).lo
+        if not 0 < self.delta <= bound:
+            return CertReport(self.name, False, 0, f"delta = {self.delta} is not "
+                              f"certified in (0, sin(pi/4)]", witness=bound)
+        return CertReport(self.name, True, 0)
+
+
+@dataclass(frozen=True)
+class DecayEnvelope:
+    """|u_k(x)| <= 1/(kx) on a carrier inside (0, inf), declared (for
+    sin(1/(kx)) it is |sin t| <= |t|)."""
+    name = "decay-envelope"
+
+    def verify(self, family, budget) -> CertReport:
+        return CertReport(self.name, True, 0, "declared; no term is checked")
+
+
 Certificate = object
 
 
@@ -290,8 +328,6 @@ Certificate = object
 
 class SequenceFamily:
     """Base class.  Subclasses define _term(k) (k >= 1)."""
-
-    evaluable = False
 
     def __init__(self, domain: Domain, name: str,
                  norm_bound: Optional[Fraction] = None,
@@ -314,6 +350,10 @@ class SequenceFamily:
 
     def _term(self, k: int) -> PiecewiseFn:
         raise NotImplementedError
+
+    def has_piecewise_terms(self) -> bool:
+        """Whether the terms are `PiecewiseFn`s (u_1's type decides)."""
+        return isinstance(self.term(1), PiecewiseFn)
 
     def certificates_of(self, kind) -> list:
         return [c for c in self.certificates if isinstance(c, kind)]
@@ -346,7 +386,6 @@ class _AbsMapped(SequenceFamily):
         super().__init__(inner.domain, f"abs({inner.name})", inner.norm_bound,
                          inner.certificates)
         self.inner = inner
-        self.evaluable = inner.evaluable
 
     def _term(self, k):
         return self.inner.term(k).abs_fn()
@@ -573,14 +612,17 @@ class SinReciprocalFamily(SequenceFamily):
 
     The rational right endpoint 44/7 (just above 2*pi) keeps the carrier
     exactly representable; no computation below depends on it.  Terms have no
-    piecewise-linear form; the family is evaluable through certified
-    enclosures only.
+    piecewise-linear form, only certified point enclosures, so the family
+    declares what its verdicts read: a `PointFloor` with delta = sin(pi/4)
+    rounded down to a dyadic, and a `DecayEnvelope`.
     """
 
-    evaluable = True
-
     def __init__(self, name="sin-reciprocal"):
-        super().__init__(Domain.open_interval(0, Fraction(44, 7)), name, Fraction(1))
+        floor = sin_of_pi_multiple(Fraction(1, 4), Fraction(1, 10 ** 9)).lo
+        # rounding the certified floor down to a dyadic keeps it valid and small
+        delta = Fraction(floor.numerator * 2 ** 48 // floor.denominator, 2 ** 48)
+        super().__init__(Domain.open_interval(0, Fraction(44, 7)), name, Fraction(1),
+                         (PointFloor(delta), DecayEnvelope()))
 
     def _term(self, k):
         return SinTermHandle(k, self.domain)
@@ -614,8 +656,8 @@ def verify_norm_bound(family: SequenceFamily, budget: int) -> CertReport:
     """Spot-check the declared uniform bound ||u_k|| <= M."""
     if family.norm_bound is None:
         return CertReport("norm-bound", False, 0, "no declared norm bound")
-    if family.evaluable:
-        return CertReport("norm-bound", True, 0, "declared for evaluable family")
+    if not family.has_piecewise_terms():
+        return CertReport("norm-bound", True, 0, "declared: no piecewise terms")
     bound = family.norm_bound
     for k in range(1, budget + 1):
         n, d = max_abs_pair(family.term(k).pieces)

@@ -12,8 +12,9 @@ every neighborhood of x0 make the family non-null there: the tail ray that
 a family declares at infinity (`SequenceFamily.tail_ray`), the kernels of a
 certificate that accumulate at x0, or the constant kernel A_{t/2}(f) of an
 eventual tail or lower bound f of |u_k| with a positive limit value t at
-x0.  An upper bound valid for
-every k >= k0 with no positive limit value at x0 makes it null.  Neither
+x0; so do the floor points of a `PointFloor` that accumulate at x0.  An
+upper bound valid for every k >= k0 with no positive limit value at x0
+makes it null, and so does a `DecayEnvelope` at a finite x0 > 0.  Neither
 rule depends on `ell_max`, which bounds only the evidence table.
 
 When no local scheme applies, the evidence table is the engine's global
@@ -34,9 +35,10 @@ from typing import Optional
 
 from .engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy, Verdict,
                      _CallStore, _certified_verdict, _evidence_table,
-                     _spot_alphas, _check_kernel_past_budget, kernel_witness)
-from .families import (LowerEnvelope, MonotoneEnvelope, SequenceFamily,
-                       SuperlevelKernel, SupportEnvelope)
+                     _floor_witness, _spot_alphas, _check_kernel_past_budget,
+                     kernel_witness)
+from .families import (DecayEnvelope, LowerEnvelope, MonotoneEnvelope, PointFloor,
+                       SequenceFamily, SuperlevelKernel, SupportEnvelope)
 from .piecewise import PiecewiseFn
 from .points import ExtPoint, accumulates_at, escape_points
 from .sets import Domain, IntervalSet, closed, opened, point
@@ -157,9 +159,6 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
         raise EngineError(f"ell_max must be at least 1, got {ell_max}")
     policy = policy or Policy()
     _validate_point(family.domain, x0)
-    if family.evaluable:
-        return _local_evaluable(family, x0)
-
     global_verdict, reports = _certified_verdict(family, policy)
     if global_verdict is not None and global_verdict.is_null:
         return Verdict(family.name, NULL, scheme="global-" + global_verdict.scheme,
@@ -246,13 +245,28 @@ def _local_kernel(family, x0, policy, tail):
                              "neighborhood of the point, so no finite "
                              "superlevel intersection restricted to one is "
                              "null; " + why)
+    for cert in family.certificates_of(PointFloor):
+        # the x_J tend to 0, so they accumulate there and, through 0, at inf
+        if (0 in escape_points(family.domain.carrier)[0] if x0.is_infinite
+                else x0.x == 0):
+            wit = _floor_witness(family, cert, policy)
+            return Verdict(family.name, NONNULL, scheme="local-point-floor",
+                           witness=wit, evidence={"x0": str(x0), "delta": wit.delta},
+                           trust="every neighborhood W of the point holds x_J for "
+                                 "J >= some J0; for alpha < delta, continuity at x_J "
+                                 "gives the J-fold superlevel intersection positive "
+                                 "measure in W, and for J < J0 it holds the J0-fold one; "
+                                 f"norm floors certified for J <= {len(wit.rows)}; "
+                                 "the nested midpoint construction extends to "
+                                 "every J (declared)")
     return None
 
 
 def _local_vanishing(family, x0, policy, tail):
     """Null from the first index k0 <= k_max at which a bound on |u_k|, valid
     for every k >= k0, has no positive limit value at x0: the terms then stay
-    below every alpha on some neighborhood of x0 from k0 on."""
+    below every alpha on some neighborhood of x0 from k0 on.  So does a
+    `DecayEnvelope` at a finite x0 > 0: |u_k| <= 2/(k x0) on (x0/2, 3 x0/2)."""
     carrier, ks = family.domain.carrier, range(1, policy.k_max + 1)
     bounds = []  # (scheme, candidate k0s, vanishes at x0, the bound)
     if tail is not None:
@@ -277,33 +291,14 @@ def _local_vanishing(family, x0, policy, tail):
                                  f"the point, so from k = {k0} on every "
                                  f"superlevel set of the terms is null on some "
                                  f"neighborhood of it; " + bound.format(k0=k0))
+    if family.certificates_of(DecayEnvelope) and not x0.is_infinite and x0.x > 0:
+        a = x0.x / 2
+        return Verdict(family.name, NULL, scheme="local-decay-envelope",
+                       evidence={"x0": str(x0), "window": f"({a},{3 * a})",
+                                 "norm_envelope": f"1/(k*{a})"},
+                       trust=f"|u_k(x)| <= 1/(kx) <= 1/({a} k) on the window, "
+                             f"a declared strong-convergence envelope")
     return None
-
-
-def _local_evaluable(family, x0):
-    """sin(1/(kx)): |u_k| <= 1/(kx) <= 2/(k x0) on the window (x0/2, 3x0/2),
-    an exact vanishing envelope at every finite point x0 > 0."""
-    if x0.is_infinite:
-        return Verdict(family.name, INCONCLUSIVE,
-                       evidence={"x0": str(x0),
-                                 "note": "witness points accumulate at the "
-                                         "escape routes; the localized engine "
-                                         "does not certify evaluable families "
-                                         "at infinity"},
-                       trust="no scheme applied")
-    x = x0.x
-    if x <= 0:
-        return Verdict(family.name, INCONCLUSIVE,
-                       evidence={"x0": str(x0),
-                                 "note": "the singular end; norm floors there "
-                                         "belong to the global witness"},
-                       trust="no scheme applied")
-    a = x / 2
-    return Verdict(family.name, NULL, scheme="local-evaluable-envelope",
-                   evidence={"x0": str(x0), "window": f"({a},{3 * a})",
-                             "norm_envelope": f"1/(k*{a})"},
-                   trust=f"|sin(1/(kx))| <= 1/(kx) <= 1/({a} k) on the "
-                         f"window, an exact strong-convergence envelope")
 
 
 # Tried in order after the global null check; the first verdict wins.

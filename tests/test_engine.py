@@ -7,12 +7,13 @@ from conftest import ref_ae_equal, shifted
 from linfweak.corpus import (CORPUS, FAMILIES, LOCAL_CORPUS, dyadic_indicators,
                              dyadic_indicators_plus, family_by_name, tents)
 from linfweak.engine import (EngineError, NONNULL, INCONCLUSIVE, Policy,
-                             _spot_alpha, _spot_alphas, intersection_measure,
-                             test_weak_null, v_inf, witness_lower_bound)
+                             _spot_alpha, _spot_alphas, default_alpha_grid,
+                             intersection_measure, test_weak_null, v_inf,
+                             witness_lower_bound)
 from linfweak.enclosure import sin_of_pi_multiple
 from linfweak.families import (CertificateError, ExplicitListFamily,
                                IndicatorFamily, MappedStepFamily, NormLimit,
-                               SinReciprocalFamily, SuperlevelKernel)
+                               PointFloor, SinReciprocalFamily, SuperlevelKernel)
 from linfweak.localize import test_weak_null_at
 from linfweak.numtheory import (dyadic_divisibility_subsequence, lcm_list,
                                 nested_midpoint, prime_power_nondivisor)
@@ -115,6 +116,12 @@ class TestSpotAlpha:
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_corpus_families(self, name):
         fam = family_by_name(name)
+        if not fam.has_piecewise_terms():
+            # no piece values to read: both refuse the family alike
+            for spot in (_spot_alpha, _spot_alphas):
+                with pytest.raises(EngineError, match="no piecewise terms"):
+                    spot(fam, Policy())
+            return
         assert _spot_alpha(fam, Policy()) == _spot_alphas(fam, Policy())[0]
 
     def test_piece_values_below_the_finest_power(self):
@@ -202,7 +209,8 @@ class TestAbsEquivalence:
         v2 = test_weak_null(fam.abs_mapped(), Policy())
         assert (v1.kind, v1.scheme) == (v2.kind, v2.scheme)
 
-    @pytest.mark.parametrize("name,point", [(f, p) for f, p, _ in LOCAL_CORPUS])
+    @pytest.mark.parametrize("name,point", [(f, p) for f, p, _ in LOCAL_CORPUS
+                                            if f != "sin-reciprocal"])
     def test_local_verdict_matches_abs_family(self, name, point):
         fam, x0 = family_by_name(name), ExtPoint.parse(point)
         v1 = test_weak_null_at(fam, x0, Policy())
@@ -301,3 +309,33 @@ class TestSinWitness:
         v = test_weak_null(SinReciprocalFamily(), Policy())
         assert v.kind == NONNULL and v.scheme == "divisibility-point-witness"
         assert v.witness.delta ** 2 <= F(1, 2)
+        assert [r.certificate for r in v.cert_reports] == ["point-floor", "decay-envelope"]
+
+    def test_exact_kernels_refuse_the_family(self):
+        fam = family_by_name("sin-reciprocal")
+        for call in (lambda: v_inf(fam, [1, 2], 2),
+                     lambda: intersection_measure(fam, [1, 2], F(1, 2), 2),
+                     lambda: default_alpha_grid(fam, 4),
+                     lambda: _spot_alpha(fam, Policy())):
+            with pytest.raises(EngineError, match="no piecewise terms"):
+                call()
+
+    @pytest.mark.parametrize("delta", [F(0), F(3, 4)])
+    def test_a_floor_outside_zero_to_sin_quarter_pi_fails(self, delta):
+        fam = SinReciprocalFamily()
+        fam.certificates = (PointFloor(delta),)
+        with pytest.raises(CertificateError, match="point-floor"):
+            test_weak_null(fam)
+        with pytest.raises(CertificateError, match="point-floor"):
+            test_weak_null_at(fam, ExtPoint.at(0))
+
+    def test_local_floor_witness_is_the_global_one(self):
+        fam = family_by_name("sin-reciprocal")
+        glob = test_weak_null(fam)
+        for pt in ("0", "inf"):
+            loc = test_weak_null_at(fam, ExtPoint.parse(pt))
+            assert (loc.kind, loc.scheme) == (NONNULL, "local-point-floor")
+            assert loc.witness == glob.witness
+        # the floor points x_J = 1/(m_J pi) decrease toward 0
+        _, points = fam.certificates_of(PointFloor)[0].points(5)
+        assert all(a.value < b.value for a, b in zip(points, points[1:]))

@@ -186,14 +186,12 @@ class TestLocalVerdicts:
     def test_sin_family_null_at_interior_points(self):
         fam = family_by_name("sin-reciprocal")
         v = test_weak_null_at(fam, ExtPoint.at(1), Policy())
-        assert v.kind == NULL and v.scheme == "local-evaluable-envelope"
+        assert v.kind == NULL and v.scheme == "local-decay-envelope"
 
     def test_globalization_null_implies_local_null(self):
         policy = Policy()
         sample = [ExtPoint.at(0), ExtPoint.at(F(1, 3)), ExtPoint.infinity()]
         for item in CORPUS:
-            if item.family == "sin-reciprocal":
-                continue
             fam = family_by_name(item.family)
             if test_weak_null(fam, policy).is_null:
                 for x0 in sample:
@@ -204,8 +202,6 @@ class TestLocalVerdicts:
         policy = Policy()
         sample = [ExtPoint.at(0), ExtPoint.at(F(1, 3)), ExtPoint.infinity()]
         for item in CORPUS:
-            if item.family == "sin-reciprocal":
-                continue
             fam = family_by_name(item.family)
             if test_weak_null(fam, policy).is_nonnull:
                 kinds = [test_weak_null_at(fam, x0, policy).kind for x0 in sample]
@@ -401,7 +397,7 @@ class TestLocalSweep:
     def test_sin_family_null_close_to_the_singular_end(self):
         fam = family_by_name("sin-reciprocal")
         v = test_weak_null_at(fam, ExtPoint.at(F(1, 100)), Policy())
-        assert v.kind == NULL and v.scheme == "local-evaluable-envelope"
+        assert v.kind == NULL and v.scheme == "local-decay-envelope"
         assert v.evidence["window"] == "(1/200,3/200)"
 
 

@@ -1009,7 +1009,8 @@ def _piecewise_images(name):
     return [[f.term(k).pieces for k in range(1, 65)] for f in images]
 
 
-@pytest.mark.parametrize("name", [n for n in FAMILIES if not family_by_name(n).evaluable])
+@pytest.mark.parametrize("name", [n for n in FAMILIES
+                                  if family_by_name(n).has_piecewise_terms()])
 def test_corpus_terms_match_the_reference_builds(name):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PiecewiseFn, "step", staticmethod(ref_step))
@@ -1018,7 +1019,8 @@ def test_corpus_terms_match_the_reference_builds(name):
     assert _piecewise_images(name) == want
 
 
-@pytest.mark.parametrize("name", [n for n in FAMILIES if not family_by_name(n).evaluable])
+@pytest.mark.parametrize("name", [n for n in FAMILIES
+                                  if family_by_name(n).has_piecewise_terms()])
 def test_null_tests_agree_with_the_sets_on_corpus_terms(name):
     """exceeds_somewhere and vanishes_off answer as the sets they replace
     do, on every ordered pair of the first 12 terms and their |.| images
