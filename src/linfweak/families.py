@@ -56,6 +56,10 @@ class CertificateError(ValueError):
 # ---------------------------------------------------------------------------
 # certificates
 
+# the lower end of a certified enclosure of sin(pi/4), enclosed once per
+# process: it bounds every point floor delta
+_SIN_QUARTER_PI_LO = sin_of_pi_multiple(Fraction(1, 4), Fraction(1, 10 ** 9)).lo
+
 
 @dataclass
 class CertReport:
@@ -302,7 +306,7 @@ class PointFloor:
                         for J in range(1, depth + 1)]
 
     def verify(self, family, budget) -> CertReport:
-        bound = sin_of_pi_multiple(Fraction(1, 4), Fraction(1, 10 ** 9)).lo
+        bound = _SIN_QUARTER_PI_LO
         if not 0 < self.delta <= bound:
             return CertReport(self.name, False, 0, f"delta = {self.delta} is not "
                               f"certified in (0, sin(pi/4)]", witness=bound)
@@ -530,7 +534,7 @@ class TentFamily(SequenceFamily):
             pieces.append((opened(0, 1), 0, one))
         if hi_foot < 1:
             pieces.append((ico(hi_foot, 1), 0, 0))
-        return PiecewiseFn.from_pieces(self.domain, [p for p in pieces if p is not None])
+        return PiecewiseFn.from_pieces(self.domain, pieces)
 
 
 class SummableDisjointFamily(SequenceFamily):
@@ -541,9 +545,10 @@ class SummableDisjointFamily(SequenceFamily):
     `DisjointLayers` certificate, after the given ones, which checks the
     tail bound against the listed layers.
 
-    Each term is one `PiecewiseFn.layer_sum`: a single cut sweep over the
-    carrier and the layer sets, with no indicator or partial sum built on
-    the way."""
+    Each term is one `PiecewiseFn.step` with the layers as its levels: a
+    single cut sweep over the carrier and the layer sets that sums the
+    coefficients of the layers holding each cell, with no indicator or
+    partial sum built on the way."""
 
     def __init__(self, domain: Domain, layers: Sequence[tuple[Fraction, Callable[[int], IntervalSet]]],
                  name="summable-disjoint",
@@ -558,19 +563,24 @@ class SummableDisjointFamily(SequenceFamily):
                          tuple(certificates) + (declared,))
 
     def _term(self, k):
-        return PiecewiseFn.layer_sum(self.domain, [(gen(k), c) for c, gen in self.layers])
+        return PiecewiseFn.step(self.domain, [(gen(k), c) for c, gen in self.layers])
 
 
 class MappedStepFamily(SequenceFamily):
     """p(u_k) - p(0) for a polynomial p over a step-function family.  Terms
     vanish wherever u_k does, so disjoint-support certificates carry over.
     A term is one `PiecewiseFn.compose_poly` with p - p(0), the coefficients
-    with c0 replaced by 0: p(u_k) - p(0) has the pieces of p(u_k)."""
+    with c0 replaced by 0: p(u_k) - p(0) has the pieces of p(u_k).  An
+    inner family without piecewise terms (`has_piecewise_terms`) is
+    refused."""
 
     def __init__(self, inner: SequenceFamily, coeffs: Sequence[Fraction],
                  name: Optional[str] = None):
         if not coeffs:
             raise ValueError("a polynomial image needs at least one coefficient")
+        if not inner.has_piecewise_terms():
+            raise ValueError(f"a polynomial image needs piecewise terms; "
+                             f"{inner.name} has none")
         coeffs = [rat(c) for c in coeffs]
         certs = tuple(inner.certificates_of(DisjointSupports))
         bound = None
@@ -618,7 +628,7 @@ class SinReciprocalFamily(SequenceFamily):
     """
 
     def __init__(self, name="sin-reciprocal"):
-        floor = sin_of_pi_multiple(Fraction(1, 4), Fraction(1, 10 ** 9)).lo
+        floor = _SIN_QUARTER_PI_LO
         # rounding the certified floor down to a dyadic keeps it valid and small
         delta = Fraction(floor.numerator * 2 ** 48 // floor.denominator, 2 ** 48)
         super().__init__(Domain.open_interval(0, Fraction(44, 7)), name, Fraction(1),

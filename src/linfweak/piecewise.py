@@ -16,18 +16,18 @@ affine run is one piece.  Merging such pieces changes no point value.
 given, since family terms feed ``piece_value_candidates`` and breakpoint
 spans piece by piece.
 
-Step functions are built by one left-to-right cut sweep (`_cut_sweep`).
-Each part of the carrier and of every level set gives two cuts, an end and
-a flag: before x for '[x' and 'x)', after x for '(x' and 'x]'.  The sweep
-merges these already sorted cut lists through the ``lt``/``eq`` kernel,
-never sorting, and hands out the cells between consecutive cuts that lie in
-the carrier, each with the sets that hold it.  ``step`` (and ``indicator``)
-labels a cell by the last level that holds it, or by the default, and joins
-touching cells of one label inside one carrier part: these are the parts of
-the level-by-level intersections and differences, in order, with no set
-built for them.  ``layer_sum`` labels a cell by the sum of the coefficients
-of the layers that hold it and joins none, so its pieces are those of the
-pairwise sum of the scaled indicators; no indicator or partial sum is built.
+Step functions sum_i v_i chi(S_i) are built by one left-to-right cut sweep
+(`_cut_sweep`).  Each part of the carrier and of every level set gives two
+cuts, an end and a flag: before x for '[x' and 'x)', after x for '(x' and
+'x]'.  The sweep merges these already sorted cut lists through the
+``lt``/``eq`` kernel, never sorting, and hands out the cells between
+consecutive cuts that lie in the carrier, each with the sets that hold it.
+``step`` (and ``indicator``) gives a cell the sum of the values of the
+levels that hold it and joins none, so its pieces are those of the pairwise
+sum of the scaled indicators; no indicator or partial sum is built.  With
+one level, neighbouring cells inside one carrier part differ in membership
+of it, so the pieces are the parts of the level set and of the rest of the
+carrier.
 
 Both binary operations, min(u, v) and {u > v}, read one walk over the two
 sorted piece lists, `_cells_with`, which advances whichever piece ends
@@ -215,11 +215,7 @@ class PiecewiseFn:
 
     @staticmethod
     def from_pieces(domain: Domain, triples: Iterable[tuple]) -> "PiecewiseFn":
-        pieces = []
-        for iv, a, b in triples:
-            if iv is None:
-                continue
-            pieces.append(Piece(iv, rat(a), rat(b)))
+        pieces = [Piece(iv, rat(a), rat(b)) for iv, a, b in triples]
         if any(_starts_after(p.interval, q.interval) for p, q in zip(pieces, pieces[1:])):
             pieces.sort(key=lambda p: (p.interval.lo, not p.interval.lo_closed))
         return PiecewiseFn(domain, tuple(pieces))
@@ -235,45 +231,20 @@ class PiecewiseFn:
         return PiecewiseFn.step(domain, [(s, Fraction(1))])
 
     @staticmethod
-    def step(domain: Domain, levels: Sequence[tuple[IntervalSet, Fraction]],
-             default=Fraction(0)) -> "PiecewiseFn":
-        """Step function: value v on each set (later levels override), default
-        elsewhere on the carrier.  Each cell of the cut sweep takes the last
-        level that contains it; touching cells of one level (or both of none)
-        inside one carrier part make one piece."""
-        default = rat(default)
+    def step(domain: Domain, levels: Sequence[tuple[IntervalSet, Fraction]]) -> "PiecewiseFn":
+        """sum_i v_i chi(S_i) for levels (S_i, v_i): each cell of the cut
+        sweep takes the sum of the values of the levels that hold it.  No
+        cells are joined: inside one carrier part, neighbouring cells differ
+        in some level, so the pieces are those of the pairwise sum of the
+        scaled indicators."""
         values = [rat(v) for _, v in levels]
-        top = len(values) - 1
-        runs = []  # [lo, hi, lo_closed, hi_closed, level] per piece
-        for lo, hi, lo_closed, hi_closed, first, inside in _cut_sweep(
-                domain.carrier, [s for s, _ in levels]):
-            level = top
-            while level >= 0 and not inside[level]:
-                level -= 1
-            if runs and not first and runs[-1][4] == level:
-                runs[-1][1], runs[-1][3] = hi, hi_closed
-            else:
-                runs.append([lo, hi, lo_closed, hi_closed, level])
-        return PiecewiseFn(domain, tuple(
-            Piece(Interval(lo, hi, lo_closed, hi_closed), _ZERO,
-                  values[level] if level >= 0 else default)
-            for lo, hi, lo_closed, hi_closed, level in runs))
-
-    @staticmethod
-    def layer_sum(domain: Domain, layers: Sequence[tuple[IntervalSet, Fraction]]) -> "PiecewiseFn":
-        """sum_i c_i chi(S_i) for layers (S_i, c_i): each cell of the cut
-        sweep takes the sum of the coefficients of the layers that contain
-        it.  No cells are joined: inside one carrier part, neighbouring cells
-        differ in some layer, so the pieces are those of the pairwise sum of
-        the scaled indicators."""
-        coefs = [rat(c) for _, c in layers]
         pieces = []
-        for lo, hi, lo_closed, hi_closed, _, inside in _cut_sweep(
-                domain.carrier, [s for s, _ in layers]):
+        for lo, hi, lo_closed, hi_closed, inside in _cut_sweep(
+                domain.carrier, [s for s, _ in levels]):
             value = _ZERO
-            for c, hit in zip(coefs, inside):
+            for v, hit in zip(values, inside):
                 if hit:
-                    value = c if value is _ZERO else value + c
+                    value = v if value is _ZERO else value + v
             pieces.append(Piece(Interval(lo, hi, lo_closed, hi_closed), _ZERO, value))
         return PiecewiseFn(domain, tuple(pieces))
 
@@ -461,10 +432,9 @@ def _cut_sweep(carrier: IntervalSet, sets: Sequence[IntervalSet]):
     cut lists are merged through `lt`/`eq`, and all cuts at one place are
     taken together, so consecutive places differ and the cell between them
     is never empty: from before x to after x it is the point {x}.  Yields
-    (lo, hi, lo_closed, hi_closed, first, inside) for each cell inside the
-    carrier; first marks the first cell of a carrier part, and inside[i]
-    tells whether sets[i] holds the cell (one list, updated in place: read
-    it before the next cell)."""
+    (lo, hi, lo_closed, hi_closed, inside) for each cell inside the
+    carrier; inside[i] tells whether sets[i] holds the cell (one list,
+    updated in place: read it before the next cell)."""
     lists = [s.parts for s in sets]
     lists.append(carrier.parts)
     own = len(sets)  # the carrier's index
@@ -472,7 +442,6 @@ def _cut_sweep(carrier: IntervalSet, sets: Sequence[IntervalSet]):
     taken = [0] * len(lists)  # cuts passed per list
     heads = [(parts[0].lo, not parts[0].lo_closed) if parts else None for parts in lists]
     x = after = None  # the latest place
-    first = False
     while True:
         at = []
         for i, head in enumerate(heads):
@@ -484,8 +453,7 @@ def _cut_sweep(carrier: IntervalSet, sets: Sequence[IntervalSet]):
             elif ha == ba and eq(hx, bx):
                 at.append(i)
         if inside[own]:
-            yield x, bx, not after, ba, first, inside
-            first = False
+            yield x, bx, not after, ba, inside
         for i in at:
             inside[i] = not inside[i]
             t = taken[i] = taken[i] + 1
@@ -497,8 +465,6 @@ def _cut_sweep(carrier: IntervalSet, sets: Sequence[IntervalSet]):
                 heads[i] = (iv.hi, iv.hi_closed) if t & 1 else (iv.lo, not iv.lo_closed)
         if heads[own] is None:
             return
-        if inside[own] and own in at:
-            first = True
         x, after = bx, ba
 
 

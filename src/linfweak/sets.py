@@ -446,12 +446,6 @@ class IntervalSet:
         return IntervalSet(_normalize(p.interior() for p in self.parts
                                       if p.interior() is not None))
 
-    def hull(self) -> "Interval | None":
-        if not self.parts:
-            return None
-        lo, hi = self.parts[0], self.parts[-1]
-        return Interval(lo.lo, hi.hi, lo.lo_closed, hi.hi_closed)
-
     # -- geometry -------------------------------------------------------------------
 
     def shift(self, d) -> "IntervalSet":

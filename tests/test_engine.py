@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import linfweak.families
 from conftest import ref_ae_equal, shifted
 from linfweak.corpus import (CORPUS, FAMILIES, LOCAL_CORPUS, dyadic_indicators,
                              dyadic_indicators_plus, family_by_name, tents)
@@ -328,6 +329,21 @@ class TestSinWitness:
             test_weak_null(fam)
         with pytest.raises(CertificateError, match="point-floor"):
             test_weak_null_at(fam, ExtPoint.at(0))
+
+    def test_the_floor_check_reads_the_enclosure_made_at_import(self, monkeypatch):
+        # sin(pi/4) is enclosed once per process; a check encloses nothing
+        bound = sin_of_pi_multiple(F(1, 4), F(1, 10 ** 9)).lo
+
+        def enclose(*args):
+            raise AssertionError("sin(pi/4) enclosed again")
+        monkeypatch.setattr(linfweak.families, "sin_of_pi_multiple", enclose)
+        fam = family_by_name("sin-reciprocal")
+        delta = fam.certificates_of(PointFloor)[0].delta
+        rep = PointFloor(delta).verify(fam, 8)
+        assert (rep.certificate, rep.passed, rep.checked_upto) == ("point-floor", True, 0)
+        rep = PointFloor(F(3, 4)).verify(fam, 8)
+        assert (rep.passed, rep.checked_upto, rep.witness) == (False, 0, bound)
+        assert rep.detail == "delta = 3/4 is not certified in (0, sin(pi/4)]"
 
     def test_local_floor_witness_is_the_global_one(self):
         fam = family_by_name("sin-reciprocal")

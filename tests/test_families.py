@@ -18,7 +18,7 @@ from linfweak.families import (CertificateError, DisjointLayers,
                                DisjointSupports, EscapeBound,
                                ExplicitListFamily, IndicatorFamily,
                                MappedStepFamily, MonotoneEnvelope, NormLimit,
-                               SequenceFamily,
+                               SequenceFamily, SinReciprocalFamily,
                                SummableDisjointFamily, SupportEnvelope,
                                SuperlevelKernel, TranslateFamily,
                                verify_certificate,
@@ -262,6 +262,11 @@ class TestMappedStep:
     def test_no_coefficients_is_refused(self):
         with pytest.raises(ValueError, match="at least one coefficient"):
             MappedStepFamily(dyadic_indicators(), [])
+
+    def test_an_inner_family_without_piecewise_terms_is_refused(self):
+        with pytest.raises(ValueError, match="^a polynomial image needs piecewise "
+                                             "terms; sin-reciprocal has none$"):
+            MappedStepFamily(SinReciprocalFamily(), [0, 1])
 
 
 class TestStructure:

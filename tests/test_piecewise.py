@@ -79,7 +79,7 @@ class TestMinAbsCombo:
     def test_linear_combo(self):
         a = IntervalSet.of(ico(0, F(1, 2)))
         b = IntervalSet.of(ico(F(1, 4), F(3, 4)))
-        s = PiecewiseFn.layer_sum(DOM01, [(a, F(2)), (b, F(-1))])
+        s = PiecewiseFn.step(DOM01, [(a, F(2)), (b, F(-1))])
         assert s.eval(F(1, 8)) == 2
         assert s.eval(F(3, 8)) == 1
         assert s.eval(F(5, 8)) == -1
@@ -888,20 +888,20 @@ class TestBenchmarkDepth:
 
 
 # -- the cut sweep ------------------------------------------------------------
-# References: the constructors the sweep replaced.  A step function was the
-# fold of intersections and differences over the levels, last level first,
-# sorted by `from_pieces`; a layer sum was the pairwise sum of the scaled
-# indicators, one piece per common cell (`ref_add`).
+# References: the constructors the sweep replaced.  A one-level step
+# function was the parts of the level set in the carrier and of the rest of
+# the carrier, sorted by `from_pieces`; a sum of levels was the pairwise sum
+# of the scaled indicators, one piece per common cell (`ref_add`).
 
 
-def ref_step(domain, levels, default=F(0)):
+def ref_step(domain, levels):
     remaining = domain.carrier
     triples = []
     for s, v in reversed(levels):
         hit = s.intersect(remaining)
         remaining = remaining.difference(hit)
         triples += [(part, 0, v) for part in hit.parts]
-    triples += [(part, 0, default) for part in remaining.parts]
+    triples += [(part, 0, 0) for part in remaining.parts]
     return PiecewiseFn.from_pieces(domain, triples)
 
 
@@ -912,6 +912,8 @@ def ref_add(u, v):
 
 
 def ref_layer_sum(domain, layers):
+    if not layers:
+        return ref_step(domain, [])
     (s0, c0), *rest = layers
     out = scaled(ref_step(domain, [(s0, F(1))]), c0)
     for s, c in rest:
@@ -949,51 +951,41 @@ sweep_levels = st.lists(st.tuples(sweep_sets(), st.sampled_from(SWEEP_VALUES)),
 
 
 class TestCutSweep:
-    """step and layer_sum against the constructors they replaced, piece by
-    piece with ==, not almost everywhere."""
+    """step against the constructors it replaced, piece by piece with ==,
+    not almost everywhere."""
 
-    @given(sweep_domains, sweep_levels, st.sampled_from(SWEEP_VALUES))
-    def test_step(self, domain, levels, default):
-        got = PiecewiseFn.step(domain, levels, default)
-        assert got.pieces == ref_step(domain, levels, default).pieces
+    @given(sweep_domains, sweep_levels)
+    def test_step(self, domain, levels):
+        got = PiecewiseFn.step(domain, levels)
+        assert got.pieces == ref_layer_sum(domain, levels).pieces
         assert all(type(q) is F for p in got.pieces for q in (p.slope, p.intercept))
 
-    @given(sweep_domains, sweep_sets())
-    def test_indicator(self, domain, s):
+    @given(sweep_domains, sweep_sets(), st.sampled_from(SWEEP_VALUES))
+    def test_indicator(self, domain, s, v):
+        # the one-level shape of every program caller
+        got = PiecewiseFn.step(domain, [(s, v)])
+        assert got.pieces == ref_step(domain, [(s, v)]).pieces
+        assert all(type(q) is F for p in got.pieces for q in (p.slope, p.intercept))
         assert PiecewiseFn.indicator(domain, s).pieces == ref_step(domain, [(s, F(1))]).pieces
-
-    @given(sweep_domains, sweep_levels.filter(bool))
-    def test_layer_sum(self, domain, layers):
-        got = PiecewiseFn.layer_sum(domain, layers)
-        assert got.pieces == ref_layer_sum(domain, layers).pieces
-        assert all(type(q) is F for p in got.pieces for q in (p.slope, p.intercept))
 
     @given(sweep_domains)
     def test_empty_level_lists(self, domain):
-        zero = PiecewiseFn.constant(domain, 0)
-        assert PiecewiseFn.step(domain, []).pieces == zero.pieces
-        assert PiecewiseFn.step(domain, [], 3).pieces == PiecewiseFn.constant(domain, 3).pieces
-        assert PiecewiseFn.layer_sum(domain, []).pieces == zero.pieces
-
-    def test_later_levels_override_and_equal_values_stay_apart(self):
-        # two levels of one value make two pieces, as the old fold did
-        a, b = IntervalSet.of(ico(0, F(1, 2))), IntervalSet.of(ico(F(1, 4), 1))
-        u = PiecewiseFn.step(DOM01, [(a, 1), (b, 1)])
-        assert [p.interval for p in u.pieces] == [ico(0, F(1, 4)), ico(F(1, 4), 1)]
-        v = PiecewiseFn.step(DOM01, [(a, 2), (b, 5)])
-        assert [(p.interval, p.intercept) for p in v.pieces] == [
-            (ico(0, F(1, 4)), 2), (ico(F(1, 4), 1), 5)]
+        assert PiecewiseFn.step(domain, []).pieces == PiecewiseFn.constant(domain, 0).pieces
+        assert (PiecewiseFn.step(domain, [(domain.carrier, 3)]).pieces
+                == PiecewiseFn.constant(domain, 3).pieces)
 
     def test_cells_across_a_puncture_and_at_points(self):
-        # carrier (-1, 0) u (0, 1] u {2}; a level [0, 1/2] and a point {1}
+        # carrier (-1, 0) u (0, 1] u {2}; a level [0, 1/2] and a point {1},
+        # 1 elsewhere: a level on the carrier, the other shifted by -1
         dom = Domain(IntervalSet.of(opened(-1, 0), ioc(0, 1), point(2)))
         levels = [(IntervalSet.of(closed(0, F(1, 2)), point(1)), F(1, 2))]
-        u = PiecewiseFn.step(dom, levels, 1)
-        assert u.pieces == ref_step(dom, levels, 1).pieces
+        summed = [(dom.carrier, 1), (levels[0][0], F(1, 2) - 1)]
+        u = PiecewiseFn.step(dom, summed)
+        assert u.pieces == ref_layer_sum(dom, summed).pieces
         assert [(p.interval, p.intercept) for p in u.pieces] == [
             (opened(-1, 0), 1), (ioc(0, F(1, 2)), F(1, 2)), (opened(F(1, 2), 1), 1),
             (point(1), F(1, 2)), (point(2), 1)]
-        s = PiecewiseFn.layer_sum(dom, [levels[0], (IntervalSet.of(ico(0, 2)), F(-2))])
+        s = PiecewiseFn.step(dom, [levels[0], (IntervalSet.of(ico(0, 2)), F(-2))])
         assert [p.intercept for p in s.pieces] == [0, F(-3, 2), -2, F(-3, 2), 0]
 
 
@@ -1013,8 +1005,7 @@ def _piecewise_images(name):
                                   if family_by_name(n).has_piecewise_terms()])
 def test_corpus_terms_match_the_reference_builds(name):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PiecewiseFn, "step", staticmethod(ref_step))
-        mp.setattr(PiecewiseFn, "layer_sum", staticmethod(ref_layer_sum))
+        mp.setattr(PiecewiseFn, "step", staticmethod(ref_layer_sum))
         want = _piecewise_images(name)
     assert _piecewise_images(name) == want
 

@@ -163,8 +163,9 @@ class TestQuery:
     def test_density_integral_reaching_outside_the_carrier(self, e):
         # plain reference: each level times its measure inside e n carrier
         low, high = S(opened(0, F(1, 3))), S(ico(F(1, 2), F(3, 4)))
-        dens = PiecewiseFn.step(X01, [(low, F(2)), (high, F(5))],
-                                default=F(1, 7))
+        # 1/7 off the levels: a level on the carrier, the others shifted
+        dens = PiecewiseFn.step(X01, [(X01.carrier, F(1, 7)), (low, F(2) - F(1, 7)),
+                                      (high, F(5) - F(1, 7))])
         inside = e.intersect(X01.carrier)
         rest = inside.difference(low.union(high))
         expected = (2 * low.intersect(inside).measure()
@@ -243,8 +244,8 @@ class TestHat:
     def test_alexandroff_compact_density_identity(self):
         # compact X = [0,1], regular (density-only) functional: hat = nu
         dom = Domain.closed_interval(0, 1)
-        dens = PiecewiseFn.step(dom, [(S(ico(0, F(1, 2))), F(2))],
-                                default=F(1, 3))
+        dens = PiecewiseFn.step(dom, [(dom.carrier, F(1, 3)),
+                                      (S(ico(0, F(1, 2))), F(2) - F(1, 3))])
         nu = CompositeFA([], density=dens, domain=dom)
         rb = hat(nu)
         grid = [S(closed(0, F(1, 4))), S(opened(F(1, 4), F(7, 8))),
