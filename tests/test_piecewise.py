@@ -960,6 +960,14 @@ class TestCutSweep:
         assert got.pieces == ref_layer_sum(domain, levels).pieces
         assert all(type(q) is F for p in got.pieces for q in (p.slope, p.intercept))
 
+    @given(sweep_domains, sweep_levels, sweep_levels)
+    def test_layer_sum(self, domain, head, tail):
+        # the sum splits along the level list: the levels of head plus those of tail
+        got = PiecewiseFn.step(domain, head + tail)
+        want = ref_add(PiecewiseFn.step(domain, head), PiecewiseFn.step(domain, tail))
+        assert got.pieces == want.pieces
+        assert all(type(q) is F for p in got.pieces for q in (p.slope, p.intercept))
+
     @given(sweep_domains, sweep_sets(), st.sampled_from(SWEEP_VALUES))
     def test_indicator(self, domain, s, v):
         # the one-level shape of every program caller
