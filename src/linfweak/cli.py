@@ -51,16 +51,30 @@ def _budget(problem: ProblemFile, key: str, default: int, cap: int) -> int:
     return value
 
 
+def _rats(key: str, text: str, n: int | None = None) -> list[Fraction]:
+    """The comma-separated rationals of field `key`; with `n`, exactly n of
+    them, one per point of an n-point model."""
+    try:
+        values = [parse_rat(x.strip()) for x in text.split(",")]
+    except LiteralError as exc:
+        raise ProblemError(f"{key}: {exc}") from None
+    if n is not None and len(values) != n:
+        raise ProblemError(f"{key} need one value per point: {n} points, "
+                           f"got {len(values)} values")
+    return values
+
+
 def _policy_from(problem: ProblemFile) -> Policy:
     policy = Policy()
     policy.j_max = _budget(problem, "budget-j", policy.j_max, MAX_BUDGET_J)
     policy.k_max = _budget(problem, "budget-k", policy.k_max, MAX_BUDGET_K)
-    grid = problem.get_rats("alpha-grid")
+    grid = problem.get("alpha-grid")
     if grid is not None:
-        bad = [a for a in grid if a <= 0]
+        alphas = _rats("alpha-grid", grid)
+        bad = [a for a in alphas if a <= 0]
         if bad:
             raise ProblemError(f"alpha-grid entries must be positive: {bad}")
-        policy.alpha_grid = sorted(set(grid))  # a repeated alpha adds no cell
+        policy.alpha_grid = sorted(set(alphas))  # a repeated alpha adds no cell
     subseq = problem.get("subseq")
     if subseq is not None:
         named = {name: fn for name, fn in DEFAULT_STRATEGIES}
@@ -146,17 +160,8 @@ def _run_essrange_at(problem: ProblemFile) -> dict:
             "range": essential_range_at(fn, x0)}
 
 
-def _per_point(key: str, text: str, n: int) -> list[Fraction]:
-    """One rational per point of an n-point model, comma-separated."""
-    values = [parse_rat(x.strip()) for x in text.split(",")]
-    if len(values) != n:
-        raise ProblemError(f"{key} need one value per point: {n} points, "
-                           f"got {len(values)} values")
-    return values
-
-
 def _run_finite_model(problem: ProblemFile) -> dict:
-    weights = problem.get_rats("weights")
+    weights = _rats("weights", problem.get("weights"))
     if len(weights) > MAX_POINTS:
         raise ProblemError(f"weights: at most {MAX_POINTS} points, "
                            f"got {len(weights)}")
@@ -164,8 +169,8 @@ def _run_finite_model(problem: ProblemFile) -> dict:
         raise ProblemError("weights must be nonnegative")
     space = FiniteSpace(tuple(weights))
     masses, vectors = problem.get("masses"), problem.get("vectors")
-    nu = FAVector(tuple(_per_point("masses", masses, space.n))) if masses else None
-    vecs = [_per_point("vectors", chunk, space.n)
+    nu = FAVector(tuple(_rats("masses", masses, space.n))) if masses else None
+    vecs = [_rats("vectors", chunk, space.n)
             for chunk in vectors.split(";")] if vectors else []
     omegas = enumerate_zero_one_measures(space)
     out: dict = {
@@ -356,7 +361,7 @@ def main(argv=None) -> int:
         for key, flag in (("budget-j", args.budget_J), ("budget-k", args.budget_k),
                           ("alpha-grid", args.alpha_grid), ("subseq", args.subseq)):
             if flag is not None:
-                if key not in TASKS[problem.task]:
+                if key not in TASKS[problem.task][1]:  # an optional field
                     raise ProblemError(f"field {key!r} is not valid for task "
                                        f"{problem.task!r}")
                 problem.fields[key] = str(flag)

@@ -132,7 +132,7 @@ class Witness:
 
     alpha: Fraction
     subsequence: str
-    kernel: Optional[Callable[[int], IntervalSet]]
+    kernel: Callable[[int], IntervalSet]
     table: list[dict] = field(default_factory=list)
 
 

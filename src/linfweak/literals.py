@@ -5,8 +5,9 @@ Grammar (whitespace is free everywhere):
     set       := 'empty' | item ('u' item)*
     item      := interval | '{' rat '}'
     interval  := ('[' | '(') bound ',' bound (']' | ')')
-    bound     := '-inf' | 'inf' | '+inf' | rat
-    rat       := ['-'] digits ['/' digits]     # a zero denominator is an error
+    bound     := inf | rat
+    inf       := '-inf' | 'inf' | '+inf'
+    rat       := ['+' | '-'] digits ['/' digits]   # a zero denominator is an error
 
     piecewise := piece (';' piece)*            # u(x) = a*x + b on each part
     piece     := interval rat rat              # interval, slope a, intercept b
@@ -15,8 +16,11 @@ Grammar (whitespace is free everywhere):
                                                # B(l), endpoints affine in l;
                                                # 'shift s' reads it at l + s
     bpart     := ('[' | '(') bexpr ',' bexpr (']' | ')')
-    bexpr     := bterm (('+' | '-') bterm)*    # e.g. 1/2 - 1/l,  3*l
-    bterm     := rat | rat '/' 'l' | rat '*' 'l' | 'l' | 'inf' | '-inf'
+    bexpr     := inf | bterm (('+' | '-') bterm)*   # e.g. 1/2 - 1/l,  3*l
+    bterm     := rat | rat '/' 'l' | rat '*' 'l' | 'l'
+
+    atoms     := atom (';' atom)*              # the `atoms` of a problem file,
+    atom      := rat '*' ['B(l) ='] base       # read by the CLI: coef * base
 
 Rendering uses the same syntax, so every value in a report parses back.
 """
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from .piecewise import PiecewiseFn
 from .restriction import BaseFormula, BasePart, EndFn
@@ -50,10 +53,6 @@ class _Scanner:
         while self.i < len(self.text) and self.text[self.i].isspace():
             self.i += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
     def take(self, ch: str):
         self.skip_ws()
         if not self.text.startswith(ch, self.i):
@@ -76,23 +75,35 @@ class _Scanner:
             return True
         return False
 
+    def either(self, yes: str, no: str, message: str) -> bool:
+        """True after `yes`, False after `no`; else an error with `message`."""
+        if self.try_take(yes):
+            return True
+        if self.try_take(no):
+            return False
+        raise LiteralError(message, self.i)
+
+    def digits(self) -> str:
+        """The run of decimal digits at the cursor, possibly empty.  Only the
+        digits that int() reads: '²' is a digit to isdigit(), not to int()."""
+        start = self.i
+        while self.i < len(self.text) and self.text[self.i].isdecimal():
+            self.i += 1
+        return self.text[start:self.i]
+
     def rat(self) -> Fraction:
         self.skip_ws()
         start = self.i
-        if self.i < len(self.text) and self.text[self.i] in "+-":
+        if self.text.startswith(("+", "-"), self.i):
             self.i += 1
-        digits0 = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
-            self.i += 1
-        if self.i == digits0:
+        if not self.digits():
             raise LiteralError("expected a number", start)
         num = self._int(start)
-        if self.i < len(self.text) and self.text[self.i] == "/" and \
-                self.i + 1 < len(self.text) and self.text[self.i + 1].isdigit():
+        if self.text.startswith("/", self.i) and \
+                self.text[self.i + 1:self.i + 2].isdecimal():
             self.i += 1
             d0 = self.i
-            while self.i < len(self.text) and self.text[self.i].isdigit():
-                self.i += 1
+            self.digits()
             den = self._int(d0)
             if den == 0:
                 raise LiteralError("zero denominator", d0)
@@ -120,40 +131,33 @@ def parse_rat(text: str) -> Fraction:
     return out
 
 
-def _parse_bound(sc: _Scanner):
+def _end(sc: _Scanner, finite):
+    """'-inf' | 'inf' | '+inf', else what `finite` reads."""
     if sc.try_word("-inf"):
         return NEG_INF
-    if sc.try_word("+inf") or sc.try_word("inf"):
+    if sc.try_word("inf") or sc.try_word("+inf"):
         return POS_INF
-    return sc.rat()
+    return finite(sc)
 
 
-def _parse_item(sc: _Scanner) -> Optional[Interval]:
+def _bracketed(sc: _Scanner, finite, expected: str):
+    """('[' | '(') end ',' end (']' | ')') as (lo, hi, lo_closed, hi_closed);
+    `expected` names what may open it."""
+    lo_closed = sc.either("[", "(", expected)
+    lo = _end(sc, finite)
+    sc.take(",")
+    hi = _end(sc, finite)
+    hi_closed = sc.either("]", ")", "expected ']' or ')'")
+    return lo, hi, lo_closed, hi_closed
+
+
+def _parse_item(sc: _Scanner) -> Interval:
     start = sc.i
     if sc.try_take("{"):
         x = sc.rat()
         sc.take("}")
         return ivl(x, x, True, True)
-    sc.skip_ws()
-    ch = sc.peek()
-    if ch == "[":
-        sc.take("[")
-        lo_closed = True
-    elif ch == "(":
-        sc.take("(")
-        lo_closed = False
-    else:
-        raise LiteralError("expected '[', '(' or '{'", sc.i)
-    lo = _parse_bound(sc)
-    sc.take(",")
-    hi = _parse_bound(sc)
-    if sc.try_take("]"):
-        hi_closed = True
-    elif sc.try_take(")"):
-        hi_closed = False
-    else:
-        raise LiteralError("expected ']' or ')'", sc.i)
-    out = ivl(lo, hi, lo_closed, hi_closed)
+    out = ivl(*_bracketed(sc, _Scanner.rat, "expected '[', '(' or '{'"))
     if out is None:
         raise LiteralError("interval literal denotes the empty set", start)
     return out
@@ -193,12 +197,8 @@ def format_piecewise(u: PiecewiseFn) -> str:
     return " ; ".join(f"{p.interval} {p.slope} {p.intercept}" for p in u.pieces)
 
 
-def _parse_base_expr(sc: _Scanner):
-    """Affine-in-l endpoint; returns EndFn, NEG_INF or POS_INF."""
-    if sc.try_word("-inf"):
-        return NEG_INF
-    if sc.try_word("inf") or sc.try_word("+inf"):
-        return POS_INF
+def _affine_end(sc: _Scanner) -> EndFn:
+    """A finite endpoint, affine in l."""
     const = Fraction(0)
     inv = Fraction(0)
     lin = Fraction(0)
@@ -231,28 +231,12 @@ def _parse_base_expr(sc: _Scanner):
 
 
 def _parse_base_part(sc: _Scanner) -> BasePart:
-    ch = sc.peek()
-    if ch == "[":
-        sc.take("[")
-        lo_closed = True
-    elif ch == "(":
-        sc.take("(")
-        lo_closed = False
-    else:
-        raise LiteralError("expected '[' or '('", sc.i)
-    lo = _parse_base_expr(sc)
-    sc.take(",")
-    hi = _parse_base_expr(sc)
-    if sc.try_take("]"):
-        hi_closed = True
-    elif sc.try_take(")"):
-        hi_closed = False
-    else:
-        raise LiteralError("expected ']' or ')'", sc.i)
-    lo_fn = None if lo == NEG_INF else lo
-    hi_fn = None if hi == POS_INF else hi
+    lo, hi, lo_closed, hi_closed = _bracketed(sc, _affine_end,
+                                              "expected '[' or '('")
     if lo == POS_INF or hi == NEG_INF:
         raise LiteralError("endpoint infinities are the wrong way around", sc.i)
+    lo_fn = None if lo == NEG_INF else lo
+    hi_fn = None if hi == POS_INF else hi
     return BasePart(lo_fn, hi_fn, lo_closed and lo_fn is not None,
                     hi_closed and hi_fn is not None)
 
@@ -266,13 +250,12 @@ def parse_base_formula(text: str) -> BaseFormula:
     if sc.try_word("shift"):
         sc.skip_ws()
         start = sc.i
-        while sc.i < len(sc.text) and sc.text[sc.i].isdigit():
-            sc.i += 1
-        if sc.i == start:
+        run = sc.digits()
+        if not run:
             raise LiteralError("expected a non-negative integer shift", start)
-        if sc.i - start > MAX_SHIFT_DIGITS:
+        if len(run) > MAX_SHIFT_DIGITS:
             raise LiteralError(f"a shift has at most {MAX_SHIFT_DIGITS} digits", start)
-        index_shift = int(sc.text[start:sc.i])
+        index_shift = int(run)
     sc.done()
     return BaseFormula(tuple(parts), index_shift)
 

@@ -196,7 +196,7 @@ class PiecewiseFn:
                 except SetAlgebraError as exc:
                     fault = exc
             if not eq(p.slope, _ZERO) and not iv.is_bounded():
-                raise SetAlgebraError("unbounded piece with nonzero slope is unbounded")
+                raise SetAlgebraError("a piece with nonzero slope must be bounded")
             last = iv
         if fault is not None:
             raise fault

@@ -35,7 +35,7 @@ class ExtPoint:
     @staticmethod
     def parse(text: str) -> "ExtPoint":
         """'inf' (or '+inf', 'infinity'), else a rational in the literal
-        grammar: ['-'] digits ['/' digits]."""
+        grammar: ['+' | '-'] digits ['/' digits]."""
         # imported here: literals imports restriction, which imports points
         from .literals import parse_rat
         text = text.strip()

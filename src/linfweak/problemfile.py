@@ -1,16 +1,15 @@
 """Declarative problem files: `key = value` lines, one task per file.
 
-Unknown keys are rejected, parse errors carry line and column numbers, and
-parsing is deterministic: the canonical text (task first, other keys in
-sorted order) is what reports echo and replay.
+Keys are case-insensitive.  One pass reads the lines; then the first field
+that the task does not allow is reported with its line and column, and after
+that any required field that is missing.  Parse errors carry line and column
+numbers, and parsing is deterministic: the canonical text (task first, other
+keys in sorted order) is what reports echo and replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .literals import parse_rat
 
 
 class ProblemError(ValueError):
@@ -21,25 +20,16 @@ class ProblemError(ValueError):
         self.col = col
 
 
+# Each task's (required fields, optional fields).
 TASKS = {
-    "weaknull": {"family", "budget-j", "budget-k", "alpha-grid", "subseq"},
-    "weaknull-at": {"family", "point", "budget-j", "budget-k", "alpha-grid",
-                    "subseq", "ell-max"},
-    "essrange": {"domain", "function"},
-    "essrange-at": {"domain", "function", "point"},
-    "finite-model": {"weights", "vectors", "masses"},
-    "restrict": {"domain", "atoms", "density", "set", "alpha"},
-    "corpus": set(),
-}
-
-REQUIRED = {
-    "weaknull": {"family"},
-    "weaknull-at": {"family", "point"},
-    "essrange": {"domain", "function"},
-    "essrange-at": {"domain", "function", "point"},
-    "finite-model": {"weights"},
-    "restrict": {"domain"},
-    "corpus": set(),
+    "weaknull": ({"family"}, {"budget-j", "budget-k", "alpha-grid", "subseq"}),
+    "weaknull-at": ({"family", "point"}, {"budget-j", "budget-k", "alpha-grid",
+                                          "subseq", "ell-max"}),
+    "essrange": ({"domain", "function"}, set()),
+    "essrange-at": ({"domain", "function", "point"}, set()),
+    "finite-model": ({"weights"}, {"vectors", "masses"}),
+    "restrict": ({"domain"}, {"atoms", "density", "set", "alpha"}),
+    "corpus": (set(), set()),
 }
 
 
@@ -66,19 +56,11 @@ class ProblemFile:
         except ValueError:
             raise ProblemError(f"{key} must be an integer, got {raw!r}")
 
-    def get_rats(self, key: str) -> list[Fraction] | None:
-        raw = self.fields.get(key)
-        if raw is None:
-            return None
-        try:
-            return [parse_rat(part.strip()) for part in raw.split(",")]
-        except ValueError as exc:
-            raise ProblemError(f"{key}: {exc}")
-
 
 def parse_problem_text(text: str) -> ProblemFile:
     task = None
     fields: dict[str, str] = {}
+    where: dict[str, tuple[int, int]] = {}  # each field key's line and column
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -105,19 +87,17 @@ def parse_problem_text(text: str) -> ProblemFile:
         if key in fields:
             raise ProblemError(f"duplicate key {key!r}", lineno, 1)
         fields[key] = value
+        where[key] = (lineno, len(raw) - len(raw.lstrip()) + 1)
     if task is None:
         raise ProblemError("missing 'task = ...' line")
-    allowed = TASKS[task]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key = line.partition("=")[0].strip().lower()
-        if key != "task" and key not in allowed:
+    required, optional = TASKS[task]
+    allowed = required | optional
+    for key in fields:
+        if key not in allowed:
             raise ProblemError(f"field {key!r} is not valid for task {task!r}; "
                                f"allowed: {sorted(allowed) or 'none'}",
-                               lineno, raw.index(key) + 1)
-    missing = REQUIRED[task] - set(fields)
+                               *where[key])
+    missing = required - set(fields)
     if missing:
         raise ProblemError(f"task {task!r} is missing required fields "
                            f"{sorted(missing)}")

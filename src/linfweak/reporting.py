@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .engine import NormFloorWitness, Verdict, Witness
-from .sets import IntervalSet
 
 
 @dataclass
@@ -34,12 +32,8 @@ class Report:
 def render_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, float) and math.isinf(v):
         return "inf" if v > 0 else "-inf"
-    if isinstance(v, IntervalSet):
-        return str(v)
     if v is None:
         return "none"
     return str(v)
@@ -68,13 +62,11 @@ def verdict_to_dict(v: Verdict) -> dict:
     }
     if v.witness is not None:
         if isinstance(v.witness, Witness):
-            wd: dict = {"type": "kernel", "alpha": v.witness.alpha,
-                        "subsequence": v.witness.subsequence,
-                        "table": v.witness.table}
-            if v.witness.kernel is not None:
-                wd["kernel_sets"] = {f"k{k}": str(v.witness.kernel(k))
-                                     for k in (1, 2, 3, 4)}
-            out["witness"] = wd
+            out["witness"] = {"type": "kernel", "alpha": v.witness.alpha,
+                              "subsequence": v.witness.subsequence,
+                              "table": v.witness.table,
+                              "kernel_sets": {f"k{k}": str(v.witness.kernel(k))
+                                              for k in (1, 2, 3, 4)}}
         elif isinstance(v.witness, NormFloorWitness):
             out["witness"] = {"type": "norm-floor", "delta": v.witness.delta,
                               "subsequence": v.witness.subsequence,

@@ -16,6 +16,8 @@ settings.register_profile(
 # and for the set walks:
 #   pytest tests/test_sets.py -k "SweepOracles or CoverWalks or FirstOverlap" \
 #       --hypothesis-profile=deep
+# and for the parser fuzzing:
+#   pytest tests/test_cli.py -k ParserFuzz --hypothesis-profile=deep
 settings.register_profile("deep", settings.get_profile("default"), max_examples=2000)
 settings.load_profile("default")
 

@@ -4,13 +4,17 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import within_seconds
 from linfweak.cli import main, run
 from linfweak.corpus import FAMILIES
-from linfweak.problemfile import ProblemError, parse_problem_text
+from linfweak.literals import (LiteralError, parse_base_formula, parse_piecewise,
+                               parse_rat, parse_set)
+from linfweak.problemfile import TASKS, ProblemError, parse_problem_text
 from linfweak.reporting import (embedded_problem, render_machine,
                                 strip_volatile)
+from linfweak.sets import Domain, SetAlgebraError
 
 
 def invoke(argv):
@@ -48,6 +52,23 @@ class TestProblemFiles:
     def test_comments_and_blanks_ok(self):
         pf = parse_problem_text("# a comment\n\ntask = corpus\n")
         assert pf.task == "corpus"
+
+    @pytest.mark.parametrize("line, col", [("BUDGET = 3", 1), ("  Wings = 2", 3)])
+    def test_key_not_allowed_reported_at_its_line_and_column(self, line, col):
+        # keys are read lower-cased; the column is that of the key as written
+        with pytest.raises(ProblemError) as exc:
+            parse_problem_text(f"task = weaknull\nfamily = tents\n{line}\n")
+        assert (exc.value.line, exc.value.col) == (3, col)
+
+    def test_upper_case_key_not_allowed_exits_two(self, tmp_path):
+        cfg = write(tmp_path, "p.cfg", "task = weaknull\nfamily = tents\nBUDGET = 3\n")
+        code, out, err = invoke(["weaknull", cfg])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: field 'budget' is not valid")
+
+    def test_upper_case_allowed_key_accepted(self):
+        pf = parse_problem_text("task = weaknull\nFAMILY = tents\n")
+        assert pf.fields == {"family": "tents"}
 
 
 class TestExitCodes:
@@ -397,7 +418,7 @@ class TestInputErrors:
         "task = weaknull-at\nfamily = tents\npoint = abc\n",
         "task = essrange-at\ndomain = (-1,1)\nfunction = (-1,1) 0 1\n"
         "point = 1/0\n",
-        # rationals follow the literal grammar ['-'] digits ['/' digits]
+        # rationals follow the literal grammar ['+' | '-'] digits ['/' digits]
         "task = weaknull-at\nfamily = tents\npoint = 1e400000\n",
         "task = weaknull-at\nfamily = tents\npoint = 0.5e0\n",
         # a point outside the closure of the domain
@@ -430,6 +451,21 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, line", [("masses", "masses = 1, x"),
+                                             ("vectors", "vectors = 1, 2 ; 1, x")])
+    def test_bad_list_entry_names_its_field(self, tmp_path, field, line):
+        cfg = write(tmp_path, "p.cfg", f"task = finite-model\nweights = 1, 1\n{line}\n")
+        code, out, err = invoke(["finite-model", cfg])
+        assert (code, out) == (2, "")
+        assert err == f"input error: {field}: expected a number (at column 1)\n"
+
+    def test_unbounded_piece_with_slope_is_input_error(self, tmp_path):
+        cfg = write(tmp_path, "p.cfg", "task = essrange\ndomain = (-inf,inf)\n"
+                                       "function = (-inf,inf) 1 0\n")
+        code, out, err = invoke(["essrange", cfg])
+        assert (code, out) == (2, "")
+        assert err == "input error: a piece with nonzero slope must be bounded\n"
+
     def test_result_value_past_the_digit_limit_is_input_error(self, tmp_path):
         # every literal has 3001 digits, but ess_sup_norm = 10^6000 has 6001
         n = "1" + "0" * 3000
@@ -452,3 +488,61 @@ class TestInputErrors:
                     f"task = finite-model\nweights = {', '.join(weights)}\n")
         code, out, _ = invoke(["finite-model", cfg, "--format", "machine"])
         assert code == 0 and f"result.n = {MAX_POINTS}" in out
+
+
+# -- parser fuzzing: line-structured problem files and token-built literals.
+# Whatever the text, the parsers raise only their own input errors.
+
+FIELD_KEYS = ("task", "family", "point", "budget-j", "budget-k", "alpha-grid",
+              "subseq", "ell-max", "domain", "function", "weights", "vectors",
+              "masses", "atoms", "density", "set", "alpha")
+LITERAL_TOKENS = ("[", "(", "]", ")", "{", "}", ",", ";", "=", "*", "/", "+",
+                  "-", "#", "u", "l", "L", "x", "inf", "-inf", "+inf", "empty",
+                  "shift", "B(l)", "0", "1", "7", "12", "1/2", "-3/4", "0/0",
+                  "²", "٣")
+
+
+@st.composite
+def mixed_case(draw, word):
+    return "".join(c.upper() if draw(st.booleans()) else c for c in word)
+
+
+literal_texts = st.lists(st.tuples(st.sampled_from(LITERAL_TOKENS),
+                                   st.sampled_from(("", " ")))).map(
+    lambda pairs: "".join(token + gap for token, gap in pairs))
+problem_lines = st.tuples(
+    st.sampled_from(("", " ", "#")),
+    st.sampled_from(FIELD_KEYS).flatmap(mixed_case) | st.text("abXY-_ ", max_size=5),
+    st.sampled_from(("=", " = ", "", "==", " # ")),
+    st.sampled_from(sorted(TASKS)) | literal_texts,
+).map("".join)
+
+
+@st.composite
+def problem_texts(draw):
+    lines = draw(st.lists(st.just("") | problem_lines, max_size=8))
+    if draw(st.booleans()):
+        task = draw(st.sampled_from(sorted(TASKS)))
+        lines.insert(draw(st.integers(0, len(lines))), f"task = {task}")
+    return "\n".join(lines)
+
+
+class TestParserFuzz:
+    @given(problem_texts())
+    @example("task = weaknull\nfamily = tents\nBUDGET = 3\n")
+    def test_problem_file_parser_raises_only_problem_errors(self, text):
+        try:
+            parse_problem_text(text)
+        except ProblemError:
+            pass
+
+    @given(literal_texts)
+    @example("(0,1/l) shift ²")
+    def test_literal_parsers_raise_only_literal_errors(self, text):
+        for parse in (parse_rat, parse_set, parse_base_formula,
+                      lambda t: parse_piecewise(t, Domain.real_line()),
+                      lambda t: parse_piecewise(t, Domain.open_interval(0, 1))):
+            try:
+                parse(text)
+            except (LiteralError, SetAlgebraError):
+                pass

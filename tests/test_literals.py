@@ -116,6 +116,8 @@ def test_base_formula_shift():
     ("(0,1/l) shift", "expected a non-negative integer shift"),
     ("(0,1/l) shift -1", "expected a non-negative integer shift"),
     ("(0,1/l) shift 1234567", "a shift has at most 6 digits"),
+    # a superscript digit is a digit to str.isdigit(), not to int()
+    ("(0,1/l) shift ²", "expected a non-negative integer shift"),
     ("(0,1/l) shift 2 u (1,2)", "unexpected trailing input"),
 ])
 def test_base_formula_bad_shift(text, message):

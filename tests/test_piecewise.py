@@ -291,7 +291,7 @@ class TestValidation:
         (TWO_PARTS, [(ico(0, 1), 0, 1), (point(F(3, 2)), 0, 1), (ico(2, 3), 0, 1)],
          "exceed"),
         (Domain.real_line(), [(opened(NEG_INF, POS_INF), 1, 0)],
-         "unbounded piece with nonzero slope"),
+         "a piece with nonzero slope must be bounded"),
     ], ids=("overlapping", "out-of-order", "closed-ends-touch", "gap",
             "gap-at-start", "gap-at-end", "part-without-piece", "outside-carrier",
             "closed-end-past-open-carrier-end", "closed-start-at-open-carrier-start",
