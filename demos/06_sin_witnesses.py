@@ -31,7 +31,7 @@ q = F(lcm_list(prefix), p ** m)
 x = WitnessPoint.inv_pi_multiple(q)
 print("witness point x =", x)
 floor = sin_of_pi_multiple(F(1, p ** m), WIDTH).lo
-wb = witness_lower_bound(fam, prefix, 4, x, floor, width=WIDTH)
+wb = witness_lower_bound(fam, prefix, 4, x, floor)
 print(f"certified |u_k(x)| >= sin(pi/{p ** m}) ~ {float(floor):.6f}:",
       wb.certified)
 for k, enc in zip(prefix, wb.enclosures):
@@ -45,7 +45,7 @@ m0 = nested_midpoint(ks)
 print("nested midpoint m0 =", m0, " -> witness x = 1/(m0*pi)")
 x2 = WitnessPoint.inv_pi_multiple(m0)
 floor2 = sin_of_pi_multiple(F(1, 4), WIDTH).lo  # = lower bound for 1/sqrt(2)
-wb2 = witness_lower_bound(fam, ks[1:], 4, x2, floor2, width=WIDTH)
+wb2 = witness_lower_bound(fam, ks[1:], 4, x2, floor2)
 print(f"certified |u_k(x)| >= sin(pi/4) ~ {float(floor2):.6f}:", wb2.certified)
 for k, enc in zip(ks[1:], wb2.enclosures):
     print(f"  |u_{k}(x)| in [{float(enc.lo):.12f}, {float(enc.hi):.12f}]")

@@ -20,8 +20,8 @@ from .finitemodel import (FAVector, FiniteSpace, enumerate_zero_one_measures,
                           essential_range_bruteforce, extreme_points_unit_ball,
                           integrate, jordan, rainwater_check,
                           ultrafilter_roundtrip)
-from .literals import (LiteralError, parse_base_formula, parse_piecewise,
-                       parse_rat, parse_set)
+from .literals import (LiteralError, parse_base_formula, parse_int,
+                       parse_piecewise, parse_rat, parse_set)
 from .localize import (essential_range, essential_range_at, in_closure,
                        test_weak_null_at)
 from .points import ExtPoint
@@ -84,8 +84,8 @@ def _policy_from(problem: ProblemFile) -> Policy:
             policy.strategies = [(p, named[p]) for p in dict.fromkeys(parts)]
         else:
             try:
-                indices = [int(p) for p in parts]
-            except ValueError:
+                indices = [parse_int(p) for p in parts]
+            except LiteralError:
                 raise ProblemError(f"subseq must name strategies {sorted(named)} "
                                    f"or list integers, got {subseq!r}")
             # strictly increasing term indices, none past budget-k

@@ -68,7 +68,7 @@ def dyadic_indicators_plus() -> SequenceFamily:
                       NormLimit(F(1), lambda k: F(0))))
 
 
-def summable_disjoint(layer_count: int = 6) -> SequenceFamily:
+def summable_disjoint() -> SequenceFamily:
     """u_k = sum_i 2^-i chi(A_k^i) with layer i living in the band
     (2^-i, 3*2^-(i+1)]; each layer is a disjoint dyadic family."""
     domain = Domain.open_interval(0, 1)
@@ -78,7 +78,7 @@ def summable_disjoint(layer_count: int = 6) -> SequenceFamily:
             return IntervalSet.of(ico(F(2 ** (k + 1) + 1, 2 ** (i + k + 1)),
                                       F(2 ** k + 1, 2 ** (i + k))))
         return sets
-    layers = [(F(1, 2 ** i), gen(i)) for i in range(1, layer_count + 1)]
+    layers = [(F(1, 2 ** i), gen(i)) for i in range(1, 7)]
     return SummableDisjointFamily(
         domain, layers, name="summable-disjoint",
         tail_bound=lambda i: F(1, 2 ** i),

@@ -83,20 +83,22 @@ DEFAULT_STRATEGIES: list[tuple[str, Callable[[int], int]]] = [
     ("identity", _identity), ("even", _even), ("odd", _odd), ("dyadic", _dyadic),
 ]
 
+# Certificates are checked exactly for k <= CERT_BUDGET and trusted beyond.
+# It exceeds min(j_max, 12), so `SuperlevelKernel.verify` already puts every
+# kernel inside the intersections that `_checked_kernel_witness` measures.
+CERT_BUDGET = 20
+
 
 @dataclass
 class Policy:
     """Budgets and grids for one engine run."""
 
     alpha_grid: Optional[list[Fraction]] = None
-    strategies: Optional[list[tuple[str, Callable[[int], int]]]] = None
+    strategies: list[tuple[str, Callable[[int], int]]] = field(
+        default_factory=lambda: list(DEFAULT_STRATEGIES))
     extra_subsequences: list[list[int]] = field(default_factory=list)
     j_max: int = 12
     k_max: int = 48
-    cert_budget: int = 20
-
-    def resolved_strategies(self):
-        return self.strategies if self.strategies is not None else DEFAULT_STRATEGIES
 
 
 # Descending, so _POWERS[-1] is the floor of every default grid.
@@ -320,7 +322,7 @@ def _certified_verdict(family: SequenceFamily,
     verdict raises `EngineError`.  Returns the verdict and the certificate
     reports."""
     _check_norm_bound(family, policy)
-    reports = [verify_certificate(family, c, policy.cert_budget)
+    reports = [verify_certificate(family, c, CERT_BUDGET)
                for c in family.certificates]
     for rep in reports:
         if not rep.passed:
@@ -338,7 +340,7 @@ def _certified_verdict(family: SequenceFamily,
 
 
 def _check_norm_bound(family, policy):
-    nb = verify_norm_bound(family, min(policy.cert_budget, policy.k_max))
+    nb = verify_norm_bound(family, min(CERT_BUDGET, policy.k_max))
     if not nb.passed:
         raise CertificateError(f"norm bound check failed: {nb.detail}",
                                k=nb.counterexample_k, witness=nb.witness)
@@ -353,10 +355,9 @@ def _first_verdict(schemes, family, policy) -> Optional[Verdict]:
     return None
 
 
-def _trust_note(policy: Policy) -> str:
-    return (f"certificates verified exactly for k <= {policy.cert_budget} "
-            f"and trusted beyond; verdict quantifies over all subsequences "
-            f"through the certified scheme")
+_TRUST_NOTE = (f"certificates verified exactly for k <= {CERT_BUDGET} and "
+               "trusted beyond; verdict quantifies over all subsequences "
+               "through the certified scheme")
 
 
 def _spot_alphas(family, policy):
@@ -402,7 +403,7 @@ def _try_summable_disjoint(family, policy):
     j_zero = len(cert.layers) + 1
     checks = {}
     minima: dict = {}
-    for name, strat in policy.resolved_strategies():
+    for name, strat in policy.strategies:
         subseq = [strat(j) for j in range(1, j_zero + 1)]
         if subseq[-1] > policy.k_max:
             continue
@@ -418,7 +419,7 @@ def _try_summable_disjoint(family, policy):
     return Verdict(family.name, NULL, scheme="summable-disjoint", evidence=ev,
                    trust="pigeonhole over the disjoint layers: any J > layer "
                          "count makes v_J vanish identically, for every "
-                         "subsequence; " + _trust_note(policy))
+                         "subsequence; " + _TRUST_NOTE)
 
 
 def _try_disjoint_supports(family, policy):
@@ -426,7 +427,7 @@ def _try_disjoint_supports(family, policy):
         return None
     alpha = _spot_alpha(family, policy)
     spot = {}
-    for name, strat in policy.resolved_strategies():
+    for name, strat in policy.strategies:
         subseq = [strat(1), strat(2)]
         if subseq[-1] > policy.k_max:
             continue
@@ -438,7 +439,7 @@ def _try_disjoint_supports(family, policy):
                    evidence={"pair_measures": {n: str(v) for n, v in spot.items()},
                              "alpha_spot": alpha},
                    trust="any two distinct indices give a null superlevel "
-                         "intersection for every alpha; " + _trust_note(policy))
+                         "intersection for every alpha; " + _TRUST_NOTE)
 
 
 def _try_escape_bound(family, policy):
@@ -459,20 +460,20 @@ def _try_escape_bound(family, policy):
                    trust="supp(u_k) lies in [-K - k*step, K - k*step], so at "
                          "most floor(2K/step)+1 translates meet any point and "
                          "any J >= floor(2K/step)+2 indices force v_J = 0; "
-                         + _trust_note(policy))
+                         + _TRUST_NOTE)
 
 
 def _try_norm_limit_null(family, policy):
     for cert in family.certificates_of(NormLimit):
         if cert.limit == 0:
             norms = {k: family.term(k).ess_sup_norm()
-                     for k in (1, 2, policy.cert_budget)}
+                     for k in (1, 2, CERT_BUDGET)}
             return Verdict(family.name, NULL, scheme="norm-limit",
                            evidence={"limit": Fraction(0),
                                      "norm_samples": {k: str(v) for k, v in norms.items()}},
                            trust="strong convergence: v_J <= |u_kJ| so every "
                                  "subsequence inherits the vanishing norms; "
-                                 + _trust_note(policy))
+                                 + _TRUST_NOTE)
     return None
 
 
@@ -491,18 +492,6 @@ def _checked_kernel_witness(family, cert, policy):
     return wit
 
 
-def _check_kernel_past_budget(family: SequenceFamily, policy: Policy) -> None:
-    """Run the check of `_checked_kernel_witness` on the family's first
-    kernel certificate where certificate verification leaves it open.
-    `SuperlevelKernel.verify` puts kernel(J) inside A_alpha(u_j) for every
-    j <= J <= cert_budget, so the kernel cannot exceed those intersections;
-    only when cert_budget < min(j_max, 12) do some rows of the check
-    decide anything."""
-    certs = family.certificates_of(SuperlevelKernel)
-    if certs and policy.cert_budget < min(policy.j_max, 12):
-        _checked_kernel_witness(family, certs[0], policy)
-
-
 def _try_kernel_witness(family, policy):
     certs = family.certificates_of(SuperlevelKernel)
     if not certs:
@@ -512,7 +501,7 @@ def _try_kernel_witness(family, policy):
                    evidence={"alpha": wit.alpha},
                    trust="kernel(k_J) is nested inside every A_alpha(u_kj), "
                          "j <= J, with positive measure, so no J nullifies "
-                         "the intersection; " + _trust_note(policy))
+                         "the intersection; " + _TRUST_NOTE)
 
 
 def _try_monotone_nonnull(family, policy):
@@ -532,7 +521,7 @@ def _try_monotone_nonnull(family, policy):
                    trust="|u_k| is non-increasing, so the J-fold intersection "
                          "equals A_alpha(u_kJ), which keeps positive measure "
                          "since ||u_k|| -> " + str(cert.limit) + "; "
-                         + _trust_note(policy))
+                         + _TRUST_NOTE)
 
 
 def _floor_witness(family, cert: PointFloor, policy) -> NormFloorWitness:
@@ -598,7 +587,7 @@ def _evidence_table(family, policy, alphas, store, window=None):
     localized table is this one, per window.
     """
     strategies = []
-    for name, strat in policy.resolved_strategies():
+    for name, strat in policy.strategies:
         subseq = []
         for j in range(1, policy.j_max + 1):
             k = strat(j)
@@ -637,8 +626,7 @@ class WitnessBound:
 
 
 def witness_lower_bound(family: SequenceFamily, subseq: Sequence[int], J: int,
-                        x: WitnessPoint, delta,
-                        width=Fraction(1, 10 ** 9)) -> WitnessBound:
+                        x: WitnessPoint, delta) -> WitnessBound:
     """Certify ||v_J|| >= delta by rigorous point enclosures |u_kj(x)| >= delta.
 
     Sound by construction: certification uses enclosure lower ends only, and
@@ -657,7 +645,7 @@ def witness_lower_bound(family: SequenceFamily, subseq: Sequence[int], J: int,
         handle = family.term(k)
         if not handle.continuous_at(x):
             raise EngineError(f"u_{k} is not declared continuous at {x}")
-        enc = handle.enclose(x, rat(width)).abs()
+        enc = handle.enclose(x, Fraction(1, 10 ** 9)).abs()
         enclosures.append(enc)
         if enc.lo >= delta:
             continue

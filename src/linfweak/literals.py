@@ -7,7 +7,9 @@ Grammar (whitespace is free everywhere):
     interval  := ('[' | '(') bound ',' bound (']' | ')')
     bound     := inf | rat
     inf       := '-inf' | 'inf' | '+inf'
-    rat       := ['+' | '-'] digits ['/' digits]   # a zero denominator is an error
+    rat       := int ['/' digits]              # a zero denominator is an error
+    int       := ['+' | '-'] digits            # also the integer fields of a
+                                               # problem file (`parse_int`)
 
     piecewise := piece (';' piece)*            # u(x) = a*x + b on each part
     piece     := interval rat rat              # interval, slope a, intercept b
@@ -91,14 +93,17 @@ class _Scanner:
             self.i += 1
         return self.text[start:self.i]
 
-    def rat(self) -> Fraction:
+    def integer(self) -> int:
         self.skip_ws()
         start = self.i
         if self.text.startswith(("+", "-"), self.i):
             self.i += 1
         if not self.digits():
             raise LiteralError("expected a number", start)
-        num = self._int(start)
+        return self._int(start)
+
+    def rat(self) -> Fraction:
+        num = self.integer()
         if self.text.startswith("/", self.i) and \
                 self.text[self.i + 1:self.i + 2].isdecimal():
             self.i += 1
@@ -127,6 +132,13 @@ class _Scanner:
 def parse_rat(text: str) -> Fraction:
     sc = _Scanner(text)
     out = sc.rat()
+    sc.done()
+    return out
+
+
+def parse_int(text: str) -> int:
+    sc = _Scanner(text)
+    out = sc.integer()
     sc.done()
     return out
 

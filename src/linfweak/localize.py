@@ -35,8 +35,7 @@ from typing import Optional
 
 from .engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy, Verdict,
                      _CallStore, _certified_verdict, _evidence_table,
-                     _floor_witness, _spot_alphas, _check_kernel_past_budget,
-                     kernel_witness)
+                     _floor_witness, _spot_alphas, kernel_witness)
 from .families import (DecayEnvelope, LowerEnvelope, MonotoneEnvelope, PointFloor,
                        SequenceFamily, SuperlevelKernel, SupportEnvelope)
 from .piecewise import PiecewiseFn
@@ -142,11 +141,9 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
     says nothing about x0: the global kernel and monotone-floor witnesses
     and the global evidence table.  The kernel witness's check that no
     kernel exceeds the superlevel intersection it certifies follows from the
-    certificate check when cert_budget >= min(j_max, 12), as by default;
-    with a smaller budget the question runs that check too
-    (`engine._check_kernel_past_budget`), so a wrong kernel raises here
-    whenever it raises globally.  Otherwise the two local rules are tried
-    in `_LOCAL_SCHEMES` order and the first verdict wins: the kernel
+    certificate check (see `engine.CERT_BUDGET`), so a wrong kernel raises
+    here whenever it raises globally.  Otherwise the two local rules are
+    tried in `_LOCAL_SCHEMES` order and the first verdict wins: the kernel
     witnesses, then the vanishing upper bounds.  Both read the family's
     eventual tail at x0 (`_tail_at`), built once per call.  ell_max (at
     least 1) bounds only the evidence table that answers when neither rule
@@ -167,8 +164,6 @@ def test_weak_null_at(family: SequenceFamily, x0: ExtPoint,
                              "terms to a window only shrinks every superlevel "
                              "intersection; " + global_verdict.trust,
                        cert_reports=reports)
-    if global_verdict is None:
-        _check_kernel_past_budget(family, policy)
 
     tail = _tail_at(family, x0)
     for scheme in _LOCAL_SCHEMES:

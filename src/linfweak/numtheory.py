@@ -50,17 +50,15 @@ def prime_power_nondivisor(ks: Sequence[int]) -> Optional[tuple[int, int]]:
     return (best[1], best[2])
 
 
-def dyadic_divisibility_subsequence(seed: int, count: int,
-                                    factors: Optional[Sequence[int]] = None) -> list[int]:
-    """Indices k_0 .. k_count with 2**(j+2) * n_j * k_j = k_{j+1}; the shape
+def dyadic_divisibility_subsequence(seed: int, count: int) -> list[int]:
+    """Indices k_0 .. k_count with 2**(j+2) * k_j = k_{j+1}; the shape
     along which every subsequence of naturals that kills all prime-power
     witnesses must eventually run."""
     if seed <= 0 or count < 0:
         raise ValueError("seed must be positive and count non-negative")
     ks = [seed]
     for j in range(count):
-        n_j = 1 if factors is None else factors[j]
-        ks.append(2 ** (j + 2) * n_j * ks[-1])
+        ks.append(2 ** (j + 2) * ks[-1])
     return ks
 
 

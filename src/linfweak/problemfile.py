@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .literals import LiteralError, parse_int
+
 
 class ProblemError(ValueError):
     def __init__(self, message: str, line: int = 0, col: int = 0):
@@ -52,9 +54,9 @@ class ProblemFile:
         if raw is None:
             return default
         try:
-            return int(raw)
-        except ValueError:
-            raise ProblemError(f"{key} must be an integer, got {raw!r}")
+            return parse_int(raw)
+        except LiteralError:
+            raise ProblemError(f"{key} must be an integer, got {raw!r}") from None
 
 
 def parse_problem_text(text: str) -> ProblemFile:
@@ -67,27 +69,26 @@ def parse_problem_text(text: str) -> ProblemFile:
             continue
         if "=" not in line:
             raise ProblemError("expected 'key = value'", lineno, 1)
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
+        head, _, rest = raw.partition("=")
+        key, value = head.strip().lower(), rest.strip()
         if not key:
             raise ProblemError("empty key", lineno, 1)
+        col = len(head) + 2  # the column just after '='
         if not value:
-            raise ProblemError(f"empty value for {key!r}", lineno,
-                               raw.index("=") + 2)
+            raise ProblemError(f"empty value for {key!r}", lineno, col)
         if key == "task":
             if task is not None:
                 raise ProblemError("duplicate task line", lineno, 1)
             if value not in TASKS:
                 raise ProblemError(f"unknown task {value!r}; known: "
                                    f"{sorted(TASKS)}", lineno,
-                                   raw.index(value) + 1)
+                                   col + len(rest) - len(rest.lstrip()))
             task = value
             continue
         if key in fields:
             raise ProblemError(f"duplicate key {key!r}", lineno, 1)
         fields[key] = value
-        where[key] = (lineno, len(raw) - len(raw.lstrip()) + 1)
+        where[key] = (lineno, len(head) - len(head.lstrip()) + 1)
     if task is None:
         raise ProblemError("missing 'task = ...' line")
     required, optional = TASKS[task]

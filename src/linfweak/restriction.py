@@ -427,13 +427,14 @@ class RegularBorel:
                                              for p in self.density.pieces)
 
 
-def hat(nu: CompositeFA, validate: bool = True) -> RegularBorel:
+def hat(nu: CompositeFA) -> RegularBorel:
     """The Borel measure representing the restriction of nu to C_0(X).
 
     Each atom contributes its coefficient as a Dirac mass at its base's
     limit, when that limit is a point of X and some base member has compact
     closure inside X; an atom at infinity contributes nothing.  Unresolved
-    bases raise instead of guessing.
+    bases raise instead of guessing, and a measure that escapes the minimax
+    enclosures of nu raises `OracleConsistencyError`.
     """
     masses: dict[Fraction, Fraction] = {}
     for c, base in nu.atoms:
@@ -443,8 +444,7 @@ def hat(nu: CompositeFA, validate: bool = True) -> RegularBorel:
         _first_compact_level(base)
         masses[x0.x] = masses.get(x0.x, Fraction(0)) + c
     out = RegularBorel(tuple(sorted(masses.items())), nu.density)
-    if validate:
-        _validate_against_minimax(nu, out)
+    _validate_against_minimax(nu, out)
     return out
 
 
@@ -621,7 +621,7 @@ def howd_bounds_check(nu: CompositeFA, k: IntervalSet, b: IntervalSet,
         raise ValueError("G must be open in the carrier")
     if not (k.is_subset(b) and b.is_subset(g)):
         raise ValueError("need K <= B <= G")
-    rb = hat(nu, validate=False)
+    rb = hat(nu)
     report = HowdReport(fa_query(nu, k).lower, rb.measure_of(b),
                         fa_query(nu, g).upper)
     if not report.ok:

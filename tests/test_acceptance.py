@@ -113,13 +113,13 @@ def test_criterion_4_sin_witnesses():
         x = WitnessPoint.inv_pi_multiple(F(lcm_list(prefix), p ** m))
         sin13 = sin_of_pi_multiple(F(1, 3), WIDTH)
         floor = sin13.hi - SLACK  # certifies |u| >= sin(pi/3) - 1e-6
-        wb = witness_lower_bound(fam, prefix, 4, x, floor, width=WIDTH)
+        wb = witness_lower_bound(fam, prefix, 4, x, floor)
         assert wb.certified
         assert all(e.width() <= WIDTH for e in wb.enclosures)
 
         ks = dyadic_divisibility_subsequence(1, 4)
         x2 = WitnessPoint.inv_pi_multiple(nested_midpoint(ks))
-        wb2 = witness_lower_bound(fam, ks[1:], 4, x2, F(0), width=WIDTH)
+        wb2 = witness_lower_bound(fam, ks[1:], 4, x2, F(0))
         assert all(e.width() <= WIDTH for e in wb2.enclosures)
         for enc in wb2.enclosures:
             # certified value >= 1/sqrt(2) - 1e-6, via the exact square test
@@ -228,7 +228,7 @@ def _random_kernel_family(rng):
 def test_criterion_7_cross_cutting_properties():
     with criterion(7, "cross-cutting randomized properties"):
         rng = random.Random(1618033)
-        fast = Policy(j_max=4, k_max=10, cert_budget=5)
+        fast = Policy(j_max=4, k_max=10)
 
         # (i) |u_k| verdict equivalence
         for _ in range(1000):

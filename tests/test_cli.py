@@ -1,7 +1,10 @@
+import ast
+import dataclasses
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,6 +12,7 @@ from hypothesis import example, given, strategies as st
 from conftest import within_seconds
 from linfweak.cli import main, run
 from linfweak.corpus import FAMILIES
+from linfweak.engine import Policy
 from linfweak.literals import (LiteralError, parse_base_formula, parse_piecewise,
                                parse_rat, parse_set)
 from linfweak.problemfile import TASKS, ProblemError, parse_problem_text
@@ -44,6 +48,13 @@ class TestProblemFiles:
     def test_unknown_task(self):
         with pytest.raises(ProblemError):
             parse_problem_text("task = fly\n")
+
+    @pytest.mark.parametrize("line, col", [("task = as", 8), ("  task=fly", 8)])
+    def test_unknown_task_reported_at_its_value(self, line, col):
+        # 'as' also occurs inside the key 'task'; the value starts at column 8
+        with pytest.raises(ProblemError, match="unknown task") as exc:
+            parse_problem_text(line + "\n")
+        assert (exc.value.line, exc.value.col) == (1, col)
 
     def test_missing_required(self):
         with pytest.raises(ProblemError):
@@ -384,6 +395,17 @@ class TestBudgets:
         assert err.startswith("input error: subseq must list strictly increasing "
                               "indices in [1, 48] (budget-k)")
 
+    @pytest.mark.parametrize("line, message", [
+        ("budget-j = 1_2", "budget-j must be an integer, got '1_2'"),
+        ("subseq = 1_0, 2_0", "subseq must name strategies"),
+    ])
+    def test_integer_field_reads_only_digits(self, tmp_path, line, message):
+        # int() would read '1_2' as 12; the grammar's digits have no '_'
+        cfg = write(tmp_path, "p.cfg", f"task = weaknull\nfamily = tents\n{line}\n")
+        code, out, err = invoke(["weaknull", cfg])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: " + message)
+
     def test_explicit_subseq_up_to_budget_k_accepted(self, tmp_path):
         cfg = write(tmp_path, "p.cfg",
                     "task = weaknull\nfamily = tents\nsubseq = 1, 3, 60\n")
@@ -546,3 +568,18 @@ class TestParserFuzz:
                 parse(text)
             except (LiteralError, SetAlgebraError):
                 pass
+
+
+def test_every_policy_field_is_set_by_the_cli():
+    """Policy holds only what a problem file can set: each field is assigned
+    (`policy.name = ...`) in `cli._policy_from`.  The scan reads source text
+    and imports none of it."""
+    path = Path(__file__).resolve().parents[1] / "src" / "linfweak" / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_policy_from")
+    assigned = {target.attr for node in ast.walk(body) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Attribute)}
+    fields = {f.name for f in dataclasses.fields(Policy)}
+    assert "j_max" in fields and "strategies" in fields
+    assert not fields - assigned

@@ -56,7 +56,7 @@ def rebuilt_table(family, policy, window=None):
     alphas = policy.alpha_grid or default_alpha_grid(family, min(policy.k_max, 12))
     rows = []
     for alpha in alphas:
-        for name, strat in policy.resolved_strategies():
+        for name, strat in policy.strategies:
             for J in range(1, policy.j_max + 1):
                 subseq = [strat(j) for j in range(1, J + 1)]
                 if subseq[-1] > policy.k_max:

@@ -284,7 +284,7 @@ class TestStructure:
         assert ref_ae_equal(mapped.term(4), fam.term(4).abs_fn())
 
     def test_summable_terms_are_layer_sums(self):
-        fam = summable_disjoint(4)
+        fam = summable_disjoint()
         u1 = fam.term(1)
         x = F(3, 4) * (1 + F(3, 16))  # inside layer 1, k=1 block? probe exact:
         # layer i block at k: [2^-i (1 + 2^-(k+1)), 2^-i (1 + 2^-k))

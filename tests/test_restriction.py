@@ -213,7 +213,7 @@ class TestHat:
     def test_dichotomy_never_fractional(self):
         for base in (escaping_base(), dirac_base(), app3_base(),
                      closed_dirac_base()):
-            rb = hat(CompositeFA([(F(1), base)]), validate=False)
+            rb = hat(CompositeFA([(F(1), base)]))
             assert rb.is_zero() or \
                 (len(rb.point_masses) == 1 and rb.point_masses[0][1] == 1)
 
@@ -276,7 +276,7 @@ class TestMinimax:
         dens = PiecewiseFn.constant(X01, F(1, 4))
         nu = CompositeFA([(F(2, 3), dirac_base()), (F(1, 3), escaping_base())],
                          density=dens)
-        rb = hat(nu, validate=False)
+        rb = hat(nu)
         for b in (S(opened(0, F(1, 2))), S(opened(F(1, 3), F(2, 3))),
                   S(ico(F(1, 2), 1))):
             v = rb.measure_of(b)
@@ -516,7 +516,7 @@ class TestMemberCache:
         monkeypatch.setattr(BaseFormula, "raw_at", counting)
         dirac, escape = affine_dirac(F(7, 20), F(1, 6), F(1, 8)), affine_escape(F(1, 3))
         nu = CompositeFA([(F(3, 2), dirac), (F(2), escape)])
-        assert hat(nu, validate=True).point_masses == ((F(7, 20), F(3, 2)),)
+        assert hat(nu).point_masses == ((F(7, 20), F(3, 2)),)
         wit = singularity_witness(nu, F(3, 2))
         assert wit.measures == tuple(F(7, 24) / n for n in range(1, 9))
         assert {f for f, _ in built} == {id(dirac.formula), id(escape.formula)}
