@@ -10,9 +10,18 @@ alpha, so the engine certifies nullity only through one of the schemes below
 certifies non-nullity through a kernel or norm-floor witness.  Everything
 else is reported as Inconclusive together with the exact evidence table.
 
-Schemes, tried in `_LEADING_SCHEMES` then `_NONNULL_SCHEMES` order, read
-only what a family declares (its certificates and `eventual_tail`), never
-its class; the first verdict wins:
+A verdict rule is rule(family, x0, policy) -> Verdict | None, at a point
+x0 of the one-point compactification, or on the whole carrier when x0 is
+None.  Rules read only what a family declares (its certificates,
+`eventual_tail` and `tail_ray`), never its class, and one rule reads each
+declaration that both scopes use.  One walk, `_first`, tries rules in order
+and the first verdict wins; given rivals, it checks a null verdict against
+them, and a family on which a rival also gives a verdict is rejected as
+inconsistent.  Both entry points first check the norm bound and every
+certificate (`_checked_reports`).
+
+The global walk (`test_weak_null`) is `_LEADING` then `_NONNULL`, a null
+verdict checked against `_NONNULL`:
   eventual-constant      families whose terms equal one tail f from some
                          k0 on (`eventual_tail`): null iff f = 0 a.e.
   summable-disjoint      supports inside L layers of disjoint sets
@@ -27,12 +36,35 @@ its class; the first verdict wins:
                          Dini-type equivalence) refutes nullity
   divisibility-point-witness  certified norm floors at the points of a
                          `PointFloor` (sin(1/(kx))) refute nullity
-The last three can only certify non-nullity.  A null verdict is checked
-against each of them, and a family on which one of them also gives a
-verdict is rejected as inconsistent.  The certificate checks, the first
-five schemes and that check are `_certified_verdict`, which a localized
-question shares (`localize.test_weak_null_at`).  Every family takes this
-one walk.
+The last three certify non-nullity only.
+
+The local walk (`_LOCAL`, for `localize.test_weak_null_at`) reads exact
+limit values at x0.  Kernels inside the superlevel sets that keep positive
+measure in every neighborhood of x0 refute nullity there; a bound on |u_k|
+for every k >= k0 with no positive limit value at x0 certifies it, with k0
+<= k_max where k0 is searched:
+  global-<scheme>        the `_LEADING` walk, with its check, finds the
+                         family null; restricting terms to a window only
+                         shrinks every superlevel intersection
+  local-eventual-constant  the eventual tail f at x0: the kernel A_{t/2}(f)
+                         when |f| has a limit value t > 0 there, else null
+  local-translate-tail   at inf, the ray the family declares (`tail_ray`)
+  local-superlevel-kernel  the kernels of a `SuperlevelKernel` whose
+                         `accumulation` is x0
+  local-lower-envelope   the kernel A_{t/2}(f) of a `LowerEnvelope` floor f
+                         with a limit value t > 0 at x0
+  local-point-floor      the floor points of a `PointFloor`, which
+                         accumulate at 0 and, through 0, at inf
+  local-support-envelope  a `SupportEnvelope` whose envelope(k0) no longer
+                         accumulates at x0
+  local-monotone-vanishing  |u_k0| of a `MonotoneEnvelope` family
+  local-decay-envelope   a `DecayEnvelope`, at a finite x0 > 0:
+                         |u_k| <= 2/(k x0) on (x0/2, 3 x0/2)
+A point never builds the global non-null witnesses or the global evidence
+table, which say nothing about it.  The kernel witness's check that no
+kernel exceeds the intersection it certifies follows from the certificate
+check (`CERT_BUDGET`), so a wrong kernel raises at a point as it does
+globally.
 """
 
 from __future__ import annotations
@@ -44,12 +76,14 @@ from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 from .enclosure import RatInterval
-from .families import (CertificateError, CertReport, DisjointLayers,
-                       DisjointSupports, EscapeBound, MonotoneEnvelope,
-                       NormLimit, PointFloor, SequenceFamily, SuperlevelKernel,
-                       verify_certificate, verify_norm_bound)
+from .families import (CertificateError, CertReport, DecayEnvelope, DisjointLayers,
+                       DisjointSupports, EscapeBound, LowerEnvelope,
+                       MonotoneEnvelope, NormLimit, PointFloor, SequenceFamily,
+                       SuperlevelKernel, SupportEnvelope, verify_certificate,
+                       verify_norm_bound)
 from .piecewise import PiecewiseFn, min_of
-from .points import WitnessPoint
+from .points import (ExtPoint, WitnessPoint, _limit_values, accumulates_at,
+                     escape_points)
 from .rational import min_abs
 from .sets import IntervalSet, POS_INF, rat
 
@@ -301,10 +335,9 @@ def _check_subseq(subseq, J):
 
 def test_weak_null(family: SequenceFamily, policy: Optional[Policy] = None) -> Verdict:
     policy = policy or Policy()
-    verdict, reports = _certified_verdict(family, policy)
-    if verdict is None:
-        verdict = (_first_verdict(_NONNULL_SCHEMES, family, policy)
-                   or _inconclusive(family, policy))
+    reports = _checked_reports(family, policy)
+    verdict = (_first(_LEADING + _NONNULL, family, None, policy, rivals=_NONNULL)
+               or _inconclusive(family, policy))
     verdict.cert_reports = reports
     return verdict
 
@@ -312,16 +345,13 @@ def test_weak_null(family: SequenceFamily, policy: Optional[Policy] = None) -> V
 test_weak_null.__test__ = False  # not a pytest case
 
 
-def _certified_verdict(family: SequenceFamily,
-                      policy: Policy) -> tuple[Optional[Verdict], list[CertReport]]:
-    """The part of the verdict that a localized question shares with the
-    global one, for every family: the norm bound and every certificate
-    checked (a failure raises `CertificateError`), then the first verdict
-    of `_LEADING_SCHEMES`, or None.  A null verdict is checked
-    against every scheme of `_NONNULL_SCHEMES`, and one that also gives a
-    verdict raises `EngineError`.  Returns the verdict and the certificate
-    reports."""
-    _check_norm_bound(family, policy)
+def _checked_reports(family: SequenceFamily, policy: Policy) -> list[CertReport]:
+    """The certificate reports, after checking the norm bound and every
+    certificate; a failure raises `CertificateError`."""
+    nb = verify_norm_bound(family, min(CERT_BUDGET, policy.k_max))
+    if not nb.passed:
+        raise CertificateError(f"norm bound check failed: {nb.detail}",
+                               k=nb.counterexample_k, witness=nb.witness)
     reports = [verify_certificate(family, c, CERT_BUDGET)
                for c in family.certificates]
     for rep in reports:
@@ -329,30 +359,20 @@ def _certified_verdict(family: SequenceFamily,
             raise CertificateError(
                 f"certificate {rep.certificate} failed: {rep.detail}",
                 k=rep.counterexample_k, witness=rep.witness)
-    verdict = _first_verdict(_LEADING_SCHEMES, family, policy)
+    return reports
+
+
+def _first(rules, family, x0, policy, rivals=()) -> Optional[Verdict]:
+    """The first verdict of the rules at x0, or None; a rival that also
+    gives a verdict where the rules give a null one raises `EngineError`."""
+    verdict = next(filter(None, (rule(family, x0, policy) for rule in rules)), None)
     if verdict is not None and verdict.is_null:
-        refuted = _first_verdict(_NONNULL_SCHEMES, family, policy)
+        refuted = _first(rivals, family, x0, policy)
         if refuted is not None:
             raise EngineError(
                 f"inconsistent family {family.name}: scheme {verdict.scheme} "
                 f"certifies nullity but {refuted.scheme} certifies non-nullity")
-    return verdict, reports
-
-
-def _check_norm_bound(family, policy):
-    nb = verify_norm_bound(family, min(CERT_BUDGET, policy.k_max))
-    if not nb.passed:
-        raise CertificateError(f"norm bound check failed: {nb.detail}",
-                               k=nb.counterexample_k, witness=nb.witness)
-
-
-def _first_verdict(schemes, family, policy) -> Optional[Verdict]:
-    """The verdict of the first scheme that gives one, tried in order."""
-    for scheme in schemes:
-        verdict = scheme(family, policy)
-        if verdict is not None:
-            return verdict
-    return None
+    return verdict
 
 
 _TRUST_NOTE = (f"certificates verified exactly for k <= {CERT_BUDGET} and "
@@ -376,26 +396,77 @@ def _spot_alpha(family, policy) -> Fraction:
     return alpha
 
 
-def _try_eventual_constant(family, policy):
-    found = family.eventual_tail()
+def _top_limit(u: PiecewiseFn, x0: ExtPoint) -> Fraction:
+    """The largest limit value of |u| at x0 (0 when there is none)."""
+    return max(map(abs, _limit_values(u, x0)), default=Fraction(0))
+
+
+def _local_kernel(family, x0, policy, scheme, alpha, k0, kernel, why,
+                  evidence=None) -> Verdict:
+    """Non-null at x0: kernel(k) lies in A_alpha(u_j) for k0 < j <= k and
+    keeps positive measure in every neighborhood of x0."""
+    wit = kernel_witness(alpha, k0, kernel, policy.j_max)
+    return Verdict(family.name, NONNULL, scheme=scheme, witness=wit,
+                   evidence={"x0": str(x0), **(evidence or {}), "alpha": alpha},
+                   trust="kernel(k_J) lies in A_alpha(u_kj) for every "
+                         "j <= J and has positive measure in every "
+                         "neighborhood of the point, so no finite "
+                         "superlevel intersection restricted to one is "
+                         "null; " + why)
+
+
+def _constant_kernel(family, x0, policy, scheme, floors, k0, why) -> Optional[Verdict]:
+    """`_local_kernel` with the kernel A_{t/2}(f) of the first lower bound
+    f of |u_k| among floors with a largest limit value t > 0 of |f| at x0;
+    None when there is none."""
+    for floor in floors:
+        top = _top_limit(floor, x0)
+        if top > 0:
+            kset = floor.superlevel(top / 2)
+            return _local_kernel(family, x0, policy, scheme, top / 2, k0, lambda k: kset,
+                                 f"the constant kernel A_alpha(f), where |f| has the "
+                                 f"limit value {top} = 2 alpha at the point; {why}")
+    return None
+
+
+def _local_vanishing(family, x0, scheme, k0s, bound) -> Optional[Verdict]:
+    """Null at x0 from the first k0 of k0s on, at which a bound on |u_k|
+    for every k >= k0 has no positive limit value at x0; None when k0s is
+    empty."""
+    k0 = next(iter(k0s), None)
+    if k0 is None:
+        return None
+    return Verdict(family.name, NULL, scheme=scheme,
+                   evidence={"x0": str(x0), "vanishing_from": k0},
+                   trust=f"the bound has no positive limit value at the point, so "
+                         f"from k = {k0} on every superlevel set of the terms is "
+                         f"null on some neighborhood of it; " + bound.format(k0=k0))
+
+
+def _eventual_tail(family, x0, policy):
+    found = family.eventual_tail(x0)
     if found is None:
         return None
-    start, tail = found
-    c = tail.ess_sup_norm()
-    if c == 0:
+    k0, tail = found
+    if x0 is not None:
+        return (_constant_kernel(family, x0, policy, "local-eventual-constant", [tail], k0,
+                                 f"u_k equals the tail f near the point for k >= {k0}; exact")
+                or _local_vanishing(family, x0, "local-eventual-constant", [k0],
+                                    "u_k equals the tail near the point for k >= {k0}; exact"))
+    top = tail.ess_sup_norm()
+    if top == 0:
         return Verdict(family.name, NULL, scheme="eventual-constant",
-                       evidence={"tail_norm": c, "list_length": start},
+                       evidence={"tail_norm": top, "list_length": k0},
                        trust="exact: the repeated tail term vanishes a.e.")
-    alpha = c / 2
-    kernel_set = tail.superlevel(alpha)
-    wit = kernel_witness(alpha, start, lambda k: kernel_set, policy.j_max)
+    kernel_set = tail.superlevel(top / 2)
+    wit = kernel_witness(top / 2, k0, lambda k: kernel_set, policy.j_max)
     return Verdict(family.name, NONNULL, scheme="eventual-constant", witness=wit,
-                   evidence={"tail_norm": c},
+                   evidence={"tail_norm": top},
                    trust="exact: along the repeated tail every intersection "
                          "equals a fixed positive-measure superlevel set")
 
 
-def _try_summable_disjoint(family, policy):
+def _summable_disjoint(family, x0, policy):
     certs = family.certificates_of(DisjointLayers)
     if not certs:
         return None
@@ -422,7 +493,7 @@ def _try_summable_disjoint(family, policy):
                          "subsequence; " + _TRUST_NOTE)
 
 
-def _try_disjoint_supports(family, policy):
+def _disjoint_supports(family, x0, policy):
     if not family.certificates_of(DisjointSupports):
         return None
     alpha = _spot_alpha(family, policy)
@@ -442,7 +513,9 @@ def _try_disjoint_supports(family, policy):
                          "intersection for every alpha; " + _TRUST_NOTE)
 
 
-def _try_escape_bound(family, policy):
+def _escape_bound(family, x0, policy):
+    """v_J = 0 along the identity is checked at J_bound when J_bound <=
+    j_max + 4; otherwise the row and the trust say that it was skipped."""
     certs = family.certificates_of(EscapeBound)
     if not certs:
         return None
@@ -450,20 +523,22 @@ def _try_escape_bound(family, policy):
     w, step = rat(cert.width), rat(cert.step)
     j_bound = math.floor(2 * w / step) + 2
     row = {"window": w, "J_bound": j_bound}
+    trust = ("supp(u_k) lies in [-K - k*step, K - k*step], so at most "
+             "floor(2K/step)+1 translates meet any point and any "
+             "J >= floor(2K/step)+2 indices force v_J = 0; ")
     if j_bound <= policy.j_max + 4:
         *_, (_, vj) = _prefix_minima(family, range(1, j_bound + 1), {})
         row["identity_norm"] = vj.ess_sup_norm()
         if row["identity_norm"] != 0:
             raise EngineError("escape counting bound violated on identity")
+    else:
+        row["identity_check"] = f"skipped: J_bound > budget-j + 4 = {policy.j_max + 4}"
+        trust += f"v_J = 0 along the identity was {row['identity_check']}; "
     return Verdict(family.name, NULL, scheme="escape-bound",
-                   evidence={"table": [row], "step": step},
-                   trust="supp(u_k) lies in [-K - k*step, K - k*step], so at "
-                         "most floor(2K/step)+1 translates meet any point and "
-                         "any J >= floor(2K/step)+2 indices force v_J = 0; "
-                         + _TRUST_NOTE)
+                   evidence={"table": [row], "step": step}, trust=trust + _TRUST_NOTE)
 
 
-def _try_norm_limit_null(family, policy):
+def _norm_limit(family, x0, policy):
     for cert in family.certificates_of(NormLimit):
         if cert.limit == 0:
             norms = {k: family.term(k).ess_sup_norm()
@@ -492,11 +567,17 @@ def _checked_kernel_witness(family, cert, policy):
     return wit
 
 
-def _try_kernel_witness(family, policy):
-    certs = family.certificates_of(SuperlevelKernel)
-    if not certs:
+def _superlevel_kernel(family, x0, policy):
+    cert = next((c for c in family.certificates_of(SuperlevelKernel)
+                 if x0 is None or c.accumulation == x0), None)
+    if cert is None:
         return None
-    wit = _checked_kernel_witness(family, certs[0], policy)
+    if x0 is not None:
+        return _local_kernel(family, x0, policy, "local-superlevel-kernel", cert.alpha,
+                             0, cert.kernel, "the kernels, their nesting and their "
+                             "accumulation at the point verified up to the "
+                             "certificate budget and trusted beyond")
+    wit = _checked_kernel_witness(family, cert, policy)
     return Verdict(family.name, NONNULL, scheme="superlevel-kernel", witness=wit,
                    evidence={"alpha": wit.alpha},
                    trust="kernel(k_J) is nested inside every A_alpha(u_kj), "
@@ -504,10 +585,16 @@ def _try_kernel_witness(family, policy):
                          "the intersection; " + _TRUST_NOTE)
 
 
-def _try_monotone_nonnull(family, policy):
-    monotone = family.certificates_of(MonotoneEnvelope)
+def _monotone_envelope(family, x0, policy):
+    if not family.certificates_of(MonotoneEnvelope):
+        return None
+    if x0 is not None:
+        return _local_vanishing(
+            family, x0, "local-monotone-vanishing",
+            (k for k in range(1, policy.k_max + 1) if _top_limit(family.term(k), x0) == 0),
+            "|u_k| <= |u_{k0}| for k >= {k0}; exact given the monotone certificate")
     limits = [c for c in family.certificates_of(NormLimit) if c.limit > 0]
-    if not monotone or not limits:
+    if not limits:
         return None
     cert = limits[0]
     alpha = cert.limit / 2
@@ -524,10 +611,17 @@ def _try_monotone_nonnull(family, policy):
                          + _TRUST_NOTE)
 
 
-def _floor_witness(family, cert: PointFloor, policy) -> NormFloorWitness:
-    """The floors of the certificate for J <= min(j_max, 5), each certified
-    by one enclosure of |u_kj(x_J)| per j <= J (`witness_lower_bound`);
-    raises `EngineError` where one is not certified."""
+def _point_floor(family, x0, policy):
+    """The floors for J <= min(j_max, 5) of the first `PointFloor`, each
+    certified by one enclosure of |u_kj(x_J)| per j <= J
+    (`witness_lower_bound`); one that is not raises `EngineError`."""
+    certs = family.certificates_of(PointFloor)
+    # the x_J tend to 0, so they accumulate there and, through 0, at inf
+    if not certs or (x0 is not None and not (
+            0 in escape_points(family.domain.carrier)[0] if x0.is_infinite
+            else x0.x == 0)):
+        return None
+    cert = certs[0]
     chain, points = cert.points(min(policy.j_max, 5))
     rows = []
     for J, x in enumerate(points, start=1):
@@ -536,33 +630,83 @@ def _floor_witness(family, cert: PointFloor, policy) -> NormFloorWitness:
             raise EngineError(f"norm floor not certified at J={J}: {wb.status}")
         rows.append({"J": J, "indices": chain[:J], "point": str(x), "floor": cert.delta,
                      "enclosure_los": [e.lo for e in wb.enclosures]})
-    return NormFloorWitness(chain, cert.delta, rows)
+    wit = NormFloorWitness(chain, cert.delta, rows)
+    if x0 is None:
+        return Verdict(family.name, NONNULL, scheme="divisibility-point-witness",
+                       witness=wit,
+                       evidence={"delta": wit.delta, "subsequence": wit.subsequence},
+                       trust=f"norm floors certified for J <= {len(wit.rows)}; the "
+                             f"nested midpoint construction extends to every J, and "
+                             f"any other subsequence carries a prime-power witness "
+                             f"instead (declared)")
+    return Verdict(family.name, NONNULL, scheme="local-point-floor",
+                   witness=wit, evidence={"x0": str(x0), "delta": wit.delta},
+                   trust="every neighborhood W of the point holds x_J for "
+                         "J >= some J0; for alpha < delta, continuity at x_J "
+                         "gives the J-fold superlevel intersection positive "
+                         "measure in W, and for J < J0 it holds the J0-fold one; "
+                         f"norm floors certified for J <= {len(wit.rows)}; "
+                         "the nested midpoint construction extends to "
+                         "every J (declared)")
 
 
-def _try_point_floor(family, policy):
-    """Non-null along the `PointFloor` chain, where v_J keeps the floor at
-    x_J for every J."""
-    certs = family.certificates_of(PointFloor)
-    if not certs:
+def _global_null(family, x0, policy):
+    verdict = _first(_LEADING, family, None, policy, rivals=_NONNULL)
+    if verdict is None or not verdict.is_null:
         return None
-    wit = _floor_witness(family, certs[0], policy)
-    return Verdict(family.name, NONNULL, scheme="divisibility-point-witness", witness=wit,
-                   evidence={"delta": wit.delta, "subsequence": wit.subsequence},
-                   trust=f"norm floors certified for J <= {len(wit.rows)}; the "
-                         f"nested midpoint construction extends to every J, and "
-                         f"any other subsequence carries a prime-power witness "
-                         f"instead (declared)")
+    return Verdict(family.name, NULL, scheme="global-" + verdict.scheme,
+                   evidence={"x0": str(x0), "from_global": True},
+                   trust="globally null, hence null at every point: restricting "
+                         "terms to a window only shrinks every superlevel "
+                         "intersection; " + verdict.trust)
 
 
-# Tried in order by `_certified_verdict`; the first verdict wins.  All but
-# eventual-constant can only certify nullity.
-_LEADING_SCHEMES = (_try_eventual_constant, _try_summable_disjoint,
-                    _try_disjoint_supports, _try_escape_bound,
-                    _try_norm_limit_null)
+def _translate_tail(family, x0, policy):
+    ray = family.tail_ray() if x0.is_infinite else None
+    if ray is None:
+        return None
+    alpha, kernel, limits = ray
+    return _local_kernel(family, x0, policy, "local-translate-tail", alpha, 0, kernel,
+                         "the profile keeps |value| > alpha on an unbounded ray, which "
+                         "has infinite measure in every neighborhood of infinity; exact",
+                         {"tail_limits": tuple(map(str, limits))})
 
-# Schemes that can only certify non-nullity, tried in order after
-# `_LEADING_SCHEMES`; a null verdict is checked against each of them.
-_NONNULL_SCHEMES = (_try_kernel_witness, _try_monotone_nonnull, _try_point_floor)
+
+def _lower_envelope(family, x0, policy):
+    return _constant_kernel(family, x0, policy, "local-lower-envelope",
+                            [c.floor for c in family.certificates_of(LowerEnvelope)], 0,
+                            "|u_k| >= |f| verified up to the certificate budget and "
+                            "trusted beyond")
+
+
+def _support_envelope(family, x0, policy):
+    carrier = family.domain.carrier
+    return _local_vanishing(family, x0, "local-support-envelope",
+                            (k for c in family.certificates_of(SupportEnvelope)
+                             for k in range(1, policy.k_max + 1)
+                             if not accumulates_at(c.envelope(k), x0, carrier)),
+                            "supp(u_k) lies in the nested envelope({k0}) for k >= {k0}; "
+                            "envelope verified up to the certificate budget")
+
+
+def _decay_envelope(family, x0, policy):
+    if not family.certificates_of(DecayEnvelope) or x0.is_infinite or x0.x <= 0:
+        return None
+    a = x0.x / 2
+    return Verdict(family.name, NULL, scheme="local-decay-envelope",
+                   evidence={"x0": str(x0), "window": f"({a},{3 * a})",
+                             "norm_envelope": f"1/(k*{a})"},
+                   trust=f"|u_k(x)| <= 1/(kx) <= 1/({a} k) on the window, "
+                         f"a declared strong-convergence envelope")
+
+
+# The two walks of the module docstring.
+_LEADING = (_eventual_tail, _summable_disjoint, _disjoint_supports, _escape_bound,
+            _norm_limit)
+_NONNULL = (_superlevel_kernel, _monotone_envelope, _point_floor)
+_LOCAL = (_global_null, _eventual_tail, _translate_tail, _superlevel_kernel,
+          _lower_envelope, _point_floor, _support_envelope, _monotone_envelope,
+          _decay_envelope)
 
 
 def _inconclusive(family, policy):

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 from .enclosure import RatInterval, pi_enclosure, sin_of_pi_multiple, sin_of_rational
 from .numtheory import dyadic_divisibility_subsequence, nested_midpoint
-from .piecewise import PiecewiseFn
+from .piecewise import PiecewiseFn, UnsupportedOperationError
 from .points import ExtPoint, WitnessPoint, accumulates_at
 from .rational import deviates, max_abs_pair, side
 from .sets import (Domain, IntervalSet, closed, first_overlap, ico, ioc,
@@ -572,7 +572,8 @@ class MappedStepFamily(SequenceFamily):
     A term is one `PiecewiseFn.compose_poly` with p - p(0), the coefficients
     with c0 replaced by 0: p(u_k) - p(0) has the pieces of p(u_k).  An
     inner family without piecewise terms (`has_piecewise_terms`) is
-    refused."""
+    refused, and so is an inner u_k that is not a step function
+    (`is_step`): u_1 as the image is built, a later u_k with its term."""
 
     def __init__(self, inner: SequenceFamily, coeffs: Sequence[Fraction],
                  name: Optional[str] = None):
@@ -591,9 +592,14 @@ class MappedStepFamily(SequenceFamily):
         self.inner = inner
         self.coeffs = coeffs
         self._shifted = [Fraction(0)] + coeffs[1:]
+        self.term(1)
 
     def _term(self, k):
-        return self.inner.term(k).compose_poly(self._shifted)
+        try:
+            return self.inner.term(k).compose_poly(self._shifted)
+        except UnsupportedOperationError:  # u_k is not a step function
+            raise ValueError(f"a polynomial image needs step terms; u_{k} of "
+                             f"{self.inner.name} is not one") from None
 
 
 class SinTermHandle:

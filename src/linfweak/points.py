@@ -1,5 +1,6 @@
 """Points of the one-point compactification, the exact test of a set
-accumulating at one, and symbolic witness points."""
+accumulating at one, the limit values of a piecewise function at one, and
+symbolic witness points."""
 
 from __future__ import annotations
 
@@ -75,6 +76,19 @@ def accumulates_at(s: IntervalSet, x0: ExtPoint, carrier: IntervalSet) -> bool:
     return any(not p.is_point() and
                (not p.is_bounded() or any(p.lo <= q <= p.hi for q in escapes))
                for p in s.parts)
+
+
+def _limit_values(u, x0: ExtPoint):
+    """The limit value at x0 of each non-null piece of the piecewise
+    function u whose closure reaches it."""
+    pts = escape_points(u.domain.carrier)[0] if x0.is_infinite else [x0.x]
+    for p in u.pieces:
+        if p.is_null():
+            continue
+        iv = p.interval
+        if x0.is_infinite and not iv.is_bounded():
+            yield p.intercept  # unbounded pieces have slope 0
+        yield from (p.value(q) for q in pts if iv.lo <= q <= iv.hi)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ from linfweak.engine import (EngineError, NONNULL, INCONCLUSIVE, Policy,
                              intersection_measure, test_weak_null, v_inf,
                              witness_lower_bound)
 from linfweak.enclosure import sin_of_pi_multiple
-from linfweak.families import (CertificateError, ExplicitListFamily,
+from linfweak.families import (CertificateError, EscapeBound, ExplicitListFamily,
                                IndicatorFamily, MappedStepFamily, NormLimit,
-                               PointFloor, SinReciprocalFamily, SuperlevelKernel)
+                               PointFloor, SinReciprocalFamily, SuperlevelKernel,
+                               TranslateFamily)
 from linfweak.localize import test_weak_null_at
 from linfweak.numtheory import (dyadic_divisibility_subsequence, lcm_list,
                                 nested_midpoint, prime_power_nondivisor)
@@ -108,6 +109,23 @@ class TestVerdicts:
     def test_verdicts_carry_cert_reports(self):
         v = test_weak_null(tents())
         assert any(r.certificate == "superlevel-kernel" for r in v.cert_reports)
+
+    @pytest.mark.parametrize("j_max", [12, 18])
+    def test_escape_bound_says_when_it_skips_the_identity_check(self, j_max):
+        # J_bound = floor(2 * 10 / 1) + 2 = 22 is checked only up to j_max + 4
+        line = Domain.real_line()
+        fam = TranslateFamily(PiecewiseFn.indicator(line, IntervalSet.of(opened(-10, 10))),
+                              name="wide-escape", certificates=(EscapeBound(10, 1),))
+        v = test_weak_null(fam, Policy(j_max=j_max))
+        (row,) = v.evidence["table"]
+        assert (v.scheme, row["J_bound"]) == ("escape-bound", 22)
+        skipped = "skipped: J_bound > budget-j + 4 = 16"
+        if j_max + 4 >= 22:
+            assert row["identity_norm"] == 0 and "identity_check" not in row
+            assert "skipped" not in v.trust
+        else:
+            assert "identity_norm" not in row and row["identity_check"] == skipped
+            assert f"v_J = 0 along the identity was {skipped}; " in v.trust
 
 
 class TestSpotAlpha:

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import shifted
 from linfweak import engine, localize
-from linfweak.corpus import family_by_name
+from linfweak.corpus import LOCAL_CORPUS, family_by_name
 from linfweak.engine import (INCONCLUSIVE, EngineError, Policy,
                              default_alpha_grid, intersection_measure,
                              test_weak_null)
@@ -201,7 +201,7 @@ class TestIdentityGuard:
 
 
 def _never(*args):
-    raise AssertionError("the global evidence table was built")
+    raise AssertionError("a global witness or table was built")
 
 
 class TestLocalQuestionBuildsNoGlobalTable:
@@ -226,6 +226,17 @@ class TestLocalQuestionBuildsNoGlobalTable:
         want = [w for w in (neighborhood(family.domain, x0, ell)
                             for ell in range(1, ell_max + 1)) if not w.is_empty()]
         assert windows == want
+
+    @pytest.mark.parametrize("name,pt,expected", LOCAL_CORPUS,
+                             ids=[f"{n}@{p}" for n, p, _ in LOCAL_CORPUS])
+    def test_no_global_kernel_witness_or_table(self, name, pt, expected,
+                                               monkeypatch):
+        # the global kernel witness and table decide only a global non-null
+        # or inconclusive verdict, which says nothing about the point
+        monkeypatch.setattr(engine, "_checked_kernel_witness", _never)
+        monkeypatch.setattr(engine, "_inconclusive", _never)
+        verdict = test_weak_null_at(family_by_name(name), ExtPoint.parse(pt), Policy())
+        assert verdict.kind == expected
 
 
 class TestOneBuildPerCall:

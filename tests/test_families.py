@@ -268,6 +268,20 @@ class TestMappedStep:
                                              "terms; sin-reciprocal has none$"):
             MappedStepFamily(SinReciprocalFamily(), [0, 1])
 
+    @pytest.mark.parametrize("name,k", [("sided-translates", 1),
+                                        ("escape-translates", 1), ("tents", 2)])
+    def test_an_inner_family_with_sloped_terms_is_refused(self, name, k):
+        # u_1 is built with the image, so a sloped u_1 is refused there; the
+        # tents' u_1 is 1 on (-1,0) u (0,1), and their u_2 is refused when
+        # the verdict builds it
+        with pytest.raises(ValueError, match=f"^a polynomial image needs step "
+                                             f"terms; u_{k} of {name} is not one$"):
+            test_weak_null(MappedStepFamily(family_by_name(name), [0, 0, 1]))
+
+    def test_a_sloped_u1_is_refused_with_the_image(self):
+        with pytest.raises(ValueError, match="u_1 of sided-translates"):
+            MappedStepFamily(family_by_name("sided-translates"), [0, 1])
+
 
 class TestStructure:
     @given(st.integers(1, 12), st.sampled_from([F(1, 4), F(1, 2), F(7, 8)]))

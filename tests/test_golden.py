@@ -3,8 +3,11 @@
 Each golden file under ``tests/golden/`` is the `strip_volatile` report of
 one CLI problem: the `corpus` task, `weaknull` for every named family,
 `weaknull-at` for every `LOCAL_CORPUS` item and `restrict` for each of
-`RESTRICT_PROBLEMS`.  A kernel change that keeps the
-verdicts must keep these files unchanged.  After a deliberate change of
+`RESTRICT_PROBLEMS`.  ``local-schemes.txt`` is the scheme sweep: the kind
+and scheme of the global verdict and of the verdict at every `SWEEP_POINTS`
+point in the closure of the domain, for every named family and its |u_k|
+image.  A kernel change that keeps the verdicts must keep these files
+unchanged.  After a deliberate change of
 report content, regenerate them all from the repository root with
 
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.regenerate()"
@@ -19,7 +22,10 @@ from pathlib import Path
 import pytest
 
 from linfweak.cli import main
-from linfweak.corpus import FAMILIES, LOCAL_CORPUS
+from linfweak.corpus import FAMILIES, LOCAL_CORPUS, family_by_name
+from linfweak.engine import Policy, test_weak_null
+from linfweak.localize import in_closure, test_weak_null_at
+from linfweak.points import ExtPoint
 from linfweak.reporting import strip_volatile
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,11 +76,40 @@ def _report(task: str, text: str, tmp_dir: Path) -> str:
     return strip_volatile(out.getvalue())
 
 
+# points of the scheme sweep: both sides of 0 at several scales, the ends
+# of the corpus domains and a point beyond them
+SWEEP_POINTS = ["inf", "0", *(f"{sign}{x}" for x in ("1/100", "1/30", "1/20",
+                                                      "1/8", "1/2", "1", "3")
+                              for sign in ("", "-")), "44/7"]
+
+
+def _scheme_sweep() -> str:
+    """One line per verdict: family, point ('global' for the global
+    verdict), kind and scheme, under the default policy."""
+    families = []
+    for name in FAMILIES:
+        family = family_by_name(name)
+        families.append(family)
+        if family.has_piecewise_terms():
+            families.append(family.abs_mapped())
+    lines = []
+    for family in families:
+        verdict = test_weak_null(family, Policy())
+        lines.append(f"{family.name} global {verdict.kind} {verdict.scheme}")
+        for pt in SWEEP_POINTS:
+            x0 = ExtPoint.parse(pt)
+            if in_closure(family.domain, x0):
+                verdict = test_weak_null_at(family, x0, Policy())
+                lines.append(f"{family.name} {pt} {verdict.kind} {verdict.scheme}")
+    return "\n".join(lines) + "\n"
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, (task, text) in _problems().items():
             (GOLDEN / name).write_text(_report(task, text, Path(tmp)))
+    (GOLDEN / "local-schemes.txt").write_text(_scheme_sweep())
 
 
 @pytest.mark.parametrize("name", sorted(_problems()))
@@ -96,3 +131,13 @@ def test_one_process_forward_then_reverse_matches_golden(tmp_path):
     for name, (task, text) in problems + problems[::-1]:
         got = _report(task, text, tmp_path)
         assert got == (GOLDEN / name).read_text(), name
+
+
+def test_scheme_sweep_matches_golden():
+    want = (GOLDEN / "local-schemes.txt").read_text()
+    got = _scheme_sweep()
+    if got != want:
+        diff = "".join(difflib.unified_diff(
+            want.splitlines(keepends=True), got.splitlines(keepends=True),
+            "golden/local-schemes.txt", "current sweep"))
+        pytest.fail(f"scheme sweep differs from golden/local-schemes.txt:\n{diff}")

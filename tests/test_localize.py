@@ -7,7 +7,8 @@ from linfweak.corpus import (CORPUS, LOCAL_CORPUS, center_segment,
                              ring_indicators, sided_translates, tents)
 from linfweak.engine import (INCONCLUSIVE, NONNULL, NULL, EngineError, Policy,
                              test_weak_null)
-from linfweak.families import (CertificateError, IndicatorFamily, LowerEnvelope,
+from linfweak.families import (CertificateError, ExplicitListFamily,
+                               IndicatorFamily, LowerEnvelope,
                                SuperlevelKernel, SupportEnvelope, TranslateFamily)
 from linfweak.localize import (accumulates_at, compact_exhaustion,
                                essential_range, essential_range_at,
@@ -470,3 +471,28 @@ class TestLowerEnvelope:
         rep = LowerEnvelope(floor).verify(fam, 20)
         assert not rep.passed and rep.counterexample_k == 6
         assert rep.witness == block
+
+
+class TestExactTailFirst:
+    """The exact eventual tail answers before the rules that trust a
+    certificate past its budget.  The lower envelope 1/2 chi((0,1)) below
+    holds for k <= 24 only, so it passes its check to k = 20, but from
+    k = 25 on u_k = 0 near 1/4."""
+
+    @staticmethod
+    def _late_drop():
+        dom = Domain.open_interval(0, 1)
+        whole, right = IntervalSet.of(opened(0, 1)), IntervalSet.of(opened(F(1, 2), 1))
+        terms = [PiecewiseFn.indicator(dom, whole)] * 24 + [PiecewiseFn.indicator(dom, right)]
+        floor = PiecewiseFn.step(dom, [(whole, F(1, 2))])
+        return ExplicitListFamily(dom, terms, name="late-drop",
+                                  certificates=(LowerEnvelope(floor),))
+
+    def test_tail_answers_before_the_lower_envelope(self):
+        v = test_weak_null_at(self._late_drop(), ExtPoint.at(F(1, 4)), Policy())
+        assert (v.kind, v.scheme) == (NULL, "local-eventual-constant")
+        assert v.evidence == {"x0": "1/4", "vanishing_from": 25}
+
+    def test_global_verdict_is_the_tail(self):
+        v = test_weak_null(self._late_drop(), Policy())
+        assert (v.kind, v.scheme) == (NONNULL, "eventual-constant")

@@ -65,6 +65,11 @@ def main(argv=None) -> int:
                              "seed + 100 w + i")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2 (quartiles need two runs a side), "
+                     f"got {args.pairs}")
+    if not 0 < args.seconds < float("inf"):
+        parser.error(f"--seconds must be positive and finite, got {args.seconds}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
 
