@@ -203,10 +203,13 @@ def family_by_name(name: str) -> SequenceFamily:
     use, so that its term cache serves every later question in the process.
 
     Shared instances are read-only: no caller may assign to one or patch
-    it.  Terms are frozen values and certificates hold pure callables, so a
-    question can only add terms to the cache, never change what another
-    question sees.  `FAMILIES[name]()` and the factory functions still build
-    a fresh family on each call."""
+    it.  Terms are frozen values that keep what is derived from them (|u|,
+    supports, level sets, norms), and certificates keep the sets that their
+    pure callables declare, so a question can only add terms and such
+    values, never change what another question sees.  No verdict, report
+    or check outcome is kept: every check runs on every question.
+    `FAMILIES[name]()` and the factory functions still build a fresh family
+    on each call."""
     if name not in FAMILIES:
         raise KeyError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
     if name not in _SHARED:

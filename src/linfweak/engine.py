@@ -18,7 +18,7 @@ declaration that both scopes use.  One walk, `_first`, tries rules in order
 and the first verdict wins; given rivals, it checks a null verdict against
 them, and a family on which a rival also gives a verdict is rejected as
 inconsistent.  Both entry points first check the norm bound and every
-certificate (`_checked_reports`).
+certificate for k <= `CERT_BUDGET` (`_checked_reports`), whatever k_max is.
 
 The global walk (`test_weak_null`) is `_LEADING` then `_NONNULL`, a null
 verdict checked against `_NONNULL`:
@@ -348,7 +348,7 @@ test_weak_null.__test__ = False  # not a pytest case
 def _checked_reports(family: SequenceFamily, policy: Policy) -> list[CertReport]:
     """The certificate reports, after checking the norm bound and every
     certificate; a failure raises `CertificateError`."""
-    nb = verify_norm_bound(family, min(CERT_BUDGET, policy.k_max))
+    nb = verify_norm_bound(family, CERT_BUDGET)
     if not nb.passed:
         raise CertificateError(f"norm bound check failed: {nb.detail}",
                                k=nb.counterexample_k, witness=nb.witness)
@@ -558,7 +558,7 @@ def _checked_kernel_witness(family, cert, policy):
     12); raises `EngineError` where the kernel's measure exceeds it."""
     checked = dict(_walk(family, list(range(1, min(policy.j_max, 12) + 1)),
                          cert.alpha, _CallStore()))
-    wit = kernel_witness(cert.alpha, 0, cert.kernel, policy.j_max)
+    wit = kernel_witness(cert.alpha, 0, cert.kernel_at, policy.j_max)
     for row in wit.table:
         if row["J"] in checked:
             inter = row["intersection_measure"] = checked[row["J"]]
@@ -574,7 +574,7 @@ def _superlevel_kernel(family, x0, policy):
         return None
     if x0 is not None:
         return _local_kernel(family, x0, policy, "local-superlevel-kernel", cert.alpha,
-                             0, cert.kernel, "the kernels, their nesting and their "
+                             0, cert.kernel_at, "the kernels, their nesting and their "
                              "accumulation at the point verified up to the "
                              "certificate budget and trusted beyond")
     wit = _checked_kernel_witness(family, cert, policy)
@@ -684,7 +684,7 @@ def _support_envelope(family, x0, policy):
     return _local_vanishing(family, x0, "local-support-envelope",
                             (k for c in family.certificates_of(SupportEnvelope)
                              for k in range(1, policy.k_max + 1)
-                             if not accumulates_at(c.envelope(k), x0, carrier)),
+                             if not accumulates_at(c.envelope_at(k), x0, carrier)),
                             "supp(u_k) lies in the nested envelope({k0}) for k >= {k0}; "
                             "envelope verified up to the certificate budget")
 

@@ -22,10 +22,20 @@ that builds no set: the monotone and lower envelopes compare terms by
 `SupportEnvelope`, `EscapeBound` and `DisjointLayers` (one shared loop,
 `_support_report`) by `PiecewiseFn.vanishes_off`.  The norm checks,
 `verify_norm_bound` and `NormLimit`, compare the largest |value| at the
-piece ends (`rational.max_abs_pair`) with M, or with L +- dev, as integer
+piece ends (`PiecewiseFn.norm_pair`) with M, or with L +- dev, as integer
 pairs.  Only a failing check builds its witness, {|u_k| > |u_(k-1)|},
 {|floor| > |u_k|}, supp(u_k) \\ bound(k) or the norm ||u_k||, so every
 failure report keeps its detail, its index and its witness.
+
+Each object a check reads is built once by its owner.  A term keeps |u_k|,
+supp(u_k), A_alpha(u_k) and ||u_k|| once asked (`PiecewiseFn`), and a
+certificate keeps each set it declares, kernel(k), envelope(k), window(k),
+layer_i(k) and their union, on first use (`_declared`, read through
+`kernel_at`, `envelope_at`, `window_at`, `layer_at` and `union_at` by the
+checks, the engine rules and `SummableDisjointFamily._term`).  A declared
+set depends on k alone, so a certificate that several families share is
+still checked on each of them.  No `CertReport` or check outcome is kept:
+every comparison of every check runs on every question.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from .enclosure import RatInterval, pi_enclosure, sin_of_pi_multiple, sin_of_rat
 from .numtheory import dyadic_divisibility_subsequence, nested_midpoint
 from .piecewise import PiecewiseFn, UnsupportedOperationError
 from .points import ExtPoint, WitnessPoint, accumulates_at
-from .rational import deviates, max_abs_pair, side
+from .rational import deviates, side
 from .sets import (Domain, IntervalSet, closed, first_overlap, ico, ioc,
                    is_finite, opened, point, rat)
 
@@ -71,6 +81,25 @@ class CertReport:
     detail: str = ""
     counterexample_k: Optional[int] = None
     witness: Optional[object] = None
+
+
+def _declared(cert, name: str, build: Callable, k: int) -> IntervalSet:
+    """The set that cert declares as name(k), built by build(k) on first
+    use and kept on the certificate instance, outside its dataclass
+    fields.  A declared set depends on k alone, never on the family that
+    the certificate is checked on, so a certificate that several families
+    share keeps one copy; a certificate keeps only these sets, never a
+    check's outcome."""
+    try:
+        sets = cert._declared_sets
+    except AttributeError:
+        sets = {}
+        object.__setattr__(cert, "_declared_sets", sets)
+    key = name, k
+    got = sets.get(key)
+    if got is None:
+        got = sets[key] = build(k)
+    return got
 
 
 def _support_report(name, family, budget, bound, what) -> CertReport:
@@ -131,18 +160,26 @@ class DisjointLayers:
                                       f"tail({I}) = {declared} is below the listed "
                                       f"sum_{{{I}<i<={len(self.layers)}}} |a_i| = {listed}",
                                       witness=listed)
-        built = [[gen(k) for k in range(1, budget + 1)] for gen in self.layers]
-        for idx, sets in enumerate(built):
-            found = first_overlap(sets)
+        for idx in range(len(self.layers)):
+            found = first_overlap([self.layer_at(idx, k) for k in range(1, budget + 1)])
             if found is not None:
                 i, j, overlap = found
                 return CertReport(self.name, False, budget,
                                   f"layer {idx} of {family.name} is not disjoint "
                                   f"at indices {i + 1},{j + 1}",
                                   counterexample_k=j + 1, witness=overlap)
-        return _support_report(self.name, family, budget,
-                               lambda k: IntervalSet.of(*(s[k - 1] for s in built)),
-                               "layers")
+        return _support_report(self.name, family, budget, self.union_at, "layers")
+
+    def layer_at(self, i: int, k: int) -> IntervalSet:
+        """layer_i(k), the set of layer i (from 0) at index k."""
+        return _declared(self, i, self.layers[i], k)
+
+    def union_at(self, k: int) -> IntervalSet:
+        """The union over i of layer_i(k)."""
+        return _declared(self, "union", self._union, k)
+
+    def _union(self, k: int) -> IntervalSet:
+        return IntervalSet.of(*(self.layer_at(i, k) for i in range(len(self.layers))))
 
 
 @dataclass(frozen=True)
@@ -160,7 +197,7 @@ class SuperlevelKernel:
     def verify(self, family, budget) -> CertReport:
         prev = None
         for k in range(1, budget + 1):
-            ker = self.kernel(k)
+            ker = self.kernel_at(k)
             if ker.measure() <= 0:
                 return CertReport(self.name, False, budget, f"kernel({k}) is null",
                                   counterexample_k=k, witness=ker)
@@ -180,11 +217,15 @@ class SuperlevelKernel:
             # each kernel holds the later ones up to a null set, so the
             # kernels accumulate at the point up to the first k that fails
             k = next(k for k in range(1, budget + 1)
-                     if not accumulates_at(self.kernel(k), at, carrier))
+                     if not accumulates_at(self.kernel_at(k), at, carrier))
             return CertReport(self.name, False, budget,
                               f"kernel({k}) does not accumulate at {at}",
-                              counterexample_k=k, witness=self.kernel(k))
+                              counterexample_k=k, witness=self.kernel_at(k))
         return CertReport(self.name, True, budget)
+
+    def kernel_at(self, k: int) -> IntervalSet:
+        """kernel(k)."""
+        return _declared(self, "kernel", self.kernel, k)
 
 
 @dataclass(frozen=True)
@@ -201,10 +242,15 @@ class EscapeBound:
             raise ValueError("an escape bound needs width >= 0 and step > 0")
 
     def verify(self, family, budget) -> CertReport:
+        return _support_report(self.name, family, budget, self.window_at, "window")
+
+    def window_at(self, k: int) -> IntervalSet:
+        """The window [-width - k*step, width - k*step]."""
+        return _declared(self, "window", self._window, k)
+
+    def _window(self, k: int) -> IntervalSet:
         w, step = rat(self.width), rat(self.step)
-        return _support_report(self.name, family, budget,
-                               lambda k: IntervalSet.of(closed(-w - k * step, w - k * step)),
-                               "window")
+        return IntervalSet.of(closed(-w - k * step, w - k * step))
 
 
 @dataclass(frozen=True)
@@ -241,7 +287,7 @@ class NormLimit:
             if dev < 0:
                 return CertReport(self.name, False, budget, "negative deviation bound",
                                   counterexample_k=k)
-            n, d = max_abs_pair(family.term(k).pieces)
+            n, d = family.term(k).norm_pair()
             if deviates(n, d, limit, dev):
                 norm = Fraction(n, d)
                 return CertReport(self.name, False, budget,
@@ -260,13 +306,15 @@ class SupportEnvelope:
     name = "support-envelope"
 
     def verify(self, family, budget) -> CertReport:
-        envs = [self.envelope(k) for k in range(1, budget + 1)]
         for k in range(2, budget + 1):
-            if not envs[k - 1].subset_up_to_null(envs[k - 2]):
+            if not self.envelope_at(k).subset_up_to_null(self.envelope_at(k - 1)):
                 return CertReport(self.name, False, budget,
                                   f"envelope({k}) not nested", counterexample_k=k)
-        return _support_report(self.name, family, budget, lambda k: envs[k - 1],
-                               "envelope")
+        return _support_report(self.name, family, budget, self.envelope_at, "envelope")
+
+    def envelope_at(self, k: int) -> IntervalSet:
+        """envelope(k)."""
+        return _declared(self, "envelope", self.envelope, k)
 
 
 @dataclass(frozen=True)
@@ -557,13 +605,15 @@ class SummableDisjointFamily(SequenceFamily):
         if not layers:
             raise ValueError("need at least one layer")
         self.layers = [(rat(c), gen) for c, gen in layers]
-        declared = DisjointLayers(tuple(gen for _, gen in self.layers),
-                                  tuple(c for c, _ in self.layers), tail_bound)
+        self._disjoint_layers = DisjointLayers(tuple(gen for _, gen in self.layers),
+                                               tuple(c for c, _ in self.layers),
+                                               tail_bound)
         super().__init__(domain, name, sum(abs(c) for c, _ in self.layers),
-                         tuple(certificates) + (declared,))
+                         tuple(certificates) + (self._disjoint_layers,))
 
     def _term(self, k):
-        return PiecewiseFn.step(self.domain, [(gen(k), c) for c, gen in self.layers])
+        return PiecewiseFn.step(self.domain, [(self._disjoint_layers.layer_at(i, k), c)
+                                              for i, (c, _) in enumerate(self.layers)])
 
 
 class MappedStepFamily(SequenceFamily):
@@ -676,7 +726,7 @@ def verify_norm_bound(family: SequenceFamily, budget: int) -> CertReport:
         return CertReport("norm-bound", True, 0, "declared: no piecewise terms")
     bound = family.norm_bound
     for k in range(1, budget + 1):
-        n, d = max_abs_pair(family.term(k).pieces)
+        n, d = family.term(k).norm_pair()
         if side(bound, n, d) < 0:
             norm = Fraction(n, d)
             return CertReport("norm-bound", False, budget,

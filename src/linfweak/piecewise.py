@@ -71,6 +71,14 @@ returns the function itself when no piece changes.  Laws are Fractions
 throughout; the validation walk below stores laws given as ints as
 Fractions.
 
+A function keeps what is worked out from it (`_kept`): |u|, the support,
+A_alpha(u) per alpha and the norm pair of ``norm_pair`` are built on first
+use and then read back, in a dict stored on the instance outside the
+dataclass fields, so a function that is never asked (each `_min2` result,
+say) costs what it did.  When |u| is u itself only a marker is kept, so no
+function refers to itself, and a new |u| is marked as its own |.|.  The
+null tests and {u > v} keep nothing: each call walks the pieces again.
+
 Every ``PiecewiseFn`` is validated when it is built, internal results
 included, in one walk over its pieces and the carrier parts, without
 sorting: inside each carrier part the pieces must form one run that starts
@@ -87,7 +95,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rational import crossing, eq, is_finite, lt, max_abs, poly_values, side
+from .rational import crossing, eq, is_finite, lt, max_abs_pair, poly_values, side
 from .sets import (Domain, Interval, IntervalSet, SetAlgebraError, _covered,
                    _join_sorted, _starts_after, rat)
 
@@ -293,9 +301,35 @@ class PiecewiseFn:
             vals.add(abs(hi_v))
         return vals
 
+    def norm_pair(self) -> tuple[int, int]:
+        """||u||, the largest |value| at the closure ends of the non-null
+        pieces, as the unreduced integer pair of `rational.max_abs_pair`;
+        worked out once and kept (see `_kept`)."""
+        kept = self._kept()
+        got = kept.get("norm")
+        if got is None:
+            got = kept["norm"] = max_abs_pair(self.pieces)
+        return got
+
     def ess_sup_norm(self) -> Fraction:
-        """The largest |value| at the closure ends of the non-null pieces."""
-        return max_abs(self.pieces)
+        """`norm_pair` as a ``Fraction``, reduced on each call."""
+        return Fraction(*self.norm_pair())
+
+    def _kept(self) -> dict:
+        """The values worked out from this function and kept on it: |u|
+        under "abs" (None when |u| is u itself, so that u holds no
+        reference to itself), the norm pair under "norm", and each level
+        set {|u| > c} under the integer pair (n, d) of c, the support
+        under (0, 1).  The dict is made on first use and stored in the
+        instance's own __dict__, outside the dataclass fields, so equality,
+        hashing and the cost of a function that is never asked stay as
+        they are."""
+        try:
+            return self._kept_values
+        except AttributeError:
+            kept = {}
+            object.__setattr__(self, "_kept_values", kept)
+            return kept
 
     # -- combination helpers ---------------------------------------------------
 
@@ -344,14 +378,23 @@ class PiecewiseFn:
     # -- algebra ------------------------------------------------------------------
 
     def abs_fn(self) -> "PiecewiseFn":
-        """|u|; u itself when no piece changes (u >= 0 everywhere)."""
-        pieces = []
-        changed = False
-        for p in self.pieces:
-            got = _abs_piece(p)
-            changed = changed or got[0] is not p
-            pieces += got
-        return PiecewiseFn(self.domain, tuple(pieces)) if changed else self
+        """|u|; u itself when no piece changes (u >= 0 everywhere).  Built
+        once and kept, and a new |u| is marked as its own |.|."""
+        kept = self._kept()
+        if "abs" not in kept:
+            pieces = []
+            changed = False
+            for p in self.pieces:
+                got = _abs_piece(p)
+                changed = changed or got[0] is not p
+                pieces += got
+            if changed:
+                out = kept["abs"] = PiecewiseFn(self.domain, tuple(pieces))
+                out._kept()["abs"] = None
+            else:
+                kept["abs"] = None
+        out = kept["abs"]
+        return self if out is None else out
 
     def compose_poly(self, coeffs: Sequence) -> "PiecewiseFn":
         """p(u) for a polynomial p given by coefficients [c0, c1, ...];
@@ -385,15 +428,27 @@ class PiecewiseFn:
     # -- level sets -------------------------------------------------------------
 
     def superlevel(self, alpha) -> IntervalSet:
-        """A_alpha(u) = { x : |u(x)| > alpha }, alpha > 0."""
+        """A_alpha(u) = { x : |u(x)| > alpha }, alpha > 0; built once per
+        alpha and kept."""
         alpha = rat(alpha)
         if alpha._numerator <= 0:
             raise ValueError("superlevel requires alpha > 0")
-        return _level_set(self.pieces, alpha, -alpha)
+        return self._level(alpha)
 
     def support(self) -> IntervalSet:
-        """{ u != 0 }: a sloped piece loses only its root."""
-        return _level_set(self.pieces, _ZERO, _ZERO)
+        """{ u != 0 }: a sloped piece loses only its root.  Built once and
+        kept."""
+        return self._level(_ZERO)
+
+    def _level(self, c: Fraction) -> IntervalSet:
+        """{ |u| > c } for c >= 0, from `_level_set` on first use, then
+        from `_kept` under the integer pair of c."""
+        kept = self._kept()
+        key = c._numerator, c._denominator
+        got = kept.get(key)
+        if got is None:
+            got = kept[key] = _level_set(self.pieces, c, -c)
+        return got
 
     def exceeds(self, other: "PiecewiseFn") -> IntervalSet:
         """{ x : u(x) > v(x) }, exact with strict-inequality endpoint flags:

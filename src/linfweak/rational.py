@@ -26,10 +26,11 @@ of every sweep: each calls no other kernel, and callers import them by name.
 
 The certificate checks use three more kernels.  A sort of many ends keys
 them by (:func:`approx`, end), so that it compares floats and reaches a
-``Fraction`` comparison only on a float tie.  :func:`max_abs_pair` keeps
-the norm of a piecewise function as a pair, which :func:`side` compares
-with a bound and :func:`deviates` with a limit and a deviation; only a
-failing check reduces it to a ``Fraction``.  :func:`poly_values` works out
+``Fraction`` comparison only on a float tie.  :func:`max_abs_pair` gives
+the norm of a piecewise function as a pair, which ``PiecewiseFn.norm_pair``
+works out once per function, :func:`side` compares with a bound and
+:func:`deviates` with a limit and a deviation; only a failing check
+reduces it to a ``Fraction``.  :func:`poly_values` works out
 a polynomial at each distinct level by Horner's rule on integers and
 builds one ``Fraction`` per level.
 """
@@ -181,11 +182,6 @@ def max_abs_pair(pieces: Iterable) -> tuple[int, int]:
         if n * best_d > best_n * d:
             best_n, best_d = n, d
     return best_n, best_d
-
-
-def max_abs(pieces: Iterable) -> Fraction:
-    """`max_abs_pair` as a ``Fraction``, reduced once."""
-    return Fraction(*max_abs_pair(pieces))
 
 
 def deviates(n: int, d: int, c: Fraction, r: Fraction) -> bool:

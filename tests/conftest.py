@@ -7,6 +7,13 @@ from hypothesis import HealthCheck, settings, strategies as st
 from linfweak.piecewise import Piece, PiecewiseFn
 from linfweak.sets import NEG_INF, POS_INF, Domain, Interval, IntervalSet, closed, ivl, point
 
+# Shared families (`corpus.family_by_name`) live for the whole session, and
+# their terms keep |u|, supports, level sets and norms once asked
+# (`PiecewiseFn._kept`), their certificates the sets they declare.  A test
+# that corrupts a kernel (patches `abs_fn`, `min_of`, `step`, ...) must
+# build fresh families with `FAMILIES[name]()`, so that no wrong value is
+# stored on a shared term for later tests to read.
+
 settings.register_profile(
     "default", deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -7,15 +8,15 @@ import linfweak.families
 from conftest import ref_ae_equal, shifted
 from linfweak.corpus import (CORPUS, FAMILIES, LOCAL_CORPUS, dyadic_indicators,
                              dyadic_indicators_plus, family_by_name, tents)
-from linfweak.engine import (EngineError, NONNULL, INCONCLUSIVE, Policy,
+from linfweak.engine import (CERT_BUDGET, EngineError, NONNULL, INCONCLUSIVE, Policy,
                              _spot_alpha, _spot_alphas, default_alpha_grid,
                              intersection_measure, test_weak_null, v_inf,
                              witness_lower_bound)
 from linfweak.enclosure import sin_of_pi_multiple
-from linfweak.families import (CertificateError, EscapeBound, ExplicitListFamily,
-                               IndicatorFamily, MappedStepFamily, NormLimit,
-                               PointFloor, SinReciprocalFamily, SuperlevelKernel,
-                               TranslateFamily)
+from linfweak.families import (CertificateError, DisjointSupports, EscapeBound,
+                               ExplicitListFamily, IndicatorFamily, MappedStepFamily,
+                               NormLimit, PointFloor, SequenceFamily,
+                               SinReciprocalFamily, SuperlevelKernel, TranslateFamily)
 from linfweak.localize import test_weak_null_at
 from linfweak.numtheory import (dyadic_divisibility_subsequence, lcm_list,
                                 nested_midpoint, prime_power_nondivisor)
@@ -126,6 +127,91 @@ class TestVerdicts:
         else:
             assert "identity_norm" not in row and row["identity_check"] == skipped
             assert f"v_J = 0 along the identity was {skipped}; " in v.trust
+
+
+class TestNormBoundBudget:
+    """The norm bound is checked exactly for k <= CERT_BUDGET, like every
+    certificate and as the trust text says, whatever budget-k is."""
+
+    @staticmethod
+    def tall_fifth_block():
+        """Disjoint dyadic blocks that declare ||u_k|| <= 1, with ||u_5|| = 3."""
+        class Blocks(SequenceFamily):
+            def _term(self, k):
+                block = IntervalSet.of(ico(F(1, 2 ** (k + 1)), F(1, 2 ** k)))
+                return PiecewiseFn.step(self.domain, [(block, F(3) if k == 5 else F(1))])
+
+        return Blocks(DOM, "tall-fifth-block", F(1), (DisjointSupports(),))
+
+    @pytest.mark.parametrize("k_max", [4, 48])
+    @pytest.mark.parametrize("point", [None, "0"])
+    def test_a_norm_lie_inside_the_budget_raises(self, k_max, point):
+        assert k_max < 5 or k_max >= CERT_BUDGET
+        fam, policy = self.tall_fifth_block(), Policy(k_max=k_max)
+        with pytest.raises(CertificateError, match=r"\|\|u_5\|\| = 3 > declared 1$") as exc:
+            if point is None:
+                test_weak_null(fam, policy)
+            else:
+                test_weak_null_at(fam, ExtPoint.parse(point), policy)
+        assert (exc.value.k, exc.value.witness) == (5, 3)
+
+
+def _counted_checks(monkeypatch) -> Counter:
+    """Count the calls of every comparison a certificate check makes: the
+    null tests on terms and sets, the overlap sweep and the two norm
+    comparisons of `families`."""
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((PiecewiseFn, "exceeds_somewhere"), (PiecewiseFn, "vanishes_off"),
+                        (IntervalSet, "subset_up_to_null"),
+                        (linfweak.families, "first_overlap"),
+                        (linfweak.families, "side"), (linfweak.families, "deviates")):
+        count(owner, name)
+    return calls
+
+
+class TestNoCheckOutcomeIsKept:
+    """Terms keep |u|, supports, level sets and norms, and certificates keep
+    their declared sets, but every check runs on every question: the same
+    question asked twice of one family instance makes the same comparisons.
+    The instance is fresh, so the first question builds every kept value and
+    the second finds them all."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_weaknull(self, name, monkeypatch):
+        fam = FAMILIES[name]()
+        calls = _counted_checks(monkeypatch)
+        passes = []
+        for _ in range(2):
+            before = Counter(calls)
+            verdict = test_weak_null(fam)
+            passes.append((calls - before, verdict.kind, verdict.scheme))
+        assert passes[0] == passes[1]
+        if fam.has_piecewise_terms():
+            assert passes[0][0]["side"] == CERT_BUDGET
+
+    @pytest.mark.parametrize("name,pt,expected", LOCAL_CORPUS,
+                             ids=[f"{n}@{p}" for n, p, _ in LOCAL_CORPUS])
+    def test_weaknull_at(self, name, pt, expected, monkeypatch):
+        fam, x0 = FAMILIES[name](), ExtPoint.parse(pt)
+        calls = _counted_checks(monkeypatch)
+        passes = []
+        for _ in range(2):
+            before = Counter(calls)
+            verdict = test_weak_null_at(fam, x0)
+            passes.append((calls - before, verdict.kind, verdict.scheme))
+        assert passes[0] == passes[1] and passes[0][1] == expected
+        if fam.has_piecewise_terms():
+            assert passes[0][0]["side"] == CERT_BUDGET
 
 
 class TestSpotAlpha:

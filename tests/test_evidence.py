@@ -14,7 +14,7 @@ import pytest
 
 from conftest import shifted
 from linfweak import engine, localize
-from linfweak.corpus import LOCAL_CORPUS, family_by_name
+from linfweak.corpus import FAMILIES, LOCAL_CORPUS, family_by_name
 from linfweak.engine import (INCONCLUSIVE, EngineError, Policy,
                              default_alpha_grid, intersection_measure,
                              test_weak_null)
@@ -28,8 +28,9 @@ BARE = ("tents", "escape-translates", "summable-disjoint")
 
 def bare(name):
     """The named corpus family without certificates, so that every scheme
-    declines and the engine builds the evidence table."""
-    inner = family_by_name(name)
+    declines and the engine builds the evidence table.  The terms are a
+    fresh family's, since the identity guard below corrupts kernels."""
+    inner = FAMILIES[name]()
 
     class Bare(SequenceFamily):
         def _term(self, k):
@@ -197,7 +198,7 @@ class TestIdentityGuard:
     def test_corrupted_min_of_on_the_kernel_path(self, monkeypatch):
         monkeypatch.setattr(engine, "min_of", _first_term_only)
         with pytest.raises(EngineError, match="criterion identity violated"):
-            test_weak_null(family_by_name("tents"))
+            test_weak_null(FAMILIES["tents"]())
 
 
 def _never(*args):

@@ -444,6 +444,60 @@ class TestWrongDeclarations:
         assert str(rep.witness) == "(-1,-1/2] u [1/2,1)"
 
 
+def _blocks_at_0(odd=None):
+    """chi([0, 2^-k)) on (-1, 1), with the set odd(k) in place of it where
+    odd gives one."""
+    def sets(k):
+        return (odd and odd(k)) or IntervalSet.of(ico(0, F(1, 2 ** k)))
+    return sets
+
+
+def _shared_block_certificates():
+    """A kernel (0, 2^-(k+1)) at alpha = 1/2 and the envelope [0, 2^-k)."""
+    return (SuperlevelKernel(F(1, 2), lambda k: IntervalSet.of(opened(0, F(1, 2 ** (k + 1)))),
+                             ExtPoint.at(0)),
+            SupportEnvelope(lambda k: IntervalSet.of(ico(0, F(1, 2 ** k)))))
+
+
+class TestSharedCertificates:
+    """A certificate keeps the sets it declares and never a check's outcome:
+    one instance declared on an honest family and on a lying one passes the
+    first and still catches the second, at the same k and with the same
+    witness as a certificate that has seen no other family."""
+
+    LIES = {
+        # A_{1/2}(u_5) = [2^-7, 2^-5) misses the kernel's (0, 2^-7)
+        "kernel": lambda k: IntervalSet.of(ico(F(1, 128), F(1, 32))) if k == 5 else None,
+        # supp(u_7) = [0, 1/2) leaves the envelope [0, 1/128)
+        "envelope": lambda k: IntervalSet.of(ico(0, F(1, 2))) if k == 7 else None,
+    }
+
+    @staticmethod
+    def _raised(family, x0):
+        with pytest.raises(CertificateError) as exc:
+            if x0 is None:
+                test_weak_null(family)
+            else:
+                test_weak_null_at(family, x0)
+        return str(exc.value), exc.value.k, exc.value.witness
+
+    @pytest.mark.parametrize("lie", sorted(LIES))
+    @pytest.mark.parametrize("point", [None, "0"])
+    def test_the_lie_is_still_caught(self, lie, point):
+        x0 = None if point is None else ExtPoint.parse(point)
+        alone = self._raised(IndicatorFamily(DOM, _blocks_at_0(self.LIES[lie]), name="lying",
+                                             certificates=_shared_block_certificates()), x0)
+        shared = _shared_block_certificates()
+        honest = IndicatorFamily(DOM, _blocks_at_0(), name="honest", certificates=shared)
+        lying = IndicatorFamily(DOM, _blocks_at_0(self.LIES[lie]), name="lying",
+                                certificates=shared)
+        verdict = test_weak_null(honest) if x0 is None else test_weak_null_at(honest, x0)
+        assert verdict.is_nonnull and all(r.passed for r in verdict.cert_reports)
+        assert self._raised(lying, x0) == alone
+        assert alone[0].startswith(f"certificate {shared[lie == 'envelope'].name} failed")
+        assert alone[1] == (5 if lie == "kernel" else 7)
+
+
 class TestDeclaredTail:
     """A summable family's declared tail bound must meet the sum of the
     listed layers past each I: tail(I) >= sum_{I<i<=L} |a_i|."""

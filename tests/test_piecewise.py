@@ -1034,6 +1034,40 @@ def test_null_tests_agree_with_the_sets_on_corpus_terms(name):
             assert u.vanishes_off(other) == supp.subset_up_to_null(other)
 
 
+def _alpha_grid(u):
+    """The positive piece values of u, the midpoints between neighbouring
+    ones and a value past each end."""
+    values = sorted(c for c in u.piece_value_candidates() if c > 0) or [F(1)]
+    return sorted({*values, *((a + b) / 2 for a, b in zip(values, values[1:])),
+                   values[0] / 2, values[-1] + 1})
+
+
+@pytest.mark.parametrize("name", [n for n in FAMILIES
+                                  if family_by_name(n).has_piecewise_terms()])
+@pytest.mark.parametrize("image", ("terms", "abs"))
+def test_kept_values_match_the_references(name, image):
+    """abs_fn, support, ess_sup_norm and superlevel keep what they build on
+    the term: for k <= 64, on a fresh family and on its |.| image, each
+    answer equals the reference, and asking again gives the same object."""
+    fam = FAMILIES[name]()
+    if image == "abs":
+        fam = fam.abs_mapped()
+    for k in range(1, 65):
+        u = fam.term(k)
+        got = u.abs_fn()
+        _assert_same(got, ref_abs_fn(u), u)
+        assert u.abs_fn() is got and got.abs_fn() is got
+        got = u.support()
+        _assert_same(got, ref_support(u), u)
+        assert u.support() is got
+        got = u.ess_sup_norm()
+        assert got == ref_ess_sup_norm(u) and u.ess_sup_norm() == got
+        for alpha in _alpha_grid(u):
+            got = u.superlevel(alpha)
+            _assert_same(got, ref_superlevel(u, alpha), u)
+            assert u.superlevel(alpha) is got
+
+
 def test_every_public_method_has_a_program_caller():
     """PiecewiseFn offers only what the program reads: each public method is
     named as an attribute (`x.name`) somewhere in the package, bench/ or
