@@ -366,7 +366,7 @@ def main(argv=None) -> int:
                                        f"{problem.task!r}")
                 problem.fields[key] = str(flag)
         report = run(problem)
-    except (ProblemError, LiteralError, FileNotFoundError,
+    except (ProblemError, LiteralError, OSError, UnicodeDecodeError,
             SetAlgebraError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

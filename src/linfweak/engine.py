@@ -248,31 +248,16 @@ def _identity_checked(inter: IntervalSet, above: IntervalSet,
     return direct
 
 
-@dataclass
-class _CallStore:
-    """The exact objects of one engine call, each built once however many
-    alphas, windows, rows or subsequences share it.  A store belongs to one
-    call and is never kept at module level.
-
-    minima       subsequence prefix -> v_J
-    term_levels  alpha -> k -> A_alpha(u_k)
-    vj_levels    alpha -> prefix -> { v_J > alpha }
-
-    The level sets are keyed by alpha first, so that a walk hashes its
-    alpha once and each cell looks up an int or a tuple of ints.
-    """
-
-    minima: dict = field(default_factory=dict)
-    term_levels: dict = field(default_factory=dict)
-    vj_levels: dict = field(default_factory=dict)
-
-
 def _prefix_minima(family: SequenceFamily, subseq: Sequence[int],
                    minima: dict):
     """Yield (prefix, v_J) for J = 1, 2, ... along subseq, each v_J as
     min(v_{J-1}, |u_kJ|) and each prefix the tuple of the first J indices.
 
-    `minima` maps prefixes to their v_J (see `_CallStore`).
+    `minima` maps prefixes to their v_J, so that the subsequences, alphas,
+    rows and windows of one engine call build each v_J once; the dict
+    belongs to the call and is never kept at module level.  Where the
+    minimum is one of its inputs (`min_of`), v_J is that function itself,
+    with the level sets it already keeps.
     """
     if subseq:
         _check_subseq(subseq, 1)
@@ -290,33 +275,23 @@ def _prefix_minima(family: SequenceFamily, subseq: Sequence[int],
 
 
 def _walk(family: SequenceFamily, subseq: Sequence[int], alpha: Fraction,
-          store: _CallStore, window: Optional[IntervalSet] = None):
+          minima: dict, window: Optional[IntervalSet] = None):
     """Yield (J, intersection measure) for J = 1, 2, ... along subseq.
 
     The subsequence is walked once: the superlevel intersection of step J is
     the one of step J-1 intersected with A_alpha(u_kJ), and v_J comes from
-    `_prefix_minima`.  With a window, the intersection starts from the
-    window and both sides of the identity are measured inside it.  Neither
-    A_alpha(u_k), v_J nor { v_J > alpha } depends on the window, so the
-    store serves them to every (window, row) of the call.  Each cell is
+    `_prefix_minima` over `minima`.  With a window, the intersection starts
+    from the window and both sides of the identity are measured inside it.
+    Each level set, A_alpha(u_k) and { v_J > alpha }, is asked of its
+    function, which builds it once and keeps it (`PiecewiseFn.superlevel`),
+    so every (window, row) of the call reads the same sets.  Each cell is
     checked against the criterion identity as in `intersection_measure`.
     """
     inter = window
-    levels = store.term_levels.setdefault(alpha, {})
-    above_of = store.vj_levels.setdefault(alpha, {})
-    for J, (prefix, vj) in enumerate(_prefix_minima(family, subseq, store.minima),
-                                     start=1):
-        k = prefix[-1]
-        s = levels.get(k)
-        if s is None:
-            s = levels[k] = family.term(k).superlevel(alpha)
-        above = above_of.get(prefix)
-        if above is None:
-            # v_1 is u_k1 itself when u_k1 >= 0, and so is its level set
-            above = above_of[prefix] = (
-                s if J == 1 and vj is family.term(k) else vj.superlevel(alpha))
+    for J, (prefix, vj) in enumerate(_prefix_minima(family, subseq, minima), start=1):
+        s = family.term(prefix[-1]).superlevel(alpha)
         inter = s if inter is None else inter.intersect(s)
-        yield J, _identity_checked(inter, above, window)
+        yield J, _identity_checked(inter, vj.superlevel(alpha), window)
 
 
 def _check_subseq(subseq, J):
@@ -557,7 +532,7 @@ def _checked_kernel_witness(family, cert, policy):
     J-fold superlevel intersection at its alpha in each row J <= min(j_max,
     12); raises `EngineError` where the kernel's measure exceeds it."""
     checked = dict(_walk(family, list(range(1, min(policy.j_max, 12) + 1)),
-                         cert.alpha, _CallStore()))
+                         cert.alpha, {}))
     wit = kernel_witness(cert.alpha, 0, cert.kernel_at, policy.j_max)
     for row in wit.table:
         if row["J"] in checked:
@@ -712,23 +687,23 @@ _LOCAL = (_global_null, _eventual_tail, _translate_tail, _superlevel_kernel,
 def _inconclusive(family, policy):
     return Verdict(family.name, INCONCLUSIVE, scheme=None,
                    evidence={"table": _evidence_table(
-                       family, policy, _spot_alphas(family, policy), _CallStore())},
+                       family, policy, _spot_alphas(family, policy), {})},
                    trust="no certificate scheme applied; the table shows exact "
                          "measures for the tested (alpha, subsequence, J) cells "
                          "only and decides nothing beyond them")
 
 
-def _evidence_table(family, policy, alphas, store, window=None):
+def _evidence_table(family, policy, alphas, minima, window=None):
     """The exact evidence table over the (alpha, subsequence, J) cells.
 
     The cells are every alpha of `alphas` (`_spot_alphas`), every strategy
     (indices up to k_max) and every extra subsequence, with J <= j_max; a
     row ends at its first null intersection.  Each subsequence is walked
     once per alpha (see `_walk`), so every cell extends the previous cell's
-    intersection by one set, and v_J and both level sets come from the
-    store; the criterion identity (sets against v_J) is still checked on
-    every cell.  With a window every cell is measured inside it: the
-    localized table is this one, per window.
+    intersection by one set, v_J comes from `minima` and each level set
+    from the function that keeps it; the criterion identity (sets against
+    v_J) is still checked on every cell.  With a window every cell is
+    measured inside it: the localized table is this one, per window.
     """
     strategies = []
     for name, strat in policy.strategies:
@@ -745,7 +720,7 @@ def _evidence_table(family, policy, alphas, store, window=None):
              for subseq in policy.extra_subsequences for alpha in alphas]
     table = []
     for label, subseq, alpha in rows:
-        for J, m in islice(_walk(family, subseq, alpha, store, window),
+        for J, m in islice(_walk(family, subseq, alpha, minima, window),
                            policy.j_max):
             table.append({"alpha": alpha, "subsequence": label, "J": J,
                           "measure": m})

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .engine import (_LOCAL, INCONCLUSIVE, EngineError, Policy, Verdict, _CallStore,
+from .engine import (_LOCAL, INCONCLUSIVE, EngineError, Policy, Verdict,
                      _checked_reports, _evidence_table, _first, _spot_alphas)
 from .families import SequenceFamily
 from .piecewise import PiecewiseFn
@@ -132,15 +132,16 @@ test_weak_null_at.__test__ = False  # not a pytest case
 def _local_inconclusive(family, x0, policy, ell_max):
     """The global evidence table inside each non-empty canonical
     neighborhood, its rows tagged with ell.  The alphas, v_J and the level
-    sets are shared by every window through one store."""
+    sets are shared by every window: v_J through one dict of minima, the
+    level sets kept on their functions."""
     rows = []
     alphas = _spot_alphas(family, policy)
-    store = _CallStore()
+    minima: dict = {}
     for ell in range(1, ell_max + 1):
         w = neighborhood(family.domain, x0, ell)
         if not w.is_empty():
             rows += [{"ell": ell, **row}
-                     for row in _evidence_table(family, policy, alphas, store, w)]
+                     for row in _evidence_table(family, policy, alphas, minima, w)]
     return Verdict(family.name, INCONCLUSIVE, evidence={"x0": str(x0), "table": rows},
                    trust="no local scheme applied; exact restricted measures "
                          "for the tested cells only")

@@ -55,7 +55,10 @@ output object once.  ``min_of`` joins the touching pieces of one law in its
 first input (`_coalesced`) and folds the others in with `_min2`, which
 joins the law that wins on each common cell to the open run as it is
 emitted, by the same rule; a run becomes one ``Piece`` at the end, or stays
-the input piece whose ends and law it has.  `_level_set`, behind
+the input piece whose ends and law it has.  When the runs are an input's
+pieces, the same ends, flags and laws in the same order, `_min2` returns
+that input itself and builds no function: where |u_k| decreases in k,
+v_J is the function |u_kJ|, with what it keeps.  `_level_set`, behind
 ``superlevel`` and ``support``, emits each piece's part above the upper
 level and part below the lower level in x order, joins touching parts as
 they come and returns the parts as they stand, with no sorting or
@@ -74,8 +77,9 @@ Fractions.
 A function keeps what is worked out from it (`_kept`): |u|, the support,
 A_alpha(u) per alpha and the norm pair of ``norm_pair`` are built on first
 use and then read back, in a dict stored on the instance outside the
-dataclass fields, so a function that is never asked (each `_min2` result,
-say) costs what it did.  When |u| is u itself only a marker is kept, so no
+dataclass fields, so a function that is never asked costs what it did, and
+a `_min2` result that is one of its inputs answers from what that input
+keeps.  When |u| is u itself only a marker is kept, so no
 function refers to itself, and a new |u| is marked as its own |.|.  The
 null tests and {u > v} keep nothing: each call walks the pieces again.
 
@@ -630,7 +634,9 @@ def min_of(fns: Sequence[PiecewiseFn]) -> PiecewiseFn:
     """Exact pointwise minimum in canonical form; breakpoints appear at
     crossing abscissae.  The first function's touching pieces of one law
     are joined before the fold, so that `_min2`, which keeps the first
-    law where two laws tie on a point cell, starts from a canonical run."""
+    law where two laws tie on a point cell, starts from a canonical run.
+    The result may be one of the inputs itself, where the minimum is that
+    input piece for piece (see `_min2`)."""
     if not fns:
         raise ValueError("min_of needs at least one function")
     out = fns[0]
@@ -649,7 +655,11 @@ def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
     closed and one open, with the same slope and intercept, as `_coalesced`
     would join them.  A run becomes one Piece when the walk ends: the input
     piece whose law it carries, when the run has that piece's own ends, or
-    one new Interval and Piece."""
+    one new Interval and Piece.  When these pieces are u's (or else v's),
+    compared by identity and then by ends, flags and law, the minimum is
+    that input, and it is returned itself: it was validated when it was
+    built, and what it keeps holds of the minimum.  A non-canonical input
+    never comes back, since the runs join its touching pieces of one law."""
     u._same_domain(v)
     runs = []  # [lo, hi, lo_closed, hi_closed, slope, intercept, the piece
     #            whose law the run carries]
@@ -690,7 +700,20 @@ def _min2(u: PiecewiseFn, v: PiecewiseFn) -> PiecewiseFn:
             pieces.append(source)
         else:
             pieces.append(Piece(Interval(lo, hi, lo_closed, hi_closed), a, b))
+    for f in (u, v):
+        if len(f.pieces) == len(pieces) and all(map(_same_piece, pieces, f.pieces)):
+            return f
     return PiecewiseFn(u.domain, tuple(pieces))
+
+
+def _same_piece(p: Piece, q: Piece) -> bool:
+    """p and q have the same ends, flags and law."""
+    if p is q:
+        return True
+    a, b = p.interval, q.interval
+    return (a.lo_closed == b.lo_closed and a.hi_closed == b.hi_closed
+            and eq(a.lo, b.lo) and eq(a.hi, b.hi)
+            and eq(p.slope, q.slope) and eq(p.intercept, q.intercept))
 
 
 def _coalesced(pieces: Sequence[Piece]) -> tuple[Piece, ...]:

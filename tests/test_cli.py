@@ -127,6 +127,18 @@ class TestExitCodes:
         code, _, err = invoke(["weaknull", "/nonexistent.cfg"])
         assert code == 2
 
+    def test_directory_is_two(self, tmp_path):
+        code, out, err = invoke(["weaknull", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and "directory" in err
+
+    def test_non_utf8_file_is_two(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_bytes(b"task = weaknull\nfamily = tents\xff\n")
+        code, out, err = invoke(["weaknull", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and "0xff" in err
+
     def test_task_subcommand_mismatch(self, tmp_path):
         cfg = write(tmp_path, "p.cfg", "task = corpus\n")
         code, _, err = invoke(["weaknull", cfg])

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import shifted
-from linfweak import engine, localize
+from linfweak import engine, localize, piecewise
 from linfweak.corpus import FAMILIES, LOCAL_CORPUS, family_by_name
 from linfweak.engine import (INCONCLUSIVE, EngineError, Policy,
                              default_alpha_grid, intersection_measure,
@@ -215,9 +215,9 @@ class TestLocalQuestionBuildsNoGlobalTable:
         windows = []
         table = engine._evidence_table
 
-        def counted(fam, policy, alphas, store, window=None):
+        def counted(fam, policy, alphas, minima, window=None):
             windows.append(window)
-            return table(fam, policy, alphas, store, window)
+            return table(fam, policy, alphas, minima, window)
 
         monkeypatch.setattr(engine, "_evidence_table", counted)
         monkeypatch.setattr(localize, "_evidence_table", counted)
@@ -241,23 +241,25 @@ class TestLocalQuestionBuildsNoGlobalTable:
 
 
 class TestOneBuildPerCall:
-    """Within one engine call each A_alpha(u_k) is built once per (k, alpha)
-    and each { v_J > alpha } once per (prefix, alpha), however many windows,
-    rows and subsequences share them; the rows stay the cell-by-cell
-    rebuild."""
+    """Within one engine call each level set is built once per (function,
+    level): A_alpha(u_k) once per (k, alpha) and { v_J > alpha } once per
+    (v_J, alpha), however many windows, rows and subsequences ask for them;
+    each cell asks the function again, and the function answers from the
+    sets it keeps.  The rows stay the cell-by-cell rebuild, which runs on a
+    second family so that the counted call builds its own sets."""
 
     @staticmethod
     def _count_builds(monkeypatch):
         built, keep = {}, []
-        superlevel = PiecewiseFn.superlevel
+        level_set = piecewise._level_set
 
-        def counted(u, alpha):
-            keep.append(u)  # no id is reused while the counts are read
-            key = (id(u), alpha)
+        def counted(pieces, up, down):
+            keep.append(pieces)  # no id is reused while the counts are read
+            key = (id(pieces), up)
             built[key] = built.get(key, 0) + 1
-            return superlevel(u, alpha)
+            return level_set(pieces, up, down)
 
-        monkeypatch.setattr(PiecewiseFn, "superlevel", counted)
+        monkeypatch.setattr(piecewise, "_level_set", counted)
         return built
 
     @pytest.mark.parametrize("name", BARE)
@@ -275,7 +277,7 @@ class TestOneBuildPerCall:
         windows = [(ell, neighborhood(family.domain, x0, ell))
                    for ell in range(1, ell_max + 1)]
         rebuilt = [{"ell": ell, **row} for ell, w in windows if not w.is_empty()
-                   for row in rebuilt_table(family, policy, w)]
+                   for row in rebuilt_table(bare(name), policy, w)]
         built = self._count_builds(monkeypatch)
         grids = []
         grid = engine.default_alpha_grid
@@ -285,3 +287,38 @@ class TestOneBuildPerCall:
         assert verdict.evidence["table"] == rebuilt
         assert built and max(built.values()) == 1
         assert len(grids) == 1
+
+
+def _count_fn_builds(monkeypatch):
+    """The number of `PiecewiseFn`s built from now on, as a one-item list."""
+    built = [0]
+    post_init = PiecewiseFn.__post_init__
+
+    def counted(u):
+        built[0] += 1
+        post_init(u)
+
+    monkeypatch.setattr(PiecewiseFn, "__post_init__", counted)
+    return built
+
+
+class TestMinimumIsAnInput:
+    """Where min(v_{J-1}, |u_kJ|) is one of its inputs, v_J is that function
+    itself: the tents decrease pointwise in k, so v_J is u_kJ, and once the
+    terms are built neither v_J nor an evidence table builds a function."""
+
+    def test_tent_v_j_is_its_last_term(self, monkeypatch):
+        tents = FAMILIES["tents"]()
+        engine.v_inf(tents, range(3, 43), 40)  # builds the terms
+        built = _count_fn_builds(monkeypatch)
+        assert engine.v_inf(tents, range(3, 43), 40) is tents.term(42)
+        assert built == [0]
+
+    def test_tent_evidence_table_builds_no_v_j(self, monkeypatch):
+        family, policy = bare("tents"), Policy()
+        for k in range(1, policy.k_max + 1):
+            family.term(k).abs_fn()
+        built = _count_fn_builds(monkeypatch)
+        verdict = test_weak_null(family, policy)
+        assert verdict.kind == INCONCLUSIVE and verdict.evidence["table"]
+        assert built == [0]

@@ -10,7 +10,7 @@ from conftest import (ORACLE_DOMAIN, _ref_gt, function_probes, grid_points,
                       interval_sets, piecewise_fns, rationals, ref_ae_equal, ref_cells,
                       ref_exceeds, scaled, shifted)
 from linfweak.piecewise import (EvaluationError, Piece, PiecewiseFn,
-                                UnsupportedOperationError, _coalesced, min_of)
+                                UnsupportedOperationError, _coalesced, _min2, min_of)
 from linfweak.corpus import FAMILIES, family_by_name
 from linfweak.engine import default_alpha_grid
 from linfweak.families import MappedStepFamily, SummableDisjointFamily, TentFamily
@@ -792,6 +792,32 @@ class TestCellWalkDifferential:
         assert cells == [(NEG_INF, 0, False, False, 1, 3), (0, 0, True, True, 1, 4),
                          (0, POS_INF, False, False, 2, 4)]
         self._assert_cells(u, v)
+
+
+class TestMinInputDifferential:
+    """`_min2` hands back an input where the minimum is that input, piece for
+    piece: the input then equals the reference minimum and is canonical, and
+    a minimum taken again with either of its inputs is the minimum itself."""
+
+    @given(kernel_pairs())
+    def test_an_input_comes_back_only_as_the_minimum(self, pair):
+        u, w = pair
+        low = min_of([u, w])
+        for a, b in ((u, w), (w, u), (u, low), (low, w), (u, u)):
+            got = _min2(a, b)
+            if got is a or got is b:
+                assert got == ref_min_of([a, b])
+                _assert_canonical(got.pieces)
+        assert _min2(low, u) is low
+        assert _min2(low, w) is low
+
+    def test_a_tie_on_a_point_cell_still_hands_back_the_minimum(self):
+        # both tents are 0 on their point piece {0}, where the tie keeps
+        # u_5's piece: the minimum is u_6 piece for piece, not by identity
+        tents = TentFamily()
+        u, v = tents.term(5), tents.term(6)
+        assert _min2(u, v) is v
+        assert _min2(v, u) is v
 
 
 def ref_compose_poly(u, coeffs):

@@ -8,7 +8,8 @@ pair, with the side that runs first alternating from pair to pair.  For
 every workload and each end-to-end metric of BENCHMARK.json the output holds
 the per-pair values, the medians and quartiles of each side and the number
 of pairs the change won (by the metric's `better` direction).  It also holds
-one traced pass per side (`--trace 1`) of verdict-mix, on seed 7 for 8 s.
+one traced pass per side (`--trace 1`) of every workload, on seed 7 for 8 s,
+with the per-layer counts and times of each.
 Runs go one at a time, so the two sides never share the host.  Standard library
 only; the raw result line of every run is kept in the output too.
 """
@@ -23,7 +24,6 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-TRACED = "verdict-mix"
 TRACE_SEED = 7
 TRACE_SECONDS = 8
 
@@ -93,10 +93,11 @@ def main(argv=None) -> int:
                         for m in spec["end_to_end"]},
             "correct": {s: all(p[s]["correct"] for p in pairs) for s in SIDES},
             "runs": pairs}
-    result["traced"][TRACED] = {
-        "seed": TRACE_SEED, "seconds": TRACE_SECONDS,
-        **{side: run_bench(checkouts[side], TRACED, TRACE_SEED, TRACE_SECONDS, 1)["metrics"]
-           for side in SIDES}}
+    for workload in workloads:
+        result["traced"][workload] = {
+            "seed": TRACE_SEED, "seconds": TRACE_SECONDS,
+            **{side: run_bench(checkouts[side], workload, TRACE_SEED, TRACE_SECONDS, 1)["metrics"]
+               for side in SIDES}}
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
 
