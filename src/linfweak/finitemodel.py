@@ -194,11 +194,20 @@ def ultrafilter_roundtrip(omega: ZeroOneMeasure, space: FiniteSpace) -> dict:
 
 
 def integrate(u: Sequence, nu) -> Fraction:
+    """The integral of u against nu, an `FAVector` or a `ZeroOneMeasure`:
+    the sum of u_i * m_i.  Every coordinate of u is read as a `Fraction` (a
+    float raises `TypeError`), but only the nonzero masses are multiplied: a
+    signed 0-1 measure has one."""
     masses = nu.masses if isinstance(nu, FAVector) else \
         nu.to_vector(len(u)).masses
     if len(u) != len(masses):
         raise FiniteModelError("dimension mismatch")
-    return sum((rat(ui) * m for ui, m in zip(u, masses)), Fraction(0))
+    total = Fraction(0)
+    for ui, m in zip(u, masses):
+        ui = rat(ui)
+        if m:
+            total += ui * m
+    return total
 
 
 def dirac_alpha(u: Sequence, omega: ZeroOneMeasure, space: FiniteSpace) -> Fraction:

@@ -60,7 +60,7 @@ UNDETERMINED = "undetermined"
 _ZERO = Fraction(0)
 CHECK_LEVELS = 8    # levels checked one by one when a base is built
 COMPACT_SCAN = 64   # members searched for a compact closure in the carrier
-MINIMAX_BUDGET = 8  # dyadic steps of the minimax compacts and opens
+MINIMAX_BUDGET = 8  # dyadic step of the one minimax compact and the one open
 
 
 class UnsupportedOracleError(ValueError):
@@ -493,28 +493,6 @@ def relative_interior_open(s: IntervalSet, carrier: IntervalSet) -> bool:
     return s == carrier.difference(outside.closure())
 
 
-def _inner_compacts(b: IntervalSet) -> list[IntervalSet]:
-    """An increasing family of compacts inside b (open finite endpoints move
-    in by 1/2^m, unbounded ends are clipped at +-2^m)."""
-    out = []
-    for m in range(1, MINIMAX_BUDGET + 1):
-        k = b.compact_core(Fraction(1, 2 ** m), 2 ** m)
-        if not k.is_empty():
-            out.append(k)
-    if b.is_compact() and not b.is_empty():
-        out.append(b)
-    return out
-
-
-def _outer_opens(b: IntervalSet, carrier: IntervalSet) -> list[IntervalSet]:
-    out = []
-    for m in range(1, MINIMAX_BUDGET + 1):
-        out.append(b.fatten(Fraction(1, 2 ** m)).intersect(carrier))
-    if relative_interior_open(b, carrier):
-        out.append(b)
-    return out
-
-
 def minimax_value(nu: CompositeFA, b: IntervalSet,
                   side: str = "inf-sup") -> tuple[Fraction, Fraction]:
     """Certified enclosure of hat(nu)(b) through the minimax formula over
@@ -527,28 +505,39 @@ def minimax_value(nu: CompositeFA, b: IntervalSet,
     bound: for a compact k <= b the inner infimum over opens is itself
     bounded below by the atoms forced to 1 on every open superset of k.
     Both enclosures contain the true value for every extension of the bases.
+
+    The compacts are compact_core(1/2^m, 2^m) (open finite endpoints move
+    in by 1/2^m, unbounded ends are clipped at +-2^m) and grow with m; the
+    opens are fatten(1/2^m) n carrier and shrink; b itself closes the
+    compacts when it is compact and the opens when it is relatively open.
+    The forced bounds are monotone in the set.  The lower bound is the
+    density integral (g >= 0) plus the atoms forced to one, and one on E
+    forces one on every E' >= E; the upper bound is the density integral
+    plus the atoms not forced to zero, and zero on E' forces zero on every
+    E <= E'; the sup-inf term grows with k.  So only the last member of
+    each family, m = MINIMAX_BUDGET, is queried: the max over the compacts
+    is the value on the largest, the min over the opens the value on the
+    smallest.
     """
     if side not in ("inf-sup", "sup-inf"):
         raise ValueError("side is 'inf-sup' or 'sup-inf'")
     carrier = nu.domain.carrier
     b = b.intersect(carrier)
-    compacts = _inner_compacts(b)
-    opens = _outer_opens(b, carrier)
-    # omega(G) = 1 is forced for EVERY open G containing a compact k iff the
-    # base shrinks to a point of k (B_l then enters each fattening of k, and
-    # every open superset of a compact contains a fattening)
-    points = [(c, base.limit.x) for c, base in nu.atoms
-              if base.limit is not None and not base.limit.is_infinite]
+    eps = Fraction(1, 2 ** MINIMAX_BUDGET)
+    k = b.compact_core(eps, 2 ** MINIMAX_BUDGET)  # b itself when b is compact
+    g = b if relative_interior_open(b, carrier) else b.fatten(eps).intersect(carrier)
     lower = Fraction(0)
-    for k in compacts:
-        cand = fa_query(nu, k).lower
+    if not k.is_empty():
+        lower = fa_query(nu, k).lower
         if side == "sup-inf":
+            # omega(G) = 1 is forced for EVERY open G containing k iff the
+            # base shrinks to a point of k (B_l then enters each fattening
+            # of k, and every open superset of a compact contains a fattening)
+            points = [(c, base.limit.x) for c, base in nu.atoms
+                      if base.limit is not None and not base.limit.is_infinite]
             forced = sum((c for c, x in points if k.contains(x)), Fraction(0))
-            cand = max(cand, forced + nu.density_integral(k))
-        lower = max(lower, cand)
-    upper = nu.total_mass()
-    for g in opens:
-        upper = min(upper, fa_query(nu, g).upper)
+            lower = max(lower, forced + nu.density_integral(k))
+    upper = fa_query(nu, g).upper
     if lower > upper:
         raise OracleConsistencyError(
             f"minimax enclosure is empty on {b}: [{lower}, {upper}]")

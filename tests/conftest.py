@@ -25,6 +25,10 @@ settings.register_profile(
 #       --hypothesis-profile=deep
 # and for the parser fuzzing:
 #   pytest tests/test_cli.py -k ParserFuzz --hypothesis-profile=deep
+# and for the restriction kernels, the minimax enclosure and finite models:
+#   pytest tests/test_restriction.py -k "IntegerKernels or Minimax" \
+#       --hypothesis-profile=deep
+#   pytest tests/test_finitemodel.py --hypothesis-profile=deep
 settings.register_profile("deep", settings.get_profile("default"), max_examples=2000)
 settings.load_profile("default")
 

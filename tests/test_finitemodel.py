@@ -263,6 +263,31 @@ def test_any_other_split_is_rejected(nu, data):
         _check_lattice_formula(nu, FAVector(tuple(wrong)))
 
 
+def _dense_integral(u, masses):
+    """Every coordinate times its mass, zero masses included."""
+    return sum((F(ui) * m for ui, m in zip(u, masses)), F(0))
+
+
+@given(lattice_vectors(), st.data())
+def test_integrate_equals_the_dense_sum(nu, data):
+    n = len(nu.masses)
+    u = data.draw(st.lists(st.one_of(_MASS, st.integers(-5, 5)), min_size=n, max_size=n))
+    got = integrate(u, nu)
+    assert type(got) is F and got == _dense_integral(u, nu.masses)
+    for i in range(n):
+        omega = ZeroOneMeasure(i)
+        got = integrate(u, omega)
+        assert type(got) is F and got == _dense_integral(u, omega.to_vector(n).masses) == u[i]
+
+
+def test_integrate_reads_every_coordinate():
+    # the float sits where the 0-1 measure has mass zero
+    with pytest.raises(TypeError, match="float"):
+        integrate([0.5, F(1)], ZeroOneMeasure(1))
+    with pytest.raises(TypeError, match="float"):
+        integrate([0.5, F(1)], FAVector.of(0, 1))
+
+
 class TestYosidaHewitt:
     def test_split_is_trivial(self):
         space = FiniteSpace.of(1, 2)

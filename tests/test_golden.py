@@ -46,6 +46,14 @@ RESTRICT_PROBLEMS = {
     # the set misses the base's limit point only: B_l lies in it up to a null set
     "point-gap": "atoms = 1 * (1/2 - 1/4/l, 1/2 + 1/4/l)\n"
                  "set = (0, 1/2) u (1/2, 1)\n",
+    # the "mixed" atoms on the Dirac point alone: compact and not open, so
+    # the minimax enclosure is b itself inside and a fattening outside
+    "dirac-point": "atoms = 3/2 * (7/20 - 1/6/l, 7/20 + 1/8/l) ; 2 * (0, 1/3/l)\n"
+                   "set = [7/20, 7/20]\n",
+    # a half-open set, neither compact nor open: a core inside, a fattening
+    # outside
+    "half-open": "atoms = 3/2 * (7/20 - 1/6/l, 7/20 + 1/8/l) ; 2 * (0, 1/3/l)\n"
+                 "set = [1/4, 7/20)\n",
 }
 
 

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import interval_sets, within_seconds
+from linfweak import restriction
 from linfweak.corpus import (app3_base, closed_dirac_base, dirac_base,
                              escaping_base)
 from linfweak.piecewise import PiecewiseFn
 from linfweak.points import ExtPoint
 from linfweak.rational import fit_abc
-from linfweak.restriction import (CHECK_LEVELS, BaseFormula, BasePart,
-                                  CompositeFA, EndFn, FilterBaseMeasure, ONE,
+from linfweak.restriction import (CHECK_LEVELS, MINIMAX_BUDGET, BaseFormula,
+                                  BasePart, CompositeFA, EndFn,
+                                  FilterBaseMeasure, ONE,
                                   UNDETERMINED, UnsupportedOracleError, ZERO,
                                   _crossing_bound, fa_query, hat,
                                   howd_bounds_check,
@@ -453,6 +455,35 @@ def reference_query(base, e):
     return UNDETERMINED
 
 
+def ref_minimax(nu, b, side):
+    """The enclosure as it was before the monotone shortcut: every compact
+    compact_core(1/2^m, 2^m) and every open fatten(1/2^m) n carrier for
+    m <= MINIMAX_BUDGET, and b itself where it is compact or relatively
+    open, each asked through `fa_query`; the max over the compacts and the
+    min over the opens."""
+    carrier = nu.domain.carrier
+    b = b.intersect(carrier)
+    steps = range(1, MINIMAX_BUDGET + 1)
+    compacts = [b.compact_core(F(1, 2 ** m), 2 ** m) for m in steps]
+    if b.is_compact():
+        compacts.append(b)
+    opens = [b.fatten(F(1, 2 ** m)).intersect(carrier) for m in steps]
+    if relative_interior_open(b, carrier):
+        opens.append(b)
+    points = [(c, base.limit.x) for c, base in nu.atoms
+              if base.limit is not None and not base.limit.is_infinite]
+    lower = F(0)
+    for k in compacts:
+        if k.is_empty():
+            continue
+        lower = max(lower, fa_query(nu, k).lower)
+        if side == "sup-inf":
+            forced = sum((c for c, x in points if k.contains(x)), F(0))
+            lower = max(lower, forced + nu.density_integral(k))
+    upper = min([nu.total_mass()] + [fa_query(nu, g).upper for g in opens])
+    return lower, upper
+
+
 def shifted_dirac(c, shift):
     """B_l = (c - 1/(l+shift), c + 1/(l+shift)) on (0,1)."""
     return FilterBaseMeasure(
@@ -599,3 +630,64 @@ class TestIntegerKernels:
     def test_fit_abc_on_arbitrary_samples(self, ells, vals):
         pts = list(zip(ells, vals))
         assert fit_abc(*pts) == ref_fit_abc(*pts)
+
+
+# ---------------------------------------------------------------------------
+# the minimax enclosure on the last compact and the last open
+
+
+SIDES = ("inf-sup", "sup-inf")
+
+
+def seeded_functionals(base):
+    """The base alone, beside a step density, and beside a second atom on
+    its carrier (an escape through 0 on (0,1), the base itself elsewhere)."""
+    dom = base.domain
+    dens = PiecewiseFn.step(dom, [(dom.carrier, F(1, 4)),
+                                  (S(closed(F(1, 4), F(1, 2))), F(1, 2))])
+    partner = affine_escape(F(1, 3)) if dom == X01 else base
+    return [CompositeFA([(F(3, 2), base)]),
+            CompositeFA([(F(1), base)], density=dens),
+            CompositeFA([(F(3, 2), base), (F(2), partner)])]
+
+
+class TestMinimaxDifferential:
+    def test_equals_the_loop_over_every_member(self):
+        gaps = Counter()
+        for base, e in seeded_cases(3, 8):
+            for kind, nu in enumerate(seeded_functionals(base)):
+                for side in SIDES:
+                    got = minimax_value(nu, e, side=side)
+                    assert got == ref_minimax(nu, e, side), (base.formula, e, side)
+                    gaps[kind] += got[0] < got[1]
+        # every kind has enclosures that are not a single value
+        assert all(gaps[kind] for kind in range(3)), gaps
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 7), st.integers(0, 2))
+    def test_equals_the_loop_on_a_drawn_set(self, seed, which, kind):
+        rng = random.Random(seed)
+        base, lo, hi, x = seeded_bases(rng)[which]
+        nu, e = seeded_functionals(base)[kind], seeded_set(rng, lo, hi, x)
+        for side in SIDES:
+            assert minimax_value(nu, e, side=side) == ref_minimax(nu, e, side)
+
+    def test_one_query_for_the_compact_and_one_for_the_open(self, monkeypatch):
+        calls = []
+        query = restriction.fa_query
+
+        def counting(nu, e):
+            calls.append(e)
+            return query(nu, e)
+        monkeypatch.setattr(restriction, "fa_query", counting)
+        # the dual-models "mixed" composite: 3/2 at 7/20 and 2 escaping
+        nu = CompositeFA([(F(3, 2), affine_dirac(F(7, 20), F(1, 6), F(1, 8))),
+                          (F(2), affine_escape(F(1, 3)))])
+        for b in (S(opened(F(9, 40), F(19, 40))), S(point(F(7, 20))),
+                  S(ico(F(1, 4), F(7, 20))), S(opened(0, 1)), S()):
+            for side in SIDES:
+                calls.clear()
+                minimax_value(nu, b, side=side)
+                assert len(calls) <= 2, (b, side, calls)
+        calls.clear()
+        probes = len(hat(nu).point_masses) + 1  # a ball per mass, the carrier
+        assert probes == 2 and 0 < len(calls) <= 2 * probes
